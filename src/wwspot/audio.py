@@ -1,4 +1,4 @@
-"""WAV I/O and clip-level power helpers.
+"""WAV I/O, clip-level power helpers, and the per-utterance worker pool.
 
 Everything downstream works on mono float64 samples at 16 kHz. Readers
 reject other sample rates outright; there is no resampler here.
@@ -7,6 +7,7 @@ reject other sample rates outright; there is no resampler here.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,3 +106,16 @@ def rms_power(clip: AudioClip | np.ndarray) -> float:
     if samples.size == 0:
         raise AudioError("cannot compute power of an empty clip")
     return float(np.mean(np.square(samples, dtype=np.float64)))
+
+
+def parallel_map(fn, items, jobs, initializer=None, initargs=()):
+    """Per-utterance worker pool; jobs=1 stays in-process. Results come
+    back in input order, so outputs are byte-identical for any N."""
+    if jobs <= 1:
+        if initializer is not None:
+            initializer(*initargs)
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=initializer, initargs=initargs
+    ) as pool:
+        return list(pool.map(fn, items, chunksize=8))

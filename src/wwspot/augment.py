@@ -10,14 +10,12 @@ training mix (clean, +reverb, +noise, +reverb+noise).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from . import _accel
-from .audio import AudioClip, WRITE_PEAK, rms_power, read_wav, write_wav
+from .audio import AudioClip, WRITE_PEAK, parallel_map, rms_power, read_wav, write_wav
 
 SNR_CLAMP_DB = (-5.0, 40.0)
 TAIL_ENERGY_FRACTION = 1e-4
@@ -124,20 +122,18 @@ def synthesize_rir(room: RoomSpec, id: str = "") -> RirFilter:
     xs, cx = _axis_images(src[0], dims[0], room.max_order)
     ys, cy = _axis_images(src[1], dims[1], room.max_order)
     zs, cz = _axis_images(src[2], dims[2], room.max_order)
-    d_max = np.sqrt(
-        np.max((xs - mic[0]) ** 2)
-        + np.max((ys - mic[1]) ** 2)
-        + np.max((zs - mic[2]) ** 2)
-    )
-    n_taps = int(d_max * room.sample_rate / room.speed_of_sound + 0.5) + 1
-    taps = np.zeros(n_taps, dtype=np.float64)
-    _accel.image_source_taps(
-        xs, cx, ys, cy, zs, cz, mic,
-        float(room.reflection_coeff),
-        float(room.speed_of_sound),
-        float(room.sample_rate),
-        taps,
-    )
+    dist = np.sqrt(
+        ((xs - mic[0]) ** 2)[:, None, None]
+        + ((ys - mic[1]) ** 2)[None, :, None]
+        + ((zs - mic[2]) ** 2)[None, None, :]
+    ).ravel()
+    counts = (cx[:, None, None] + cy[None, :, None] + cz[None, None, :]).ravel()
+    # an image on the microphone would have unbounded amplitude
+    keep = dist > 1e-9
+    dist = dist[keep]
+    amps = np.power(room.reflection_coeff, counts[keep]) / (4.0 * np.pi * dist)
+    delays = (dist * room.sample_rate / room.speed_of_sound + 0.5).astype(np.int64)
+    taps = np.bincount(delays, weights=amps)
     return RirFilter(_truncate_tail(taps), id=id)
 
 
@@ -329,7 +325,10 @@ def read_manifest(path: str | os.PathLike) -> list[ManifestRow]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 6:
                 raise AugmentError(f"{path}:{lineno}: expected 6 tab-separated fields")
-            snr = None if parts[4] == "NA" else float(parts[4])
+            try:
+                snr = None if parts[4] == "NA" else float(parts[4])
+            except ValueError:
+                raise AugmentError(f"{path}:{lineno}: snr_db is not a number or NA") from None
             rir = None if parts[5] == "NA" else parts[5]
             rows.append(ManifestRow(parts[0], parts[1], parts[2], parts[3], snr, rir))
     return rows
@@ -353,7 +352,8 @@ def _set_worker_ctx(ctx: _AugmentContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _run_job(ctx: _AugmentContext, job: tuple[int, str, int]) -> ManifestRow:
+def _run_job(job: tuple[int, str, int]) -> ManifestRow:
+    ctx = _WORKER_CTX
     index, condition, k = job
     rng = np.random.default_rng([ctx.spec.rng_seed, index])
     utt_id = f"{_CONDITION_SLUGS[condition]}-{k:06d}"
@@ -376,11 +376,6 @@ def _run_job(ctx: _AugmentContext, job: tuple[int, str, int]) -> ManifestRow:
     wav_path = os.path.join("wav", f"{utt_id}.wav")
     write_wav(out, os.path.join(ctx.out_dir, wav_path))
     return ManifestRow(utt_id, condition, source.id, wav_path, snr, rir_id)
-
-
-def _run_job_pooled(job: tuple[int, str, int]) -> ManifestRow:
-    assert _WORKER_CTX is not None
-    return _run_job(_WORKER_CTX, job)
 
 
 def build_mixed_dataset(
@@ -420,9 +415,4 @@ def build_mixed_dataset(
     ctx = _AugmentContext(
         tuple(clean), tuple(rirs), tuple(noises), tuple(musics), spec, out_dir
     )
-    if jobs <= 1:
-        return [_run_job(ctx, job) for job in jobs_list]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_set_worker_ctx, initargs=(ctx,)
-    ) as pool:
-        return list(pool.map(_run_job_pooled, jobs_list, chunksize=16))
+    return parallel_map(_run_job, jobs_list, jobs, _set_worker_ctx, (ctx,))

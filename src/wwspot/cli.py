@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import demo as demo_mod
 from . import evaluate as ev
 from . import lexicon as lex
 from . import mining
-from .audio import AudioError, read_wav
+from .audio import AudioError, parallel_map, read_wav
 from .config import ConfigError, PipelineConfig, load_config
 from .features import FeatureError, compute_lfbe, stack_context, write_features
 from .model import (
@@ -52,9 +52,25 @@ class DataError(Exception):
     pass
 
 
+# --config and --set reach the run-dir key through the config hash and
+# --seed as the effective seed; --jobs, --out and --timestamp never
+# change output bytes
+_NOT_IN_RUN_KEY = {"func", "command", "config", "set", "seed", "jobs", "out", "timestamp"}
+
+
+def _seed(args, cfg: PipelineConfig) -> int:
+    return args.seed if args.seed is not None else cfg.getint("run", "seed")
+
+
 def _run_dir(args, cfg: PipelineConfig, name: str) -> str:
+    """`<out>/<name>-<key>`, where the key hashes the config, the
+    effective seed and the stage's own flags (input paths, wake word)."""
+    stage = sorted((k, v) for k, v in vars(args).items() if k not in _NOT_IN_RUN_KEY)
+    key = f"{cfg.hash8()}\n{_seed(args, cfg)}\n{stage!r}"
     suffix = f"-{time.strftime('%Y%m%d-%H%M%S')}" if args.timestamp else ""
-    path = os.path.join(args.out, f"{name}-{cfg.hash8()}{suffix}")
+    path = os.path.join(
+        args.out, f"{name}-{hashlib.sha256(key.encode()).hexdigest()[:8]}{suffix}"
+    )
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -82,7 +98,11 @@ def _read_references(path: str) -> dict[str, list[tuple[int, int]]]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected utt_id<TAB>start<TAB>end")
-            refs.setdefault(parts[0], []).append((int(parts[1]), int(parts[2])))
+            try:
+                span = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: start and end must be integers") from None
+            refs.setdefault(parts[0], []).append(span)
     return refs
 
 
@@ -95,7 +115,10 @@ def _read_utt_frames(path: str) -> dict[str, int]:
                 raise DataError(f"{path}:{lineno}: expected utt_id<TAB>frames")
             if parts[0] in frames:
                 raise DataError(f"{path}:{lineno}: duplicate utt_id {parts[0]!r}")
-            frames[parts[0]] = int(parts[1])
+            try:
+                frames[parts[0]] = int(parts[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: frames must be an integer") from None
     return frames
 
 
@@ -107,7 +130,7 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
     max_order = cfg.getint("rir", "max_order", lo=0, hi=10)
     beta_min = cfg.getfloat("rir", "beta_min", lo=0.0, hi=1.0)
     beta_max = cfg.getfloat("rir", "beta_max", lo=beta_min, hi=1.0)
-    seed = args.seed if args.seed is not None else cfg.getint("run", "seed")
+    seed = _seed(args, cfg)
     out = _run_dir(args, cfg, "rir-gen")
     rng = np.random.default_rng(seed)
     rooms = make_room_pool(count, rng, max_order=max_order)
@@ -137,7 +160,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
             cfg.getfloat("augment", "snr_mean_db"),
             cfg.getfloat("augment", "snr_std_db", lo=0.0),
             cfg.getfloat("augment", "noise_music_split", lo=0.0, hi=1.0),
-            rng_seed=args.seed if args.seed is not None else cfg.getint("run", "seed"),
+            rng_seed=_seed(args, cfg),
         )
     except aug.AugmentError as exc:
         raise ConfigError(f"augment: {exc}") from exc
@@ -188,7 +211,7 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
     wake = args.wake_word or cfg.getstr("lexicon", "wake_word")
     if not wake:
         raise ConfigError("lexicon.wake_word: missing wake word")
-    seed = args.seed if args.seed is not None else cfg.getint("run", "seed")
+    seed = _seed(args, cfg)
     confusables = lex.read_confusables(args.confusables, wake)
     hyps, skipped = mining.load_hypotheses(args.hypotheses)
     if not hyps:
@@ -202,19 +225,6 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
     n_pos = sum(1 for e in examples if e.polarity == mining.POSITIVE)
     print(f"{path}\t{n_pos} positive\t{len(examples) - n_pos} negative\t{skipped} skipped")
     return EXIT_OK
-
-
-def _parallel_map(fn, items, jobs, initializer=None, initargs=()):
-    """Per-utterance worker pool; jobs=1 stays in-process. Results come
-    back in input order, so outputs are byte-identical for any N."""
-    if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=initializer, initargs=initargs
-    ) as pool:
-        return list(pool.map(fn, items, chunksize=8))
 
 
 def _featurize_one(job):
@@ -231,7 +241,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
     if not paths:
         raise DataError(f"{args.wav_dir}: no wav files")
     out = _run_dir(args, cfg, "featurize")
-    _parallel_map(_featurize_one, [(p, out) for p in paths], args.jobs)
+    parallel_map(_featurize_one, [(p, out) for p in paths], args.jobs)
     print(out)
     return EXIT_OK
 
@@ -241,7 +251,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         learning_rate=cfg.getfloat("training", "learning_rate", lo=1e-12),
         minibatch_size=cfg.getint("training", "minibatch_size", lo=1),
         epochs=cfg.getint("training", "epochs", lo=0),
-        rng_seed=args.seed if args.seed is not None else cfg.getint("run", "seed"),
+        rng_seed=_seed(args, cfg),
         l2_coefficient=cfg.getfloat("training", "l2_coefficient", lo=0.0),
     )
     model_cfg = SpotterConfig(
@@ -291,7 +301,7 @@ def _decode_traces(args):
     if not paths:
         raise DataError("no evaluation inputs")
     load_model(args.model, expected_classes=2)  # validate before forking
-    pairs = _parallel_map(
+    pairs = parallel_map(
         _decode_one, paths, args.jobs, initializer=_init_decode_worker,
         initargs=(args.model,),
     )

@@ -133,9 +133,10 @@ def read_detections(path: str | os.PathLike) -> list[Detection]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 5:
                 raise DecodeError(f"{path}:{lineno}: malformed detection row")
-            out.append(
-                Detection(
-                    parts[0], int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
-                )
-            )
+            try:
+                frames = [int(p) for p in parts[1:4]]
+                score = float(parts[4])
+            except ValueError:
+                raise DecodeError(f"{path}:{lineno}: non-numeric detection field") from None
+            out.append(Detection(parts[0], *frames, score))
     return out

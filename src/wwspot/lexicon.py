@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
-
 
 class LexiconError(ValueError):
     pass
@@ -100,6 +98,47 @@ def _encode(seq: tuple[str, ...], table: dict[str, int]) -> np.ndarray:
     return np.asarray([table.setdefault(p, len(table)) for p in seq], dtype=np.int64)
 
 
+def _encode_batch(
+    seqs: list[tuple[str, ...]], table: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes padded with -1 (never a phoneme code) into one matrix, and
+    the length of each row."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    padded = np.full((len(seqs), int(lengths.max())), -1, dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = [
+        table.setdefault(p, len(table)) for seq in seqs for p in seq
+    ]
+    return padded, lengths
+
+
+def _distances(wake: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Unit-cost edit distance from `wake` to every row of the padded
+    `words` batch, one vectorized DP row per word position.
+
+    Row i holds, for every word, the distances from its first i symbols
+    to each prefix of `wake`. The in-row dependency
+    cur[j] = min(base[j], cur[j-1] + 1) is resolved as a running minimum
+    of base[j] - j. A word's distance is read off the row at its own
+    length, so the padding beyond it never counts.
+    """
+    idx = np.arange(wake.size + 1, dtype=np.int64)
+    prev = np.tile(idx, (words.shape[0], 1))
+    cur = np.empty_like(prev)
+    out = np.empty(words.shape[0], dtype=np.int64)
+    for i in range(1, words.shape[1] + 1):
+        cur[:, 0] = i
+        np.minimum(
+            prev[:, 1:] + 1, prev[:, :-1] + (words[:, i - 1, None] != wake), out=cur[:, 1:]
+        )
+        cur[:, 1:] -= idx[1:]
+        np.minimum.accumulate(cur, axis=1, out=cur)
+        cur += idx
+        done = lengths == i
+        out[done] = cur[done, -1]
+        prev, cur = cur, prev
+    return out
+
+
 def levenshtein(a, b) -> int:
     """Unit-cost edit distance between two phoneme sequences."""
     a = tuple(a)
@@ -107,7 +146,7 @@ def levenshtein(a, b) -> int:
     if not a or not b:
         raise LexiconError("cannot compare empty phoneme sequences")
     table: dict[str, int] = {}
-    return int(_accel.levenshtein_codes(_encode(a, table), _encode(b, table)))
+    return int(_distances(_encode(a, table), *_encode_batch([b], table))[0])
 
 
 @dataclass
@@ -143,22 +182,26 @@ def build_confusable_set(
     if d_max < 0:
         raise LexiconError("d_max must be >= 0")
 
+    words = [
+        w for w in lex.entries
+        if w != wake
+        and (
+            lex.frequency_rank is None
+            or lex.frequency_rank.get(w, top_n_frequent + 1) <= top_n_frequent
+        )
+    ]
+    if not words:
+        return ConfusableSet(wake, d_max, {})
+    prons = [p for w in words for p in lex.entries[w]]
+    # each word's pronunciations are contiguous in `prons`
+    first = np.cumsum([0] + [len(lex.entries[w]) for w in words[:-1]])
     table: dict[str, int] = {}
     wake_codes = [_encode(p, table) for p in lex.pronunciations(wake)]
-    members: dict[str, int] = {}
-    for word, prons in lex.entries.items():
-        if word == wake:
-            continue
-        if lex.frequency_rank is not None:
-            rank = lex.frequency_rank.get(word)
-            if rank is None or rank > top_n_frequent:
-                continue
-        codes = [_encode(p, table) for p in prons]
-        dist = min(
-            int(_accel.levenshtein_codes(c, w)) for c in codes for w in wake_codes
-        )
-        if 1 <= dist <= d_max:
-            members[word] = dist
+    padded, lengths = _encode_batch(prons, table)
+    per_pron = np.min([_distances(w, padded, lengths) for w in wake_codes], axis=0)
+    dist = np.minimum.reduceat(per_pron, first)
+    keep = np.flatnonzero((dist >= 1) & (dist <= d_max))
+    members = {words[k]: int(dist[k]) for k in keep}
     return ConfusableSet(wake, d_max, members)
 
 
@@ -178,6 +221,9 @@ def read_confusables(path: str | os.PathLike, wake_word: str = "") -> Confusable
             parts = line.split("\t")
             if len(parts) != 2:
                 raise LexiconError(f"{path}:{lineno}: expected 'word<TAB>distance'")
-            members[parts[0].strip().lower()] = int(parts[1])
+            try:
+                members[parts[0].strip().lower()] = int(parts[1])
+            except ValueError:
+                raise LexiconError(f"{path}:{lineno}: distance is not an integer") from None
     d_max = max(members.values(), default=0)
     return ConfusableSet(wake_word.lower(), d_max, members)

@@ -216,13 +216,9 @@ def read_mined(path: str | os.PathLike) -> list[MinedExample]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 6 or parts[1] not in (POSITIVE, NEGATIVE):
                 raise MiningError(f"{path}:{lineno}: malformed mined-example row")
-            out.append(
-                MinedExample(
-                    parts[0],
-                    parts[1],
-                    parts[2],
-                    (float(parts[3]), float(parts[4])),
-                    float(parts[5]),
-                )
-            )
+            try:
+                start, end, conf = (float(p) for p in parts[3:])
+            except ValueError:
+                raise MiningError(f"{path}:{lineno}: non-numeric span or confidence") from None
+            out.append(MinedExample(parts[0], parts[1], parts[2], (start, end), conf))
     return out

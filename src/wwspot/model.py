@@ -425,7 +425,10 @@ def _read_text_array(fh: io.BufferedReader, shape: tuple[int, ...]) -> np.ndarra
         line = fh.readline()
         if not line:
             raise ModelError("truncated checkpoint")
-        values.append(np.asarray(line.split(), dtype=np.float64))
+        try:
+            values.append(np.asarray(line.split(), dtype=np.float64))
+        except ValueError:
+            raise ModelError("non-numeric value in checkpoint") from None
     out = np.concatenate(values)
     if out.size != int(np.prod(shape)):
         raise ModelError("truncated checkpoint")
@@ -480,5 +483,7 @@ def load_model(path: str | os.PathLike, expected_classes: int | None = None) -> 
                 loaded[name] = (
                     np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
                 )
+            if not np.isfinite(loaded[name]).all():
+                raise ModelError(f"{path}: non-finite values in {name}")
     scaler = FeatureScaler(loaded.pop("scaler_mean"), loaded.pop("scaler_std"))
     return SpotterModel(config, loaded, scaler)

@@ -6,6 +6,7 @@ import pytest
 
 from wwspot.augment import read_manifest
 from wwspot.cli import main
+from wwspot.mining import POSITIVE
 from wwspot.synth import (
     WAKE_WORD,
     generate_utterances,
@@ -395,6 +396,69 @@ def test_eval_rejects_duplicate_utt_ids(tmp_path, capsys):
     )
     assert rc == 3
     assert "duplicate utt_id" in capsys.readouterr().err
+
+
+_GOOD_TSV = {
+    "detections": "u0\t10\t20\t15\t0.8\n",
+    "utt_frames": "u0\t100\n",
+    "refs": "u0\t10\t20\n",
+    "mined": f"u0\t{POSITIVE}\tww\t0.1\t0.2\t0.9\n",
+    "confusables": "word\t1\n",
+    "manifest": "ctm-000000\tCTM\tu0\twav/ctm-000000.wav\tNA\tNA\n",
+}
+
+
+# a second line with one non-numeric field, per file
+_BAD_TSV_ROW = {
+    "refs": "u1\tten\t20",
+    "utt_frames": "u1\tmany",
+    "detections": "u1\t10\t20\t15\thigh",
+    "mined": f"u1\t{POSITIVE}\tww\tstart\t0.2\t0.9",
+    "confusables": "other\tone",
+    "manifest": "rev-000000\tCTM+R\tu0\twav/rev-000000.wav\tloud\tr0",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_TSV_ROW))
+def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad):
+    files = {}
+    for name, text in _GOOD_TSV.items():
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text + _BAD_TSV_ROW[bad] + "\n" if name == bad else text)
+        files[name] = str(path)
+    hypotheses = tmp_path / "hypotheses.jsonl"
+    hypotheses.write_text("")
+    argv = {
+        "eval": ["eval", "--detections", files["detections"],
+                 "--utt-frames", files["utt_frames"], "--references", files["refs"]],
+        "train": ["train", "--mined", files["mined"], "--augment-manifest", files["manifest"]],
+        "mine": ["mine", "--hypotheses", str(hypotheses),
+                 "--confusables", files["confusables"], "--wake-word", "ww"],
+    }
+    command = {"mined": "train", "manifest": "train", "confusables": "mine"}.get(bad, "eval")
+    rc = main(argv[command] + ["--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{files[bad]}:2:" in err
+    assert "Traceback" not in err
+
+
+def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
+    runs = str(tmp_path / "runs")
+    for extra in (["--seed", "1"], ["--seed", "2"], ["--seed", "1", "--jobs", "2"]):
+        assert main(["rir-gen", "--set", "rir.count=1", "--out", runs] + extra) == 0
+    assert len(glob.glob(os.path.join(runs, "rir-gen-*"))) == 2
+
+    lexicons = []
+    for name in ("a", "b"):
+        lexicon = tmp_path / f"lexicon-{name}.txt"
+        write_lexicon_files(lexicon, tmp_path / f"frequencies-{name}.txt")
+        lexicons.append(str(lexicon))
+    for lexicon in lexicons:
+        assert main(
+            ["confusables", "--lexicon", lexicon, "--wake-word", WAKE_WORD, "--out", runs]
+        ) == 0
+    assert len(glob.glob(os.path.join(runs, "confusables-*"))) == 2
 
 
 def test_unknown_subcommand_exits_nonzero():

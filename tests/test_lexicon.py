@@ -124,22 +124,39 @@ def _toy_50_word_lexicon(tmp_path):
         lines.append(f"word{i:02d}\t{pron}")
         if rng.random() < 0.3:  # some alternates
             lines.append(f"word{i:02d}\t{' '.join(random_seq(rng, 7))}")
-    return load_lexicon(_write_lexicon(tmp_path, lines))
+    lines += [
+        "wakeword\tK AA L IY S",  # a second wake pronunciation
+        "near1\tK AA L IY P",
+        "near2\tK AA L IY S T",  # within 1 of the second pronunciation only
+        "near3\tK AA T IY P",
+        "wordone\tS",
+        "wordlong\tK AA L IY P S AA L IY P S K",  # longer than every other word
+    ]
+    words = sorted({line.split("\t")[0] for line in lines})
+    counts = np.random.default_rng(14).permutation(len(words)) + 1
+    freq_path = tmp_path / "freq.txt"
+    freq_path.write_text("".join(f"{w}\t{c}\n" for w, c in zip(words, counts)))
+    return load_lexicon(_write_lexicon(tmp_path, lines), freq_path)
 
 
 @pytest.mark.parametrize("d_max", [1, 2])
 def test_confusables_match_exhaustive_enumeration(tmp_path, d_max):
     lex = _toy_50_word_lexicon(tmp_path)
-    cs = build_confusable_set(lex, "wakeword", d_max)
     wake_prons = lex.pronunciations("wakeword")
-    expected = {}
-    for word, prons in lex.entries.items():
-        if word == "wakeword":
-            continue
-        d = min(recursive_distance(p, w) for p in prons for w in wake_prons)
-        if 1 <= d <= d_max:
-            expected[word] = d
-    assert cs.members == expected
+    assert len(wake_prons) == 2
+    sizes = []
+    for top_n in (len(lex), 20):  # every word, then a frequency cut
+        cs = build_confusable_set(lex, "wakeword", d_max, top_n_frequent=top_n)
+        expected = {}
+        for word, prons in lex.entries.items():
+            if word == "wakeword" or lex.frequency_rank[word] > top_n:
+                continue
+            d = min(recursive_distance(p, w) for p in prons for w in wake_prons)
+            if 1 <= d <= d_max:
+                expected[word] = d
+        assert cs.members == expected
+        sizes.append(len(expected))
+    assert sizes[0] > sizes[1]
 
 
 def test_confusables_monotone_in_d_max(tmp_path):

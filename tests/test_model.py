@@ -336,6 +336,28 @@ def test_truncated_checkpoint_rejected(tmp_path):
         load_model(tmp_path / "trunc32.ckpt")
 
 
+@pytest.mark.parametrize("mode", ["text", "f32"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_checkpoint_rejected(tmp_path, mode, bad):
+    model = tiny_model(seed=9)
+    name = next(iter(model.params))
+    model.params[name][0, 0] = bad
+    path = tmp_path / "bad.ckpt"
+    save_model(model, path, mode=mode)
+    with pytest.raises(ModelError, match=f"non-finite values in {name}"):
+        load_model(path)
+
+
+def test_non_numeric_checkpoint_token_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(seed=10), path, mode="text")
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"abc " + lines[2].split(b" ", 1)[1]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ModelError, match="non-numeric"):
+        load_model(path)
+
+
 def test_non_checkpoint_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"hello world\n more garbage\n")
