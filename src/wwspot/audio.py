@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
+from .tsv import DataError
+
 SAMPLE_RATE = 16000
 WRITE_PEAK = 0.999
 _FULL_SCALE = 32768.0
 
 
-class AudioError(ValueError):
+class AudioError(DataError):
     """Unreadable, malformed, or out-of-contract audio."""
 
 

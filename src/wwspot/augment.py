@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .audio import AudioClip, WRITE_PEAK, parallel_map, rms_power, read_wav, write_wav
+from .tsv import DataError, read_tsv
 
 SNR_CLAMP_DB = (-5.0, 40.0)
 TAIL_ENERGY_FRACTION = 1e-4
@@ -24,7 +26,7 @@ CONDITIONS = ("CTM", "CTM+R", "CTM+N", "CTM+RN")
 _CONDITION_SLUGS = {"CTM": "ctm", "CTM+R": "rev", "CTM+N": "noi", "CTM+RN": "rvn"}
 
 
-class AugmentError(ValueError):
+class AugmentError(DataError):
     pass
 
 
@@ -318,20 +320,13 @@ def write_manifest(rows: list[ManifestRow], path: str | os.PathLike) -> None:
             )
 
 
+def _or_na(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    return lambda field: None if field == "NA" else parse(field)
+
+
 def read_manifest(path: str | os.PathLike) -> list[ManifestRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 6:
-                raise AugmentError(f"{path}:{lineno}: expected 6 tab-separated fields")
-            try:
-                snr = None if parts[4] == "NA" else float(parts[4])
-            except ValueError:
-                raise AugmentError(f"{path}:{lineno}: snr_db is not a number or NA") from None
-            rir = None if parts[5] == "NA" else parts[5]
-            rows.append(ManifestRow(parts[0], parts[1], parts[2], parts[3], snr, rir))
-    return rows
+    fields = (str, str, str, str, _or_na(float), _or_na(str))
+    return read_tsv(path, fields, ManifestRow, AugmentError)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,10 @@ from . import demo as demo_mod
 from . import evaluate as ev
 from . import lexicon as lex
 from . import mining
-from .audio import AudioError, parallel_map, read_wav
+from .audio import parallel_map, read_wav
 from .config import ConfigError, PipelineConfig, load_config
-from .features import FeatureError, compute_lfbe, stack_context, write_features
+from .features import compute_lfbe, stack_context, write_features
 from .model import (
-    ModelError,
     SpotterConfig,
     TrainConfig,
     TrainingDiverged,
@@ -41,15 +40,12 @@ from .model import (
 )
 from .pipeline import dataset_from_examples, dataset_from_manifest
 from .synth import make_room_pool
+from .tsv import DataError, read_tsv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
-
-
-class DataError(Exception):
-    pass
 
 
 # --config and --set reach the run-dir key through the config hash and
@@ -88,37 +84,30 @@ def _load_clips(wav_dir: str):
     return [read_wav(p) for p in paths]
 
 
+def _reference(utt_id: str, start: int, end: int) -> tuple[str, tuple[int, int]]:
+    if not 0 <= start <= end:
+        raise ValueError(f"reference span needs 0 <= start <= end, got {start}, {end}")
+    return utt_id, (start, end)
+
+
 def _read_references(path: str) -> dict[str, list[tuple[int, int]]]:
     refs: dict[str, list[tuple[int, int]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected utt_id<TAB>start<TAB>end")
-            try:
-                span = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: start and end must be integers") from None
-            refs.setdefault(parts[0], []).append(span)
+    for utt_id, span in read_tsv(path, (str, int, int), _reference):
+        refs.setdefault(utt_id, []).append(span)
     return refs
 
 
 def _read_utt_frames(path: str) -> dict[str, int]:
     frames: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected utt_id<TAB>frames")
-            if parts[0] in frames:
-                raise DataError(f"{path}:{lineno}: duplicate utt_id {parts[0]!r}")
-            try:
-                frames[parts[0]] = int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: frames must be an integer") from None
+
+    def add(utt_id: str, count: int) -> None:
+        if count < 1:
+            raise ValueError(f"frame count {count} is below 1")
+        if utt_id in frames:
+            raise ValueError(f"duplicate utt_id {utt_id!r}")
+        frames[utt_id] = count
+
+    read_tsv(path, (str, int), add)
     return frames
 
 
@@ -178,12 +167,9 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
     noises = _load_clips(args.noise_dir) if args.noise_dir else []
     musics = _load_clips(args.music_dir) if args.music_dir else []
     out = _run_dir(args, cfg, "augment")
-    try:
-        rows = aug.build_mixed_dataset(
-            clean, rirs, noises, musics, recipe, spec, out, jobs=args.jobs
-        )
-    except aug.AugmentError as exc:
-        raise DataError(str(exc)) from exc
+    rows = aug.build_mixed_dataset(
+        clean, rirs, noises, musics, recipe, spec, out, jobs=args.jobs
+    )
     aug.write_manifest(rows, os.path.join(out, "manifest.tsv"))
     print(os.path.join(out, "manifest.tsv"))
     return EXIT_OK
@@ -494,18 +480,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        DataError,
-        AudioError,
-        FeatureError,
-        aug.AugmentError,
-        lex.LexiconError,
-        mining.MiningError,
-        dec.DecodeError,
-        ev.EvalError,
-        ModelError,
-        FileNotFoundError,
-    ) as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:

@@ -16,9 +16,10 @@ import numpy as np
 from .features import LEFT_CONTEXT, RIGHT_CONTEXT, stack_context
 from .mining import FRAME_HOP_S, MinedExample, POSITIVE
 from .model import SpotterModel, posteriors
+from .tsv import DataError, read_tsv
 
 
-class DecodeError(ValueError):
+class DecodeError(DataError):
     pass
 
 
@@ -126,17 +127,13 @@ def write_detections(detections: list[Detection], path: str | os.PathLike) -> No
             )
 
 
+def _detection(utt_id: str, start: int, end: int, peak: int, score: float) -> Detection:
+    if not 0 <= start <= peak <= end:
+        raise ValueError(f"frames need 0 <= start <= peak <= end, got {start}, {peak}, {end}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"peak score {score} out of [0, 1]")
+    return Detection(utt_id, start, end, peak, score)
+
+
 def read_detections(path: str | os.PathLike) -> list[Detection]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 5:
-                raise DecodeError(f"{path}:{lineno}: malformed detection row")
-            try:
-                frames = [int(p) for p in parts[1:4]]
-                score = float(parts[4])
-            except ValueError:
-                raise DecodeError(f"{path}:{lineno}: non-numeric detection field") from None
-            out.append(Detection(parts[0], *frames, score))
-    return out
+    return read_tsv(path, (str, int, int, int, float), _detection, DecodeError)

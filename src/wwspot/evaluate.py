@@ -15,12 +15,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decode import DecodeConfig, Detection, detect_peaks, smooth
+from .tsv import DataError
 
 FRAMES_PER_HOUR = 100 * 3600
 DEFAULT_TOLERANCE_FRAMES = 50
 
 
-class EvalError(ValueError):
+class EvalError(DataError):
     pass
 
 

@@ -14,12 +14,13 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioClip
+from .tsv import DataError
 
 LEFT_CONTEXT = 20
 RIGHT_CONTEXT = 10
 
 
-class FeatureError(ValueError):
+class FeatureError(DataError):
     pass
 
 

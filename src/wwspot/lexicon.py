@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tsv import DataError, read_tsv
 
-class LexiconError(ValueError):
+
+class LexiconError(DataError):
     pass
 
 
@@ -41,6 +43,17 @@ class Lexicon:
         return len(self.entries)
 
 
+def _pronunciation(word: str, phonemes: str) -> tuple[str, tuple[str, ...]]:
+    word, phones = word.strip().lower(), tuple(phonemes.split())
+    if not word or not phones:
+        raise ValueError("empty word or phoneme field")
+    return word, phones
+
+
+def _word_count(word: str, count: int) -> tuple[str, int]:
+    return word.strip().lower(), count
+
+
 def load_lexicon(
     path: str | os.PathLike, frequency_path: str | os.PathLike | None = None
 ) -> Lexicon:
@@ -50,45 +63,16 @@ def load_lexicon(
     assigned by descending count with lexicographic tie-breaking.
     """
     entries: dict[str, list[tuple[str, ...]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(
-                    f"{path}:{lineno}: expected 'word<TAB>phonemes', got {line!r}"
-                )
-            word = parts[0].strip().lower()
-            phonemes = tuple(parts[1].split())
-            if not word or not phonemes:
-                raise LexiconError(f"{path}:{lineno}: empty word or phoneme field")
-            prons = entries.setdefault(word, [])
-            if phonemes not in prons:
-                prons.append(phonemes)
+    for word, phonemes in read_tsv(path, (str, str), _pronunciation, LexiconError):
+        prons = entries.setdefault(word, [])
+        if phonemes not in prons:
+            prons.append(phonemes)
     if not entries:
         raise LexiconError(f"{path}: empty lexicon")
 
     ranks = None
     if frequency_path is not None:
-        counts: dict[str, int] = {}
-        with open(frequency_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise LexiconError(
-                        f"{frequency_path}:{lineno}: expected 'word<TAB>count'"
-                    )
-                try:
-                    counts[parts[0].strip().lower()] = int(parts[1])
-                except ValueError:
-                    raise LexiconError(
-                        f"{frequency_path}:{lineno}: count is not an integer"
-                    ) from None
+        counts = dict(read_tsv(frequency_path, (str, int), _word_count, LexiconError))
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         ranks = {word: rank for rank, (word, _) in enumerate(ordered, 1)}
     return Lexicon(entries, ranks)
@@ -211,19 +195,13 @@ def write_confusables(confusables: ConfusableSet, path: str | os.PathLike) -> No
             fh.write(f"{word}\t{confusables.members[word]}\n")
 
 
+def _confusable(word: str, distance: int) -> tuple[str, int]:
+    if distance < 1:
+        raise ValueError(f"distance {distance} is below 1")
+    return _word_count(word, distance)
+
+
 def read_confusables(path: str | os.PathLike, wake_word: str = "") -> ConfusableSet:
-    members: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(f"{path}:{lineno}: expected 'word<TAB>distance'")
-            try:
-                members[parts[0].strip().lower()] = int(parts[1])
-            except ValueError:
-                raise LexiconError(f"{path}:{lineno}: distance is not an integer") from None
+    members = dict(read_tsv(path, (str, int), _confusable, LexiconError))
     d_max = max(members.values(), default=0)
     return ConfusableSet(wake_word.lower(), d_max, members)

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lexicon import ConfusableSet
+from .tsv import DataError, read_tsv
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +28,7 @@ NEGATIVE = "negative"
 FRAME_HOP_S = 0.01
 
 
-class MiningError(ValueError):
+class MiningError(DataError):
     pass
 
 
@@ -209,16 +211,17 @@ def write_mined(examples: list[MinedExample], path: str | os.PathLike) -> None:
             )
 
 
+def _mined_example(
+    utt_id: str, polarity: str, word: str, start: float, end: float, confidence: float
+) -> MinedExample:
+    if polarity not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"polarity {polarity!r} is not {POSITIVE}|{NEGATIVE}")
+    if not -math.inf < start < end < math.inf:
+        raise ValueError(f"trigger span ({start}, {end}) is not finite with start < end")
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence {confidence} out of [0, 1]")
+    return MinedExample(utt_id, polarity, word, (start, end), confidence)
+
+
 def read_mined(path: str | os.PathLike) -> list[MinedExample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 6 or parts[1] not in (POSITIVE, NEGATIVE):
-                raise MiningError(f"{path}:{lineno}: malformed mined-example row")
-            try:
-                start, end, conf = (float(p) for p in parts[3:])
-            except ValueError:
-                raise MiningError(f"{path}:{lineno}: non-numeric span or confidence") from None
-            out.append(MinedExample(parts[0], parts[1], parts[2], (start, end), conf))
-    return out
+    return read_tsv(path, (str, str, str, float, float, float), _mined_example, MiningError)

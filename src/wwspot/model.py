@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import LEFT_CONTEXT, RIGHT_CONTEXT, context_indices
+from .tsv import DataError
 
 Q_CLAMP = 1e-7
 CHECKPOINT_MAGIC = "wwspot-checkpoint"
 CHECKPOINT_VERSION = "v1"
 
 
-class ModelError(ValueError):
+class ModelError(DataError):
     pass
 
 

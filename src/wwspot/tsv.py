@@ -1,0 +1,38 @@
+"""The tab-separated format of every pipeline file: one record per line,
+fields split on tabs, blank and whitespace-only lines skipped."""
+
+from __future__ import annotations
+
+import os
+from typing import Any, Callable, Sequence, TypeVar
+
+R = TypeVar("R")
+
+
+class DataError(ValueError):
+    """Malformed or unusable input data (CLI exit code 3)."""
+
+
+def read_tsv(
+    path: str | os.PathLike,
+    fields: Sequence[Callable[[str], Any]],
+    row: Callable[..., R],
+    error: type[DataError] = DataError,
+) -> list[R]:
+    """`row(*typed)` for each line, `typed` being its fields passed through
+    `fields`, one parser each. A wrong field count, or a ValueError from a
+    parser or from `row` (which checks the values), raises
+    `error("<path>:<line>: <reason>")`."""
+    out, n = [], len(fields)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            try:
+                if len(parts) != n:
+                    raise ValueError(f"expected {n} tab-separated fields, got {len(parts)}")
+                out.append(row(*[parse(p) for parse, p in zip(fields, parts)]))
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
+    return out

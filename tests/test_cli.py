@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from wwspot.augment import read_manifest
-from wwspot.cli import main
-from wwspot.mining import POSITIVE
+from wwspot.cli import _read_references, _read_utt_frames, main
+from wwspot.decode import read_detections
+from wwspot.lexicon import load_lexicon, read_confusables
+from wwspot.mining import POSITIVE, read_mined
 from wwspot.synth import (
     WAKE_WORD,
     generate_utterances,
@@ -405,26 +407,41 @@ _GOOD_TSV = {
     "mined": f"u0\t{POSITIVE}\tww\t0.1\t0.2\t0.9\n",
     "confusables": "word\t1\n",
     "manifest": "ctm-000000\tCTM\tu0\twav/ctm-000000.wav\tNA\tNA\n",
+    "lexicon": "ww\tW W\n",
+    "frequencies": "ww\t10\n",
 }
 
 
-# a second line with one non-numeric field, per file
-_BAD_TSV_ROW = {
-    "refs": "u1\tten\t20",
-    "utt_frames": "u1\tmany",
-    "detections": "u1\t10\t20\t15\thigh",
-    "mined": f"u1\t{POSITIVE}\tww\tstart\t0.2\t0.9",
-    "confusables": "other\tone",
-    "manifest": "rev-000000\tCTM+R\tu0\twav/rev-000000.wav\tloud\tr0",
-}
+# a second line with one field that does not parse or is out of range
+_BAD_TSV_ROWS = [
+    pytest.param("refs", "u1\tten\t20", id="refs"),
+    pytest.param("refs", "u1\t20\t10", id="refs-end-before-start"),
+    pytest.param("utt_frames", "u1\tmany", id="utt_frames"),
+    pytest.param("utt_frames", "u1\t-100", id="utt_frames-negative-frames"),
+    pytest.param("utt_frames", "u0\t100", id="utt_frames-duplicate-utt-id"),
+    pytest.param("detections", "u1\t10\t20\t15\thigh", id="detections"),
+    pytest.param("detections", "u0\t10\t20\t15\tnan", id="detections-nan-score"),
+    pytest.param("detections", "u0\t10\t20\t15\t1.5", id="detections-score-above-1"),
+    pytest.param("detections", "u0\t30\t20\t15\t0.9", id="detections-start-after-end"),
+    pytest.param("detections", "u0\t10\t20\t25\t0.9", id="detections-peak-outside-span"),
+    pytest.param("mined", f"u1\t{POSITIVE}\tww\tstart\t0.2\t0.9", id="mined"),
+    pytest.param("mined", f"u1\t{POSITIVE}\tww\tnan\t0.2\t0.9", id="mined-nan-start"),
+    pytest.param("mined", f"u1\t{POSITIVE}\tww\t0.3\t0.2\t0.9", id="mined-start-after-end"),
+    pytest.param("mined", f"u1\t{POSITIVE}\tww\t0.1\t0.2\t7.5", id="mined-confidence-7.5"),
+    pytest.param("confusables", "other\tone", id="confusables"),
+    pytest.param("confusables", "other\t-1", id="confusables-distance-below-1"),
+    pytest.param(
+        "manifest", "rev-000000\tCTM+R\tu0\twav/rev-000000.wav\tloud\tr0", id="manifest"
+    ),
+]
 
 
-@pytest.mark.parametrize("bad", sorted(_BAD_TSV_ROW))
-def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, row", _BAD_TSV_ROWS)
+def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad, row):
     files = {}
     for name, text in _GOOD_TSV.items():
         path = tmp_path / f"{name}.tsv"
-        path.write_text(text + _BAD_TSV_ROW[bad] + "\n" if name == bad else text)
+        path.write_text(text + row + "\n" if name == bad else text)
         files[name] = str(path)
     hypotheses = tmp_path / "hypotheses.jsonl"
     hypotheses.write_text("")
@@ -441,6 +458,30 @@ def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad)
     assert rc == 3
     assert f"{files[bad]}:2:" in err
     assert "Traceback" not in err
+
+
+_READERS = {
+    "refs": _read_references,
+    "utt_frames": _read_utt_frames,
+    "detections": read_detections,
+    "mined": read_mined,
+    "confusables": read_confusables,
+    "manifest": read_manifest,
+    "lexicon": load_lexicon,
+    "frequencies": lambda path: load_lexicon(path.with_name("lexicon.tsv"), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_every_reader_skips_blank_lines(tmp_path, name):
+    read = []
+    for tail in ("", "\n   \n"):
+        folder = tmp_path / f"tail-{len(tail)}"
+        folder.mkdir()
+        for file, text in _GOOD_TSV.items():
+            (folder / f"{file}.tsv").write_text(text + tail)
+        read.append(_READERS[name](folder / f"{name}.tsv"))
+    assert read[0] == read[1]
 
 
 def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
