@@ -115,17 +115,23 @@ class PipelineConfig:
             ) from None
 
     def thresholds(self, section: str = "decoding", key: str = "thresholds") -> list[float]:
-        """Either a comma list or lin:<start>:<stop>:<count>."""
+        """Either a comma list or lin:<start>:<stop>:<count>; every value
+        must lie in (0, 1), the range a decoder threshold takes."""
         raw = self.get(section, key)
         try:
             if raw.startswith("lin:"):
                 _, start, stop, count = raw.split(":")
                 import numpy as np
 
-                return [round(float(v), 6) for v in np.linspace(float(start), float(stop), int(count))]
-            return [float(v) for v in raw.split(",") if v.strip()]
+                values = [round(float(v), 6) for v in np.linspace(float(start), float(stop), int(count))]
+            else:
+                values = [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"{section}.{key}: cannot parse threshold spec {raw!r}") from None
+        for value in values:
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{section}.{key}: threshold {value} is outside (0, 1)")
+        return values
 
     @staticmethod
     def _check_range(section, key, value, lo, hi):

@@ -51,8 +51,8 @@ class UtteranceHypothesis:
         for w in self.words:
             if not 0.0 <= w.confidence <= 1.0:
                 raise MiningError(f"{self.utt_id}: confidence out of [0, 1]")
-            if w.end_s <= w.start_s:
-                raise MiningError(f"{self.utt_id}: empty word span")
+            if not -math.inf < w.start_s < w.end_s < math.inf:
+                raise MiningError(f"{self.utt_id}: word span is not finite with start < end")
             if w.start_s < prev_end - 1e-9:
                 raise MiningError(f"{self.utt_id}: overlapping word spans")
             prev_end = w.end_s
@@ -224,4 +224,15 @@ def _mined_example(
 
 
 def read_mined(path: str | os.PathLike) -> list[MinedExample]:
-    return read_tsv(path, (str, str, str, float, float, float), _mined_example, MiningError)
+    """One example per utterance: a repeated utt_id is an error, since
+    its two rows would give the same audio two sets of targets."""
+    seen: set[str] = set()
+
+    def row(*fields) -> MinedExample:
+        example = _mined_example(*fields)
+        if example.utt_id in seen:
+            raise ValueError(f"duplicate utt_id {example.utt_id!r}")
+        seen.add(example.utt_id)
+        return example
+
+    return read_tsv(path, (str, str, str, float, float, float), row, MiningError)

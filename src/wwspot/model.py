@@ -5,9 +5,9 @@ blocks of (linear bottleneck -> affine -> ReLU) to a 2-way softmax whose
 second component is the wake-word posterior. The loss is frame-level
 cross entropy in which the positive term is gated by the polarity of the
 source utterance, so frames from negative utterances can only ever
-contribute background evidence. Training is plain shuffled minibatch
-gradient descent with analytic backpropagation; everything is float64
-and deterministic under a fixed seed.
+contribute background evidence. Training is shuffled minibatch descent
+on the analytic gradient, whose one forward pass per step also gives
+the loss; everything is float64 and deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -128,15 +128,13 @@ def _forward_cached(model: SpotterModel, x: np.ndarray):
     # non-finite intermediates can only come from diverged parameters;
     # the trainer's loss guard reports those, so silence the warnings
     p = model.params
-    cache = {"h": [x], "z": [], "a": []}
+    cache = {"h": [x], "z": []}
     h = x
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, model.config.num_blocks + 1):
             z = h @ p[f"bottleneck{i}"]
-            a = z @ p[f"weight{i}"] + p[f"bias{i}"]
-            h = np.maximum(a, 0.0)
+            h = np.maximum(z @ p[f"weight{i}"] + p[f"bias{i}"], 0.0)
             cache["z"].append(z)
-            cache["a"].append(a)
             cache["h"].append(h)
         logits = h @ p["weight_out"] + p["bias_out"]
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -186,13 +184,15 @@ def gradient(
     x: np.ndarray,
     targets: np.ndarray,
     is_positive_utt: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Analytic gradient of the summed loss for every weight and bias."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Summed frame loss (`ssl_loss` of the posteriors) and its analytic
+    gradient for every weight and bias, both from one forward pass."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if model.config.num_classes != 2:
         raise ModelError("the frame loss is defined for 2-class models")
     probs, cache = _forward_cached(model, x)
     q = probs[:, 1]
+    loss, _ = ssl_loss(q, targets, is_positive_utt)
     y_eff = np.asarray(targets, dtype=np.float64) * np.asarray(
         is_positive_utt, dtype=np.float64
     )
@@ -209,13 +209,14 @@ def gradient(
     grads["bias_out"] = dlogits.sum(axis=0)
     dh = dlogits @ p["weight_out"].T
     for i in range(model.config.num_blocks, 0, -1):
-        da = dh * (cache["a"][i - 1] > 0)
+        # h = max(a, 0), so h > 0 is exactly the ReLU mask a > 0
+        da = dh * (cache["h"][i] > 0)
         grads[f"weight{i}"] = cache["z"][i - 1].T @ da
         grads[f"bias{i}"] = da.sum(axis=0)
         dz = da @ p[f"weight{i}"].T
         grads[f"bottleneck{i}"] = cache["h"][i - 1].T @ dz
         dh = dz @ p[f"bottleneck{i}"].T
-    return grads
+    return loss, grads
 
 
 # --- training -----------------------------------------------------------------
@@ -362,12 +363,10 @@ def train(
             idx = order[lo : lo + cfg.minibatch_size]
             x, y, pos = dataset.batch(idx)
             x = scaler.apply(x)
-            probs, _ = _forward_cached(model, x)
-            loss, _ = ssl_loss(probs[:, 1], y, pos)
+            loss, grads = gradient(model, x, y, pos)
             if not np.isfinite(loss):
                 raise TrainingDiverged("loss became non-finite; lower the learning rate")
             epoch_loss += loss
-            grads = gradient(model, x, y, pos)
             scale = cfg.learning_rate / len(idx)
             for name, g in grads.items():
                 if cfg.l2_coefficient:

@@ -12,7 +12,6 @@ from functools import cache
 import numpy as np
 
 from wwspot.augment import RoomSpec
-from wwspot.model import _forward_cached
 
 
 def recursive_distance(a: tuple, b: tuple) -> int:
@@ -83,6 +82,18 @@ def naive_convolve_truncated(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+def pre_activations(model, x):
+    """Every block's ReLU input, evaluated straight from the parameters."""
+    p = model.params
+    out = []
+    h = x
+    for i in range(1, model.config.num_blocks + 1):
+        a = h @ p[f"bottleneck{i}"] @ p[f"weight{i}"] + p[f"bias{i}"]
+        out.append(a)
+        h = np.where(a > 0, a, 0.0)
+    return out
+
+
 def kink_free_batch(model, rng, n, dim, margin=5e-3):
     """Frames whose pre-activations stay `margin` away from the ReLU
     kink, so a +-1e-4 parameter step cannot flip an activation pattern
@@ -90,8 +101,7 @@ def kink_free_batch(model, rng, n, dim, margin=5e-3):
     rows = []
     while len(rows) < n:
         x = rng.standard_normal((1, dim))
-        _, cache_ = _forward_cached(model, x)
-        if min(np.abs(a).min() for a in cache_["a"]) > margin:
+        if min(np.abs(a).min() for a in pre_activations(model, x)) > margin:
             rows.append(x[0])
     x = np.array(rows)
     y = rng.integers(0, 2, n).astype(np.uint8)

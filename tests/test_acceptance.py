@@ -301,7 +301,7 @@ def test_model_loss_gradients():
         rng = np.random.default_rng(seed)
         model = init_model(tiny, np.random.default_rng(seed + 10))
         x, y, pos = kink_free_batch(model, rng, 12, 10)
-        grads = gradient(model, x, y, pos)
+        _, grads = gradient(model, x, y, pos)
 
         def loss_now():
             return ssl_loss(forward(model, x)[:, 1], y, pos)[0]

@@ -8,7 +8,7 @@ from wwspot.augment import read_manifest
 from wwspot.cli import _read_references, _read_utt_frames, main
 from wwspot.decode import read_detections
 from wwspot.lexicon import load_lexicon, read_confusables
-from wwspot.mining import POSITIVE, read_mined
+from wwspot.mining import NEGATIVE, POSITIVE, read_mined
 from wwspot.synth import (
     WAKE_WORD,
     generate_utterances,
@@ -65,18 +65,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_mine_threshold_out_of_range_exits_2(tmp_path, corpus):
-    rc = main(
-        [
-            "mine",
-            "--hypotheses", corpus["hyp"],
-            "--confusables", "unused.tsv",
-            "--wake-word", WAKE_WORD,
-            "--set", "mining.pos_threshold=1.01",
-            "--out", str(tmp_path / "runs"),
-        ]
-    )
-    assert rc == 2
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(
+            ["mine", "--hypotheses", "{hyp}", "--confusables", "unused.tsv",
+             "--wake-word", WAKE_WORD, "--set", "mining.pos_threshold=1.01"],
+            id="mine",
+        ),
+        # --model and --wav-dir do not exist: the threshold must fail first
+        pytest.param(
+            ["det", "--model", "missing.ckpt", "--wav-dir", "missing", "--references",
+             "missing.tsv", "--set", "decoding.thresholds=1.5,0.5"],
+            id="det",
+        ),
+        pytest.param(
+            ["det", "--model", "missing.ckpt", "--wav-dir", "missing", "--references",
+             "missing.tsv", "--set", "decoding.thresholds=0.5,nan"],
+            id="det-nan",
+        ),
+    ],
+)
+def test_mine_threshold_out_of_range_exits_2(tmp_path, corpus, command):
+    argv = [arg.format(hyp=corpus["hyp"]) for arg in command]
+    assert main(argv + ["--out", str(tmp_path / "runs")]) == 2
 
 
 def test_det_without_inputs_exits_3(tmp_path, corpus, capsys):
@@ -428,6 +440,7 @@ _BAD_TSV_ROWS = [
     pytest.param("mined", f"u1\t{POSITIVE}\tww\tnan\t0.2\t0.9", id="mined-nan-start"),
     pytest.param("mined", f"u1\t{POSITIVE}\tww\t0.3\t0.2\t0.9", id="mined-start-after-end"),
     pytest.param("mined", f"u1\t{POSITIVE}\tww\t0.1\t0.2\t7.5", id="mined-confidence-7.5"),
+    pytest.param("mined", f"u0\t{NEGATIVE}\tww\t0.1\t0.2\t0.9", id="mined-duplicate-utt-id"),
     pytest.param("confusables", "other\tone", id="confusables"),
     pytest.param("confusables", "other\t-1", id="confusables-distance-below-1"),
     pytest.param(

@@ -137,17 +137,29 @@ def test_load_hypotheses_skips_malformed(tmp_path):
             {"w": "b", "conf": 0.5, "start": 0.5, "end": 0.9},
         ],
     }
+    nan_start = {
+        "utt_id": "u5",
+        "audio_path": "d.wav",
+        "words": [{"w": WAKE, "conf": 0.8, "start": float("nan"), "end": 0.5}],
+    }
+    infinite_end = {
+        "utt_id": "u6",
+        "audio_path": "e.wav",
+        "words": [{"w": WAKE, "conf": 0.8, "start": 0.0, "end": float("inf")}],
+    }
     lines = [
         json.dumps(good),
         "{not json",
         json.dumps(bad_conf),
         json.dumps({"utt_id": "u4"}),
         json.dumps(overlap),
+        json.dumps(nan_start),
+        json.dumps(infinite_end),
     ]
     path.write_text("\n".join(lines) + "\n")
     hyps, skipped = load_hypotheses(path)
     assert [h.utt_id for h in hyps] == ["u1"]
-    assert skipped == 4
+    assert skipped == 6
 
 
 def test_balance_downsamples_majority():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import kink_free_batch
 
+import wwspot.model
 from wwspot.model import (
     FeatureScaler,
     FrameDataset,
@@ -140,7 +141,8 @@ def test_gradient_matches_central_finite_differences(seed):
     rng = np.random.default_rng(seed)
     model = tiny_model(seed=seed + 10)
     x, y, pos = kink_free_batch(model, rng, 12, 10)
-    grads = gradient(model, x, y, pos)
+    loss, grads = gradient(model, x, y, pos)
+    assert loss == ssl_loss(forward(model, x)[:, 1], y, pos)[0]
     h = 1e-4
     for name, g in grads.items():
         param = model.params[name]
@@ -165,8 +167,8 @@ def test_negative_utterance_positive_targets_contribute_nothing():
     model = tiny_model(seed=4)
     x = rng.standard_normal((8, 10))
     pos = np.zeros(8, bool)
-    g_zero = gradient(model, x, np.zeros(8, np.uint8), pos)
-    g_one = gradient(model, x, np.ones(8, np.uint8), pos)
+    _, g_zero = gradient(model, x, np.zeros(8, np.uint8), pos)
+    _, g_one = gradient(model, x, np.ones(8, np.uint8), pos)
     for name in g_zero:
         assert np.array_equal(g_zero[name], g_one[name])
 
@@ -176,7 +178,7 @@ def test_gradient_step_decreases_loss():
     model = tiny_model(seed=5)
     x, y, pos = random_batch(rng, 32, 10)
     before = loss_of(model, x, y, pos)
-    grads = gradient(model, x, y, pos)
+    _, grads = gradient(model, x, y, pos)
     for name, g in grads.items():
         model.params[name] -= 1e-3 * g
     assert loss_of(model, x, y, pos) < before
@@ -230,6 +232,22 @@ def test_full_batch_descent_is_monotone():
     _, log = train(dataset, cfg, TOY_CFG)
     diffs = np.diff(log)
     assert np.all(diffs <= 1e-12)
+
+
+def test_train_runs_one_forward_pass_per_step(monkeypatch):
+    calls = []
+    forward_cached = wwspot.model._forward_cached
+
+    def counting(model, x):
+        calls.append(len(x))
+        return forward_cached(model, x)
+
+    monkeypatch.setattr(wwspot.model, "_forward_cached", counting)
+    dataset = separable_toy_dataset(seed=5, n=100)
+    cfg = TrainConfig(learning_rate=0.3, minibatch_size=32, epochs=3, rng_seed=1)
+    train(dataset, cfg, TOY_CFG)
+    assert len(calls) == cfg.epochs * math.ceil(len(dataset) / cfg.minibatch_size)
+    assert sum(calls) == cfg.epochs * len(dataset)
 
 
 def test_train_is_deterministic():
