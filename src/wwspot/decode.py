@@ -1,9 +1,13 @@
-"""Posterior smoothing and thresholded peak detection.
+"""Posterior traces, smoothing and thresholded peak detection.
 
-The wake-word posterior trace is smoothed by a moving average whose
-width should match the typical wake-word duration, then maximal
-supra-threshold regions (merged across short gaps) become detections
-carrying their peak frame and score.
+The wake-word posterior trace is computed CHUNK_FRAMES frames at a
+time, so decoding holds one block of stacked inputs and activations
+whatever the recording's length. The trace, one float per frame, is
+then smoothed by a moving average whose width should match the typical
+wake-word duration, and maximal supra-threshold regions (merged across
+short gaps) become detections carrying their peak frame and score.
+Smoothing and peak picking run on the whole trace: it is small, and a
+streaming smoother would add state and save nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LEFT_CONTEXT, RIGHT_CONTEXT, stack_context
+from .features import CHUNK_FRAMES, LEFT_CONTEXT, RIGHT_CONTEXT, FeatureError, context_indices
 from .mining import FRAME_HOP_S, MinedExample, POSITIVE
 from .model import SpotterModel, posteriors
 from .tsv import DataError, read_tsv
@@ -113,9 +117,22 @@ def posterior_trace(
     left: int = LEFT_CONTEXT,
     right: int = RIGHT_CONTEXT,
 ) -> np.ndarray:
-    """Per-frame wake-word posterior for one utterance's LFBE matrix."""
-    stacked = stack_context(lfbe, left, right)
-    return posteriors(model, stacked)[:, 1]
+    """Per-frame wake-word posterior for one utterance's LFBE matrix.
+
+    Equals `posteriors(model, stack_context(lfbe, left, right))[:, 1]`
+    up to BLAS rounding, but each block of CHUNK_FRAMES frames gathers
+    only its own context rows and goes through the cache-free forward.
+    """
+    lfbe = np.asarray(lfbe, dtype=np.float64)
+    if lfbe.ndim != 2 or lfbe.shape[0] < 1:
+        raise FeatureError("expected a non-empty (frames, bins) matrix")
+    n = lfbe.shape[0]
+    trace = np.empty(n)
+    for lo in range(0, n, CHUNK_FRAMES):
+        hi = min(lo + CHUNK_FRAMES, n)
+        rows = lfbe[context_indices(n, left, right, lo, hi)].reshape(hi - lo, -1)
+        trace[lo:hi] = posteriors(model, rows)[:, 1]
+    return trace
 
 
 def write_detections(detections: list[Detection], path: str | os.PathLike) -> None:

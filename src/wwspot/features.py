@@ -3,6 +3,13 @@
 A 20-bin LFBE vector is computed every 10 ms from a 25 ms Hann window,
 then 31 consecutive frames (20 left, 10 right, edges replicated) are
 concatenated into the 620-dimensional network input.
+
+Decoding works in blocks of CHUNK_FRAMES frames: `compute_lfbe` fills
+its output one block of windows at a time, and `context_indices` can
+gather the context of one block of frames, so neither the window
+matrix, the spectrum nor the stacked inputs of a whole recording are
+ever held at once. Memory is O(block) plus the output, one row per
+frame, however long the audio.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .tsv import DataError
 
 LEFT_CONTEXT = 20
 RIGHT_CONTEXT = 10
+CHUNK_FRAMES = 512  # frames per decode block (5.12 s of audio)
 
 
 class FeatureError(DataError):
@@ -91,7 +99,9 @@ def compute_lfbe(clip: AudioClip, cfg: LfbeConfig = LfbeConfig()) -> np.ndarray:
 
     Per frame: Hann window, magnitude-squared rfft, mel filterbank,
     natural log of (energy + log_floor). Frame count is
-    1 + floor((num_samples - window) / hop).
+    1 + floor((num_samples - window) / hop). The frames are strided
+    views of the samples, transformed CHUNK_FRAMES at a time into the
+    preallocated output.
     """
     sr = clip.sample_rate
     window = cfg.window_len(sr)
@@ -102,18 +112,32 @@ def compute_lfbe(clip: AudioClip, cfg: LfbeConfig = LfbeConfig()) -> np.ndarray:
             f"clip of {x.size} samples is shorter than one {window}-sample window"
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
-    windowed = frames * np.hanning(window)
-    spectrum = np.abs(np.fft.rfft(windowed, cfg.fft_size(sr), axis=1)) ** 2
-    energies = spectrum @ mel_filterbank(cfg, sr).T
-    return np.log(energies + cfg.log_floor)
+    hann = np.hanning(window)
+    nfft = cfg.fft_size(sr)
+    fbank = mel_filterbank(cfg, sr).T
+    out = np.empty((frames.shape[0], cfg.num_mel_bins))
+    for lo in range(0, frames.shape[0], CHUNK_FRAMES):
+        block = slice(lo, lo + CHUNK_FRAMES)
+        spectrum = np.abs(np.fft.rfft(frames[block] * hann, nfft, axis=1)) ** 2
+        np.log(spectrum @ fbank + cfg.log_floor, out=out[block])
+    return out
 
 
-def context_indices(n_frames: int, left: int = LEFT_CONTEXT, right: int = RIGHT_CONTEXT) -> np.ndarray:
-    """Per-frame gather indices with edge replication, shape (T, left+1+right)."""
+def context_indices(
+    n_frames: int,
+    left: int = LEFT_CONTEXT,
+    right: int = RIGHT_CONTEXT,
+    start: int = 0,
+    stop: int | None = None,
+) -> np.ndarray:
+    """Gather indices of frames start .. stop-1 (default: all) with edge
+    replication at the ends of the n_frames, shape
+    (stop - start, left+1+right)."""
     if n_frames < 1:
         raise FeatureError("empty feature matrix")
+    stop = n_frames if stop is None else stop
     offsets = np.arange(-left, right + 1)
-    idx = np.arange(n_frames)[:, None] + offsets[None, :]
+    idx = np.arange(start, stop)[:, None] + offsets[None, :]
     return np.clip(idx, 0, n_frames - 1).astype(np.int64)
 
 

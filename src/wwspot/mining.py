@@ -72,10 +72,14 @@ def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis],
     """Parse a JSONL hypothesis file; malformed records are skipped.
 
     Each line is an object with utt_id, audio_path, and words, where a
-    word is {"w": token, "conf": c, "start": s, "end": e}. Returns the
-    parsed hypotheses and the count of skipped records.
+    word is {"w": token, "conf": c, "start": s, "end": e}. A utt_id that
+    repeats an earlier record's, or holds a tab or a line break (it
+    could not be written as one TSV field), also counts as malformed;
+    the first record of an id is kept. Returns the parsed hypotheses and
+    the count of skipped records.
     """
     hyps: list[UtteranceHypothesis] = []
+    seen: set[str] = set()
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -97,6 +101,10 @@ def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis],
             except (KeyError, TypeError, ValueError, json.JSONDecodeError):
                 skipped += 1
                 continue
+            if hyp.utt_id in seen or any(c in hyp.utt_id for c in "\t\n\r"):
+                skipped += 1
+                continue
+            seen.add(hyp.utt_id)
             hyps.append(hyp)
     if skipped:
         log.warning("%s: skipped %d malformed hypothesis records", path, skipped)

@@ -8,6 +8,10 @@ source utterance, so frames from negative utterances can only ever
 contribute background evidence. Training is shuffled minibatch descent
 on the analytic gradient, whose one forward pass per step also gives
 the loss; everything is float64 and deterministic under a fixed seed.
+Training and inference share one forward body: the gradient asks it to
+keep each block's activations for backprop, while `forward` and
+`posteriors` keep none, so decoding a block of frames holds only the
+activations of the layer being computed.
 """
 
 from __future__ import annotations
@@ -124,34 +128,37 @@ def init_model(
     return SpotterModel(config, params, scaler)
 
 
-def _forward_cached(model: SpotterModel, x: np.ndarray):
+def _forward(model: SpotterModel, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
+    """The network's one forward body: class posteriors of standardized
+    inputs. Given a cache ({"h": [x], "z": []}), it appends each block's
+    output h and bottleneck output z for backprop; without one, each
+    block's activations are dropped once the next block has read them."""
     # non-finite intermediates can only come from diverged parameters;
     # the trainer's loss guard reports those, so silence the warnings
     p = model.params
-    cache = {"h": [x], "z": []}
     h = x
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, model.config.num_blocks + 1):
             z = h @ p[f"bottleneck{i}"]
             h = np.maximum(z @ p[f"weight{i}"] + p[f"bias{i}"], 0.0)
-            cache["z"].append(z)
-            cache["h"].append(h)
+            if cache is not None:
+                cache["z"].append(z)
+                cache["h"].append(h)
         logits = h @ p["weight_out"] + p["bias_out"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
-        probs = expd / expd.sum(axis=1, keepdims=True)
-    return probs, cache
+        return expd / expd.sum(axis=1, keepdims=True)
 
 
 def forward(model: SpotterModel, x: np.ndarray) -> np.ndarray:
-    """Class posteriors for a batch of standardized input vectors."""
+    """Class posteriors for a batch of standardized input vectors; no
+    activation outlives the layer that reads it."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.config.input_dim:
         raise ModelError(
             f"input dim {x.shape[1]} does not match model {model.config.input_dim}"
         )
-    probs, _ = _forward_cached(model, x)
-    return probs
+    return _forward(model, x)
 
 
 def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
@@ -190,7 +197,8 @@ def gradient(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if model.config.num_classes != 2:
         raise ModelError("the frame loss is defined for 2-class models")
-    probs, cache = _forward_cached(model, x)
+    cache = {"h": [x], "z": []}
+    probs = _forward(model, x, cache)
     q = probs[:, 1]
     loss, _ = ssl_loss(q, targets, is_positive_utt)
     y_eff = np.asarray(targets, dtype=np.float64) * np.asarray(
@@ -215,7 +223,8 @@ def gradient(
         grads[f"bias{i}"] = da.sum(axis=0)
         dz = da @ p[f"weight{i}"].T
         grads[f"bottleneck{i}"] = cache["h"][i - 1].T @ dz
-        dh = dz @ p[f"bottleneck{i}"].T
+        if i > 1:  # nothing reads the gradient of the input itself
+            dh = dz @ p[f"bottleneck{i}"].T
     return loss, grads
 
 

@@ -3,7 +3,8 @@
 Each oracle recomputes an operation from its definition along a
 different code path than the library (recursion instead of iterative DP,
 reflection chains instead of closed-form image indices, direct sums
-instead of FFTs), so agreement is meaningful.
+instead of FFTs, whole matrices instead of frame blocks), so agreement
+is meaningful.
 """
 
 import math
@@ -12,6 +13,8 @@ from functools import cache
 import numpy as np
 
 from wwspot.augment import RoomSpec
+from wwspot.features import LEFT_CONTEXT, RIGHT_CONTEXT, mel_filterbank, stack_context
+from wwspot.model import posteriors
 
 
 def recursive_distance(a: tuple, b: tuple) -> int:
@@ -107,3 +110,21 @@ def kink_free_batch(model, rng, n, dim, margin=5e-3):
     y = rng.integers(0, 2, n).astype(np.uint8)
     pos = rng.random(n) < 0.5
     return x, (y & pos).astype(np.uint8), pos
+
+
+def whole_matrix_lfbe(clip, cfg):
+    """The LFBE definition applied to every frame at once: an explicit
+    (frames, window) gather of the samples, then Hann window, |rfft|^2,
+    mel matmul and log over the whole matrix."""
+    sr = clip.sample_rate
+    window, hop = cfg.window_len(sr), cfg.hop_len(sr)
+    n = 1 + (clip.samples.size - window) // hop
+    frames = clip.samples[np.arange(n)[:, None] * hop + np.arange(window)[None, :]]
+    spectrum = np.abs(np.fft.rfft(frames * np.hanning(window), cfg.fft_size(sr), axis=1)) ** 2
+    return np.log(spectrum @ mel_filterbank(cfg, sr).T + cfg.log_floor)
+
+
+def whole_utterance_trace(model, lfbe, left=LEFT_CONTEXT, right=RIGHT_CONTEXT):
+    """Wake-word posteriors of the whole utterance's stacked inputs,
+    scaled and run through the network as one batch."""
+    return posteriors(model, stack_context(lfbe, left, right))[:, 1]

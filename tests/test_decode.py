@@ -1,16 +1,32 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import whole_utterance_trace
 
+from wwspot.audio import AudioClip
 from wwspot.decode import (
     DecodeConfig,
     DecodeError,
     average_duration_frames,
     detect_peaks,
+    posterior_trace,
     read_detections,
     smooth,
     write_detections,
 )
+from wwspot.features import CHUNK_FRAMES, FeatureError, compute_lfbe
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
+from wwspot.model import FeatureScaler, SpotterConfig, init_model
+
+# full 620-dimensional input, small layers: decoding cost is the input's
+SMALL_SPOTTER = SpotterConfig(input_dim=620, bottleneck=6, hidden=12, num_blocks=3)
+
+
+def small_spotter(seed=0):
+    rng = np.random.default_rng(seed)
+    scaler = FeatureScaler(rng.standard_normal(620), rng.uniform(0.5, 2.0, 620))
+    return init_model(SMALL_SPOTTER, rng, scaler)
 
 
 def test_smooth_constant_is_identity():
@@ -115,3 +131,57 @@ def test_detections_file_round_trip(tmp_path):
     write_detections(dets, path)
     back = read_detections(path)
     assert back == dets
+
+
+# --- posterior trace -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 7]
+)
+def test_blocked_trace_matches_whole_utterance_oracle(frames):
+    # context rows that cross a block edge must come from the neighbouring
+    # block, and the utterance's own ends must still replicate
+    rng = np.random.default_rng(frames)
+    model = small_spotter(frames)
+    lfbe = rng.standard_normal((frames, 20)) * 3.0 - 5.0
+    trace = posterior_trace(model, lfbe)
+    assert trace.shape == (frames,)
+    np.testing.assert_allclose(trace, whole_utterance_trace(model, lfbe), rtol=0, atol=1e-12)
+
+
+def test_trace_rejects_non_matrix_input():
+    model = small_spotter()
+    with pytest.raises(FeatureError):
+        posterior_trace(model, np.zeros((0, 20)))
+    with pytest.raises(FeatureError):
+        posterior_trace(model, np.zeros(20))
+
+
+def _traced_peak(fn, *args):
+    """fn's result and the peak bytes it allocated while running."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_memory_is_flat_against_length():
+    # 15 s against 60 s of audio: only the outputs (one LFBE row and one
+    # posterior per frame) may grow; whole-utterance windows, spectra or
+    # stacked inputs would add tens of MB
+    rng = np.random.default_rng(0)
+    model = small_spotter()
+    compute_lfbe(AudioClip(np.zeros(16000)))  # fill the filterbank cache
+    peaks = {}
+    for seconds in (15, 60):
+        clip = AudioClip(rng.standard_normal(16000 * seconds) * 0.1)
+        lfbe, lfbe_peak = _traced_peak(compute_lfbe, clip)
+        trace, trace_peak = _traced_peak(posterior_trace, model, lfbe)
+        peaks[seconds] = (lfbe_peak, lfbe.nbytes, trace_peak, trace.nbytes)
+    short, long = peaks[15], peaks[60]
+    slack = 2**20
+    assert long[0] - short[0] <= long[1] - short[1] + slack
+    assert long[2] - short[2] <= long[3] - short[3] + slack

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from oracles import whole_matrix_lfbe
 
 from wwspot.audio import AudioClip
 from wwspot.features import (
+    CHUNK_FRAMES,
     FeatureError,
     LfbeConfig,
     compute_lfbe,
@@ -21,6 +23,20 @@ def test_frame_count_one_second():
     feat = compute_lfbe(clip, CFG)
     assert feat.shape == (1 + (16000 - 400) // 160, 20)
     assert feat.shape[0] == 98
+
+
+@pytest.mark.parametrize(
+    "frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 7]
+)
+def test_blocked_lfbe_matches_whole_matrix_oracle(frames):
+    # block edges fall at every multiple of CHUNK_FRAMES; BLAS may round a
+    # short remainder block differently, hence atol rather than equality
+    rng = np.random.default_rng(frames)
+    tail = int(rng.integers(160))  # samples short of one more frame
+    clip = AudioClip(rng.standard_normal(400 + (frames - 1) * 160 + tail) * 0.1)
+    feat = compute_lfbe(clip, CFG)
+    assert feat.shape == (frames, 20)
+    np.testing.assert_allclose(feat, whole_matrix_lfbe(clip, CFG), rtol=0, atol=1e-12)
 
 
 def test_all_zero_clip_hits_log_floor():

@@ -1,8 +1,10 @@
+import glob
 import json
 
 import numpy as np
 import pytest
 
+from wwspot.cli import main
 from wwspot.lexicon import ConfusableSet
 from wwspot.mining import (
     NEGATIVE,
@@ -147,6 +149,9 @@ def test_load_hypotheses_skips_malformed(tmp_path):
         "audio_path": "e.wav",
         "words": [{"w": WAKE, "conf": 0.8, "start": 0.0, "end": float("inf")}],
     }
+    repeated = dict(good, audio_path="f.wav")
+    tab_id = dict(good, utt_id="u\t7")
+    newline_id = dict(good, utt_id="u8\n")
     lines = [
         json.dumps(good),
         "{not json",
@@ -155,11 +160,36 @@ def test_load_hypotheses_skips_malformed(tmp_path):
         json.dumps(overlap),
         json.dumps(nan_start),
         json.dumps(infinite_end),
+        json.dumps(repeated),
+        json.dumps(tab_id),
+        json.dumps(newline_id),
     ]
     path.write_text("\n".join(lines) + "\n")
     hyps, skipped = load_hypotheses(path)
-    assert [h.utt_id for h in hyps] == ["u1"]
-    assert skipped == 6
+    assert [(h.utt_id, h.audio_path) for h in hyps] == [("u1", "a.wav")]
+    assert skipped == 9
+
+
+def test_mine_on_a_repeated_utt_id_writes_a_file_read_mined_accepts(tmp_path):
+    hyp_path = tmp_path / "hyp.jsonl"
+    records = [
+        {"utt_id": "u0", "audio_path": "a.wav",
+         "words": [{"w": WAKE, "conf": 0.9, "start": 0.1, "end": 0.6}]},
+        {"utt_id": "u0", "audio_path": "b.wav",
+         "words": [{"w": "caly", "conf": 0.8, "start": 0.2, "end": 0.5}]},
+        {"utt_id": "u1", "audio_path": "c.wav",
+         "words": [{"w": "caly", "conf": 0.8, "start": 0.2, "end": 0.5}]},
+    ]
+    hyp_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    conf_path = tmp_path / "confusables.tsv"
+    conf_path.write_text("caly\t1\n")
+    out = tmp_path / "runs"
+    argv = ["mine", "--hypotheses", str(hyp_path), "--confusables", str(conf_path),
+            "--wake-word", WAKE, "--no-balance", "--out", str(out)]
+    assert main(argv) == 0
+    [mined_path] = glob.glob(str(out / "mine-*" / "mined.tsv"))
+    mined = read_mined(mined_path)
+    assert [(e.utt_id, e.polarity) for e in mined] == [("u0", POSITIVE), ("u1", NEGATIVE)]
 
 
 def test_balance_downsamples_majority():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import kink_free_batch
+from oracles import kink_free_batch, pre_activations
 
 import wwspot.model
 from wwspot.model import (
@@ -71,6 +71,33 @@ def test_forward_matches_straight_line_recomputation():
     logits = h @ p["weight_out"] + p["bias_out"]
     expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.max(np.abs(forward(model, x) - expected)) <= 1e-6
+
+
+def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
+    rng = np.random.default_rng(12)
+    model = tiny_model(5)
+    x, y, pos = random_batch(rng, 40, 10)
+    x *= 3.0
+    passes = []
+    forward_body = wwspot.model._forward
+
+    def recording(model, x, cache=None):
+        probs = forward_body(model, x, cache)
+        passes.append((cache, probs))
+        return probs
+
+    monkeypatch.setattr(wwspot.model, "_forward", recording)
+    gradient(model, x, y, pos)
+    [(cache, cached_probs)] = passes
+    assert np.array_equal(forward(model, x), cached_probs)
+    assert passes[1][0] is None  # inference keeps no activations
+    # the cache holds the input, then each block's ReLU output and
+    # bottleneck output, as recomputed from the parameters
+    assert cache["h"][0] is x
+    assert len(cache["h"]) == len(cache["z"]) + 1 == TINY.num_blocks + 1
+    for i, a in enumerate(pre_activations(model, x), start=1):
+        assert np.allclose(cache["h"][i], np.maximum(a, 0.0), rtol=0, atol=1e-12)
+        assert np.array_equal(cache["z"][i - 1], cache["h"][i - 1] @ model.params[f"bottleneck{i}"])
 
 
 def test_forward_shape_mismatch():
@@ -236,13 +263,13 @@ def test_full_batch_descent_is_monotone():
 
 def test_train_runs_one_forward_pass_per_step(monkeypatch):
     calls = []
-    forward_cached = wwspot.model._forward_cached
+    forward_body = wwspot.model._forward
 
-    def counting(model, x):
+    def counting(model, x, cache=None):
         calls.append(len(x))
-        return forward_cached(model, x)
+        return forward_body(model, x, cache)
 
-    monkeypatch.setattr(wwspot.model, "_forward_cached", counting)
+    monkeypatch.setattr(wwspot.model, "_forward", counting)
     dataset = separable_toy_dataset(seed=5, n=100)
     cfg = TrainConfig(learning_rate=0.3, minibatch_size=32, epochs=3, rng_seed=1)
     train(dataset, cfg, TOY_CFG)
