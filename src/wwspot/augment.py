@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .audio import AudioClip, WRITE_PEAK, parallel_map, rms_power, read_wav, write_wav
-from .tsv import DataError, read_tsv
+from .tsv import DataError, read_tsv, write_tsv
 
 SNR_CLAMP_DB = (-5.0, 40.0)
 TAIL_ENERGY_FRACTION = 1e-4
@@ -311,13 +311,13 @@ class ManifestRow:
 
 
 def write_manifest(rows: list[ManifestRow], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            snr = "NA" if r.snr_db is None else f"{r.snr_db:.4f}"
-            rir = "NA" if r.rir_id is None else r.rir_id
-            fh.write(
-                f"{r.utt_id}\t{r.condition}\t{r.source_id}\t{r.wav_path}\t{snr}\t{rir}\n"
-            )
+    fields = (
+        (r.utt_id, r.condition, r.source_id, r.wav_path,
+         "NA" if r.snr_db is None else f"{r.snr_db:.4f}",
+         "NA" if r.rir_id is None else r.rir_id)
+        for r in rows
+    )
+    write_tsv(path, fields, AugmentError)
 
 
 def _or_na(parse: Callable[[str], Any]) -> Callable[[str], Any]:

@@ -29,7 +29,7 @@ from . import lexicon as lex
 from . import mining
 from .audio import parallel_map, read_wav
 from .config import ConfigError, PipelineConfig, load_config
-from .features import compute_lfbe, stack_context, write_features
+from .features import compute_lfbe
 from .model import (
     SpotterConfig,
     TrainConfig,
@@ -40,7 +40,7 @@ from .model import (
 )
 from .pipeline import dataset_from_examples, dataset_from_manifest
 from .synth import make_room_pool
-from .tsv import DataError, read_tsv
+from .tsv import DataError, read_tsv, write_tsv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,9 +132,8 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
         rir = aug.synthesize_rir(room, id=f"rir-{i:04d}")
         path = os.path.join(out, f"{rir.id}.wav")
         aug.rir_to_wav(rir, path)
-        rows.append(f"{rir.id}\t{path}")
-    with open(os.path.join(out, "rirs.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+        rows.append((rir.id, path))
+    write_tsv(os.path.join(out, "rirs.tsv"), rows)
     print(out)
     return EXIT_OK
 
@@ -213,25 +212,6 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _featurize_one(job):
-    # dumps the stacked 620-dimensional network inputs, one row per frame
-    path, out = job
-    clip = read_wav(path)
-    stacked = stack_context(compute_lfbe(clip))
-    write_features(stacked, os.path.join(out, f"{clip.id}.feat"))
-    return clip.id
-
-
-def cmd_featurize(args, cfg: PipelineConfig) -> int:
-    paths = _list_wavs(args.wav_dir)
-    if not paths:
-        raise DataError(f"{args.wav_dir}: no wav files")
-    out = _run_dir(args, cfg, "featurize")
-    parallel_map(_featurize_one, [(p, out) for p in paths], args.jobs)
-    print(out)
-    return EXIT_OK
-
-
 def cmd_train(args, cfg: PipelineConfig) -> int:
     train_cfg = TrainConfig(
         learning_rate=cfg.getfloat("training", "learning_rate", lo=1e-12),
@@ -262,9 +242,10 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     out = _run_dir(args, cfg, "train")
     ckpt = os.path.join(out, "model.ckpt")
     save_model(model, ckpt, mode=mode)
-    with open(os.path.join(out, "train_log.txt"), "w", encoding="ascii") as fh:
-        for epoch, loss in enumerate(log, 1):
-            fh.write(f"{epoch}\t{loss:.6f}\n")
+    write_tsv(
+        os.path.join(out, "train_log.txt"),
+        [(str(epoch), f"{loss:.6f}") for epoch, loss in enumerate(log, 1)],
+    )
     print(ckpt)
     return EXIT_OK
 
@@ -307,10 +288,9 @@ def cmd_decode(args, cfg: PipelineConfig) -> int:
     for utt_id in sorted(traces):
         smoothed = dec.smooth(traces[utt_id], decode_cfg.smooth_window_frames)
         detections.extend(dec.detect_peaks(smoothed, decode_cfg, utt_id))
-        frames_rows.append(f"{utt_id}\t{len(traces[utt_id])}")
+        frames_rows.append((utt_id, str(len(traces[utt_id]))))
     dec.write_detections(detections, os.path.join(out, "detections.tsv"))
-    with open(os.path.join(out, "utt_frames.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(frames_rows) + "\n")
+    write_tsv(os.path.join(out, "utt_frames.tsv"), frames_rows)
     print(os.path.join(out, "detections.tsv"))
     return EXIT_OK
 
@@ -434,10 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wake-word")
     p.add_argument("--no-balance", dest="balance", action="store_false")
     p.set_defaults(func=cmd_mine, balance=True)
-
-    p = sub.add_parser("featurize", parents=[common], help="dump LFBE features")
-    p.add_argument("--wav-dir", required=True)
-    p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", parents=[common], help="train the spotter")
     p.add_argument("--mined", required=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .features import CHUNK_FRAMES, LEFT_CONTEXT, RIGHT_CONTEXT, FeatureError, context_indices
 from .mining import FRAME_HOP_S, MinedExample, POSITIVE
 from .model import SpotterModel, posteriors
-from .tsv import DataError, read_tsv
+from .tsv import DataError, read_tsv, write_tsv
 
 
 class DecodeError(DataError):
@@ -136,12 +136,12 @@ def posterior_trace(
 
 
 def write_detections(detections: list[Detection], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in detections:
-            fh.write(
-                f"{d.utt_id}\t{d.start_frame}\t{d.end_frame}\t"
-                f"{d.peak_frame}\t{d.peak_score:.6f}\n"
-            )
+    rows = (
+        (d.utt_id, str(d.start_frame), str(d.end_frame), str(d.peak_frame),
+         f"{d.peak_score:.6f}")
+        for d in detections
+    )
+    write_tsv(path, rows, DecodeError)
 
 
 def _detection(utt_id: str, start: int, end: int, peak: int, score: float) -> Detection:

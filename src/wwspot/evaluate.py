@@ -139,18 +139,6 @@ def write_det_csv(results: Sequence[EvalResult], path: str | os.PathLike) -> Non
             fh.write(f"{r.threshold:.6f},{r.far_per_hour:.6f},{r.frr:.6f}\n")
 
 
-def read_det_csv(path: str | os.PathLike) -> list[tuple[float, float, float]]:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if header.strip() != "threshold,far_per_hour,frr":
-            raise EvalError(f"{path}: not a DET csv")
-        for line in fh:
-            th, far, frr = line.strip().split(",")
-            rows.append((float(th), float(far), float(frr)))
-    return rows
-
-
 def det_svg(
     series: Sequence[tuple[str, Sequence[EvalResult]]],
     path: str | os.PathLike,

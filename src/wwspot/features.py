@@ -14,7 +14,6 @@ frame, however long the audio.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,10 +65,6 @@ class LfbeConfig:
 
 def hz_to_mel(hz):
     return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -155,25 +150,3 @@ def stack_context(
     idx = context_indices(feat.shape[0], left, right)
     width = left + 1 + right
     return feat[idx].reshape(feat.shape[0], width * feat.shape[1])
-
-
-def write_features(feat: np.ndarray, path: str | os.PathLike) -> None:
-    """Text dump: header line "T D" then T whitespace-separated rows."""
-    feat = np.asarray(feat)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{feat.shape[0]} {feat.shape[1]}\n")
-        np.savetxt(fh, feat, fmt="%.9e")
-
-
-def read_features(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FeatureError(f"{path}: malformed feature header")
-        rows, cols = int(header[0]), int(header[1])
-        feat = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    if feat.shape != (rows, cols):
-        raise FeatureError(
-            f"{path}: header says {(rows, cols)}, file has {feat.shape}"
-        )
-    return feat

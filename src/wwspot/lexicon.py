@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tsv import DataError, read_tsv
+from .tsv import DataError, read_tsv, write_tsv
 
 
 class LexiconError(DataError):
@@ -190,9 +190,8 @@ def build_confusable_set(
 
 
 def write_confusables(confusables: ConfusableSet, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(confusables.members):
-            fh.write(f"{word}\t{confusables.members[word]}\n")
+    members = confusables.members
+    write_tsv(path, ((w, str(members[w])) for w in sorted(members)), LexiconError)
 
 
 def _confusable(word: str, distance: int) -> tuple[str, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lexicon import ConfusableSet
-from .tsv import DataError, read_tsv
+from .tsv import DataError, read_tsv, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -211,12 +211,12 @@ def make_frame_targets(example: MinedExample, frame_count: int) -> np.ndarray:
 
 
 def write_mined(examples: list[MinedExample], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in examples:
-            fh.write(
-                f"{e.utt_id}\t{e.polarity}\t{e.trigger_word}\t"
-                f"{e.trigger_span[0]:.6f}\t{e.trigger_span[1]:.6f}\t{e.confidence:.6f}\n"
-            )
+    rows = (
+        (e.utt_id, e.polarity, e.trigger_word, f"{e.trigger_span[0]:.6f}",
+         f"{e.trigger_span[1]:.6f}", f"{e.confidence:.6f}")
+        for e in examples
+    )
+    write_tsv(path, rows, MiningError)
 
 
 def _mined_example(

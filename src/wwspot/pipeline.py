@@ -11,18 +11,23 @@ from .mining import POSITIVE, MinedExample, MiningError, make_frame_targets
 from .model import FrameDataset
 
 
-def dataset_from_examples(
-    examples: list[MinedExample], wav_dir: str | os.PathLike
-) -> FrameDataset:
-    """Featurize each example's utterance (<utt_id>.wav under wav_dir)
-    and derive its frame targets from the trigger span."""
+def _dataset(pairs: list[tuple[str, MinedExample]]) -> FrameDataset:
+    """Featurize each WAV and derive its frame targets from its example's
+    trigger span."""
     utts = []
-    for ex in examples:
-        clip = read_wav(os.path.join(os.fspath(wav_dir), f"{ex.utt_id}.wav"))
-        lfbe = compute_lfbe(clip)
+    for path, ex in pairs:
+        lfbe = compute_lfbe(read_wav(path))
         targets = make_frame_targets(ex, lfbe.shape[0])
         utts.append((lfbe, targets, ex.polarity == POSITIVE))
     return FrameDataset.from_utterances(utts)
+
+
+def dataset_from_examples(
+    examples: list[MinedExample], wav_dir: str | os.PathLike
+) -> FrameDataset:
+    """Each example's utterance is <utt_id>.wav under wav_dir."""
+    wav_dir = os.fspath(wav_dir)
+    return _dataset([(os.path.join(wav_dir, f"{ex.utt_id}.wav"), ex) for ex in examples])
 
 
 def dataset_from_manifest(
@@ -31,8 +36,10 @@ def dataset_from_manifest(
     root: str | os.PathLike,
 ) -> FrameDataset:
     """Augmented utterances inherit targets from their source example;
-    the convolution keeps lengths, so spans stay aligned."""
-    utts = []
+    the convolution keeps lengths, so spans stay aligned. Every row's
+    source is resolved before any WAV is read."""
+    root = os.fspath(root)
+    pairs = []
     for row in rows:
         ex = by_source.get(row.source_id)
         if ex is None:
@@ -40,8 +47,5 @@ def dataset_from_manifest(
                 f"{row.utt_id}: source {row.source_id!r} has no mined example; "
                 "augment from the mined utterances only"
             )
-        clip = read_wav(os.path.join(os.fspath(root), row.wav_path))
-        lfbe = compute_lfbe(clip)
-        targets = make_frame_targets(ex, lfbe.shape[0])
-        utts.append((lfbe, targets, ex.polarity == POSITIVE))
-    return FrameDataset.from_utterances(utts)
+        pairs.append((os.path.join(root, row.wav_path), ex))
+    return _dataset(pairs)

@@ -18,6 +18,7 @@ from scipy.signal import lfilter
 
 from .audio import SAMPLE_RATE, AudioClip, write_wav
 from .augment import RoomSpec
+from .tsv import write_tsv
 
 # Formant triples (Hz) for the syllable inventory.
 SYLLABLES = {
@@ -181,12 +182,8 @@ def write_corpus(
 def write_lexicon_files(
     lexicon_path: str | os.PathLike, frequency_path: str | os.PathLike
 ) -> None:
-    with open(lexicon_path, "w", encoding="utf-8") as fh:
-        for word, syllables in WORDS.items():
-            fh.write(f"{word}\t{' '.join(syllables)}\n")
-    with open(frequency_path, "w", encoding="utf-8") as fh:
-        for word, count in WORD_COUNTS.items():
-            fh.write(f"{word}\t{count}\n")
+    write_tsv(lexicon_path, [(word, " ".join(syl)) for word, syl in WORDS.items()])
+    write_tsv(frequency_path, [(word, str(count)) for word, count in WORD_COUNTS.items()])
 
 
 # --- interference and rooms for the demo -------------------------------------

@@ -1,10 +1,12 @@
 """The tab-separated format of every pipeline file: one record per line,
-fields split on tabs, blank and whitespace-only lines skipped."""
+fields split on tabs, blank and whitespace-only lines skipped. No field
+may contain a tab or a line break, so whatever `write_tsv` writes,
+`read_tsv` reads back field for field."""
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 R = TypeVar("R")
 
@@ -36,3 +38,21 @@ def read_tsv(
             except ValueError as exc:
                 raise error(f"{path}:{lineno}: {exc}") from None
     return out
+
+
+def write_tsv(
+    path: str | os.PathLike,
+    rows: Iterable[Sequence[str]],
+    error: type[DataError] = DataError,
+) -> None:
+    """Each row's fields tab-joined, one row per line. Every field is
+    checked before the file is opened: a tab or line break raises
+    `error("<path>: row <n>: field <k> contains a tab or line break")`
+    and writes nothing."""
+    rows = list(rows)
+    for n, row in enumerate(rows, 1):
+        for k, field in enumerate(row, 1):
+            if "\t" in field or "\n" in field or "\r" in field:
+                raise error(f"{path}: row {n}: field {k} contains a tab or line break")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)

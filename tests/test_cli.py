@@ -327,19 +327,39 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
         assert a == b
 
 
-def test_rir_gen_and_featurize(tmp_path):
+def test_rir_gen(tmp_path):
     runs = str(tmp_path / "runs")
     assert main(["rir-gen", "--set", "rir.count=3", "--seed", "2", "--out", runs]) == 0
     rir_dir = _single_run_dir(runs, "rir-gen")
     wavs = glob.glob(os.path.join(rir_dir, "*.wav"))
     assert len(wavs) == 3
 
-    assert main(["featurize", "--wav-dir", rir_dir, "--out", runs]) == 0
-    feat_dir = _single_run_dir(runs, "featurize")
-    feats = glob.glob(os.path.join(feat_dir, "*.feat"))
-    assert len(feats) == 3
-    header = open(feats[0]).readline().split()
-    assert header[1] == "620"
+    with pytest.raises(SystemExit) as exc:
+        main(["featurize", "--wav-dir", rir_dir, "--out", runs])
+    assert exc.value.code == 2
+
+
+def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys):
+    from wwspot.audio import AudioClip, write_wav
+    from wwspot.model import SpotterConfig, init_model, save_model
+
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    samples = np.random.default_rng(0).standard_normal(16000) * 0.1
+    write_wav(AudioClip(samples), wav_dir / "a\tb.wav")
+    ckpt = tmp_path / "model.ckpt"
+    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    runs = str(tmp_path / "runs")
+    rc = main(
+        [
+            "decode", "--model", str(ckpt), "--wav-dir", str(wav_dir),
+            "--set", "decoding.threshold=0.000001", "--out", runs,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "detections.tsv: row 1: field 1 contains a tab or line break" in err
+    assert not glob.glob(os.path.join(runs, "decode-*", "*.tsv"))
 
 
 def test_train_on_augment_manifest(tmp_path, corpus):

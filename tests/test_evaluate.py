@@ -1,3 +1,4 @@
+import csv
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +9,6 @@ from wwspot.evaluate import (
     EvalError,
     det_curve,
     det_svg,
-    read_det_csv,
     score,
     write_det_csv,
 )
@@ -187,7 +187,10 @@ def test_det_csv_round_trip(tmp_path):
     results = det_curve(traces, references, cfg, [0.9, 0.5, 0.1])
     path = tmp_path / "det.csv"
     write_det_csv(results, path)
-    rows = read_det_csv(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["threshold", "far_per_hour", "frr"]
+        rows = [[float(field) for field in row] for row in reader]
     assert len(rows) == 3
     assert rows[0][0] == pytest.approx(0.9)
     assert [r[2] for r in rows] == [r.frr for r in results]

@@ -10,9 +10,7 @@ from wwspot.features import (
     compute_lfbe,
     hz_to_mel,
     mel_filterbank,
-    read_features,
     stack_context,
-    write_features,
 )
 
 CFG = LfbeConfig()
@@ -120,13 +118,3 @@ def test_stack_rejects_empty():
     with pytest.raises(FeatureError):
         stack_context(np.zeros((0, 20)))
 
-
-def test_feature_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    feat = rng.standard_normal((17, 20))
-    path = tmp_path / "u.feat"
-    write_features(feat, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "17 20"
-    back = read_features(path)
-    assert np.allclose(back, feat, atol=1e-8)
