@@ -110,14 +110,26 @@ def rms_power(clip: AudioClip | np.ndarray) -> float:
     return float(np.mean(np.square(samples, dtype=np.float64)))
 
 
-def parallel_map(fn, items, jobs, initializer=None, initargs=()):
-    """Per-utterance worker pool; jobs=1 stays in-process. Results come
-    back in input order, so outputs are byte-identical for any N."""
+_WORKER = None  # parallel_map's (fn, context), set once in each pool worker
+
+
+def _init_worker(fn, context) -> None:
+    global _WORKER
+    _WORKER = fn, context
+
+
+def _call(item):
+    fn, context = _WORKER
+    return fn(context, item)
+
+
+def parallel_map(fn, items, jobs, context):
+    """`fn(context, item)` for each item; jobs=1 stays in-process, and a
+    pool sends `context` to each worker once. Results come back in input
+    order, so outputs are byte-identical for any N."""
     if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(item) for item in items]
+        return [fn(context, item) for item in items]
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=initializer, initargs=initargs
+        max_workers=jobs, initializer=_init_worker, initargs=(fn, context)
     ) as pool:
-        return list(pool.map(fn, items, chunksize=8))
+        return list(pool.map(_call, items, chunksize=8))

@@ -339,16 +339,7 @@ class _AugmentContext:
     out_dir: str
 
 
-_WORKER_CTX: _AugmentContext | None = None
-
-
-def _set_worker_ctx(ctx: _AugmentContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _run_job(job: tuple[int, str, int]) -> ManifestRow:
-    ctx = _WORKER_CTX
+def _run_job(ctx: _AugmentContext, job: tuple[int, str, int]) -> ManifestRow:
     index, condition, k = job
     rng = np.random.default_rng([ctx.spec.rng_seed, index])
     utt_id = f"{_CONDITION_SLUGS[condition]}-{k:06d}"
@@ -410,4 +401,4 @@ def build_mixed_dataset(
     ctx = _AugmentContext(
         tuple(clean), tuple(rirs), tuple(noises), tuple(musics), spec, out_dir
     )
-    return parallel_map(_run_job, jobs_list, jobs, _set_worker_ctx, (ctx,))
+    return parallel_map(_run_job, jobs_list, jobs, ctx)

@@ -250,29 +250,17 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-_WORKER_MODEL = None
-
-
-def _init_decode_worker(model_path):
-    global _WORKER_MODEL
-    _WORKER_MODEL = load_model(model_path, expected_classes=2)
-
-
-def _decode_one(path):
+def _decode_one(model, path):
     clip = read_wav(path)
-    return clip.id, dec.posterior_trace(_WORKER_MODEL, compute_lfbe(clip))
+    return clip.id, dec.posterior_trace(model, compute_lfbe(clip))
 
 
 def _decode_traces(args):
     paths = _list_wavs(args.wav_dir)
     if not paths:
         raise DataError("no evaluation inputs")
-    load_model(args.model, expected_classes=2)  # validate before forking
-    pairs = parallel_map(
-        _decode_one, paths, args.jobs, initializer=_init_decode_worker,
-        initargs=(args.model,),
-    )
-    return dict(pairs)
+    model = load_model(args.model, expected_classes=2)
+    return dict(parallel_map(_decode_one, paths, args.jobs, model))
 
 
 def cmd_decode(args, cfg: PipelineConfig) -> int:
@@ -325,8 +313,6 @@ def cmd_det(args, cfg: PipelineConfig) -> int:
         cfg.getint("decoding", "min_gap_frames", lo=0),
     )
     thresholds = cfg.thresholds()
-    if len(thresholds) < 2:
-        raise ConfigError("decoding.thresholds: need at least 2 thresholds")
     tolerance = cfg.getint("decoding", "tolerance_frames", lo=0)
     traces = _decode_traces(args)
     all_refs = _read_references(args.references)
@@ -340,23 +326,13 @@ def cmd_det(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_e2e_demo(args, cfg: PipelineConfig) -> int:
-    demo_cfg = demo_mod.DemoConfig(
-        n_train=cfg.getint("demo", "n_train", lo=10),
-        n_test=cfg.getint("demo", "n_test", lo=10),
-        test_snr_db=cfg.getfloat("demo", "test_snr_db"),
-        epochs=cfg.getint("demo", "epochs", lo=1),
-        learning_rate=cfg.getfloat("demo", "learning_rate", lo=1e-12),
-        bottleneck=cfg.getint("demo", "bottleneck", lo=1),
-        hidden=cfg.getint("demo", "hidden", lo=1),
-        jobs=args.jobs,
-    )
     seeds = cfg.getints("demo", "seeds")
     if args.seed is not None:
         seeds = [args.seed]
     if not seeds:
         raise ConfigError("demo.seeds: need at least one seed")
     out = _run_dir(args, cfg, "e2e-demo")
-    suite = demo_mod.run_demo_suite(out, seeds, demo_cfg)
+    suite = demo_mod.run_demo_suite(out, seeds, cfg, args.jobs)
     print(
         f"{out}\tfrr_clean={suite['mean_frr_clean']:.4f}"
         f"\tfrr_mct={suite['mean_frr_mct']:.4f}"

@@ -115,8 +115,9 @@ class PipelineConfig:
             ) from None
 
     def thresholds(self, section: str = "decoding", key: str = "thresholds") -> list[float]:
-        """Either a comma list or lin:<start>:<stop>:<count>; every value
-        must lie in (0, 1), the range a decoder threshold takes."""
+        """Either a comma list or lin:<start>:<stop>:<count> of at least 2
+        values (a sweep); every value must lie in (0, 1), the range a
+        decoder threshold takes."""
         raw = self.get(section, key)
         try:
             if raw.startswith("lin:"):
@@ -128,6 +129,8 @@ class PipelineConfig:
                 values = [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"{section}.{key}: cannot parse threshold spec {raw!r}") from None
+        if len(values) < 2:
+            raise ConfigError(f"{section}.{key}: need at least 2 thresholds")
         for value in values:
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{section}.{key}: threshold {value} is outside (0, 1)")

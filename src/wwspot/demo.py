@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioClip, read_wav
 from .augment import (
+    AugmentError,
     CorruptionSpec,
     MixRecipe,
     build_mixed_dataset,
@@ -26,6 +26,7 @@ from .augment import (
     synthesize_rir,
     write_manifest,
 )
+from .config import ConfigError, PipelineConfig
 from .decode import DecodeConfig, average_duration_frames, posterior_trace
 from .evaluate import EvalResult, det_curve, det_svg, write_det_csv
 from .features import compute_lfbe
@@ -44,27 +45,8 @@ from .synth import (
 )
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    n_train: int = 500
-    n_test: int = 200
-    wake_fraction: float = 0.55
-    test_snr_db: float = 10.0
-    d_max: int = 2
-    pos_threshold: float = 0.5
-    neg_threshold: float = 0.5
-    epochs: int = 10
-    learning_rate: float = 0.4
-    minibatch_size: int = 256
-    bottleneck: int = 48
-    hidden: int = 96
-    mct_row: str = "200K"
-    num_thresholds: int = 19
-    jobs: int = 1
-
-
-def _thresholds(count: int) -> np.ndarray:
-    return np.round(np.linspace(0.95, 0.05, count), 6)
+# share of training utterances that contain the wake word
+WAKE_FRACTION = 0.55
 
 
 def frr_at_far(results: list[EvalResult], far_value: float) -> float:
@@ -89,16 +71,54 @@ def median_operating_far(*curves: list[EvalResult]) -> float:
     return float(np.median(positive if positive else fars))
 
 
-def run_demo(out_dir: str | os.PathLike, seed: int, cfg: DemoConfig = DemoConfig()) -> dict:
+def run_demo(
+    out_dir: str | os.PathLike, seed: int, cfg: PipelineConfig, jobs: int = 1
+) -> dict:
     """One clean-vs-multi-condition comparison; returns the summary dict
-    (also written to summary.json next to the DET artifacts)."""
+    (also written to summary.json next to the DET artifacts). The stages
+    read the config sections of the matching subcommands; `demo` sizes the
+    corpus and the model. The test set, the yardstick, depends only on the
+    seed, `demo.n_test` and `demo.test_snr_db`. All is read before work."""
     t0 = time.monotonic()
+    n_train = cfg.getint("demo", "n_train", lo=10)
+    n_test = cfg.getint("demo", "n_test", lo=10)
+    test_snr_db = cfg.getfloat("demo", "test_snr_db")
+    d_max = cfg.getint("lexicon", "d_max", lo=0)
+    top_n = cfg.getint("lexicon", "top_n_frequent", lo=1)
+    pos_th = cfg.getfloat("mining", "pos_threshold", lo=0.0, hi=1.0)
+    neg_th = cfg.getfloat("mining", "neg_threshold", lo=0.0, hi=1.0)
+    ratio = cfg.getfloat("mining", "target_ratio", lo=1e-9)
+    row = cfg.getstr("augment", "table_row")
+    try:
+        row_total = MixRecipe.from_table_row(row).total
+    except AugmentError as exc:
+        raise ConfigError(f"augment: {exc}") from exc
+    mct_spec = CorruptionSpec(
+        cfg.getfloat("augment", "snr_mean_db"),
+        cfg.getfloat("augment", "snr_std_db", lo=0.0),
+        cfg.getfloat("augment", "noise_music_split", lo=0.0, hi=1.0),
+        rng_seed=seed,
+    )
+    model_cfg = SpotterConfig(
+        bottleneck=cfg.getint("demo", "bottleneck", lo=1),
+        hidden=cfg.getint("demo", "hidden", lo=1),
+    )
+    train_cfg = TrainConfig(
+        learning_rate=cfg.getfloat("demo", "learning_rate", lo=1e-12),
+        minibatch_size=cfg.getint("training", "minibatch_size", lo=1),
+        epochs=cfg.getint("demo", "epochs", lo=1),
+        rng_seed=seed,
+        l2_coefficient=cfg.getfloat("training", "l2_coefficient", lo=0.0),
+    )
+    sweep = cfg.thresholds()
+    min_gap = cfg.getint("decoding", "min_gap_frames", lo=0)
+    tolerance = cfg.getint("decoding", "tolerance_frames", lo=0)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     # 1. corpus
     corpus_rng = np.random.default_rng([seed, 1])
-    train_utts = generate_utterances("train", cfg.n_train, cfg.wake_fraction, corpus_rng)
+    train_utts = generate_utterances("train", n_train, WAKE_FRACTION, corpus_rng)
     train_wav = os.path.join(out_dir, "train_wav")
     hyp_path = os.path.join(out_dir, "hypotheses.jsonl")
     write_corpus(train_utts, train_wav, hyp_path, corpus_rng)
@@ -108,14 +128,14 @@ def run_demo(out_dir: str | os.PathLike, seed: int, cfg: DemoConfig = DemoConfig
 
     # 2. held-out test set, reverberated and corrupted
     test_rng = np.random.default_rng([seed, 2])
-    test_utts = generate_utterances("test", cfg.n_test, 0.5, test_rng)
+    test_utts = generate_utterances("test", n_test, 0.5, test_rng)
     test_rooms = make_room_pool(8, test_rng)
     test_rirs = [
         synthesize_rir(room, id=f"test-rir-{i}") for i, room in enumerate(test_rooms)
     ]
     test_noises = make_noise_pool(6, 2.5, test_rng)
     test_musics = make_music_pool(4, 2.5, test_rng)
-    test_spec = CorruptionSpec(cfg.test_snr_db, 0.0, 0.5, rng_seed=seed)
+    test_spec = CorruptionSpec(test_snr_db, 0.0, 0.5, rng_seed=seed)
     test_clips: dict[str, AudioClip] = {}
     references: dict[str, list[tuple[int, int]]] = {}
     for utt in test_utts:
@@ -131,12 +151,10 @@ def run_demo(out_dir: str | os.PathLike, seed: int, cfg: DemoConfig = DemoConfig
 
     # 3. confusables and mining
     lexicon = load_lexicon(lex_path, freq_path)
-    confusables = build_confusable_set(lexicon, WAKE_WORD, cfg.d_max)
+    confusables = build_confusable_set(lexicon, WAKE_WORD, d_max, top_n)
     hyps, _ = load_hypotheses(hyp_path)
-    mined = mine_examples(
-        hyps, WAKE_WORD, confusables, cfg.pos_threshold, cfg.neg_threshold
-    )
-    balanced = balance_examples(mined, 1.0, rng_seed=seed)
+    mined = mine_examples(hyps, WAKE_WORD, confusables, pos_th, neg_th)
+    balanced = balance_examples(mined, ratio, rng_seed=seed)
     by_id = {ex.utt_id: ex for ex in balanced}
 
     # 4. clean training set
@@ -153,39 +171,30 @@ def run_demo(out_dir: str | os.PathLike, seed: int, cfg: DemoConfig = DemoConfig
     clean_pool = [
         read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced
     ]
-    recipe = MixRecipe.from_table_row(cfg.mct_row, scale=len(balanced) / 200000.0)
-    mct_spec = CorruptionSpec(10.0, 3.0, 0.5, rng_seed=seed)
+    recipe = MixRecipe.from_table_row(row, scale=len(balanced) / row_total)
     mct_dir = os.path.join(out_dir, "mct")
     rows = build_mixed_dataset(
         clean_pool, mct_rirs, mct_noises, mct_musics, recipe, mct_spec, mct_dir,
-        jobs=cfg.jobs,
+        jobs=jobs,
     )
     write_manifest(rows, os.path.join(mct_dir, "manifest.tsv"))
     mct_ds = dataset_from_manifest(rows, by_id, mct_dir)
 
     # 6. train both models identically
-    model_cfg = SpotterConfig(bottleneck=cfg.bottleneck, hidden=cfg.hidden)
-    train_cfg = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        minibatch_size=cfg.minibatch_size,
-        epochs=cfg.epochs,
-        rng_seed=seed,
-    )
     clean_model, clean_log = train(clean_ds, train_cfg, model_cfg)
     mct_model, mct_log = train(mct_ds, train_cfg, model_cfg)
 
     # 7. decode the corrupted test set and sweep thresholds
     window = average_duration_frames(balanced)
-    decode_cfg = DecodeConfig(smooth_window_frames=window, threshold=0.5)
+    decode_cfg = DecodeConfig(window, 0.5, min_gap)
     traces_clean = {}
     traces_mct = {}
     for utt_id, clip in test_clips.items():
         lfbe = compute_lfbe(clip)
         traces_clean[utt_id] = posterior_trace(clean_model, lfbe)
         traces_mct[utt_id] = posterior_trace(mct_model, lfbe)
-    sweep = _thresholds(cfg.num_thresholds)
-    curve_clean = det_curve(traces_clean, references, decode_cfg, sweep)
-    curve_mct = det_curve(traces_mct, references, decode_cfg, sweep)
+    curve_clean = det_curve(traces_clean, references, decode_cfg, sweep, tolerance)
+    curve_mct = det_curve(traces_mct, references, decode_cfg, sweep, tolerance)
 
     write_det_csv(curve_clean, os.path.join(out_dir, "det_clean.csv"))
     write_det_csv(curve_mct, os.path.join(out_dir, "det_mct.csv"))
@@ -217,13 +226,13 @@ def run_demo(out_dir: str | os.PathLike, seed: int, cfg: DemoConfig = DemoConfig
 
 
 def run_demo_suite(
-    out_dir: str | os.PathLike, seeds: list[int], cfg: DemoConfig = DemoConfig()
+    out_dir: str | os.PathLike, seeds: list[int], cfg: PipelineConfig, jobs: int = 1
 ) -> dict:
     """Run the demo once per seed and aggregate the comparison."""
     out_dir = os.fspath(out_dir)
     runs = []
     for seed in seeds:
-        runs.append(run_demo(os.path.join(out_dir, f"seed-{seed}"), seed, cfg))
+        runs.append(run_demo(os.path.join(out_dir, f"seed-{seed}"), seed, cfg, jobs))
     mean_clean = float(np.mean([r["frr_clean"] for r in runs]))
     mean_mct = float(np.mean([r["frr_mct"] for r in runs]))
     suite = {

@@ -45,14 +45,21 @@ def write_tsv(
     rows: Iterable[Sequence[str]],
     error: type[DataError] = DataError,
 ) -> None:
-    """Each row's fields tab-joined, one row per line. Every field is
-    checked before the file is opened: a tab or line break raises
-    `error("<path>: row <n>: field <k> contains a tab or line break")`
-    and writes nothing."""
-    rows = list(rows)
+    """Each row's fields tab-joined, one row per line, in UTF-8. Every
+    field is checked and encoded before the file is opened, so a tab or
+    line break (`<path>: row <n>: field <k> contains a tab or line break`)
+    or text UTF-8 cannot encode (`... is not valid UTF-8`, such as a file
+    name that is not) raises `error` and writes nothing."""
+    lines = []
     for n, row in enumerate(rows, 1):
+        fields = []
         for k, field in enumerate(row, 1):
             if "\t" in field or "\n" in field or "\r" in field:
                 raise error(f"{path}: row {n}: field {k} contains a tab or line break")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines("\t".join(row) + "\n" for row in rows)
+            try:
+                fields.append(field.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise error(f"{path}: row {n}: field {k} is not valid UTF-8") from None
+        lines.append(b"\t".join(fields) + b"\n")
+    with open(path, "wb") as fh:
+        fh.writelines(lines)

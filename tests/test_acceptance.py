@@ -28,8 +28,9 @@ from wwspot.augment import (
     synthesize_rir,
     write_manifest,
 )
+from wwspot.config import load_config
 from wwspot.decode import DecodeConfig, detect_peaks, smooth
-from wwspot.demo import DemoConfig, run_demo, run_demo_suite
+from wwspot.demo import run_demo, run_demo_suite
 from wwspot.evaluate import det_curve
 from wwspot.lexicon import ConfusableSet, build_confusable_set, levenshtein, load_lexicon
 from wwspot.mining import NEGATIVE, POSITIVE, UtteranceHypothesis, WordHyp, mine_examples
@@ -349,7 +350,7 @@ def test_decoder():
 
 def test_e2e_directional(tmp_path):
     start = time.monotonic()
-    suite = run_demo_suite(tmp_path / "suite", [0, 1, 2], DemoConfig())
+    suite = run_demo_suite(tmp_path / "suite", [0, 1, 2], load_config(None))
     elapsed = time.monotonic() - start
     assert suite["mean_frr_mct"] <= 0.8 * suite["mean_frr_clean"], suite
     assert suite["relative_frr_reduction"] >= 0.20
@@ -360,7 +361,11 @@ def test_e2e_directional(tmp_path):
 
 
 def test_e2e_determinism(tmp_path):
-    cfg = DemoConfig(n_train=120, n_test=48, epochs=4, bottleneck=24, hidden=48)
+    cfg = load_config(
+        None,
+        ["demo.n_train=120", "demo.n_test=48", "demo.epochs=4", "demo.bottleneck=24",
+         "demo.hidden=48"],
+    )
     run_demo(tmp_path / "run1", 3, cfg)
     run_demo(tmp_path / "run2", 3, cfg)
     for name in ("det_clean.csv", "det_mct.csv"):

@@ -84,6 +84,11 @@ def test_unknown_config_key_exits_2(tmp_path):
              "missing.tsv", "--set", "decoding.thresholds=0.5,nan"],
             id="det-nan",
         ),
+        pytest.param(
+            ["det", "--model", "missing.ckpt", "--wav-dir", "missing", "--references",
+             "missing.tsv", "--set", "decoding.thresholds=0.5"],
+            id="det-one",
+        ),
     ],
 )
 def test_mine_threshold_out_of_range_exits_2(tmp_path, corpus, command):
@@ -326,6 +331,21 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
         b = open(os.path.join(_single_run_dir(str(tmp_path / "j2"), "augment"), rel), "rb").read()
         assert a == b
 
+    from wwspot.model import SpotterConfig, init_model, save_model
+
+    ckpt = tmp_path / "model.ckpt"
+    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    decode = ["decode", "--model", str(ckpt), "--wav-dir", corpus["wav"],
+              "--set", "decoding.threshold=0.000001"]
+    outs = []
+    for jobs, out in (("1", "j1"), ("2", "j2")):
+        assert main(decode + ["--jobs", jobs, "--out", str(tmp_path / out)]) == 0
+        dec_dir = _single_run_dir(str(tmp_path / out), "decode")
+        outs.append([open(os.path.join(dec_dir, f), "rb").read()
+                     for f in ("detections.tsv", "utt_frames.tsv")])
+    assert outs[0] == outs[1]
+    assert outs[0][0]
+
 
 def test_rir_gen(tmp_path):
     runs = str(tmp_path / "runs")
@@ -339,14 +359,22 @@ def test_rir_gen(tmp_path):
     assert exc.value.code == 2
 
 
-def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        pytest.param("a\tb.wav", "contains a tab or line break", id="tab"),
+        # the file name is the bytes b"a\xffb.wav", not valid UTF-8
+        pytest.param("a\udcffb.wav", "is not valid UTF-8", id="non-utf8"),
+    ],
+)
+def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys, name, reason):
     from wwspot.audio import AudioClip, write_wav
     from wwspot.model import SpotterConfig, init_model, save_model
 
     wav_dir = tmp_path / "wav"
     wav_dir.mkdir()
     samples = np.random.default_rng(0).standard_normal(16000) * 0.1
-    write_wav(AudioClip(samples), wav_dir / "a\tb.wav")
+    write_wav(AudioClip(samples), wav_dir / name)
     ckpt = tmp_path / "model.ckpt"
     save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
     runs = str(tmp_path / "runs")
@@ -358,7 +386,7 @@ def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert rc == 3
-    assert "detections.tsv: row 1: field 1 contains a tab or line break" in err
+    assert f"detections.tsv: row 1: field 1 {reason}" in err
     assert not glob.glob(os.path.join(runs, "decode-*", "*.tsv"))
 
 
@@ -515,6 +543,27 @@ def test_every_reader_skips_blank_lines(tmp_path, name):
             (folder / f"{file}.tsv").write_text(text + tail)
         read.append(_READERS[name](folder / f"{name}.tsv"))
     assert read[0] == read[1]
+
+
+_TINY_DEMO = [
+    "--set", "demo.n_train=40", "--set", "demo.n_test=10", "--set", "demo.epochs=1",
+    "--set", "demo.bottleneck=8", "--set", "demo.hidden=16",
+]
+
+
+def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
+    demo = ["e2e-demo", *_TINY_DEMO, "--out", str(tmp_path / "runs")]
+    assert main(demo + ["--set", "decoding.thresholds=0.9,0.5,0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    run_dir = lines[0].split("\t")[0]
+    assert os.path.isfile(os.path.join(run_dir, "suite_summary.json"))
+    with open(os.path.join(run_dir, "seed-0", "det_mct.csv")) as fh:
+        assert len(fh.read().splitlines()) == 1 + 3
+    # no word is a confusable at distance 0, so no negative is mined
+    assert main(demo + ["--set", "lexicon.d_max=0"]) == 3
+    assert main(demo + ["--set", "decoding.thresholds=0.5"]) == 2
+    assert main(demo + ["--set", "augment.table_row=1K"]) == 2
 
 
 def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):

@@ -85,12 +85,16 @@ def test_writer_output_reads_back_equal(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(_FORMATS))
 def test_writer_refuses_tab_or_line_break_and_writes_nothing(tmp_path, name):
     write, _, error, records, (row, field) = _FORMATS[name]
-    for text in ("u\t1", "u\n1", "u\r1"):
+    # "\udcff" is how Python names the byte 0xff of a non-UTF-8 file name
+    for text, reason in (
+        ("u\t1", "contains a tab or line break"),
+        ("u\n1", "contains a tab or line break"),
+        ("u\r1", "contains a tab or line break"),
+        ("u\udcff1", "is not valid UTF-8"),
+    ):
         path = tmp_path / f"{name}.tsv"
         with pytest.raises(DataError) as exc:
             write(records(text), path)
         assert type(exc.value) is error
-        assert str(exc.value) == (
-            f"{path}: row {row}: field {field} contains a tab or line break"
-        )
+        assert str(exc.value) == f"{path}: row {row}: field {field} {reason}"
         assert not path.exists()
