@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lexicon import ConfusableSet
-from .tsv import DataError, read_tsv, write_tsv
+from .tsv import DataError, byte_lines, read_tsv, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -72,40 +72,41 @@ def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis],
     """Parse a JSONL hypothesis file; malformed records are skipped.
 
     Each line is an object with utt_id, audio_path, and words, where a
-    word is {"w": token, "conf": c, "start": s, "end": e}. A utt_id that
-    repeats an earlier record's, or holds a tab or a line break (it
-    could not be written as one TSV field), also counts as malformed;
+    word is {"w": token, "conf": c, "start": s, "end": e}. A line that is
+    not UTF-8, and a utt_id that repeats an earlier record's or holds a
+    tab or a line break (it could not be written as one TSV field), also
+    count as malformed;
     the first record of an id is kept. Returns the parsed hypotheses and
     the count of skipped records.
     """
     hyps: list[UtteranceHypothesis] = []
     seen: set[str] = set()
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    for raw in byte_lines(path):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-                words = [
-                    WordHyp(
-                        str(w["w"]),
-                        float(w["conf"]),
-                        float(w["start"]),
-                        float(w["end"]),
-                    )
-                    for w in rec["words"]
-                ]
-                hyp = UtteranceHypothesis(str(rec["utt_id"]), str(rec["audio_path"]), words)
-                hyp.validate()
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError):
-                skipped += 1
-                continue
-            if hyp.utt_id in seen or any(c in hyp.utt_id for c in "\t\n\r"):
-                skipped += 1
-                continue
-            seen.add(hyp.utt_id)
-            hyps.append(hyp)
+            rec = json.loads(line)
+            words = [
+                WordHyp(
+                    str(w["w"]),
+                    float(w["conf"]),
+                    float(w["start"]),
+                    float(w["end"]),
+                )
+                for w in rec["words"]
+            ]
+            hyp = UtteranceHypothesis(str(rec["utt_id"]), str(rec["audio_path"]), words)
+            hyp.validate()
+        except (KeyError, TypeError, ValueError):  # a JSON or UTF-8 error is a ValueError
+            skipped += 1
+            continue
+        if hyp.utt_id in seen or any(c in hyp.utt_id for c in "\t\n\r"):
+            skipped += 1
+            continue
+        seen.add(hyp.utt_id)
+        hyps.append(hyp)
     if skipped:
         log.warning("%s: skipped %d malformed hypothesis records", path, skipped)
     return hyps, skipped

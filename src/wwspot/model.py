@@ -7,11 +7,15 @@ cross entropy in which the positive term is gated by the polarity of the
 source utterance, so frames from negative utterances can only ever
 contribute background evidence. Training is shuffled minibatch descent
 on the analytic gradient, whose one forward pass per step also gives
-the loss; everything is float64 and deterministic under a fixed seed.
-Training and inference share one forward body: the gradient asks it to
-keep each block's activations for backprop, while `forward` and
-`posteriors` keep none, so decoding a block of frames holds only the
-activations of the layer being computed.
+the loss; it is deterministic under a fixed seed. Parameters,
+checkpoints and inference are float64. A training step computes in
+float32 over the float64 master parameters: it casts them once per
+step, applies the feature scaler inside the first bottleneck rather
+than to a standardized copy of the batch, and computes the softmax and
+the loss in float64. Training and inference share one forward body: the
+gradient asks it to keep each block's activations for backprop, while
+`forward` and `posteriors` keep none, so decoding a block of frames
+holds only the activations of the layer being computed.
 """
 
 from __future__ import annotations
@@ -128,23 +132,26 @@ def init_model(
     return SpotterModel(config, params, scaler)
 
 
-def _forward(model: SpotterModel, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """The network's one forward body: class posteriors of standardized
-    inputs. Given a cache ({"h": [x], "z": []}), it appends each block's
-    output h and bottleneck output z for backprop; without one, each
-    block's activations are dropped once the next block has read them."""
+def _forward(
+    params: dict[str, np.ndarray], num_blocks: int, x: np.ndarray, cache: dict | None = None
+) -> np.ndarray:
+    """The network's one forward body: float64 class posteriors of x,
+    computed in the dtype of x and `params` up to the logits. Given a
+    cache ({"h": [x], "z": []}), it appends each block's output h and
+    bottleneck output z for backprop; without one, each block's
+    activations are dropped once the next block has read them."""
     # non-finite intermediates can only come from diverged parameters;
     # the trainer's loss guard reports those, so silence the warnings
-    p = model.params
+    p = params
     h = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, model.config.num_blocks + 1):
+        for i in range(1, num_blocks + 1):
             z = h @ p[f"bottleneck{i}"]
             h = np.maximum(z @ p[f"weight{i}"] + p[f"bias{i}"], 0.0)
             if cache is not None:
                 cache["z"].append(z)
                 cache["h"].append(h)
-        logits = h @ p["weight_out"] + p["bias_out"]
+        logits = (h @ p["weight_out"] + p["bias_out"]).astype(np.float64, copy=False)
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
         return expd / expd.sum(axis=1, keepdims=True)
@@ -158,7 +165,7 @@ def forward(model: SpotterModel, x: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"input dim {x.shape[1]} does not match model {model.config.input_dim}"
         )
-    return _forward(model, x)
+    return _forward(model.params, model.config.num_blocks, x)
 
 
 def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
@@ -193,12 +200,30 @@ def gradient(
     is_positive_utt: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Summed frame loss (`ssl_loss` of the posteriors) and its analytic
-    gradient for every weight and bias, both from one forward pass."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    gradient for every weight and bias, both from one forward pass.
+
+    `x` holds raw stacked features, as for `posteriors`: the scaler is
+    folded into the first bottleneck, so no standardized copy of x is
+    made. The compute dtype follows x: float32 x is computed in float32
+    and anything else in float64. The posteriors, the loss and the logit
+    gradient are float64 either way; the gradients come back in the
+    compute dtype."""
+    x = np.atleast_2d(np.asarray(x))
+    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
     if model.config.num_classes != 2:
         raise ModelError("the frame loss is defined for 2-class models")
+    # ((x - mean) / std) @ B1 = x @ (B1 / std) - c with c = (mean / std) @ B1;
+    # c goes into bias1 as b1 - c @ W1, so the cached z1 is the true one + c
+    mean, std = model.scaler.mean, model.scaler.std
+    p = dict(model.params)
+    # diverged parameters overflow the cast; the loss guard reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (mean / std) @ p["bottleneck1"]
+        p["bias1"] = p["bias1"] - c @ p["weight1"]
+        p["bottleneck1"] = p["bottleneck1"] / std[:, None]
+        p = {name: a.astype(x.dtype, copy=False) for name, a in p.items()}
     cache = {"h": [x], "z": []}
-    probs = _forward(model, x, cache)
+    probs = _forward(p, model.config.num_blocks, x, cache)
     q = probs[:, 1]
     loss, _ = ssl_loss(q, targets, is_positive_utt)
     y_eff = np.asarray(targets, dtype=np.float64) * np.asarray(
@@ -208,9 +233,8 @@ def gradient(
     active = (q > Q_CLAMP) & (q < 1.0 - Q_CLAMP)
     dq = (-y_eff / qc + (1.0 - y_eff) / (1.0 - qc)) * active
     dlogit1 = dq * q * (1.0 - q)
-    dlogits = np.stack([-dlogit1, dlogit1], axis=1)
+    dlogits = np.stack([-dlogit1, dlogit1], axis=1).astype(x.dtype, copy=False)
 
-    p = model.params
     grads: dict[str, np.ndarray] = {}
     h_last = cache["h"][-1]
     grads["weight_out"] = h_last.T @ dlogits
@@ -225,6 +249,10 @@ def gradient(
         grads[f"bottleneck{i}"] = cache["h"][i - 1].T @ dz
         if i > 1:  # nothing reads the gradient of the input itself
             dh = dz @ p[f"bottleneck{i}"].T
+    # unfold the scaler: the cached z1 carries + c, and dz is now dL/dz1
+    grads["weight1"] -= np.outer(c, grads["bias1"])
+    grads["bottleneck1"] -= np.outer(mean, dz.sum(axis=0))
+    grads["bottleneck1"] /= std[:, None]
     return loss, grads
 
 
@@ -361,8 +389,7 @@ def train(
         raise ModelError("training data has a single target class")
 
     rng = np.random.default_rng(cfg.rng_seed)
-    scaler = dataset.fit_scaler()
-    model = init_model(model_cfg, rng, scaler)
+    model = init_model(model_cfg, rng, dataset.fit_scaler())
     n = len(dataset)
     log: list[float] = []
     for _ in range(cfg.epochs):
@@ -371,19 +398,18 @@ def train(
         for lo in range(0, n, cfg.minibatch_size):
             idx = order[lo : lo + cfg.minibatch_size]
             x, y, pos = dataset.batch(idx)
-            x = scaler.apply(x)
-            loss, grads = gradient(model, x, y, pos)
+            loss, grads = gradient(model, x.astype(np.float32), y, pos)
             if not np.isfinite(loss):
                 raise TrainingDiverged("loss became non-finite; lower the learning rate")
             epoch_loss += loss
             scale = cfg.learning_rate / len(idx)
             for name, g in grads.items():
+                # in float64, like the parameters it updates: a float32 step
+                # would round the update and overflow (with a warning) on a diverging run
+                step = np.multiply(scale, g, dtype=np.float64)
                 if cfg.l2_coefficient:
-                    model.params[name] -= (
-                        scale * g + cfg.learning_rate * cfg.l2_coefficient * model.params[name]
-                    )
-                else:
-                    model.params[name] -= scale * g
+                    step += cfg.learning_rate * cfg.l2_coefficient * model.params[name]
+                model.params[name] -= step
         log.append(epoch_loss / n)
     return model, log
 

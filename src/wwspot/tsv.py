@@ -1,18 +1,27 @@
-"""The tab-separated format of every pipeline file: one record per line,
-fields split on tabs, blank and whitespace-only lines skipped. No field
-may contain a tab or a line break, so whatever `write_tsv` writes,
+"""The tab-separated format of every pipeline file: one UTF-8 record per
+line, fields split on tabs, blank and whitespace-only lines skipped. No
+field may contain a tab or a line break, so whatever `write_tsv` writes,
 `read_tsv` reads back field for field."""
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 R = TypeVar("R")
 
 
 class DataError(ValueError):
     """Malformed or unusable input data (CLI exit code 3)."""
+
+
+def byte_lines(path: str | os.PathLike) -> Iterator[bytes]:
+    """The file's lines as undecoded bytes without their line breaks,
+    split where text mode splits them (at \\n, \\r\\n or \\r), so that a
+    reader can decode each line where it handles the line's other faults."""
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            yield from chunk.splitlines()
 
 
 def read_tsv(
@@ -22,21 +31,21 @@ def read_tsv(
     error: type[DataError] = DataError,
 ) -> list[R]:
     """`row(*typed)` for each line, `typed` being its fields passed through
-    `fields`, one parser each. A wrong field count, or a ValueError from a
-    parser or from `row` (which checks the values), raises
-    `error("<path>:<line>: <reason>")`."""
+    `fields`, one parser each. A line that is not UTF-8, a wrong field
+    count, or a ValueError from a parser or from `row` (which checks the
+    values), raises `error("<path>:<line>: <reason>")`."""
     out, n = [], len(fields)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    for lineno, raw in enumerate(byte_lines(path), 1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split("\t")
-            try:
-                if len(parts) != n:
-                    raise ValueError(f"expected {n} tab-separated fields, got {len(parts)}")
-                out.append(row(*[parse(p) for parse, p in zip(fields, parts)]))
-            except ValueError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from None
+            parts = line.split("\t")
+            if len(parts) != n:
+                raise ValueError(f"expected {n} tab-separated fields, got {len(parts)}")
+            out.append(row(*[parse(p) for parse, p in zip(fields, parts)]))
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise error(f"{path}:{lineno}: {exc}") from None
     return out
 
 

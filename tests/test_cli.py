@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wwspot.synth import (
     write_corpus,
     write_lexicon_files,
 )
+from wwspot.tsv import DataError
 
 
 @pytest.fixture()
@@ -475,6 +477,7 @@ _GOOD_TSV = {
 # a second line with one field that does not parse or is out of range
 _BAD_TSV_ROWS = [
     pytest.param("refs", "u1\tten\t20", id="refs"),
+    pytest.param("refs", "u\udcff\t10\t20", id="refs-not-utf8"),  # byte 0xff
     pytest.param("refs", "u1\t20\t10", id="refs-end-before-start"),
     pytest.param("utt_frames", "u1\tmany", id="utt_frames"),
     pytest.param("utt_frames", "u1\t-100", id="utt_frames-negative-frames"),
@@ -502,7 +505,8 @@ def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad,
     files = {}
     for name, text in _GOOD_TSV.items():
         path = tmp_path / f"{name}.tsv"
-        path.write_text(text + row + "\n" if name == bad else text)
+        text = text + row + "\n" if name == bad else text
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         files[name] = str(path)
     hypotheses = tmp_path / "hypotheses.jsonl"
     hypotheses.write_text("")
@@ -543,6 +547,16 @@ def test_every_reader_skips_blank_lines(tmp_path, name):
             (folder / f"{file}.tsv").write_text(text + tail)
         read.append(_READERS[name](folder / f"{name}.tsv"))
     assert read[0] == read[1]
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_every_reader_rejects_a_line_that_is_not_utf8(tmp_path, name):
+    for file, text in _GOOD_TSV.items():
+        (tmp_path / f"{file}.tsv").write_text(text)
+    path = tmp_path / f"{name}.tsv"
+    path.write_bytes(path.read_bytes() + b"u\xff\t1\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: 'utf-8' codec can't decode byte 0xff")):
+        _READERS[name](path)
 
 
 _TINY_DEMO = [

@@ -164,10 +164,11 @@ def test_load_hypotheses_skips_malformed(tmp_path):
         json.dumps(tab_id),
         json.dumps(newline_id),
     ]
-    path.write_text("\n".join(lines) + "\n")
+    not_utf8 = json.dumps(dict(good, utt_id="u9")).encode().replace(b"u9", b"u\xff")
+    path.write_bytes(("\n".join(lines) + "\n").encode() + not_utf8 + b"\n")
     hyps, skipped = load_hypotheses(path)
     assert [(h.utt_id, h.audio_path) for h in hyps] == [("u1", "a.wav")]
-    assert skipped == 9
+    assert skipped == 10
 
 
 def test_mine_on_a_repeated_utt_id_writes_a_file_read_mined_accepts(tmp_path):

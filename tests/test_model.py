@@ -81,8 +81,8 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
     passes = []
     forward_body = wwspot.model._forward
 
-    def recording(model, x, cache=None):
-        probs = forward_body(model, x, cache)
+    def recording(params, num_blocks, x, cache=None):
+        probs = forward_body(params, num_blocks, x, cache)
         passes.append((cache, probs))
         return probs
 
@@ -211,6 +211,43 @@ def test_gradient_step_decreases_loss():
     assert loss_of(model, x, y, pos) < before
 
 
+def scaled_pair(seed):
+    # one network twice: with a non-trivial scaler and with the identity,
+    # plus raw frames and their standardized copy
+    rng = np.random.default_rng(seed)
+    scaled = tiny_model(seed=seed + 20)
+    scaled.scaler = FeatureScaler(rng.normal(3.0, 2.0, 10), rng.uniform(0.5, 3.0, 10))
+    plain = tiny_model(seed=seed + 20)
+    x, y, pos = random_batch(rng, 64, 10)
+    raw = x * scaled.scaler.std + scaled.scaler.mean
+    return scaled, plain, raw, scaled.scaler.apply(raw), y, pos
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradient_folds_the_scaler_into_the_first_layer(seed):
+    scaled, plain, raw, standardized, y, pos = scaled_pair(seed)
+    loss, grads = gradient(scaled, raw, y, pos)
+    ref_loss, ref_grads = gradient(plain, standardized, y, pos)
+    assert loss == pytest.approx(ref_loss, rel=1e-10)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        ref = ref_grads[name]
+        assert np.allclose(g, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max()), name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float32_gradient_agrees_with_float64(seed):
+    scaled, _, raw, _, y, pos = scaled_pair(seed)
+    loss64, grads64 = gradient(scaled, raw, y, pos)
+    loss32, grads32 = gradient(scaled, raw.astype(np.float32), y, pos)
+    assert isinstance(loss32, float)
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    for name, g in grads32.items():
+        assert g.dtype == np.float32, name
+        ref = grads64[name]
+        assert np.abs(g - ref).max() <= 1e-4 * np.abs(ref).max(), name
+
+
 # --- training ---------------------------------------------------------------------
 
 
@@ -265,9 +302,9 @@ def test_train_runs_one_forward_pass_per_step(monkeypatch):
     calls = []
     forward_body = wwspot.model._forward
 
-    def counting(model, x, cache=None):
+    def counting(params, num_blocks, x, cache=None):
         calls.append(len(x))
-        return forward_body(model, x, cache)
+        return forward_body(params, num_blocks, x, cache)
 
     monkeypatch.setattr(wwspot.model, "_forward", counting)
     dataset = separable_toy_dataset(seed=5, n=100)
@@ -275,6 +312,22 @@ def test_train_runs_one_forward_pass_per_step(monkeypatch):
     train(dataset, cfg, TOY_CFG)
     assert len(calls) == cfg.epochs * math.ceil(len(dataset) / cfg.minibatch_size)
     assert sum(calls) == cfg.epochs * len(dataset)
+
+
+def test_train_computes_in_float32_over_float64_parameters(monkeypatch):
+    dtypes = []
+    gradient_fn = wwspot.model.gradient
+
+    def recording(model, x, targets, is_positive_utt):
+        dtypes.append(x.dtype)
+        return gradient_fn(model, x, targets, is_positive_utt)
+
+    monkeypatch.setattr(wwspot.model, "gradient", recording)
+    dataset = separable_toy_dataset(seed=6, n=100)
+    cfg = TrainConfig(learning_rate=0.3, minibatch_size=32, epochs=2, rng_seed=1)
+    model, _ = train(dataset, cfg, TOY_CFG)
+    assert dtypes and all(d == np.float32 for d in dtypes)
+    assert all(a.dtype == np.float64 for a in model.params.values())
 
 
 def test_train_is_deterministic():
