@@ -1,11 +1,13 @@
 """Posterior traces, smoothing and thresholded peak detection.
 
 The wake-word posterior trace is computed CHUNK_FRAMES frames at a
-time, so decoding holds one block of stacked inputs and activations
-whatever the recording's length. The trace, one float per frame, is
-then smoothed by a moving average whose width should match the typical
-wake-word duration, and maximal supra-threshold regions (merged across
-short gaps) become detections carrying their peak frame and score.
+time: each block refills one buffer of stacked raw inputs, and the
+network folds the feature scaler into its first layer, so decoding
+holds one block of inputs and activations whatever the recording's
+length. The trace, one float per frame, is then smoothed by a moving
+average whose width should match the typical wake-word duration, and
+maximal supra-threshold regions (merged across short gaps) become
+detections carrying their peak frame and score.
 Smoothing and peak picking run on the whole trace: it is small, and a
 streaming smoother would add state and save nothing.
 """
@@ -16,6 +18,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import CHUNK_FRAMES, LEFT_CONTEXT, RIGHT_CONTEXT, FeatureError, context_indices
 from .mining import FRAME_HOP_S, MinedExample, POSITIVE
@@ -120,17 +123,29 @@ def posterior_trace(
     """Per-frame wake-word posterior for one utterance's LFBE matrix.
 
     Equals `posteriors(model, stack_context(lfbe, left, right))[:, 1]`
-    up to BLAS rounding, but each block of CHUNK_FRAMES frames gathers
-    only its own context rows and goes through the cache-free forward.
+    up to BLAS rounding, but each block of CHUNK_FRAMES frames refills
+    one reusable buffer of stacked inputs and goes through the
+    cache-free forward. An interior block's stacked rows are windows of
+    consecutive LFBE rows, copied from a strided view; only a block
+    within the context width of either end gathers clipped indices.
     """
-    lfbe = np.asarray(lfbe, dtype=np.float64)
+    lfbe = np.ascontiguousarray(lfbe, dtype=np.float64)
     if lfbe.ndim != 2 or lfbe.shape[0] < 1:
         raise FeatureError("expected a non-empty (frames, bins) matrix")
-    n = lfbe.shape[0]
+    n, bins = lfbe.shape
+    width = left + 1 + right
     trace = np.empty(n)
+    buf = np.empty((min(n, CHUNK_FRAMES), width * bins))
     for lo in range(0, n, CHUNK_FRAMES):
         hi = min(lo + CHUNK_FRAMES, n)
-        rows = lfbe[context_indices(n, left, right, lo, hi)].reshape(hi - lo, -1)
+        rows = buf[: hi - lo]
+        if lo >= left and hi + right <= n:
+            # frame t's row is LFBE rows t-left .. t+right, contiguous in memory
+            span = lfbe[lo - left : hi + right].reshape(-1)
+            rows[:] = sliding_window_view(span, width * bins)[::bins]
+        else:
+            idx = context_indices(n, left, right, lo, hi)
+            np.take(lfbe, idx, axis=0, out=rows.reshape(hi - lo, width, bins))
         trace[lo:hi] = posteriors(model, rows)[:, 1]
     return trace
 

@@ -9,10 +9,12 @@ contribute background evidence. Training is shuffled minibatch descent
 on the analytic gradient, whose one forward pass per step also gives
 the loss; it is deterministic under a fixed seed. Parameters,
 checkpoints and inference are float64. A training step computes in
-float32 over the float64 master parameters: it casts them once per
-step, applies the feature scaler inside the first bottleneck rather
-than to a standardized copy of the batch, and computes the softmax and
-the loss in float64. Training and inference share one forward body: the
+float32 over the float64 master parameters: it gathers its batch from
+one float32 copy of the frames, casts the parameters once per step and
+computes the softmax and the loss in float64. Training and inference
+(`posteriors`) both fold the feature scaler into the first bottleneck
+rather than standardize a copy of their input. They share one forward
+body, which adds each bias and applies each ReLU in place: the
 gradient asks it to keep each block's activations for backprop, while
 `forward` and `posteriors` keep none, so decoding a block of frames
 holds only the activations of the layer being computed.
@@ -147,7 +149,9 @@ def _forward(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, num_blocks + 1):
             z = h @ p[f"bottleneck{i}"]
-            h = np.maximum(z @ p[f"weight{i}"] + p[f"bias{i}"], 0.0)
+            h = z @ p[f"weight{i}"]
+            h += p[f"bias{i}"]
+            np.maximum(h, 0.0, out=h)
             if cache is not None:
                 cache["z"].append(z)
                 cache["h"].append(h)
@@ -157,21 +161,45 @@ def _forward(
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def forward(model: SpotterModel, x: np.ndarray) -> np.ndarray:
-    """Class posteriors for a batch of standardized input vectors; no
-    activation outlives the layer that reads it."""
+def _inputs(model: SpotterModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.config.input_dim:
         raise ModelError(
             f"input dim {x.shape[1]} does not match model {model.config.input_dim}"
         )
-    return _forward(model.params, model.config.num_blocks, x)
+    return x
+
+
+def forward(model: SpotterModel, x: np.ndarray) -> np.ndarray:
+    """Class posteriors for a batch of standardized input vectors; no
+    activation outlives the layer that reads it."""
+    return _forward(model.params, model.config.num_blocks, _inputs(model, x))
+
+
+def _fold_scaler(model: SpotterModel, dtype) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The model's parameters in `dtype`, with the scaler folded into the
+    first block so that they take raw stacked features, and the float64
+    offset c that the fold moved into `bias1`.
+
+    ((x - mean) / std) @ B1 = x @ (B1 / std) - c with c = (mean / std) @ B1;
+    c goes into bias1 as b1 - c @ W1, so the first bottleneck output of
+    the folded network is the true one + c."""
+    mean, std = model.scaler.mean, model.scaler.std
+    p = dict(model.params)
+    # diverged parameters overflow the cast; the trainer's loss guard reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (mean / std) @ p["bottleneck1"]
+        p["bias1"] = p["bias1"] - c @ p["weight1"]
+        p["bottleneck1"] = p["bottleneck1"] / std[:, None]
+        p = {name: a.astype(dtype, copy=False) for name, a in p.items()}
+    return p, c
 
 
 def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
-    """Forward pass on raw stacked features (applies the stored scaler)."""
-    raw_x = np.atleast_2d(np.asarray(raw_x, dtype=np.float64))
-    return forward(model, model.scaler.apply(raw_x))
+    """Forward pass on raw stacked features. The stored scaler is folded
+    into the first bottleneck, so no standardized copy of raw_x is made."""
+    p, _ = _fold_scaler(model, np.float64)
+    return _forward(p, model.config.num_blocks, _inputs(model, raw_x))
 
 
 def ssl_loss(
@@ -212,16 +240,7 @@ def gradient(
     x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
     if model.config.num_classes != 2:
         raise ModelError("the frame loss is defined for 2-class models")
-    # ((x - mean) / std) @ B1 = x @ (B1 / std) - c with c = (mean / std) @ B1;
-    # c goes into bias1 as b1 - c @ W1, so the cached z1 is the true one + c
-    mean, std = model.scaler.mean, model.scaler.std
-    p = dict(model.params)
-    # diverged parameters overflow the cast; the loss guard reports them
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = (mean / std) @ p["bottleneck1"]
-        p["bias1"] = p["bias1"] - c @ p["weight1"]
-        p["bottleneck1"] = p["bottleneck1"] / std[:, None]
-        p = {name: a.astype(x.dtype, copy=False) for name, a in p.items()}
+    p, c = _fold_scaler(model, x.dtype)
     cache = {"h": [x], "z": []}
     probs = _forward(p, model.config.num_blocks, x, cache)
     q = probs[:, 1]
@@ -251,8 +270,8 @@ def gradient(
             dh = dz @ p[f"bottleneck{i}"].T
     # unfold the scaler: the cached z1 carries + c, and dz is now dL/dz1
     grads["weight1"] -= np.outer(c, grads["bias1"])
-    grads["bottleneck1"] -= np.outer(mean, dz.sum(axis=0))
-    grads["bottleneck1"] /= std[:, None]
+    grads["bottleneck1"] -= np.outer(model.scaler.mean, dz.sum(axis=0))
+    grads["bottleneck1"] /= model.scaler.std[:, None]
     return loss, grads
 
 
@@ -345,8 +364,14 @@ class FrameDataset:
             np.concatenate(polarity),
         )
 
-    def batch(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = self.base[self.gather[idx]].reshape(len(idx), self.dim)
+    def batch(
+        self, idx: np.ndarray, base: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked inputs, targets and polarity of the records idx. The
+        inputs are gathered from `base`, a copy of self.base in another
+        dtype, when one is given."""
+        base = self.base if base is None else base
+        x = base[self.gather[idx]].reshape(len(idx), self.dim)
         return x, self.targets[idx], self.is_positive[idx]
 
     def effective_targets(self) -> np.ndarray:
@@ -391,14 +416,16 @@ def train(
     rng = np.random.default_rng(cfg.rng_seed)
     model = init_model(model_cfg, rng, dataset.fit_scaler())
     n = len(dataset)
+    # one float32 copy of the frames, so each step gathers its batch once
+    base32 = dataset.base.astype(np.float32)
     log: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, cfg.minibatch_size):
             idx = order[lo : lo + cfg.minibatch_size]
-            x, y, pos = dataset.batch(idx)
-            loss, grads = gradient(model, x.astype(np.float32), y, pos)
+            x, y, pos = dataset.batch(idx, base32)
+            loss, grads = gradient(model, x, y, pos)
             if not np.isfinite(loss):
                 raise TrainingDiverged("loss became non-finite; lower the learning rate")
             epoch_loss += loss

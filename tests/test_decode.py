@@ -15,7 +15,7 @@ from wwspot.decode import (
     smooth,
     write_detections,
 )
-from wwspot.features import CHUNK_FRAMES, FeatureError, compute_lfbe
+from wwspot.features import CHUNK_FRAMES, RIGHT_CONTEXT, FeatureError, compute_lfbe
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.model import FeatureScaler, SpotterConfig, init_model
 
@@ -137,17 +137,37 @@ def test_detections_file_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 7]
+    "frames",
+    [
+        1,
+        30,  # shorter than the 31-frame context
+        CHUNK_FRAMES - 1,
+        CHUNK_FRAMES,
+        CHUNK_FRAMES + 1,
+        2 * CHUNK_FRAMES + 7,
+        2 * CHUNK_FRAMES + RIGHT_CONTEXT - 1,  # the second block still touches the end
+        2 * CHUNK_FRAMES + RIGHT_CONTEXT,  # the second block is interior
+    ],
 )
 def test_blocked_trace_matches_whole_utterance_oracle(frames):
     # context rows that cross a block edge must come from the neighbouring
-    # block, and the utterance's own ends must still replicate
+    # block, and the utterance's own ends must still replicate; interior
+    # blocks copy windows of consecutive rows, edge blocks gather
     rng = np.random.default_rng(frames)
     model = small_spotter(frames)
     lfbe = rng.standard_normal((frames, 20)) * 3.0 - 5.0
     trace = posterior_trace(model, lfbe)
     assert trace.shape == (frames,)
     np.testing.assert_allclose(trace, whole_utterance_trace(model, lfbe), rtol=0, atol=1e-12)
+
+
+def test_trace_folds_the_scaler_instead_of_standardizing(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("posterior_trace made a standardized copy")
+
+    monkeypatch.setattr(FeatureScaler, "apply", refuse)
+    lfbe = np.random.default_rng(5).standard_normal((2 * CHUNK_FRAMES + 40, 20))
+    assert np.isfinite(posterior_trace(small_spotter(5), lfbe)).all()
 
 
 def test_trace_rejects_non_matrix_input():

@@ -106,10 +106,15 @@ def test_forward_shape_mismatch():
 
 
 def test_posteriors_applies_scaler():
+    # per-dimension statistics, so a fold that mixed up dimensions shows
+    rng = np.random.default_rng(4)
     model = tiny_model()
-    model.scaler = FeatureScaler(np.full(10, 5.0), np.full(10, 2.0))
-    raw = np.random.default_rng(4).standard_normal((6, 10)) * 2 + 5
-    assert np.allclose(posteriors(model, raw), forward(model, (raw - 5.0) / 2.0))
+    mean, std = rng.standard_normal(10) * 5.0, rng.uniform(0.5, 3.0, 10)
+    model.scaler = FeatureScaler(mean, std)
+    raw = rng.standard_normal((6, 10)) * std + mean
+    np.testing.assert_allclose(
+        posteriors(model, raw), forward(model, (raw - mean) / std), rtol=0, atol=1e-12
+    )
 
 
 # --- loss ----------------------------------------------------------------------
@@ -315,18 +320,35 @@ def test_train_runs_one_forward_pass_per_step(monkeypatch):
 
 
 def test_train_computes_in_float32_over_float64_parameters(monkeypatch):
-    dtypes = []
+    # every batch gradient sees is the float64 gather of its records, cast
+    # to float32; context stacking makes the gather non-trivial
+    indices, inputs = [], []
+    batch_fn = FrameDataset.batch
     gradient_fn = wwspot.model.gradient
 
+    def recording_batch(self, idx, base=None):
+        indices.append(np.array(idx))
+        return batch_fn(self, idx, base)
+
     def recording(model, x, targets, is_positive_utt):
-        dtypes.append(x.dtype)
+        inputs.append(x.copy())
         return gradient_fn(model, x, targets, is_positive_utt)
 
+    monkeypatch.setattr(FrameDataset, "batch", recording_batch)
     monkeypatch.setattr(wwspot.model, "gradient", recording)
-    dataset = separable_toy_dataset(seed=6, n=100)
+    rng = np.random.default_rng(6)
+    dataset = FrameDataset.from_utterances(
+        [(rng.standard_normal((n, 2)) * 3.0 - 5.0, rng.integers(0, 2, n), n % 2 == 0)
+         for n in (30, 41, 52)],
+        left=2,
+        right=1,
+    )
     cfg = TrainConfig(learning_rate=0.3, minibatch_size=32, epochs=2, rng_seed=1)
     model, _ = train(dataset, cfg, TOY_CFG)
-    assert dtypes and all(d == np.float32 for d in dtypes)
+    assert len(inputs) == len(indices) == cfg.epochs * math.ceil(len(dataset) / 32)
+    for idx, x in zip(indices, inputs):
+        assert x.dtype == np.float32
+        assert np.array_equal(x, batch_fn(dataset, idx)[0].astype(np.float32))
     assert all(a.dtype == np.float64 for a in model.params.values())
 
 
