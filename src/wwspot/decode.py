@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import CHUNK_FRAMES, LEFT_CONTEXT, RIGHT_CONTEXT, FeatureError, context_indices
+from .features import CHUNK_FRAMES, LEFT_CONTEXT, RIGHT_CONTEXT, FeatureError
 from .mining import FRAME_HOP_S, MinedExample, POSITIVE
 from .model import SpotterModel, posteriors
 from .tsv import DataError, read_tsv, write_tsv
@@ -125,11 +125,11 @@ def posterior_trace(
     Equals `posteriors(model, stack_context(lfbe, left, right))[:, 1]`
     up to BLAS rounding, but each block of CHUNK_FRAMES frames refills
     one reusable buffer of stacked inputs and goes through the
-    cache-free forward. An interior block's stacked rows are windows of
-    consecutive LFBE rows, copied from a strided view; only a block
-    within the context width of either end gathers clipped indices.
+    cache-free forward. A block gathers only its own LFBE rows plus
+    context, ends replicated, and its stacked rows are copied as
+    windows of that span through a strided view.
     """
-    lfbe = np.ascontiguousarray(lfbe, dtype=np.float64)
+    lfbe = np.asarray(lfbe, dtype=np.float64)
     if lfbe.ndim != 2 or lfbe.shape[0] < 1:
         raise FeatureError("expected a non-empty (frames, bins) matrix")
     n, bins = lfbe.shape
@@ -139,13 +139,9 @@ def posterior_trace(
     for lo in range(0, n, CHUNK_FRAMES):
         hi = min(lo + CHUNK_FRAMES, n)
         rows = buf[: hi - lo]
-        if lo >= left and hi + right <= n:
-            # frame t's row is LFBE rows t-left .. t+right, contiguous in memory
-            span = lfbe[lo - left : hi + right].reshape(-1)
-            rows[:] = sliding_window_view(span, width * bins)[::bins]
-        else:
-            idx = context_indices(n, left, right, lo, hi)
-            np.take(lfbe, idx, axis=0, out=rows.reshape(hi - lo, width, bins))
+        # frame t's row is span rows t-lo .. t-lo+left+right, contiguous in memory
+        span = lfbe[np.clip(np.arange(lo - left, hi + right), 0, n - 1)].reshape(-1)
+        rows[:] = sliding_window_view(span, width * bins)[::bins]
         trace[lo:hi] = posteriors(model, rows)[:, 1]
     return trace
 

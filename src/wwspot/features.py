@@ -5,12 +5,11 @@ then 31 consecutive frames (20 left, 10 right, edges replicated) are
 concatenated into the 620-dimensional network input.
 
 Decoding works in blocks of CHUNK_FRAMES frames: `compute_lfbe` fills
-its output one block of windows at a time, windowing each block into
-one reused zero-padded FFT buffer, and `context_indices` can gather the
-context of one block of frames, so neither the window matrix, the
-spectrum nor the stacked inputs of a whole recording are ever held at
-once. Memory is O(block) plus the output, one row per frame, however
-long the audio.
+its output one block of windows at a time, and the decoder stacks the
+context of one block of frames at a time, so neither the window
+matrix, the spectrum nor the stacked inputs of a whole recording are
+ever held at once. Memory is O(block) plus the output, one row per
+frame, however long the audio.
 """
 
 from __future__ import annotations
@@ -96,8 +95,7 @@ def compute_lfbe(clip: AudioClip, cfg: LfbeConfig = LfbeConfig()) -> np.ndarray:
     Per frame: Hann window, magnitude-squared rfft, mel filterbank,
     natural log of (energy + log_floor). Frame count is
     1 + floor((num_samples - window) / hop). The frames are strided
-    views of the samples, windowed CHUNK_FRAMES at a time into one
-    buffer already zero-padded to the FFT size and transformed into the
+    views of the samples, transformed CHUNK_FRAMES at a time into the
     preallocated output.
     """
     sr = clip.sample_rate
@@ -113,32 +111,21 @@ def compute_lfbe(clip: AudioClip, cfg: LfbeConfig = LfbeConfig()) -> np.ndarray:
     nfft = cfg.fft_size(sr)
     fbank = mel_filterbank(cfg, sr).T
     out = np.empty((frames.shape[0], cfg.num_mel_bins))
-    # columns window .. nfft stay zero: the padding rfft would otherwise copy
-    padded = np.zeros((min(frames.shape[0], CHUNK_FRAMES), nfft))
     for lo in range(0, frames.shape[0], CHUNK_FRAMES):
-        block = frames[lo : lo + CHUNK_FRAMES]
-        windowed = padded[: block.shape[0]]
-        np.multiply(block, hann, out=windowed[:, :window])
-        spectrum = np.abs(np.fft.rfft(windowed, axis=1)) ** 2
-        np.log(spectrum @ fbank + cfg.log_floor, out=out[lo : lo + CHUNK_FRAMES])
+        block = slice(lo, lo + CHUNK_FRAMES)
+        spectrum = np.abs(np.fft.rfft(frames[block] * hann, nfft, axis=1)) ** 2
+        np.log(spectrum @ fbank + cfg.log_floor, out=out[block])
     return out
 
 
 def context_indices(
-    n_frames: int,
-    left: int = LEFT_CONTEXT,
-    right: int = RIGHT_CONTEXT,
-    start: int = 0,
-    stop: int | None = None,
+    n_frames: int, left: int = LEFT_CONTEXT, right: int = RIGHT_CONTEXT
 ) -> np.ndarray:
-    """Gather indices of frames start .. stop-1 (default: all) with edge
-    replication at the ends of the n_frames, shape
-    (stop - start, left+1+right)."""
+    """Gather indices with edge replication, shape (n_frames, left+1+right)."""
     if n_frames < 1:
         raise FeatureError("empty feature matrix")
-    stop = n_frames if stop is None else stop
     offsets = np.arange(-left, right + 1)
-    idx = np.arange(start, stop)[:, None] + offsets[None, :]
+    idx = np.arange(n_frames)[:, None] + offsets[None, :]
     return np.clip(idx, 0, n_frames - 1).astype(np.int64)
 
 

@@ -145,14 +145,13 @@ def test_detections_file_round_trip(tmp_path):
         CHUNK_FRAMES,
         CHUNK_FRAMES + 1,
         2 * CHUNK_FRAMES + 7,
-        2 * CHUNK_FRAMES + RIGHT_CONTEXT - 1,  # the second block still touches the end
-        2 * CHUNK_FRAMES + RIGHT_CONTEXT,  # the second block is interior
+        2 * CHUNK_FRAMES + RIGHT_CONTEXT - 1,  # the second block's span clips one row
+        2 * CHUNK_FRAMES + RIGHT_CONTEXT,  # the second block's span needs no clipping
     ],
 )
 def test_blocked_trace_matches_whole_utterance_oracle(frames):
     # context rows that cross a block edge must come from the neighbouring
-    # block, and the utterance's own ends must still replicate; interior
-    # blocks copy windows of consecutive rows, edge blocks gather
+    # block, and the utterance's own ends must still replicate
     rng = np.random.default_rng(frames)
     model = small_spotter(frames)
     lfbe = rng.standard_normal((frames, 20)) * 3.0 - 5.0
