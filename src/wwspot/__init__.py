@@ -27,9 +27,9 @@ from .model import (
     SpotterConfig,
     SpotterModel,
     TrainConfig,
-    forward,
     gradient,
     load_model,
+    posteriors,
     save_model,
     ssl_loss,
     train,

@@ -49,9 +49,10 @@ class AudioClip:
 def read_wav(path: str | os.PathLike, id: str | None = None) -> AudioClip:
     """Read a PCM WAV file as a mono clip scaled to [-1, 1].
 
-    Accepts 16-bit integer or 32/64-bit float encodings; multi-channel
-    audio is averaged down to mono. Integer full scale maps to magnitude
-    1.0 (32767 reads as 32767/32768).
+    Accepts 16-bit integer or 32/64-bit float encodings, and float
+    samples must be finite; multi-channel audio is averaged down to
+    mono. Integer full scale maps to magnitude 1.0 (32767 reads as
+    32767/32768).
     """
     path = os.fspath(path)
     if not os.path.isfile(path):
@@ -65,6 +66,8 @@ def read_wav(path: str | os.PathLike, id: str | None = None) -> AudioClip:
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _FULL_SCALE
     elif data.dtype in (np.float32, np.float64):
+        if not np.isfinite(data).all():
+            raise AudioError(f"{path}: non-finite samples")
         samples = data.astype(np.float64)
     else:
         raise AudioError(

@@ -1,13 +1,14 @@
 """Posterior traces, smoothing and thresholded peak detection.
 
 The wake-word posterior trace is computed CHUNK_FRAMES frames at a
-time: each block refills one buffer of stacked raw inputs, and the
-network folds the feature scaler into its first layer, so decoding
-holds one block of inputs and activations whatever the recording's
-length. The trace, one float per frame, is then smoothed by a moving
-average whose width should match the typical wake-word duration, and
-maximal supra-threshold regions (merged across short gaps) become
-detections carrying their peak frame and score.
+time in float32: the feature scaler is folded into the network's first
+layer once per recording, and each block refills one float32 buffer of
+stacked raw inputs, so decoding holds one block of inputs and
+activations whatever the recording's length. The trace, one float per
+frame, is then smoothed by a moving average whose width should match
+the typical wake-word duration, and maximal supra-threshold regions
+(merged across short gaps) become detections carrying their peak frame
+and score.
 Smoothing and peak picking run on the whole trace: it is small, and a
 streaming smoother would add state and save nothing.
 """
@@ -22,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import CHUNK_FRAMES, LEFT_CONTEXT, RIGHT_CONTEXT, FeatureError
 from .mining import FRAME_HOP_S, MinedExample, POSITIVE
-from .model import SpotterModel, posteriors
+from .model import SpotterModel, _check_input_dim, _fold_scaler, _forward
 from .tsv import DataError, read_tsv, write_tsv
 
 
@@ -123,26 +124,32 @@ def posterior_trace(
     """Per-frame wake-word posterior for one utterance's LFBE matrix.
 
     Equals `posteriors(model, stack_context(lfbe, left, right))[:, 1]`
-    up to BLAS rounding, but each block of CHUNK_FRAMES frames refills
-    one reusable buffer of stacked inputs and goes through the
-    cache-free forward. A block gathers only its own LFBE rows plus
-    context, ends replicated, and its stacked rows are copied as
-    windows of that span through a strided view.
+    within 1e-6, computed in float32: the scaler is folded into a
+    float32 copy of the parameters once, and each block of CHUNK_FRAMES
+    frames refills one reusable float32 buffer of stacked inputs and
+    goes through the cache-free forward. A block gathers only its own
+    LFBE rows plus context, ends replicated, and its stacked rows are
+    copied as windows of that span through a strided view. The trace
+    is float64.
     """
     lfbe = np.asarray(lfbe, dtype=np.float64)
     if lfbe.ndim != 2 or lfbe.shape[0] < 1:
         raise FeatureError("expected a non-empty (frames, bins) matrix")
     n, bins = lfbe.shape
     width = left + 1 + right
+    _check_input_dim(model, width * bins)
+    params, _ = _fold_scaler(model, np.float32)
     trace = np.empty(n)
-    buf = np.empty((min(n, CHUNK_FRAMES), width * bins))
+    buf = np.empty((min(n, CHUNK_FRAMES), width * bins), dtype=np.float32)
     for lo in range(0, n, CHUNK_FRAMES):
         hi = min(lo + CHUNK_FRAMES, n)
         rows = buf[: hi - lo]
-        # frame t's row is span rows t-lo .. t-lo+left+right, contiguous in memory
-        span = lfbe[np.clip(np.arange(lo - left, hi + right), 0, n - 1)].reshape(-1)
+        # frame t's row is span rows t-lo .. t-lo+left+right, contiguous in
+        # memory; the span is cast once, so the window copy casts nothing
+        span = lfbe[np.clip(np.arange(lo - left, hi + right), 0, n - 1)]
+        span = span.astype(np.float32).reshape(-1)
         rows[:] = sliding_window_view(span, width * bins)[::bins]
-        trace[lo:hi] = posteriors(model, rows)[:, 1]
+        trace[lo:hi] = _forward(params, model.config.num_blocks, rows)[:, 1]
     return trace
 
 

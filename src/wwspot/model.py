@@ -7,17 +7,18 @@ cross entropy in which the positive term is gated by the polarity of the
 source utterance, so frames from negative utterances can only ever
 contribute background evidence. Training is shuffled minibatch descent
 on the analytic gradient, whose one forward pass per step also gives
-the loss; it is deterministic under a fixed seed. Parameters,
-checkpoints and inference are float64. A training step computes in
-float32 over the float64 master parameters: it gathers its batch from
-one float32 copy of the frames, casts the parameters once per step and
-computes the softmax and the loss in float64. Training and inference
-(`posteriors`) both fold the feature scaler into the first bottleneck
-rather than standardize a copy of their input. They share one forward
-body, which adds each bias and applies each ReLU in place: the
+the loss; it is deterministic under a fixed seed. Parameters and
+checkpoints are float64, and so is `posteriors`. Training steps and the
+decoder's posterior trace compute in float32 over the float64
+parameters: a training step gathers its batch from one float32 copy of
+the frames, casts the parameters once per step and computes the
+softmax and the loss in float64; the trace casts them once per
+recording. Both fold the feature scaler into the first bottleneck
+rather than standardize a copy of their input, and both go through one
+forward body, which adds each bias and applies each ReLU in place: the
 gradient asks it to keep each block's activations for backprop, while
-`forward` and `posteriors` keep none, so decoding a block of frames
-holds only the activations of the layer being computed.
+inference keeps none, so decoding a block of frames holds only the
+activations of the layer being computed.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ class FeatureScaler:
             raise ModelError("scaler mean/std must be matching vectors")
         if not np.all(self.std > 0):
             raise ModelError("scaler std entries must be positive")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
 
     @classmethod
     def identity(cls, dim: int) -> "FeatureScaler":
@@ -161,19 +159,9 @@ def _forward(
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _inputs(model: SpotterModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.config.input_dim:
-        raise ModelError(
-            f"input dim {x.shape[1]} does not match model {model.config.input_dim}"
-        )
-    return x
-
-
-def forward(model: SpotterModel, x: np.ndarray) -> np.ndarray:
-    """Class posteriors for a batch of standardized input vectors; no
-    activation outlives the layer that reads it."""
-    return _forward(model.params, model.config.num_blocks, _inputs(model, x))
+def _check_input_dim(model: SpotterModel, dim: int) -> None:
+    if dim != model.config.input_dim:
+        raise ModelError(f"input dim {dim} does not match model {model.config.input_dim}")
 
 
 def _fold_scaler(model: SpotterModel, dtype) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -198,8 +186,10 @@ def _fold_scaler(model: SpotterModel, dtype) -> tuple[dict[str, np.ndarray], np.
 def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
     """Forward pass on raw stacked features. The stored scaler is folded
     into the first bottleneck, so no standardized copy of raw_x is made."""
+    x = np.atleast_2d(np.asarray(raw_x, dtype=np.float64))
+    _check_input_dim(model, x.shape[1])
     p, _ = _fold_scaler(model, np.float64)
-    return _forward(p, model.config.num_blocks, _inputs(model, raw_x))
+    return _forward(p, model.config.num_blocks, x)
 
 
 def ssl_loss(

@@ -124,6 +124,11 @@ def whole_matrix_lfbe(clip, cfg):
     return np.log(spectrum @ mel_filterbank(cfg, sr).T + cfg.log_floor)
 
 
+def standardize(scaler, x):
+    """The scaler's definition: each dimension less its mean, over its std."""
+    return (x - scaler.mean) / scaler.std
+
+
 def whole_utterance_trace(model, lfbe, left=LEFT_CONTEXT, right=RIGHT_CONTEXT):
     """Wake-word posteriors of the whole utterance's stacked inputs,
     scaled and run through the network as one batch."""

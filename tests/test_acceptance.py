@@ -34,7 +34,7 @@ from wwspot.demo import run_demo, run_demo_suite
 from wwspot.evaluate import det_curve
 from wwspot.lexicon import ConfusableSet, build_confusable_set, levenshtein, load_lexicon
 from wwspot.mining import NEGATIVE, POSITIVE, UtteranceHypothesis, WordHyp, mine_examples
-from wwspot.model import SpotterConfig, forward, gradient, init_model, ssl_loss
+from wwspot.model import SpotterConfig, gradient, init_model, posteriors, ssl_loss
 
 SR = 16000
 
@@ -274,7 +274,7 @@ def test_model_loss_gradients():
     tiny = SpotterConfig(input_dim=10, bottleneck=4, hidden=8, num_blocks=3)
     # softmax normalization
     model = init_model(tiny, np.random.default_rng(0))
-    probs = forward(model, np.random.default_rng(1).standard_normal((100, 10)) * 2)
+    probs = posteriors(model, np.random.default_rng(1).standard_normal((100, 10)) * 2)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-6
 
     # loss equals the term-by-term scalar loop
@@ -305,7 +305,7 @@ def test_model_loss_gradients():
         _, grads = gradient(model, x, y, pos)
 
         def loss_now():
-            return ssl_loss(forward(model, x)[:, 1], y, pos)[0]
+            return ssl_loss(posteriors(model, x)[:, 1], y, pos)[0]
 
         for name, g in grads.items():
             flat_p = model.params[name].reshape(-1)

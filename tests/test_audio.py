@@ -44,6 +44,16 @@ def test_rejects_zero_length(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rejects_non_finite_float_samples(tmp_path, dtype):
+    path = tmp_path / "nan.wav"
+    frames = np.zeros((100, 2), dtype=dtype)
+    frames[40, 1] = np.nan  # one channel is enough, before the mono mix
+    wavfile.write(path, 16000, frames)
+    with pytest.raises(AudioError, match=f"{path}: non-finite samples"):
+        read_wav(path)
+
+
 def test_write_peak_normalizes_above_one(tmp_path):
     clip = AudioClip(np.array([2.0, -1.0, 0.5]))
     path = tmp_path / "peak.wav"

@@ -392,6 +392,30 @@ def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys, name, 
     assert not glob.glob(os.path.join(runs, "decode-*", "*.tsv"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decode_rejects_a_float_wav_with_a_non_finite_sample(tmp_path, capsys, bad):
+    from scipy.io import wavfile
+
+    from wwspot.model import SpotterConfig, init_model, save_model
+
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    samples = (np.random.default_rng(0).standard_normal(32000) * 0.1).astype(np.float32)
+    samples[16000] = bad
+    wav = wav_dir / "u0.wav"
+    wavfile.write(wav, 16000, samples)
+    ckpt = tmp_path / "model.ckpt"
+    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    rc = main(
+        [
+            "decode", "--model", str(ckpt), "--wav-dir", str(wav_dir),
+            "--out", str(tmp_path / "runs"),
+        ]
+    )
+    assert rc == 3
+    assert f"{wav}: non-finite samples" in capsys.readouterr().err
+
+
 def test_train_on_augment_manifest(tmp_path, corpus):
     runs = str(tmp_path / "runs")
     assert main(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import whole_utterance_trace
 
+import wwspot.decode
 from wwspot.audio import AudioClip
 from wwspot.decode import (
     DecodeConfig,
@@ -17,7 +18,7 @@ from wwspot.decode import (
 )
 from wwspot.features import CHUNK_FRAMES, RIGHT_CONTEXT, FeatureError, compute_lfbe
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
-from wwspot.model import FeatureScaler, SpotterConfig, init_model
+from wwspot.model import FeatureScaler, ModelError, SpotterConfig, init_model
 
 # full 620-dimensional input, small layers: decoding cost is the input's
 SMALL_SPOTTER = SpotterConfig(input_dim=620, bottleneck=6, hidden=12, num_blocks=3)
@@ -157,16 +158,42 @@ def test_blocked_trace_matches_whole_utterance_oracle(frames):
     lfbe = rng.standard_normal((frames, 20)) * 3.0 - 5.0
     trace = posterior_trace(model, lfbe)
     assert trace.shape == (frames,)
-    np.testing.assert_allclose(trace, whole_utterance_trace(model, lfbe), rtol=0, atol=1e-12)
+    # float32 against the float64 oracle: a one-row context shift moves
+    # the trace by orders of magnitude more than this
+    np.testing.assert_allclose(trace, whole_utterance_trace(model, lfbe), rtol=0, atol=1e-6)
 
 
-def test_trace_folds_the_scaler_instead_of_standardizing(monkeypatch):
-    def refuse(self, x):
-        raise AssertionError("posterior_trace made a standardized copy")
+def test_trace_folds_the_scaler_once_and_runs_float32_blocks(monkeypatch):
+    folds, blocks = [], []
+    fold, forward_body = wwspot.decode._fold_scaler, wwspot.decode._forward
 
-    monkeypatch.setattr(FeatureScaler, "apply", refuse)
-    lfbe = np.random.default_rng(5).standard_normal((2 * CHUNK_FRAMES + 40, 20))
-    assert np.isfinite(posterior_trace(small_spotter(5), lfbe)).all()
+    def counting_fold(model, dtype):
+        folds.append(dtype)
+        return fold(model, dtype)
+
+    def recording(params, num_blocks, x, cache=None):
+        blocks.append((x.dtype, x.shape, {a.dtype for a in params.values()}, cache))
+        return forward_body(params, num_blocks, x, cache)
+
+    monkeypatch.setattr(wwspot.decode, "_fold_scaler", counting_fold)
+    monkeypatch.setattr(wwspot.decode, "_forward", recording)
+    frames = 2 * CHUNK_FRAMES + 40
+    lfbe = np.random.default_rng(5).standard_normal((frames, 20))
+    trace = posterior_trace(small_spotter(5), lfbe)
+    assert folds == [np.float32]
+    assert [shape for _, shape, _, _ in blocks] == [
+        (CHUNK_FRAMES, 620), (CHUNK_FRAMES, 620), (40, 620)
+    ]
+    for dtype, _, param_dtypes, cache in blocks:
+        assert dtype == np.float32 and param_dtypes == {np.dtype(np.float32)}
+        assert cache is None
+    assert trace.dtype == np.float64 and np.isfinite(trace).all()
+
+
+def test_trace_rejects_a_model_of_another_input_width():
+    model = init_model(SpotterConfig(input_dim=600, bottleneck=4, hidden=8), 0)
+    with pytest.raises(ModelError, match="input dim 620 does not match model 600"):
+        posterior_trace(model, np.zeros((40, 20)))
 
 
 def test_trace_rejects_non_matrix_input():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import kink_free_batch, pre_activations
+from oracles import kink_free_batch, pre_activations, standardize
 
 import wwspot.model
 from wwspot.model import (
@@ -13,7 +13,6 @@ from wwspot.model import (
     SpotterModel,
     TrainConfig,
     TrainingDiverged,
-    forward,
     gradient,
     init_model,
     load_model,
@@ -44,7 +43,7 @@ def random_batch(rng, n, dim):
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     model = tiny_model()
-    probs = forward(model, rng.standard_normal((50, 10)) * 3)
+    probs = posteriors(model, rng.standard_normal((50, 10)) * 3)
     assert np.all(probs > 0)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-6
 
@@ -53,7 +52,7 @@ def test_zero_weights_give_uniform_posteriors():
     model = tiny_model()
     for name in model.params:
         model.params[name][:] = 0.0
-    probs = forward(model, np.random.default_rng(1).standard_normal((7, 10)))
+    probs = posteriors(model, np.random.default_rng(1).standard_normal((7, 10)))
     assert np.allclose(probs, 0.5)
 
 
@@ -70,7 +69,7 @@ def test_forward_matches_straight_line_recomputation():
         h = np.where(a > 0, a, 0.0)
     logits = h @ p["weight_out"] + p["bias_out"]
     expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    assert np.max(np.abs(forward(model, x) - expected)) <= 1e-6
+    assert np.max(np.abs(posteriors(model, x) - expected)) <= 1e-6
 
 
 def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
@@ -89,7 +88,7 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
     monkeypatch.setattr(wwspot.model, "_forward", recording)
     gradient(model, x, y, pos)
     [(cache, cached_probs)] = passes
-    assert np.array_equal(forward(model, x), cached_probs)
+    assert np.array_equal(posteriors(model, x), cached_probs)
     assert passes[1][0] is None  # inference keeps no activations
     # the cache holds the input, then each block's ReLU output and
     # bottleneck output, as recomputed from the parameters
@@ -102,7 +101,7 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
 
 def test_forward_shape_mismatch():
     with pytest.raises(ModelError, match="input dim"):
-        forward(tiny_model(), np.zeros((3, 11)))
+        posteriors(tiny_model(), np.zeros((3, 11)))
 
 
 def test_posteriors_applies_scaler():
@@ -113,7 +112,8 @@ def test_posteriors_applies_scaler():
     model.scaler = FeatureScaler(mean, std)
     raw = rng.standard_normal((6, 10)) * std + mean
     np.testing.assert_allclose(
-        posteriors(model, raw), forward(model, (raw - mean) / std), rtol=0, atol=1e-12
+        posteriors(model, raw), posteriors(tiny_model(), standardize(model.scaler, raw)),
+        rtol=0, atol=1e-12,
     )
 
 
@@ -164,7 +164,7 @@ def test_loss_invariant_to_targets_on_negative_utterances():
 
 
 def loss_of(model, x, y, pos):
-    probs, = (forward(model, x),)
+    probs, = (posteriors(model, x),)
     return ssl_loss(probs[:, 1], y, pos)[0]
 
 
@@ -174,7 +174,7 @@ def test_gradient_matches_central_finite_differences(seed):
     model = tiny_model(seed=seed + 10)
     x, y, pos = kink_free_batch(model, rng, 12, 10)
     loss, grads = gradient(model, x, y, pos)
-    assert loss == ssl_loss(forward(model, x)[:, 1], y, pos)[0]
+    assert loss == ssl_loss(posteriors(model, x)[:, 1], y, pos)[0]
     h = 1e-4
     for name, g in grads.items():
         param = model.params[name]
@@ -225,7 +225,7 @@ def scaled_pair(seed):
     plain = tiny_model(seed=seed + 20)
     x, y, pos = random_batch(rng, 64, 10)
     raw = x * scaled.scaler.std + scaled.scaler.mean
-    return scaled, plain, raw, scaled.scaler.apply(raw), y, pos
+    return scaled, plain, raw, standardize(scaled.scaler, raw), y, pos
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -426,7 +426,7 @@ def test_text_checkpoint_round_trip_is_exact(tmp_path):
     save_model(model, path, mode="text")
     back = load_model(path)
     x = np.random.default_rng(1).standard_normal((20, 10))
-    assert np.max(np.abs(forward(back, x) - forward(model, x))) <= 1e-9
+    assert np.max(np.abs(posteriors(back, x) - posteriors(model, x))) <= 1e-9
     for name in model.params:
         assert np.array_equal(back.params[name], model.params[name])
     assert np.array_equal(back.scaler.mean, model.scaler.mean)
@@ -438,7 +438,7 @@ def test_f32_checkpoint_round_trip_is_close(tmp_path):
     save_model(model, path, mode="f32")
     back = load_model(path)
     x = np.random.default_rng(2).standard_normal((20, 10))
-    assert np.max(np.abs(forward(back, x) - forward(model, x))) <= 1e-4
+    assert np.max(np.abs(posteriors(back, x) - posteriors(model, x))) <= 1e-4
 
 
 def test_truncated_checkpoint_rejected(tmp_path):
