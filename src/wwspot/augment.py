@@ -16,11 +16,12 @@ from typing import Any, Callable
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .audio import AudioClip, WRITE_PEAK, parallel_map, rms_power, read_wav, write_wav
+from .audio import SAMPLE_RATE, AudioClip, WRITE_PEAK, parallel_map, rms_power, read_wav, write_wav
 from .tsv import DataError, read_tsv, write_tsv
 
 SNR_CLAMP_DB = (-5.0, 40.0)
 TAIL_ENERGY_FRACTION = 1e-4
+SPEED_OF_SOUND = 343.0  # m/s
 
 CONDITIONS = ("CTM", "CTM+R", "CTM+N", "CTM+RN")
 _CONDITION_SLUGS = {"CTM": "ctm", "CTM+R": "rev", "CTM+N": "noi", "CTM+RN": "rvn"}
@@ -47,8 +48,6 @@ class RoomSpec:
     mic_pos: tuple[float, float, float]
     reflection_coeff: float = 0.7
     max_order: int = 3
-    speed_of_sound: float = 343.0
-    sample_rate: int = 16000
 
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=np.float64)
@@ -116,7 +115,7 @@ def _truncate_tail(taps: np.ndarray, fraction: float = TAIL_ENERGY_FRACTION) -> 
 
 def synthesize_rir(room: RoomSpec, id: str = "") -> RirFilter:
     """Image-source RIR: each image adds beta^reflections / (4*pi*d) at
-    the sample nearest d / speed_of_sound, then the tail holding less
+    the sample nearest d / SPEED_OF_SOUND, then the tail holding less
     than 1e-4 of the total energy is cut."""
     dims = np.asarray(room.dimensions, dtype=np.float64)
     src = np.asarray(room.source_pos, dtype=np.float64)
@@ -134,7 +133,7 @@ def synthesize_rir(room: RoomSpec, id: str = "") -> RirFilter:
     keep = dist > 1e-9
     dist = dist[keep]
     amps = np.power(room.reflection_coeff, counts[keep]) / (4.0 * np.pi * dist)
-    delays = (dist * room.sample_rate / room.speed_of_sound + 0.5).astype(np.int64)
+    delays = (dist * SAMPLE_RATE / SPEED_OF_SOUND + 0.5).astype(np.int64)
     taps = np.bincount(delays, weights=amps)
     return RirFilter(_truncate_tail(taps), id=id)
 

@@ -218,7 +218,6 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         minibatch_size=cfg.getint("training", "minibatch_size", lo=1),
         epochs=cfg.getint("training", "epochs", lo=0),
         rng_seed=_seed(args, cfg),
-        l2_coefficient=cfg.getfloat("training", "l2_coefficient", lo=0.0),
     )
     model_cfg = SpotterConfig(
         bottleneck=cfg.getint("training", "bottleneck", lo=1),

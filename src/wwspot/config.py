@@ -41,7 +41,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "learning_rate": "0.5",
         "minibatch_size": "256",
         "epochs": "10",
-        "l2_coefficient": "0.0",
         "bottleneck": "87",
         "hidden": "400",
         "checkpoint_mode": "text",

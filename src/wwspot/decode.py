@@ -21,8 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import CHUNK_FRAMES, LEFT_CONTEXT, RIGHT_CONTEXT, FeatureError
-from .mining import FRAME_HOP_S, MinedExample, POSITIVE
+from .features import (
+    CHUNK_FRAMES,
+    CONTEXT_WIDTH,
+    HOP_S,
+    LEFT_CONTEXT,
+    RIGHT_CONTEXT,
+    FeatureError,
+)
+from .mining import MinedExample, POSITIVE
 from .model import SpotterModel, _check_input_dim, _fold_scaler, _forward
 from .tsv import DataError, read_tsv, write_tsv
 
@@ -112,18 +119,13 @@ def average_duration_frames(examples: list[MinedExample]) -> int:
     ]
     if not spans:
         raise DecodeError("no positive examples to measure")
-    return max(1, int(round(float(np.mean(spans)) / FRAME_HOP_S)))
+    return max(1, int(round(float(np.mean(spans)) / HOP_S)))
 
 
-def posterior_trace(
-    model: SpotterModel,
-    lfbe: np.ndarray,
-    left: int = LEFT_CONTEXT,
-    right: int = RIGHT_CONTEXT,
-) -> np.ndarray:
+def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
     """Per-frame wake-word posterior for one utterance's LFBE matrix.
 
-    Equals `posteriors(model, stack_context(lfbe, left, right))[:, 1]`
+    Equals `posteriors(model, stack_context(lfbe))[:, 1]`
     within 1e-6, computed in float32: the scaler is folded into a
     float32 copy of the parameters once, and each block of CHUNK_FRAMES
     frames refills one reusable float32 buffer of stacked inputs and
@@ -136,19 +138,18 @@ def posterior_trace(
     if lfbe.ndim != 2 or lfbe.shape[0] < 1:
         raise FeatureError("expected a non-empty (frames, bins) matrix")
     n, bins = lfbe.shape
-    width = left + 1 + right
-    _check_input_dim(model, width * bins)
+    _check_input_dim(model, CONTEXT_WIDTH * bins)
     params, _ = _fold_scaler(model, np.float32)
     trace = np.empty(n)
-    buf = np.empty((min(n, CHUNK_FRAMES), width * bins), dtype=np.float32)
+    buf = np.empty((min(n, CHUNK_FRAMES), CONTEXT_WIDTH * bins), dtype=np.float32)
     for lo in range(0, n, CHUNK_FRAMES):
         hi = min(lo + CHUNK_FRAMES, n)
         rows = buf[: hi - lo]
-        # frame t's row is span rows t-lo .. t-lo+left+right, contiguous in
+        # frame t's row is span rows t-lo .. t-lo+CONTEXT_WIDTH-1, contiguous in
         # memory; the span is cast once, so the window copy casts nothing
-        span = lfbe[np.clip(np.arange(lo - left, hi + right), 0, n - 1)]
+        span = lfbe[np.clip(np.arange(lo - LEFT_CONTEXT, hi + RIGHT_CONTEXT), 0, n - 1)]
         span = span.astype(np.float32).reshape(-1)
-        rows[:] = sliding_window_view(span, width * bins)[::bins]
+        rows[:] = sliding_window_view(span, CONTEXT_WIDTH * bins)[::bins]
         trace[lo:hi] = _forward(params, model.config.num_blocks, rows)[:, 1]
     return trace
 

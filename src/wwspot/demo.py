@@ -29,7 +29,7 @@ from .augment import (
 from .config import ConfigError, PipelineConfig
 from .decode import DecodeConfig, average_duration_frames, posterior_trace
 from .evaluate import EvalResult, det_curve, det_svg, write_det_csv
-from .features import compute_lfbe
+from .features import FRAMES_PER_S, compute_lfbe
 from .lexicon import build_confusable_set, load_lexicon
 from .mining import balance_examples, load_hypotheses, mine_examples
 from .model import SpotterConfig, TrainConfig, train
@@ -108,7 +108,6 @@ def run_demo(
         minibatch_size=cfg.getint("training", "minibatch_size", lo=1),
         epochs=cfg.getint("demo", "epochs", lo=1),
         rng_seed=seed,
-        l2_coefficient=cfg.getfloat("training", "l2_coefficient", lo=0.0),
     )
     sweep = cfg.thresholds()
     min_gap = cfg.getint("decoding", "min_gap_frames", lo=0)
@@ -146,7 +145,8 @@ def run_demo(
         clip, _ = corrupt(clip, noise, music, test_spec, test_rng)
         test_clips[utt.utt_id] = clip
         references[utt.utt_id] = [
-            (int(round(s * 100)), int(round(e * 100))) for s, e in utt.wake_spans()
+            (int(round(s * FRAMES_PER_S)), int(round(e * FRAMES_PER_S)))
+            for s, e in utt.wake_spans()
         ]
 
     # 3. confusables and mining

@@ -15,9 +15,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decode import DecodeConfig, Detection, detect_peaks, smooth
+from .features import FRAMES_PER_S
 from .tsv import DataError
 
-FRAMES_PER_HOUR = 100 * 3600
+FRAMES_PER_HOUR = FRAMES_PER_S * 3600
 DEFAULT_TOLERANCE_FRAMES = 50
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import HOP_S
 from .lexicon import ConfusableSet
 from .tsv import DataError, byte_lines, read_tsv, write_tsv
 
@@ -24,8 +25,6 @@ log = logging.getLogger(__name__)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-
-FRAME_HOP_S = 0.01
 
 
 class MiningError(DataError):
@@ -197,13 +196,13 @@ def make_frame_targets(example: MinedExample, frame_count: int) -> np.ndarray:
     start, end = example.trigger_span
     if end <= start:
         raise MiningError(f"{example.utt_id}: degenerate trigger span")
-    duration = frame_count * FRAME_HOP_S
-    if start < 0 or end > duration + FRAME_HOP_S:
+    duration = frame_count * HOP_S
+    if start < 0 or end > duration + HOP_S:
         raise MiningError(
             f"{example.utt_id}: span ({start:.3f}, {end:.3f}) outside "
             f"{duration:.2f}s of audio"
         )
-    centers = (np.arange(frame_count) + 0.5) * FRAME_HOP_S
+    centers = (np.arange(frame_count) + 0.5) * HOP_S
     inside = (centers >= start) & (centers < end)
     if not inside.any():
         raise MiningError(f"{example.utt_id}: span covers no frame center")

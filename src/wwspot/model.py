@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LEFT_CONTEXT, RIGHT_CONTEXT, context_indices
+from .features import CONTEXT_WIDTH, NUM_MEL_BINS, context_indices
 from .tsv import DataError
 
 Q_CLAMP = 1e-7
@@ -48,7 +49,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class SpotterConfig:
-    input_dim: int = 620
+    input_dim: int = CONTEXT_WIDTH * NUM_MEL_BINS
     bottleneck: int = 87
     hidden: int = 400
     num_blocks: int = 3
@@ -56,7 +57,11 @@ class SpotterConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "bottleneck", "hidden", "num_blocks", "num_classes"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            # bool is an int subclass; a float size would fail deep in the loader
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ModelError(f"{name} must be >= 1")
 
     def array_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
@@ -274,7 +279,6 @@ class TrainConfig:
     minibatch_size: int = 256
     epochs: int = 10
     rng_seed: int = 0
-    l2_coefficient: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -283,8 +287,6 @@ class TrainConfig:
             raise ModelError("minibatch_size must be >= 1")
         if self.epochs < 0:
             raise ModelError("epochs must be >= 0")
-        if self.l2_coefficient < 0:
-            raise ModelError("l2_coefficient must be >= 0")
 
 
 class FrameDataset:
@@ -328,9 +330,7 @@ class FrameDataset:
         return cls(x, gather, targets, is_positive_utt)
 
     @classmethod
-    def from_utterances(
-        cls, utterances, left: int = LEFT_CONTEXT, right: int = RIGHT_CONTEXT
-    ) -> "FrameDataset":
+    def from_utterances(cls, utterances) -> "FrameDataset":
         """Build from (lfbe_matrix, frame_targets, is_positive) triples;
         context windows never cross utterance boundaries."""
         bases, gathers, targets, polarity = [], [], [], []
@@ -341,7 +341,7 @@ class FrameDataset:
             if n != len(utt_targets):
                 raise ModelError("frame targets do not match the feature length")
             bases.append(lfbe)
-            gathers.append(context_indices(n, left, right) + offset)
+            gathers.append(context_indices(n) + offset)
             targets.append(np.asarray(utt_targets, dtype=np.uint8))
             polarity.append(np.full(n, bool(is_pos)))
             offset += n
@@ -423,10 +423,7 @@ def train(
             for name, g in grads.items():
                 # in float64, like the parameters it updates: a float32 step
                 # would round the update and overflow (with a warning) on a diverging run
-                step = np.multiply(scale, g, dtype=np.float64)
-                if cfg.l2_coefficient:
-                    step += cfg.learning_rate * cfg.l2_coefficient * model.params[name]
-                model.params[name] -= step
+                model.params[name] -= np.multiply(scale, g, dtype=np.float64)
         log.append(epoch_loss / n)
     return model, log
 
@@ -509,9 +506,14 @@ def load_model(path: str | os.PathLike, expected_classes: int | None = None) -> 
                 num_blocks=meta["num_blocks"],
                 num_classes=meta["num_classes"],
             )
+            nonlinearity = meta["nonlinearity"]
             listed = [(name, tuple(shape)) for name, shape in meta["arrays"]]
-        except (KeyError, TypeError) as exc:
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"{path}: corrupt checkpoint header") from exc
+        if nonlinearity != "relu":
+            raise ModelError(f"{path}: unsupported nonlinearity {nonlinearity!r}")
         expected = config.array_shapes() + [
             ("scaler_mean", (config.input_dim,)),
             ("scaler_std", (config.input_dim,)),
@@ -524,12 +526,14 @@ def load_model(path: str | os.PathLike, expected_classes: int | None = None) -> 
                 f"expected {expected_classes}"
             )
         loaded: dict[str, np.ndarray] = {}
+        size = os.fstat(fh.fileno()).st_size
         for name, shape in expected:
             if mode == "text":
                 loaded[name] = _read_text_array(fh, shape)
             else:
-                count = int(np.prod(shape))
-                raw = fh.read(count * 4)
+                count = math.prod(shape)
+                # a corrupt header can name more bytes than the file holds
+                raw = fh.read(min(count * 4, size))
                 if len(raw) != count * 4:
                     raise ModelError(f"{path}: truncated checkpoint")
                 loaded[name] = (

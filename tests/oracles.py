@@ -12,8 +12,16 @@ from functools import cache
 
 import numpy as np
 
-from wwspot.augment import RoomSpec
-from wwspot.features import LEFT_CONTEXT, RIGHT_CONTEXT, mel_filterbank, stack_context
+from wwspot.audio import SAMPLE_RATE
+from wwspot.augment import SPEED_OF_SOUND, RoomSpec
+from wwspot.features import (
+    FFT_SIZE,
+    HOP_SAMPLES,
+    LOG_FLOOR,
+    WINDOW_SAMPLES,
+    mel_filterbank,
+    stack_context,
+)
 from wwspot.model import posteriors
 
 
@@ -64,7 +72,7 @@ def oracle_rir_taps(room: RoomSpec) -> np.ndarray:
                 if d <= 1e-9:
                     continue
                 amp = room.reflection_coeff ** (cx + cy + cz) / (4 * math.pi * d)
-                delay = int(d * room.sample_rate / room.speed_of_sound + 0.5)
+                delay = int(d * SAMPLE_RATE / SPEED_OF_SOUND + 0.5)
                 taps[delay] = taps.get(delay, 0.0) + amp
     vec = np.zeros(max(taps) + 1)
     for k, v in taps.items():
@@ -112,16 +120,15 @@ def kink_free_batch(model, rng, n, dim, margin=5e-3):
     return x, (y & pos).astype(np.uint8), pos
 
 
-def whole_matrix_lfbe(clip, cfg):
+def whole_matrix_lfbe(clip):
     """The LFBE definition applied to every frame at once: an explicit
     (frames, window) gather of the samples, then Hann window, |rfft|^2,
     mel matmul and log over the whole matrix."""
-    sr = clip.sample_rate
-    window, hop = cfg.window_len(sr), cfg.hop_len(sr)
+    window, hop = WINDOW_SAMPLES, HOP_SAMPLES
     n = 1 + (clip.samples.size - window) // hop
     frames = clip.samples[np.arange(n)[:, None] * hop + np.arange(window)[None, :]]
-    spectrum = np.abs(np.fft.rfft(frames * np.hanning(window), cfg.fft_size(sr), axis=1)) ** 2
-    return np.log(spectrum @ mel_filterbank(cfg, sr).T + cfg.log_floor)
+    spectrum = np.abs(np.fft.rfft(frames * np.hanning(window), FFT_SIZE, axis=1)) ** 2
+    return np.log(spectrum @ mel_filterbank().T + LOG_FLOOR)
 
 
 def standardize(scaler, x):
@@ -129,7 +136,7 @@ def standardize(scaler, x):
     return (x - scaler.mean) / scaler.std
 
 
-def whole_utterance_trace(model, lfbe, left=LEFT_CONTEXT, right=RIGHT_CONTEXT):
+def whole_utterance_trace(model, lfbe):
     """Wake-word posteriors of the whole utterance's stacked inputs,
     scaled and run through the network as one batch."""
-    return posteriors(model, stack_context(lfbe, left, right))[:, 1]
+    return posteriors(model, stack_context(lfbe))[:, 1]

@@ -16,7 +16,7 @@ from oracles import (
     recursive_distance,
 )
 
-from wwspot.audio import AudioClip, rms_power
+from wwspot.audio import SAMPLE_RATE, AudioClip, rms_power
 from wwspot.augment import (
     CorruptionSpec,
     MixRecipe,
@@ -36,7 +36,7 @@ from wwspot.lexicon import ConfusableSet, build_confusable_set, levenshtein, loa
 from wwspot.mining import NEGATIVE, POSITIVE, UtteranceHypothesis, WordHyp, mine_examples
 from wwspot.model import SpotterConfig, gradient, init_model, posteriors, ssl_loss
 
-SR = 16000
+SR = SAMPLE_RATE
 
 
 # --- criterion: SNR fidelity ------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import naive_convolve_truncated, oracle_rir_taps
 
-from wwspot.audio import AudioClip, read_wav, rms_power
+from wwspot.audio import SAMPLE_RATE, AudioClip, read_wav, rms_power
 from wwspot.augment import (
     CONDITIONS,
     AugmentError,
@@ -22,7 +22,7 @@ from wwspot.augment import (
     write_manifest,
 )
 
-SR = 16000
+SR = SAMPLE_RATE
 SPEED = 343.0
 
 

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import read_manifest
 from wwspot.cli import _read_references, _read_utt_frames, main
 from wwspot.decode import read_detections
+from wwspot.features import FRAMES_PER_S
 from wwspot.lexicon import load_lexicon, read_confusables
 from wwspot.mining import NEGATIVE, POSITIVE, read_mined
 from wwspot.synth import (
@@ -154,6 +156,9 @@ def test_det_without_inputs_exits_3(tmp_path, corpus, capsys):
 
 
 def test_full_cli_pipeline(tmp_path, corpus):
+    # confusables -> mine -> augment --mined -> train --augment-manifest ->
+    # decode -> eval -> det; past the corpus, each stage reads only what
+    # the stages before it wrote
     runs = str(tmp_path / "runs")
     assert main(
         [
@@ -181,9 +186,26 @@ def test_full_cli_pipeline(tmp_path, corpus):
 
     assert main(
         [
+            "augment",
+            "--clean-dir", corpus["wav"],
+            "--mined", mined,
+            "--rir-dir", corpus["rirs"],
+            "--noise-dir", corpus["noise"],
+            "--set", "augment.table_row=50K",
+            "--set", "augment.recipe_scale=0.0005",
+            "--set", "augment.noise_music_split=1.0",
+            "--out", runs,
+        ]
+    ) == 0
+    manifest = os.path.join(_single_run_dir(runs, "augment"), "manifest.tsv")
+    mined_ids = {e.utt_id for e in read_mined(mined)}
+    assert {r.source_id for r in read_manifest(manifest)} <= mined_ids
+
+    assert main(
+        [
             "train",
             "--mined", mined,
-            "--audio-dir", corpus["wav"],
+            "--augment-manifest", manifest,
             "--set", "training.epochs=2",
             "--set", "training.bottleneck=8",
             "--set", "training.hidden=16",
@@ -200,7 +222,7 @@ def test_full_cli_pipeline(tmp_path, corpus):
     rows = []
     for utt in corpus["utts"]:
         for s, e in utt.wake_spans():
-            rows.append(f"{utt.utt_id}\t{round(s * 100)}\t{round(e * 100)}")
+            rows.append(f"{utt.utt_id}\t{round(s * FRAMES_PER_S)}\t{round(e * FRAMES_PER_S)}")
     refs.write_text("\n".join(rows) + "\n")
     assert main(
         [
@@ -375,7 +397,7 @@ def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys, name, 
 
     wav_dir = tmp_path / "wav"
     wav_dir.mkdir()
-    samples = np.random.default_rng(0).standard_normal(16000) * 0.1
+    samples = np.random.default_rng(0).standard_normal(SAMPLE_RATE) * 0.1
     write_wav(AudioClip(samples), wav_dir / name)
     ckpt = tmp_path / "model.ckpt"
     save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
@@ -416,54 +438,26 @@ def test_decode_rejects_a_float_wav_with_a_non_finite_sample(tmp_path, capsys, b
     assert f"{wav}: non-finite samples" in capsys.readouterr().err
 
 
-def test_train_on_augment_manifest(tmp_path, corpus):
-    runs = str(tmp_path / "runs")
-    assert main(
+def test_decode_rejects_a_float_layer_size_in_the_checkpoint_with_exit_3(tmp_path, capsys):
+    from wwspot.audio import AudioClip, write_wav
+    from wwspot.model import SpotterConfig, init_model, save_model
+
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    write_wav(AudioClip(np.zeros(SAMPLE_RATE)), wav_dir / "u0.wav")
+    ckpt = tmp_path / "model.ckpt"
+    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b'"hidden": 8,', b'"hidden": 8.0,', 1))
+    rc = main(
         [
-            "confusables",
-            "--lexicon", corpus["lexicon"],
-            "--frequencies", corpus["freqs"],
-            "--wake-word", WAKE_WORD,
-            "--out", runs,
+            "decode", "--model", str(ckpt), "--wav-dir", str(wav_dir),
+            "--out", str(tmp_path / "runs"),
         ]
-    ) == 0
-    conf = os.path.join(_single_run_dir(runs, "confusables"), "confusables.tsv")
-    assert main(
-        [
-            "mine",
-            "--hypotheses", corpus["hyp"],
-            "--confusables", conf,
-            "--wake-word", WAKE_WORD,
-            "--out", runs,
-        ]
-    ) == 0
-    mined = os.path.join(_single_run_dir(runs, "mine"), "mined.tsv")
-    assert main(
-        [
-            "augment",
-            "--clean-dir", corpus["wav"],
-            "--mined", mined,
-            "--rir-dir", corpus["rirs"],
-            "--noise-dir", corpus["noise"],
-            "--set", "augment.table_row=50K",
-            "--set", "augment.recipe_scale=0.0005",
-            "--set", "augment.noise_music_split=1.0",
-            "--out", runs,
-        ]
-    ) == 0
-    manifest = os.path.join(_single_run_dir(runs, "augment"), "manifest.tsv")
-    assert main(
-        [
-            "train",
-            "--mined", mined,
-            "--augment-manifest", manifest,
-            "--set", "training.epochs=1",
-            "--set", "training.bottleneck=8",
-            "--set", "training.hidden=16",
-            "--out", runs,
-        ]
-    ) == 0
-    assert os.path.isfile(os.path.join(_single_run_dir(runs, "train"), "model.ckpt"))
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{ckpt}: hidden must be an integer, got 8.0" in err
+    assert "Traceback" not in err
 
 
 def test_eval_rejects_duplicate_utt_ids(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from oracles import whole_utterance_trace
 
 import wwspot.decode
-from wwspot.audio import AudioClip
+from wwspot.audio import SAMPLE_RATE, AudioClip
 from wwspot.decode import (
     DecodeConfig,
     DecodeError,
@@ -220,10 +220,10 @@ def test_decode_memory_is_flat_against_length():
     # stacked inputs would add tens of MB
     rng = np.random.default_rng(0)
     model = small_spotter()
-    compute_lfbe(AudioClip(np.zeros(16000)))  # fill the filterbank cache
+    compute_lfbe(AudioClip(np.zeros(SAMPLE_RATE)))  # fill the filterbank cache
     peaks = {}
     for seconds in (15, 60):
-        clip = AudioClip(rng.standard_normal(16000 * seconds) * 0.1)
+        clip = AudioClip(rng.standard_normal(SAMPLE_RATE * seconds) * 0.1)
         lfbe, lfbe_peak = _traced_peak(compute_lfbe, clip)
         trace, trace_peak = _traced_peak(posterior_trace, model, lfbe)
         peaks[seconds] = (lfbe_peak, lfbe.nbytes, trace_peak, trace.nbytes)

@@ -1,10 +1,13 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import kink_free_batch, pre_activations, standardize
 
 import wwspot.model
+from wwspot.features import CONTEXT_WIDTH, LEFT_CONTEXT, RIGHT_CONTEXT
 from wwspot.model import (
     FeatureScaler,
     FrameDataset,
@@ -339,12 +342,10 @@ def test_train_computes_in_float32_over_float64_parameters(monkeypatch):
     rng = np.random.default_rng(6)
     dataset = FrameDataset.from_utterances(
         [(rng.standard_normal((n, 2)) * 3.0 - 5.0, rng.integers(0, 2, n), n % 2 == 0)
-         for n in (30, 41, 52)],
-        left=2,
-        right=1,
+         for n in (30, 41, 52)]
     )
     cfg = TrainConfig(learning_rate=0.3, minibatch_size=32, epochs=2, rng_seed=1)
-    model, _ = train(dataset, cfg, TOY_CFG)
+    model, _ = train(dataset, cfg, replace(TOY_CFG, input_dim=CONTEXT_WIDTH * 2))
     assert len(inputs) == len(indices) == cfg.epochs * math.ceil(len(dataset) / 32)
     for idx, x in zip(indices, inputs):
         assert x.dtype == np.float32
@@ -390,26 +391,28 @@ def test_dataset_lazy_stacking_matches_explicit():
     rng = np.random.default_rng(12)
     utts = []
     for n in (9, 13):
-        lfbe = rng.standard_normal((n, 4))
+        lfbe = rng.standard_normal((n, 2))
         targets = np.zeros(n, np.uint8)
         targets[3:5] = 1
         utts.append((lfbe, targets, True))
-    dataset = FrameDataset.from_utterances(utts, left=2, right=1)
-    assert dataset.dim == 16
+    dataset = FrameDataset.from_utterances(utts)
+    assert dataset.dim == 62
     x, y, pos = dataset.batch(np.arange(len(dataset)))
     # frame 0 of the second utterance replicates its own edge, not the
     # previous utterance's frames
     first_of_second = x[9]
     lfbe2 = utts[1][0]
-    expected = np.concatenate([lfbe2[0], lfbe2[0], lfbe2[0], lfbe2[1]])
+    expected = np.concatenate(
+        [lfbe2[0]] * (LEFT_CONTEXT + 1) + [lfbe2[1 : RIGHT_CONTEXT + 1].reshape(-1)]
+    )
     assert np.array_equal(first_of_second, expected)
 
 
 def test_fit_scaler_matches_direct_computation():
     rng = np.random.default_rng(13)
-    utts = [(rng.standard_normal((20, 4)) * 3 + 1, np.zeros(20, np.uint8), False),
-            (rng.standard_normal((11, 4)), np.ones(11, np.uint8), True)]
-    dataset = FrameDataset.from_utterances(utts, left=2, right=1)
+    utts = [(rng.standard_normal((20, 2)) * 3 + 1, np.zeros(20, np.uint8), False),
+            (rng.standard_normal((11, 2)), np.ones(11, np.uint8), True)]
+    dataset = FrameDataset.from_utterances(utts)
     scaler = dataset.fit_scaler()
     x, _, _ = dataset.batch(np.arange(len(dataset)))
     assert np.allclose(scaler.mean, x.mean(axis=0), atol=1e-12)
@@ -493,3 +496,45 @@ def test_class_count_mismatch_rejected(tmp_path):
     with pytest.raises(ModelError, match="3 classes, expected 2"):
         load_model(path, expected_classes=2)
     assert load_model(path).config.num_classes == 3
+
+
+@pytest.mark.parametrize("value", [8.0, True, "8"])
+def test_config_rejects_a_size_that_is_not_an_int(value):
+    with pytest.raises(ModelError, match="hidden must be an integer"):
+        SpotterConfig(input_dim=10, bottleneck=4, hidden=value)
+
+
+def _edit_header(path, **fields):
+    lines = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(lines[1])
+    meta.update(fields)
+    lines[1] = json.dumps(meta, sort_keys=True).encode("ascii")
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"hidden": 8.0}, "hidden must be an integer, got 8.0"),
+        ({"num_blocks": True}, "num_blocks must be an integer, got True"),
+        ({"nonlinearity": "tanh"}, "unsupported nonlinearity 'tanh'"),
+        ({"arrays": [["bias1", [8], 3]]}, "corrupt checkpoint header"),
+    ],
+)
+def test_corrupt_header_values_rejected(tmp_path, fields, message):
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(seed=11), path)
+    _edit_header(path, **fields)
+    with pytest.raises(ModelError, match=f"m.ckpt: {message}"):
+        load_model(path)
+
+
+def test_layer_sizes_beyond_the_file_rejected(tmp_path):
+    # the f32 reader must not try to allocate what a corrupt header names
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(seed=12), path, mode="f32")
+    huge = SpotterConfig(input_dim=10, bottleneck=4, hidden=10**15)
+    arrays = [[name, list(shape)] for name, shape in huge.array_shapes()]
+    _edit_header(path, hidden=10**15, arrays=arrays + [["scaler_mean", [10]], ["scaler_std", [10]]])
+    with pytest.raises(ModelError, match="m.ckpt: truncated checkpoint"):
+        load_model(path)
