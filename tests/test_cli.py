@@ -438,6 +438,56 @@ def test_decode_rejects_a_float_wav_with_a_non_finite_sample(tmp_path, capsys, b
     assert f"{wav}: non-finite samples" in capsys.readouterr().err
 
 
+def test_train_on_augment_manifest(tmp_path, corpus):
+    runs = str(tmp_path / "runs")
+    assert main(
+        [
+            "confusables",
+            "--lexicon", corpus["lexicon"],
+            "--frequencies", corpus["freqs"],
+            "--wake-word", WAKE_WORD,
+            "--out", runs,
+        ]
+    ) == 0
+    conf = os.path.join(_single_run_dir(runs, "confusables"), "confusables.tsv")
+    assert main(
+        [
+            "mine",
+            "--hypotheses", corpus["hyp"],
+            "--confusables", conf,
+            "--wake-word", WAKE_WORD,
+            "--out", runs,
+        ]
+    ) == 0
+    mined = os.path.join(_single_run_dir(runs, "mine"), "mined.tsv")
+    assert main(
+        [
+            "augment",
+            "--clean-dir", corpus["wav"],
+            "--mined", mined,
+            "--rir-dir", corpus["rirs"],
+            "--noise-dir", corpus["noise"],
+            "--set", "augment.table_row=50K",
+            "--set", "augment.recipe_scale=0.0005",
+            "--set", "augment.noise_music_split=1.0",
+            "--out", runs,
+        ]
+    ) == 0
+    manifest = os.path.join(_single_run_dir(runs, "augment"), "manifest.tsv")
+    assert main(
+        [
+            "train",
+            "--mined", mined,
+            "--augment-manifest", manifest,
+            "--set", "training.epochs=1",
+            "--set", "training.bottleneck=8",
+            "--set", "training.hidden=16",
+            "--out", runs,
+        ]
+    ) == 0
+    assert os.path.isfile(os.path.join(_single_run_dir(runs, "train"), "model.ckpt"))
+
+
 def test_decode_rejects_a_float_layer_size_in_the_checkpoint_with_exit_3(tmp_path, capsys):
     from wwspot.audio import AudioClip, write_wav
     from wwspot.model import SpotterConfig, init_model, save_model
