@@ -139,7 +139,7 @@ def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
         raise FeatureError("expected a non-empty (frames, bins) matrix")
     n, bins = lfbe.shape
     _check_input_dim(model, CONTEXT_WIDTH * bins)
-    params, _ = _fold_scaler(model, np.float32)
+    params = _fold_scaler(model, np.float32)
     trace = np.empty(n)
     buf = np.empty((min(n, CHUNK_FRAMES), CONTEXT_WIDTH * bins), dtype=np.float32)
     for lo in range(0, n, CHUNK_FRAMES):

@@ -10,15 +10,16 @@ on the analytic gradient, whose one forward pass per step also gives
 the loss; it is deterministic under a fixed seed. Parameters and
 checkpoints are float64, and so is `posteriors`. Training steps and the
 decoder's posterior trace compute in float32 over the float64
-parameters: a training step gathers its batch from one float32 copy of
-the frames, casts the parameters once per step and computes the
-softmax and the loss in float64; the trace casts them once per
-recording. Both fold the feature scaler into the first bottleneck
-rather than standardize a copy of their input, and both go through one
-forward body, which adds each bias and applies each ReLU in place: the
-gradient asks it to keep each block's activations for backprop, while
-inference keeps none, so decoding a block of frames holds only the
-activations of the layer being computed.
+parameters. A training step gathers its batch from one float32 copy of
+the frames, standardizes it into one float32 buffer, casts the
+parameters once per step and computes the softmax and the loss in
+float64. Inference folds the feature scaler into the first bottleneck
+instead, once per call or recording, so it never standardizes a copy
+of its input. Both go through one forward body, which adds each bias
+and applies each ReLU in place: the gradient asks it to keep each
+block's activations for backprop, while inference keeps none, so
+decoding a block of frames holds only the activations of the layer
+being computed.
 """
 
 from __future__ import annotations
@@ -169,14 +170,11 @@ def _check_input_dim(model: SpotterModel, dim: int) -> None:
         raise ModelError(f"input dim {dim} does not match model {model.config.input_dim}")
 
 
-def _fold_scaler(model: SpotterModel, dtype) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def _fold_scaler(model: SpotterModel, dtype) -> dict[str, np.ndarray]:
     """The model's parameters in `dtype`, with the scaler folded into the
-    first block so that they take raw stacked features, and the float64
-    offset c that the fold moved into `bias1`.
-
-    ((x - mean) / std) @ B1 = x @ (B1 / std) - c with c = (mean / std) @ B1;
-    c goes into bias1 as b1 - c @ W1, so the first bottleneck output of
-    the folded network is the true one + c."""
+    first block so that they take raw stacked features:
+    ((x - mean) / std) @ B1 = x @ (B1 / std) - c with c = (mean / std) @ B1,
+    and c goes into bias1 as b1 - c @ W1."""
     mean, std = model.scaler.mean, model.scaler.std
     p = dict(model.params)
     # diverged parameters overflow the cast; the trainer's loss guard reports them
@@ -184,8 +182,7 @@ def _fold_scaler(model: SpotterModel, dtype) -> tuple[dict[str, np.ndarray], np.
         c = (mean / std) @ p["bottleneck1"]
         p["bias1"] = p["bias1"] - c @ p["weight1"]
         p["bottleneck1"] = p["bottleneck1"] / std[:, None]
-        p = {name: a.astype(dtype, copy=False) for name, a in p.items()}
-    return p, c
+        return {name: a.astype(dtype, copy=False) for name, a in p.items()}
 
 
 def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
@@ -193,7 +190,7 @@ def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
     into the first bottleneck, so no standardized copy of raw_x is made."""
     x = np.atleast_2d(np.asarray(raw_x, dtype=np.float64))
     _check_input_dim(model, x.shape[1])
-    p, _ = _fold_scaler(model, np.float64)
+    p = _fold_scaler(model, np.float64)
     return _forward(p, model.config.num_blocks, x)
 
 
@@ -225,19 +222,24 @@ def gradient(
     """Summed frame loss (`ssl_loss` of the posteriors) and its analytic
     gradient for every weight and bias, both from one forward pass.
 
-    `x` holds raw stacked features, as for `posteriors`: the scaler is
-    folded into the first bottleneck, so no standardized copy of x is
-    made. The compute dtype follows x: float32 x is computed in float32
-    and anything else in float64. The posteriors, the loss and the logit
-    gradient are float64 either way; the gradients come back in the
-    compute dtype."""
+    `x` holds raw stacked features, as for `posteriors`. The compute
+    dtype follows x: float32 x is computed in float32 and anything else
+    in float64. x is standardized by the model's scaler into one fresh
+    buffer in that dtype, and the parameters are cast to it, so the
+    backward pass yields the gradients of the model's own parameters.
+    The posteriors, the loss and the logit gradient are float64 either
+    way; the gradients come back in the compute dtype."""
     x = np.atleast_2d(np.asarray(x))
-    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
     if model.config.num_classes != 2:
         raise ModelError("the frame loss is defined for 2-class models")
-    p, c = _fold_scaler(model, x.dtype)
-    cache = {"h": [x], "z": []}
-    probs = _forward(p, model.config.num_blocks, x, cache)
+    xs = np.subtract(x, model.scaler.mean.astype(dtype, copy=False), dtype=dtype)
+    xs /= model.scaler.std.astype(dtype, copy=False)
+    # diverged parameters overflow the cast; the trainer's loss guard reports them
+    with np.errstate(over="ignore"):
+        p = {name: a.astype(dtype, copy=False) for name, a in model.params.items()}
+    cache = {"h": [xs], "z": []}
+    probs = _forward(p, model.config.num_blocks, xs, cache)
     q = probs[:, 1]
     loss, _ = ssl_loss(q, targets, is_positive_utt)
     y_eff = np.asarray(targets, dtype=np.float64) * np.asarray(
@@ -247,7 +249,7 @@ def gradient(
     active = (q > Q_CLAMP) & (q < 1.0 - Q_CLAMP)
     dq = (-y_eff / qc + (1.0 - y_eff) / (1.0 - qc)) * active
     dlogit1 = dq * q * (1.0 - q)
-    dlogits = np.stack([-dlogit1, dlogit1], axis=1).astype(x.dtype, copy=False)
+    dlogits = np.stack([-dlogit1, dlogit1], axis=1).astype(dtype, copy=False)
 
     grads: dict[str, np.ndarray] = {}
     h_last = cache["h"][-1]
@@ -256,17 +258,13 @@ def gradient(
     dh = dlogits @ p["weight_out"].T
     for i in range(model.config.num_blocks, 0, -1):
         # h = max(a, 0), so h > 0 is exactly the ReLU mask a > 0
-        da = dh * (cache["h"][i] > 0)
+        da = np.multiply(dh, cache["h"][i] > 0, out=dh)
         grads[f"weight{i}"] = cache["z"][i - 1].T @ da
         grads[f"bias{i}"] = da.sum(axis=0)
         dz = da @ p[f"weight{i}"].T
         grads[f"bottleneck{i}"] = cache["h"][i - 1].T @ dz
         if i > 1:  # nothing reads the gradient of the input itself
             dh = dz @ p[f"bottleneck{i}"].T
-    # unfold the scaler: the cached z1 carries + c, and dz is now dL/dz1
-    grads["weight1"] -= np.outer(c, grads["bias1"])
-    grads["bottleneck1"] -= np.outer(model.scaler.mean, dz.sum(axis=0))
-    grads["bottleneck1"] /= model.scaler.std[:, None]
     return loss, grads
 
 
@@ -361,24 +359,26 @@ class FrameDataset:
         inputs are gathered from `base`, a copy of self.base in another
         dtype, when one is given."""
         base = self.base if base is None else base
-        x = base[self.gather[idx]].reshape(len(idx), self.dim)
+        x = np.take(base, self.gather[idx], axis=0).reshape(len(idx), self.dim)
         return x, self.targets[idx], self.is_positive[idx]
 
     def effective_targets(self) -> np.ndarray:
         return (self.targets.astype(bool) & self.is_positive).astype(np.uint8)
 
     def fit_scaler(self) -> FeatureScaler:
-        """Per-dimension mean/std over the stacked vectors, one context
-        column at a time to keep memory flat. Constant dimensions get
-        std 1 so standardization stays defined."""
-        width = self.gather.shape[1]
-        bins = self.base.shape[1]
-        mean = np.empty(self.dim)
-        sq = np.empty(self.dim)
+        """Per-dimension mean/std over the stacked vectors. Context column
+        k averages the frames it gathers, so it is the frames weighted by
+        how often column k gathers each of them; no column is materialized.
+        Constant dimensions get std 1 so standardization stays defined."""
+        n, width = self.gather.shape
+        frames = self.base.shape[0]
+        squares = np.square(self.base)
+        mean, sq = [], []
         for k in range(width):
-            cols = self.base[self.gather[:, k]]
-            mean[k * bins : (k + 1) * bins] = cols.mean(axis=0)
-            sq[k * bins : (k + 1) * bins] = np.square(cols).mean(axis=0)
+            w = np.bincount(self.gather[:, k], minlength=frames) / n
+            mean.append(w @ self.base)
+            sq.append(w @ squares)
+        mean, sq = np.concatenate(mean), np.concatenate(sq)
         var = np.maximum(sq - mean**2, 0.0)
         std = np.sqrt(var)
         std[std < 1e-12] = 1.0

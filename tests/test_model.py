@@ -93,9 +93,10 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
     [(cache, cached_probs)] = passes
     assert np.array_equal(posteriors(model, x), cached_probs)
     assert passes[1][0] is None  # inference keeps no activations
-    # the cache holds the input, then each block's ReLU output and
-    # bottleneck output, as recomputed from the parameters
-    assert cache["h"][0] is x
+    # the cache holds the standardized input (the identity scaler's is x
+    # itself), then each block's ReLU output and bottleneck output, as
+    # recomputed from the parameters
+    assert np.array_equal(cache["h"][0], standardize(model.scaler, x))
     assert len(cache["h"]) == len(cache["z"]) + 1 == TINY.num_blocks + 1
     for i, a in enumerate(pre_activations(model, x), start=1):
         assert np.allclose(cache["h"][i], np.maximum(a, 0.0), rtol=0, atol=1e-12)
@@ -232,7 +233,7 @@ def scaled_pair(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_gradient_folds_the_scaler_into_the_first_layer(seed):
+def test_gradient_of_raw_input_equals_the_identity_model_on_standardized_input(seed):
     scaled, plain, raw, standardized, y, pos = scaled_pair(seed)
     loss, grads = gradient(scaled, raw, y, pos)
     ref_loss, ref_grads = gradient(plain, standardized, y, pos)
@@ -243,17 +244,42 @@ def test_gradient_folds_the_scaler_into_the_first_layer(seed):
         assert np.allclose(g, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max()), name
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_float32_gradient_agrees_with_float64(seed):
-    scaled, _, raw, _, y, pos = scaled_pair(seed)
-    loss64, grads64 = gradient(scaled, raw, y, pos)
-    loss32, grads32 = gradient(scaled, raw.astype(np.float32), y, pos)
+def assert_float32_gradient_agrees_with_float64(model, raw, y, pos):
+    loss64, grads64 = gradient(model, raw, y, pos)
+    loss32, grads32 = gradient(model, raw.astype(np.float32), y, pos)
     assert isinstance(loss32, float)
     assert loss32 == pytest.approx(loss64, rel=1e-5)
     for name, g in grads32.items():
         assert g.dtype == np.float32, name
         ref = grads64[name]
         assert np.abs(g - ref).max() <= 1e-4 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float32_gradient_agrees_with_float64(seed):
+    scaled, _, raw, _, y, pos = scaled_pair(seed)
+    assert_float32_gradient_agrees_with_float64(scaled, raw, y, pos)
+
+
+def lfbe_like_utterances(rng, lengths, bins=2):
+    # log filterbank energies sit far from zero: mean about -10, std about 3
+    return [
+        (rng.standard_normal((n, bins)) * rng.uniform(2.5, 3.5, bins) + rng.uniform(-11, -9, bins),
+         rng.integers(0, 2, n).astype(np.uint8), n % 2 == 0)
+        for n in lengths
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float32_gradient_agrees_with_float64_under_an_lfbe_like_scaler(seed):
+    rng = np.random.default_rng(seed + 40)
+    dataset = FrameDataset.from_utterances(lfbe_like_utterances(rng, (90, 120, 70), bins=20))
+    config = SpotterConfig(bottleneck=16, hidden=32)
+    model = init_model(config, rng, dataset.fit_scaler())
+    assert np.all((-12.0 < model.scaler.mean) & (model.scaler.mean < -8.0))
+    assert np.all((2.0 < model.scaler.std) & (model.scaler.std < 4.5))
+    x, y, pos = dataset.batch(rng.permutation(len(dataset))[:256])
+    assert_float32_gradient_agrees_with_float64(model, x, y, pos)
 
 
 # --- training ---------------------------------------------------------------------
@@ -417,6 +443,56 @@ def test_fit_scaler_matches_direct_computation():
     x, _, _ = dataset.batch(np.arange(len(dataset)))
     assert np.allclose(scaler.mean, x.mean(axis=0), atol=1e-12)
     assert np.allclose(scaler.std, x.std(axis=0), atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_is_the_fancy_index_gather(dtype):
+    rng = np.random.default_rng(14)
+    dataset = FrameDataset.from_utterances(lfbe_like_utterances(rng, (7, 40, 3)))
+    base = dataset.base.astype(dtype)
+    idx = np.array([31, 2, 2, 49, 0, 31, 17, 5, 5, 5])  # repeated and unsorted
+    x, y, pos = dataset.batch(idx, base)
+    expected = base[dataset.gather[idx]].reshape(len(idx), dataset.dim)
+    assert x.dtype == dtype
+    assert x.tobytes() == expected.tobytes()
+    assert np.array_equal(y, dataset.targets[idx])
+    assert np.array_equal(pos, dataset.is_positive[idx])
+
+
+def per_column_scaler_oracle(dataset):
+    # every stacked vector materialized, then each column's own statistics
+    x = dataset.base[dataset.gather].reshape(len(dataset), dataset.dim)
+    return x.mean(axis=0), x.std(axis=0)
+
+
+def subsampled(dataset, n_records):
+    # the first records only, as the train benchmark trims its set
+    return FrameDataset(
+        dataset.base,
+        dataset.gather[:n_records],
+        dataset.targets[:n_records],
+        dataset.is_positive[:n_records],
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # utterances shorter than the context window replicate their edges
+        lambda rng: FrameDataset.from_utterances(lfbe_like_utterances(rng, (1, 5, 40, 1))),
+        lambda rng: FrameDataset.from_vectors(
+            rng.standard_normal((50, 6)) * 3.0 - 10.0, np.arange(50) % 2, np.ones(50, bool)
+        ),
+        lambda rng: subsampled(FrameDataset.from_utterances(lfbe_like_utterances(rng, (60, 45))), 70),
+    ],
+    ids=["short-utterances", "from-vectors", "subsampled"],
+)
+def test_fit_scaler_matches_the_per_column_oracle(make):
+    dataset = make(np.random.default_rng(15))
+    scaler = dataset.fit_scaler()
+    mean, std = per_column_scaler_oracle(dataset)
+    np.testing.assert_allclose(scaler.mean, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scaler.std, std, rtol=0, atol=1e-12)
 
 
 # --- checkpoints --------------------------------------------------------------------
