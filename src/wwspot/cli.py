@@ -55,7 +55,12 @@ _NOT_IN_RUN_KEY = {"func", "command", "config", "set", "seed", "jobs", "out", "t
 
 
 def _seed(args, cfg: PipelineConfig) -> int:
-    return args.seed if args.seed is not None else cfg.getint("run", "seed")
+    """The effective seed: --seed, else run.seed. numpy seeds are >= 0."""
+    if args.seed is None:
+        return cfg.getint("run", "seed", lo=0)
+    if args.seed < 0:
+        raise ConfigError(f"--seed: {args.seed} is below the minimum 0")
+    return args.seed
 
 
 def _run_dir(args, cfg: PipelineConfig, name: str) -> str:
@@ -119,16 +124,20 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
     max_order = cfg.getint("rir", "max_order", lo=0, hi=10)
     beta_min = cfg.getfloat("rir", "beta_min", lo=0.0, hi=1.0)
     beta_max = cfg.getfloat("rir", "beta_max", lo=beta_min, hi=1.0)
-    seed = _seed(args, cfg)
+    rng = np.random.default_rng(_seed(args, cfg))
+    rooms = []
+    for room in make_room_pool(count, rng, max_order=max_order):
+        beta = float(rng.uniform(beta_min, beta_max))
+        try:
+            rooms.append(
+                aug.RoomSpec(room.dimensions, room.source_pos, room.mic_pos, beta, max_order)
+            )
+        except aug.AugmentError as exc:
+            raise ConfigError(f"rir: {exc}") from exc
+    # every room is valid before the run directory exists
     out = _run_dir(args, cfg, "rir-gen")
-    rng = np.random.default_rng(seed)
-    rooms = make_room_pool(count, rng, max_order=max_order)
     rows = []
     for i, room in enumerate(rooms):
-        beta = float(rng.uniform(beta_min, beta_max))
-        room = aug.RoomSpec(
-            room.dimensions, room.source_pos, room.mic_pos, beta, max_order
-        )
         rir = aug.synthesize_rir(room, id=f"rir-{i:04d}")
         path = os.path.join(out, f"{rir.id}.wav")
         aug.rir_to_wav(rir, path)
@@ -223,24 +232,19 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         bottleneck=cfg.getint("training", "bottleneck", lo=1),
         hidden=cfg.getint("training", "hidden", lo=1),
     )
-    mode = cfg.getstr("training", "checkpoint_mode")
-    if mode not in ("text", "f32"):
-        raise ConfigError(f"training.checkpoint_mode: {mode!r} is not text|f32")
     examples = mining.read_mined(args.mined)
     if not examples:
         raise DataError(f"{args.mined}: no mined examples")
     if args.augment_manifest:
         rows = aug.read_manifest(args.augment_manifest)
         by_id = {e.utt_id: e for e in examples}
-        dataset = dataset_from_manifest(
-            rows, by_id, args.augment_root or os.path.dirname(args.augment_manifest)
-        )
+        dataset = dataset_from_manifest(rows, by_id, os.path.dirname(args.augment_manifest))
     else:
         dataset = dataset_from_examples(examples, args.audio_dir)
     model, log = train(dataset, train_cfg, model_cfg)
     out = _run_dir(args, cfg, "train")
     ckpt = os.path.join(out, "model.ckpt")
-    save_model(model, ckpt, mode=mode)
+    save_model(model, ckpt)
     write_tsv(
         os.path.join(out, "train_log.txt"),
         [(str(epoch), f"{loss:.6f}") for epoch, loss in enumerate(log, 1)],
@@ -258,7 +262,7 @@ def _decode_traces(args):
     paths = _list_wavs(args.wav_dir)
     if not paths:
         raise DataError("no evaluation inputs")
-    model = load_model(args.model, expected_classes=2)
+    model = load_model(args.model)
     return dict(parallel_map(_decode_one, paths, args.jobs, model))
 
 
@@ -325,9 +329,9 @@ def cmd_det(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_e2e_demo(args, cfg: PipelineConfig) -> int:
-    seeds = cfg.getints("demo", "seeds")
+    seeds = cfg.getints("demo", "seeds", lo=0)
     if args.seed is not None:
-        seeds = [args.seed]
+        seeds = [_seed(args, cfg)]
     if not seeds:
         raise ConfigError("demo.seeds: need at least one seed")
     out = _run_dir(args, cfg, "e2e-demo")
@@ -394,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mined", required=True)
     p.add_argument("--audio-dir")
     p.add_argument("--augment-manifest")
-    p.add_argument("--augment-root")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("decode", parents=[common], help="detect wake words")

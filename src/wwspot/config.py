@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -43,7 +44,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "epochs": "10",
         "bottleneck": "87",
         "hidden": "400",
-        "checkpoint_mode": "text",
     },
     "decoding": {
         "smooth_window_frames": "50",
@@ -101,17 +101,23 @@ class PipelineConfig:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"{section}.{key}: {raw!r} is not a number") from None
+        # nan passes every range check, and inf is no usable setting either
+        if not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number")
         self._check_range(section, key, value, lo, hi)
         return value
 
-    def getints(self, section: str, key: str) -> list[int]:
+    def getints(self, section: str, key: str, lo: int | None = None) -> list[int]:
         raw = self.get(section, key)
         try:
-            return [int(v) for v in raw.split(",") if v.strip()]
+            values = [int(v) for v in raw.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(
                 f"{section}.{key}: {raw!r} is not a comma-separated integer list"
             ) from None
+        for value in values:
+            self._check_range(section, key, value, lo, None)
+        return values
 
     def thresholds(self, section: str = "decoding", key: str = "thresholds") -> list[float]:
         """Either a comma list or lin:<start>:<stop>:<count> of at least 2

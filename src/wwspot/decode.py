@@ -150,7 +150,7 @@ def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
         span = lfbe[np.clip(np.arange(lo - LEFT_CONTEXT, hi + RIGHT_CONTEXT), 0, n - 1)]
         span = span.astype(np.float32).reshape(-1)
         rows[:] = sliding_window_view(span, CONTEXT_WIDTH * bins)[::bins]
-        trace[lo:hi] = _forward(params, model.config.num_blocks, rows)[:, 1]
+        trace[lo:hi] = _forward(params, rows)[:, 1]
     return trace
 
 

@@ -2,13 +2,15 @@
 
 The network maps a 620-dimensional stacked-LFBE vector through three
 blocks of (linear bottleneck -> affine -> ReLU) to a 2-way softmax whose
-second component is the wake-word posterior. The loss is frame-level
-cross entropy in which the positive term is gated by the polarity of the
-source utterance, so frames from negative utterances can only ever
-contribute background evidence. Training is shuffled minibatch descent
-on the analytic gradient, whose one forward pass per step also gives
-the loss; it is deterministic under a fixed seed. Parameters and
-checkpoints are float64, and so is `posteriors`. Training steps and the
+second component is the wake-word posterior. That shape is fixed
+(NUM_BLOCKS, NUM_CLASSES); only the input and layer widths vary. The
+loss is frame-level cross entropy in which the positive term is gated
+by the polarity of the source utterance, so frames from negative
+utterances can only ever contribute background evidence. Training is
+shuffled minibatch descent on the analytic gradient, whose one forward
+pass per step also gives the loss; it is deterministic under a fixed
+seed. Parameters and checkpoints are float64, and so is `posteriors`;
+a checkpoint is one text file of %.17g decimals. Training steps and the
 decoder's posterior trace compute in float32 over the float64
 parameters. A training step gathers its batch from one float32 copy of
 the frames, standardizes it into one float32 buffer, casts the
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -36,8 +37,13 @@ from .features import CONTEXT_WIDTH, NUM_MEL_BINS, context_indices
 from .tsv import DataError
 
 Q_CLAMP = 1e-7
+NUM_BLOCKS = 3
+NUM_CLASSES = 2
 CHECKPOINT_MAGIC = "wwspot-checkpoint"
 CHECKPOINT_VERSION = "v1"
+CHECKPOINT_MODE = "text"
+# header fields that every checkpoint records and the loader holds to these values
+FIXED_HEADER = {"num_blocks": NUM_BLOCKS, "num_classes": NUM_CLASSES, "nonlinearity": "relu"}
 
 
 class ModelError(DataError):
@@ -53,11 +59,9 @@ class SpotterConfig:
     input_dim: int = CONTEXT_WIDTH * NUM_MEL_BINS
     bottleneck: int = 87
     hidden: int = 400
-    num_blocks: int = 3
-    num_classes: int = 2
 
     def __post_init__(self):
-        for name in ("input_dim", "bottleneck", "hidden", "num_blocks", "num_classes"):
+        for name in ("input_dim", "bottleneck", "hidden"):
             value = getattr(self, name)
             # bool is an int subclass; a float size would fail deep in the loader
             if isinstance(value, bool) or not isinstance(value, int):
@@ -69,13 +73,13 @@ class SpotterConfig:
         """Parameter names and shapes in canonical (checkpoint) order."""
         shapes: list[tuple[str, tuple[int, ...]]] = []
         in_dim = self.input_dim
-        for i in range(1, self.num_blocks + 1):
+        for i in range(1, NUM_BLOCKS + 1):
             shapes.append((f"bottleneck{i}", (in_dim, self.bottleneck)))
             shapes.append((f"weight{i}", (self.bottleneck, self.hidden)))
             shapes.append((f"bias{i}", (self.hidden,)))
             in_dim = self.hidden
-        shapes.append(("weight_out", (self.hidden, self.num_classes)))
-        shapes.append(("bias_out", (self.num_classes,)))
+        shapes.append(("weight_out", (self.hidden, NUM_CLASSES)))
+        shapes.append(("bias_out", (NUM_CLASSES,)))
         return shapes
 
 
@@ -139,7 +143,7 @@ def init_model(
 
 
 def _forward(
-    params: dict[str, np.ndarray], num_blocks: int, x: np.ndarray, cache: dict | None = None
+    params: dict[str, np.ndarray], x: np.ndarray, cache: dict | None = None
 ) -> np.ndarray:
     """The network's one forward body: float64 class posteriors of x,
     computed in the dtype of x and `params` up to the logits. Given a
@@ -151,7 +155,7 @@ def _forward(
     p = params
     h = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, num_blocks + 1):
+        for i in range(1, NUM_BLOCKS + 1):
             z = h @ p[f"bottleneck{i}"]
             h = z @ p[f"weight{i}"]
             h += p[f"bias{i}"]
@@ -191,7 +195,7 @@ def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(raw_x, dtype=np.float64))
     _check_input_dim(model, x.shape[1])
     p = _fold_scaler(model, np.float64)
-    return _forward(p, model.config.num_blocks, x)
+    return _forward(p, x)
 
 
 def ssl_loss(
@@ -231,15 +235,13 @@ def gradient(
     way; the gradients come back in the compute dtype."""
     x = np.atleast_2d(np.asarray(x))
     dtype = np.float32 if x.dtype == np.float32 else np.float64
-    if model.config.num_classes != 2:
-        raise ModelError("the frame loss is defined for 2-class models")
     xs = np.subtract(x, model.scaler.mean.astype(dtype, copy=False), dtype=dtype)
     xs /= model.scaler.std.astype(dtype, copy=False)
     # diverged parameters overflow the cast; the trainer's loss guard reports them
     with np.errstate(over="ignore"):
         p = {name: a.astype(dtype, copy=False) for name, a in model.params.items()}
     cache = {"h": [xs], "z": []}
-    probs = _forward(p, model.config.num_blocks, xs, cache)
+    probs = _forward(p, xs, cache)
     q = probs[:, 1]
     loss, _ = ssl_loss(q, targets, is_positive_utt)
     y_eff = np.asarray(targets, dtype=np.float64) * np.asarray(
@@ -256,7 +258,7 @@ def gradient(
     grads["weight_out"] = h_last.T @ dlogits
     grads["bias_out"] = dlogits.sum(axis=0)
     dh = dlogits @ p["weight_out"].T
-    for i in range(model.config.num_blocks, 0, -1):
+    for i in range(NUM_BLOCKS, 0, -1):
         # h = max(a, 0), so h > 0 is exactly the ReLU mask a > 0
         da = np.multiply(dh, cache["h"][i] > 0, out=dh)
         grads[f"weight{i}"] = cache["z"][i - 1].T @ da
@@ -431,15 +433,11 @@ def train(
 # --- checkpoints ---------------------------------------------------------------
 
 
-def save_model(model: SpotterModel, path: str | os.PathLike, mode: str = "text") -> None:
-    """Single self-describing checkpoint file.
-
-    `text` serializes arrays as %.17g decimals (lossless for float64 and
-    byte-reproducible); `f32` packs little-endian 32-bit floats for
-    compactness at reduced precision.
-    """
-    if mode not in ("text", "f32"):
-        raise ModelError(f"unknown checkpoint mode {mode!r}")
+def save_model(model: SpotterModel, path: str | os.PathLike) -> None:
+    """Single self-describing checkpoint file: a magic line, a JSON header
+    with the layer sizes, the fixed shape and the array list, then every
+    array as rows of %.17g decimals (lossless for float64 and
+    byte-reproducible)."""
     c = model.config
     arrays = [(name, model.params[name]) for name, _ in c.array_shapes()]
     arrays.append(("scaler_mean", model.scaler.mean))
@@ -448,52 +446,48 @@ def save_model(model: SpotterModel, path: str | os.PathLike, mode: str = "text")
         "input_dim": c.input_dim,
         "bottleneck": c.bottleneck,
         "hidden": c.hidden,
-        "num_blocks": c.num_blocks,
-        "num_classes": c.num_classes,
-        "nonlinearity": "relu",
+        **FIXED_HEADER,
         "arrays": [[name, list(a.shape)] for name, a in arrays],
     }
     with open(path, "wb") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {mode}\n".encode("ascii"))
+        fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {CHECKPOINT_MODE}\n".encode("ascii"))
         fh.write((json.dumps(meta, sort_keys=True) + "\n").encode("ascii"))
         for _, a in arrays:
-            if mode == "text":
-                rows = np.atleast_2d(a)
-                text = "\n".join(
-                    " ".join(f"{v:.17g}" for v in row) for row in rows
-                )
-                fh.write((text + "\n").encode("ascii"))
-            else:
-                fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            rows = np.atleast_2d(a)
+            text = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in rows)
+            fh.write((text + "\n").encode("ascii"))
 
 
-def _read_text_array(fh: io.BufferedReader, shape: tuple[int, ...]) -> np.ndarray:
+def _read_text_array(
+    fh: io.BufferedReader, shape: tuple[int, ...], path: str | os.PathLike
+) -> np.ndarray:
+    # reads line by line, so a header naming more rows than the file holds
+    # ends at end of file instead of allocating them
     rows = shape[0] if len(shape) == 2 else 1
     values = []
     for _ in range(rows):
         line = fh.readline()
         if not line:
-            raise ModelError("truncated checkpoint")
+            raise ModelError(f"{path}: truncated checkpoint")
         try:
             values.append(np.asarray(line.split(), dtype=np.float64))
         except ValueError:
-            raise ModelError("non-numeric value in checkpoint") from None
+            raise ModelError(f"{path}: non-numeric value in checkpoint") from None
     out = np.concatenate(values)
     if out.size != int(np.prod(shape)):
-        raise ModelError("truncated checkpoint")
+        raise ModelError(f"{path}: truncated checkpoint")
     return out.reshape(shape)
 
 
-def load_model(path: str | os.PathLike, expected_classes: int | None = None) -> SpotterModel:
+def load_model(path: str | os.PathLike) -> SpotterModel:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
             raise ModelError(f"{path}: not a spotter checkpoint")
         if header[1] != CHECKPOINT_VERSION:
             raise ModelError(f"{path}: unsupported checkpoint version {header[1]}")
-        mode = header[2]
-        if mode not in ("text", "f32"):
-            raise ModelError(f"{path}: unknown checkpoint mode {mode!r}")
+        if header[2] != CHECKPOINT_MODE:
+            raise ModelError(f"{path}: unknown checkpoint mode {header[2]!r}")
         try:
             meta = json.loads(fh.readline().decode("ascii"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -503,42 +497,25 @@ def load_model(path: str | os.PathLike, expected_classes: int | None = None) -> 
                 input_dim=meta["input_dim"],
                 bottleneck=meta["bottleneck"],
                 hidden=meta["hidden"],
-                num_blocks=meta["num_blocks"],
-                num_classes=meta["num_classes"],
             )
-            nonlinearity = meta["nonlinearity"]
+            for key, value in FIXED_HEADER.items():
+                # by type as well, since True == 1 and 3.0 == 3
+                if type(meta[key]) is not type(value) or meta[key] != value:
+                    raise ModelError(f"unsupported {key} {meta[key]!r}")
             listed = [(name, tuple(shape)) for name, shape in meta["arrays"]]
         except ModelError as exc:
             raise ModelError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"{path}: corrupt checkpoint header") from exc
-        if nonlinearity != "relu":
-            raise ModelError(f"{path}: unsupported nonlinearity {nonlinearity!r}")
         expected = config.array_shapes() + [
             ("scaler_mean", (config.input_dim,)),
             ("scaler_std", (config.input_dim,)),
         ]
         if listed != expected:
             raise ModelError(f"{path}: checkpoint arrays do not match its shape header")
-        if expected_classes is not None and config.num_classes != expected_classes:
-            raise ModelError(
-                f"{path}: checkpoint has {config.num_classes} classes, "
-                f"expected {expected_classes}"
-            )
         loaded: dict[str, np.ndarray] = {}
-        size = os.fstat(fh.fileno()).st_size
         for name, shape in expected:
-            if mode == "text":
-                loaded[name] = _read_text_array(fh, shape)
-            else:
-                count = math.prod(shape)
-                # a corrupt header can name more bytes than the file holds
-                raw = fh.read(min(count * 4, size))
-                if len(raw) != count * 4:
-                    raise ModelError(f"{path}: truncated checkpoint")
-                loaded[name] = (
-                    np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-                )
+            loaded[name] = _read_text_array(fh, shape, path)
             if not np.isfinite(loaded[name]).all():
                 raise ModelError(f"{path}: non-finite values in {name}")
     scaler = FeatureScaler(loaded.pop("scaler_mean"), loaded.pop("scaler_std"))

@@ -22,7 +22,7 @@ from wwspot.features import (
     mel_filterbank,
     stack_context,
 )
-from wwspot.model import posteriors
+from wwspot.model import NUM_BLOCKS, posteriors
 
 
 def recursive_distance(a: tuple, b: tuple) -> int:
@@ -98,7 +98,7 @@ def pre_activations(model, x):
     p = model.params
     out = []
     h = x
-    for i in range(1, model.config.num_blocks + 1):
+    for i in range(1, NUM_BLOCKS + 1):
         a = h @ p[f"bottleneck{i}"] @ p[f"weight{i}"] + p[f"bias{i}"]
         out.append(a)
         h = np.where(a > 0, a, 0.0)

@@ -271,7 +271,7 @@ def test_ssl_mining():
 
 
 def test_model_loss_gradients():
-    tiny = SpotterConfig(input_dim=10, bottleneck=4, hidden=8, num_blocks=3)
+    tiny = SpotterConfig(input_dim=10, bottleneck=4, hidden=8)
     # softmax normalization
     model = init_model(tiny, np.random.default_rng(0))
     probs = posteriors(model, np.random.default_rng(1).standard_normal((100, 10)) * 2)

@@ -648,6 +648,60 @@ def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
     assert main(demo + ["--set", "augment.table_row=1K"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param(["rir-gen", "--seed", "-1"], "--seed: -1 is below", id="flag"),
+        pytest.param(["rir-gen", "--set", "run.seed=-2"], "run.seed: -2 is below", id="run-seed"),
+        pytest.param(
+            ["e2e-demo", *_TINY_DEMO, "--set", "demo.seeds=0,-1"],
+            "demo.seeds: -1 is below",
+            id="demo-seeds",
+        ),
+    ],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, command, message):
+    assert main(command + ["--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        pytest.param(["augment", "--clean-dir", "missing"], "augment.snr_mean_db", id="augment"),
+        pytest.param(
+            ["mine", "--hypotheses", "missing", "--confusables", "missing", "--wake-word", "x"],
+            "mining.pos_threshold",
+            id="mine",
+        ),
+        pytest.param(
+            ["train", "--mined", "missing", "--audio-dir", "missing"],
+            "training.learning_rate",
+            id="train",
+        ),
+    ],
+)
+def test_non_finite_float_setting_exits_2(tmp_path, capsys, command, key, value):
+    # the inputs do not exist: the setting must fail first
+    argv = command + ["--set", f"{key}={value}", "--out", str(tmp_path / "runs")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: '{value}' is not a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_rir_gen_reflection_coefficient_of_one_exits_2(tmp_path, capsys):
+    argv = ["rir-gen", "--set", "rir.beta_min=1", "--set", "rir.beta_max=1"]
+    assert main(argv + ["--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: rir: reflection_coeff must be in [0, 1)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
     runs = str(tmp_path / "runs")
     for extra in (["--seed", "1"], ["--seed", "2"], ["--seed", "1", "--jobs", "2"]):

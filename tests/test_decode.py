@@ -21,7 +21,7 @@ from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.model import FeatureScaler, ModelError, SpotterConfig, init_model
 
 # full 620-dimensional input, small layers: decoding cost is the input's
-SMALL_SPOTTER = SpotterConfig(input_dim=620, bottleneck=6, hidden=12, num_blocks=3)
+SMALL_SPOTTER = SpotterConfig(input_dim=620, bottleneck=6, hidden=12)
 
 
 def small_spotter(seed=0):
@@ -171,9 +171,9 @@ def test_trace_folds_the_scaler_once_and_runs_float32_blocks(monkeypatch):
         folds.append(dtype)
         return fold(model, dtype)
 
-    def recording(params, num_blocks, x, cache=None):
+    def recording(params, x, cache=None):
         blocks.append((x.dtype, x.shape, {a.dtype for a in params.values()}, cache))
-        return forward_body(params, num_blocks, x, cache)
+        return forward_body(params, x, cache)
 
     monkeypatch.setattr(wwspot.decode, "_fold_scaler", counting_fold)
     monkeypatch.setattr(wwspot.decode, "_forward", recording)

@@ -9,6 +9,7 @@ from oracles import kink_free_batch, pre_activations, standardize
 import wwspot.model
 from wwspot.features import CONTEXT_WIDTH, LEFT_CONTEXT, RIGHT_CONTEXT
 from wwspot.model import (
+    NUM_BLOCKS,
     FeatureScaler,
     FrameDataset,
     ModelError,
@@ -25,7 +26,7 @@ from wwspot.model import (
     train,
 )
 
-TINY = SpotterConfig(input_dim=10, bottleneck=4, hidden=8, num_blocks=3, num_classes=2)
+TINY = SpotterConfig(input_dim=10, bottleneck=4, hidden=8)
 
 
 def tiny_model(seed=0, config=TINY):
@@ -83,8 +84,8 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
     passes = []
     forward_body = wwspot.model._forward
 
-    def recording(params, num_blocks, x, cache=None):
-        probs = forward_body(params, num_blocks, x, cache)
+    def recording(params, x, cache=None):
+        probs = forward_body(params, x, cache)
         passes.append((cache, probs))
         return probs
 
@@ -97,7 +98,7 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
     # itself), then each block's ReLU output and bottleneck output, as
     # recomputed from the parameters
     assert np.array_equal(cache["h"][0], standardize(model.scaler, x))
-    assert len(cache["h"]) == len(cache["z"]) + 1 == TINY.num_blocks + 1
+    assert len(cache["h"]) == len(cache["z"]) + 1 == NUM_BLOCKS + 1
     for i, a in enumerate(pre_activations(model, x), start=1):
         assert np.allclose(cache["h"][i], np.maximum(a, 0.0), rtol=0, atol=1e-12)
         assert np.array_equal(cache["z"][i - 1], cache["h"][i - 1] @ model.params[f"bottleneck{i}"])
@@ -307,7 +308,7 @@ def separable_toy_dataset(seed=0, n=200, dim=8):
     return FrameDataset.from_vectors(x, y, y.astype(bool))
 
 
-TOY_CFG = SpotterConfig(input_dim=8, bottleneck=4, hidden=16, num_blocks=3)
+TOY_CFG = SpotterConfig(input_dim=8, bottleneck=4, hidden=16)
 
 
 def test_train_fits_separable_toy_set():
@@ -336,9 +337,9 @@ def test_train_runs_one_forward_pass_per_step(monkeypatch):
     calls = []
     forward_body = wwspot.model._forward
 
-    def counting(params, num_blocks, x, cache=None):
+    def counting(params, x, cache=None):
         calls.append(len(x))
-        return forward_body(params, num_blocks, x, cache)
+        return forward_body(params, x, cache)
 
     monkeypatch.setattr(wwspot.model, "_forward", counting)
     dataset = separable_toy_dataset(seed=5, n=100)
@@ -502,7 +503,12 @@ def test_text_checkpoint_round_trip_is_exact(tmp_path):
     model = tiny_model(seed=6)
     model.scaler = FeatureScaler(np.random.default_rng(0).standard_normal(10), np.full(10, 1.5))
     path = tmp_path / "m.ckpt"
-    save_model(model, path, mode="text")
+    save_model(model, path)
+    # the fixed shape is still written out, so readers that check it load the file
+    magic, header = path.read_bytes().split(b"\n")[:2]
+    assert magic == b"wwspot-checkpoint v1 text"
+    meta = json.loads(header)
+    assert (meta["num_blocks"], meta["num_classes"], meta["nonlinearity"]) == (3, 2, "relu")
     back = load_model(path)
     x = np.random.default_rng(1).standard_normal((20, 10))
     assert np.max(np.abs(posteriors(back, x) - posteriors(model, x))) <= 1e-9
@@ -511,49 +517,34 @@ def test_text_checkpoint_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.scaler.mean, model.scaler.mean)
 
 
-def test_f32_checkpoint_round_trip_is_close(tmp_path):
-    model = tiny_model(seed=7)
-    path = tmp_path / "m32.ckpt"
-    save_model(model, path, mode="f32")
-    back = load_model(path)
-    x = np.random.default_rng(2).standard_normal((20, 10))
-    assert np.max(np.abs(posteriors(back, x) - posteriors(model, x))) <= 1e-4
-
-
 def test_truncated_checkpoint_rejected(tmp_path):
     model = tiny_model(seed=8)
     path = tmp_path / "t.ckpt"
-    save_model(model, path, mode="text")
+    save_model(model, path)
     data = path.read_bytes()
     (tmp_path / "trunc.ckpt").write_bytes(data[: len(data) // 2])
-    with pytest.raises(ModelError, match="truncated"):
+    with pytest.raises(ModelError, match="trunc.ckpt: truncated checkpoint"):
         load_model(tmp_path / "trunc.ckpt")
-    save_model(model, path, mode="f32")
-    data = path.read_bytes()
-    (tmp_path / "trunc32.ckpt").write_bytes(data[:-10])
-    with pytest.raises(ModelError, match="truncated"):
-        load_model(tmp_path / "trunc32.ckpt")
 
 
-@pytest.mark.parametrize("mode", ["text", "f32"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_checkpoint_rejected(tmp_path, mode, bad):
+def test_non_finite_checkpoint_rejected(tmp_path, bad):
     model = tiny_model(seed=9)
     name = next(iter(model.params))
     model.params[name][0, 0] = bad
     path = tmp_path / "bad.ckpt"
-    save_model(model, path, mode=mode)
+    save_model(model, path)
     with pytest.raises(ModelError, match=f"non-finite values in {name}"):
         load_model(path)
 
 
 def test_non_numeric_checkpoint_token_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_model(tiny_model(seed=10), path, mode="text")
+    save_model(tiny_model(seed=10), path)
     lines = path.read_bytes().split(b"\n")
     lines[2] = b"abc " + lines[2].split(b" ", 1)[1]
     path.write_bytes(b"\n".join(lines))
-    with pytest.raises(ModelError, match="non-numeric"):
+    with pytest.raises(ModelError, match="m.ckpt: non-numeric value in checkpoint"):
         load_model(path)
 
 
@@ -562,16 +553,6 @@ def test_non_checkpoint_rejected(tmp_path):
     path.write_bytes(b"hello world\n more garbage\n")
     with pytest.raises(ModelError, match="not a spotter checkpoint"):
         load_model(path)
-
-
-def test_class_count_mismatch_rejected(tmp_path):
-    cfg3 = SpotterConfig(input_dim=10, bottleneck=4, hidden=8, num_blocks=3, num_classes=3)
-    model = init_model(cfg3, np.random.default_rng(0))
-    path = tmp_path / "c3.ckpt"
-    save_model(model, path)
-    with pytest.raises(ModelError, match="3 classes, expected 2"):
-        load_model(path, expected_classes=2)
-    assert load_model(path).config.num_classes == 3
 
 
 @pytest.mark.parametrize("value", [8.0, True, "8"])
@@ -592,9 +573,13 @@ def _edit_header(path, **fields):
     "fields, message",
     [
         ({"hidden": 8.0}, "hidden must be an integer, got 8.0"),
-        ({"num_blocks": True}, "num_blocks must be an integer, got True"),
+        # the fixed shape is held by type too: True == 1 and 3.0 == 3
+        ({"num_blocks": True}, "unsupported num_blocks True"),
         ({"nonlinearity": "tanh"}, "unsupported nonlinearity 'tanh'"),
         ({"arrays": [["bias1", [8], 3]]}, "corrupt checkpoint header"),
+        ({"num_blocks": 3.0}, "unsupported num_blocks 3.0"),
+        ({"num_blocks": 2}, "unsupported num_blocks 2"),
+        ({"num_classes": 3}, "unsupported num_classes 3"),
     ],
 )
 def test_corrupt_header_values_rejected(tmp_path, fields, message):
@@ -605,10 +590,18 @@ def test_corrupt_header_values_rejected(tmp_path, fields, message):
         load_model(path)
 
 
-def test_layer_sizes_beyond_the_file_rejected(tmp_path):
-    # the f32 reader must not try to allocate what a corrupt header names
+def test_f32_checkpoint_header_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_model(tiny_model(seed=12), path, mode="f32")
+    save_model(tiny_model(seed=13), path)
+    path.write_bytes(path.read_bytes().replace(b" v1 text\n", b" v1 f32\n", 1))
+    with pytest.raises(ModelError, match="m.ckpt: unknown checkpoint mode 'f32'"):
+        load_model(path)
+
+
+def test_layer_sizes_beyond_the_file_rejected(tmp_path):
+    # the reader must not try to allocate what a corrupt header names
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(seed=12), path)
     huge = SpotterConfig(input_dim=10, bottleneck=4, hidden=10**15)
     arrays = [[name, list(shape)] for name, shape in huge.array_shapes()]
     _edit_header(path, hidden=10**15, arrays=arrays + [["scaler_mean", [10]], ["scaler_std", [10]]])
