@@ -330,6 +330,10 @@ def cmd_det(args, cfg: PipelineConfig) -> int:
 
 def cmd_e2e_demo(args, cfg: PipelineConfig) -> int:
     seeds = cfg.getints("demo", "seeds", lo=0)
+    # two runs of one seed would share its seed-<n> directory
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"demo.seeds: seed {repeated[0]} is listed more than once")
     if args.seed is not None:
         seeds = [_seed(args, cfg)]
     if not seeds:

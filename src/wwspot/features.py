@@ -96,12 +96,17 @@ def compute_lfbe(clip: AudioClip) -> np.ndarray:
 
 
 def context_indices(n_frames: int) -> np.ndarray:
-    """Gather indices with edge replication, shape (n_frames, CONTEXT_WIDTH)."""
+    """Gather indices with edge replication, shape (n_frames, CONTEXT_WIDTH).
+
+    The rows are sliding windows over the edge-padded frame indices, so
+    the result is a read-only view that allocates n_frames + CONTEXT_WIDTH
+    - 1 indices rather than a CONTEXT_WIDTH-fold matrix.
+    """
     if n_frames < 1:
         raise FeatureError("empty feature matrix")
-    offsets = np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1)
-    idx = np.arange(n_frames)[:, None] + offsets[None, :]
-    return np.clip(idx, 0, n_frames - 1).astype(np.int64)
+    frames = np.arange(n_frames, dtype=np.int64)
+    padded = np.pad(frames, (LEFT_CONTEXT, RIGHT_CONTEXT), mode="edge")
+    return np.lib.stride_tricks.sliding_window_view(padded, CONTEXT_WIDTH)
 
 
 def stack_context(feat: np.ndarray) -> np.ndarray:

@@ -44,10 +44,18 @@ CHECKPOINT_VERSION = "v1"
 CHECKPOINT_MODE = "text"
 # header fields that every checkpoint records and the loader holds to these values
 FIXED_HEADER = {"num_blocks": NUM_BLOCKS, "num_classes": NUM_CLASSES, "nonlinearity": "relu"}
+# FrameDataset's int32 context indices address frames 0 .. MAX_FRAMES - 1
+MAX_FRAMES = 2**31
 
 
 class ModelError(DataError):
     pass
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # min and max propagate NaN, so both are finite exactly when every
+    # entry is; np.isfinite(a).all() would allocate a mask the size of a
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 class TrainingDiverged(RuntimeError):
@@ -293,9 +301,11 @@ class FrameDataset:
     """Frame-level training records with lazy context stacking.
 
     Rows of `base` are single feature frames; `gather` holds, per training
-    record, the indices of the frames that concatenate into its input
-    vector, so 620-dimensional vectors never need to be materialized for
-    the whole dataset at once.
+    record, the int32 indices of the frames that concatenate into its
+    input vector, so 620-dimensional vectors never need to be
+    materialized for the whole dataset at once. `from_utterances` makes
+    one record per frame, so a record costs one float64 frame plus
+    CONTEXT_WIDTH int32 indices; `base` holds fewer than MAX_FRAMES frames.
     """
 
     def __init__(
@@ -306,15 +316,31 @@ class FrameDataset:
         is_positive_utt: np.ndarray,
     ):
         self.base = np.asarray(base, dtype=np.float64)
-        self.gather = np.asarray(gather, dtype=np.int64)
+        gather = np.asarray(gather)
         self.targets = np.asarray(targets, dtype=np.uint8)
         self.is_positive = np.asarray(is_positive_utt, dtype=bool)
-        n = self.gather.shape[0]
+        if self.base.ndim != 2:
+            raise ModelError(f"base must be a (frames, bins) matrix, got shape {self.base.shape}")
+        if gather.ndim != 2 or gather.shape[1] < 1 or not np.issubdtype(gather.dtype, np.integer):
+            raise ModelError(
+                "gather must be a 2-D integer matrix with at least one column, "
+                f"got {gather.dtype} of shape {gather.shape}"
+            )
+        n = gather.shape[0]
         if not (self.targets.shape == self.is_positive.shape == (n,)):
             raise ModelError("dataset arrays disagree on the record count")
         if n == 0:
             raise ModelError("dataset is empty")
-        if not np.isfinite(self.base).all():
+        frames = self.base.shape[0]
+        if frames >= MAX_FRAMES:
+            raise ModelError(
+                f"dataset has {frames} frames; int32 indices address fewer than {MAX_FRAMES}"
+            )
+        # checked before the cast, which would wrap an index of 2**31 or more
+        if gather.min() < 0 or gather.max() >= frames:
+            raise ModelError(f"gather indices must lie in [0, {frames})")
+        self.gather = gather.astype(np.int32, copy=False)
+        if not _all_finite(self.base):
             raise ModelError("dataset contains non-finite feature values")
         self.dim = self.gather.shape[1] * self.base.shape[1]
 
@@ -332,27 +358,39 @@ class FrameDataset:
     @classmethod
     def from_utterances(cls, utterances) -> "FrameDataset":
         """Build from (lfbe_matrix, frame_targets, is_positive) triples;
-        context windows never cross utterance boundaries."""
-        bases, gathers, targets, polarity = [], [], [], []
-        offset = 0
-        for lfbe, utt_targets, is_pos in utterances:
-            lfbe = np.asarray(lfbe, dtype=np.float64)
-            n = lfbe.shape[0]
-            if n != len(utt_targets):
-                raise ModelError("frame targets do not match the feature length")
-            bases.append(lfbe)
-            gathers.append(context_indices(n) + offset)
-            targets.append(np.asarray(utt_targets, dtype=np.uint8))
-            polarity.append(np.full(n, bool(is_pos)))
-            offset += n
-        if not bases:
+        context windows never cross utterance boundaries. The arrays are
+        allocated once at their final size and filled one utterance at a
+        time, so the build never holds a second copy of the dataset."""
+        utterances = list(utterances)
+        if not utterances:
             raise ModelError("dataset is empty")
-        return cls(
-            np.concatenate(bases),
-            np.concatenate(gathers),
-            np.concatenate(targets),
-            np.concatenate(polarity),
-        )
+        shapes = [np.shape(lfbe) for lfbe, _, _ in utterances]
+        for i, (shape, (_, utt_targets, _)) in enumerate(zip(shapes, utterances)):
+            if len(shape) != 2:
+                raise ModelError(
+                    f"utterance {i}: features must be a (frames, bins) matrix, got shape {shape}"
+                )
+            if shape[1] != shapes[0][1]:
+                raise ModelError(
+                    f"utterance {i}: {shape[1]} bins per frame, utterance 0 has {shapes[0][1]}"
+                )
+            if shape[0] != len(utt_targets):
+                raise ModelError("frame targets do not match the feature length")
+        frames = sum(n for n, _ in shapes)
+        base = np.empty((frames, shapes[0][1]))
+        gather = np.empty((frames, CONTEXT_WIDTH), dtype=np.int32)
+        targets = np.empty(frames, dtype=np.uint8)
+        is_positive = np.empty(frames, dtype=bool)
+        lo = 0
+        for (lfbe, utt_targets, is_pos), (n, _) in zip(utterances, shapes):
+            rows = slice(lo, lo + n)
+            base[rows] = lfbe
+            gather[rows] = context_indices(n)
+            gather[rows] += lo
+            targets[rows] = utt_targets
+            is_positive[rows] = bool(is_pos)
+            lo += n
+        return cls(base, gather, targets, is_positive)
 
     def batch(
         self, idx: np.ndarray, base: np.ndarray | None = None

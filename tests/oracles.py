@@ -17,7 +17,9 @@ from wwspot.augment import SPEED_OF_SOUND, RoomSpec
 from wwspot.features import (
     FFT_SIZE,
     HOP_SAMPLES,
+    LEFT_CONTEXT,
     LOG_FLOOR,
+    RIGHT_CONTEXT,
     WINDOW_SAMPLES,
     mel_filterbank,
     stack_context,
@@ -140,3 +142,23 @@ def whole_utterance_trace(model, lfbe):
     """Wake-word posteriors of the whole utterance's stacked inputs,
     scaled and run through the network as one batch."""
     return posteriors(model, stack_context(lfbe))[:, 1]
+
+
+def concatenated_dataset(utterances):
+    """The dataset's base, gather, targets and polarity built the
+    concatenating way: per utterance its frames, its int64 context
+    indices (frame t gathers t-LEFT_CONTEXT .. t+RIGHT_CONTEXT, clipped
+    to the utterance) shifted by the frames before it, its targets and
+    its polarity, then one concatenation per array."""
+    bases, gathers, targets, polarity = [], [], [], []
+    offset = 0
+    for lfbe, utt_targets, is_pos in utterances:
+        lfbe = np.asarray(lfbe, dtype=np.float64)
+        n = lfbe.shape[0]
+        bases.append(lfbe)
+        window = np.arange(n)[:, None] + np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1)
+        gathers.append(np.clip(window, 0, n - 1) + offset)
+        targets.append(np.asarray(utt_targets, dtype=np.uint8))
+        polarity.append(np.full(n, bool(is_pos)))
+        offset += n
+    return tuple(np.concatenate(parts) for parts in (bases, gathers, targets, polarity))

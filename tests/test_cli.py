@@ -658,13 +658,21 @@ def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
             "demo.seeds: -1 is below",
             id="demo-seeds",
         ),
+        # two runs of one seed would share a seed-<n> directory
+        pytest.param(
+            ["e2e-demo", *_TINY_DEMO, "--set", "demo.seeds=1,0,1"],
+            "demo.seeds: seed 1 is listed more than once",
+            id="demo-seeds-repeated",
+        ),
     ],
 )
 def test_negative_seed_exits_2(tmp_path, capsys, command, message):
     assert main(command + ["--out", str(tmp_path / "runs")]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert message in err
     assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import kink_free_batch, pre_activations, standardize
+from oracles import concatenated_dataset, kink_free_batch, pre_activations, standardize
 
 import wwspot.model
-from wwspot.features import CONTEXT_WIDTH, LEFT_CONTEXT, RIGHT_CONTEXT
+from wwspot.features import CONTEXT_WIDTH, LEFT_CONTEXT, NUM_MEL_BINS, RIGHT_CONTEXT
 from wwspot.model import (
     NUM_BLOCKS,
     FeatureScaler,
@@ -433,6 +434,92 @@ def test_dataset_lazy_stacking_matches_explicit():
         [lfbe2[0]] * (LEFT_CONTEXT + 1) + [lfbe2[1 : RIGHT_CONTEXT + 1].reshape(-1)]
     )
     assert np.array_equal(first_of_second, expected)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [(1,), (1, 4, 40, 2, 1), (30, 31, 32, 90, 7)],
+    ids=["one-frame", "shorter-than-the-context", "mixed-polarity"],
+)
+def test_from_utterances_matches_the_concatenating_build(lengths):
+    utts = lfbe_like_utterances(np.random.default_rng(17), lengths, bins=NUM_MEL_BINS)
+    dataset = FrameDataset.from_utterances(utts)
+    base, gather, targets, polarity = concatenated_dataset(utts)
+    assert dataset.base.tobytes() == base.tobytes()
+    assert dataset.targets.tobytes() == targets.tobytes()
+    assert dataset.is_positive.tobytes() == polarity.tobytes()
+    assert dataset.gather.dtype == np.int32
+    assert np.array_equal(dataset.gather, gather)
+
+
+@pytest.mark.parametrize(
+    "utts, message",
+    [
+        pytest.param(
+            [(np.zeros((4, 2)), np.zeros(4), True), (np.zeros((4, 3)), np.zeros(4), False)],
+            "utterance 1: 3 bins per frame, utterance 0 has 2",
+            id="widths-differ",
+        ),
+        pytest.param(
+            [(np.zeros(4), np.zeros(4), True)],
+            r"utterance 0: features must be a \(frames, bins\) matrix",
+            id="one-dimensional",
+        ),
+        pytest.param(
+            [(np.zeros((4, 2)), np.zeros(3), True)],
+            "frame targets do not match the feature length",
+            id="length-mismatch",
+        ),
+        pytest.param([], "dataset is empty", id="empty"),
+    ],
+)
+def test_from_utterances_rejects_malformed_input(utts, message):
+    with pytest.raises(ModelError, match=message):
+        FrameDataset.from_utterances(utts)
+
+
+def test_from_utterances_holds_one_copy_of_the_dataset():
+    # the build may hold the final arrays (per frame: a float64 frame,
+    # CONTEXT_WIDTH int32 indices, a target byte and a polarity byte), at
+    # most one utterance's int64 context-index matrix and a fixed slack; a
+    # build that concatenates per-utterance int64 indices holds them for
+    # every frame, twice over
+    rng = np.random.default_rng(18)
+    lengths = rng.integers(100, 300, 100)
+    utts = lfbe_like_utterances(rng, lengths, bins=NUM_MEL_BINS)
+    tracemalloc.start()
+    try:
+        FrameDataset.from_utterances(utts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_frame = NUM_MEL_BINS * 8 + CONTEXT_WIDTH * 4 + 2
+    temporaries = int(lengths.max()) * CONTEXT_WIDTH * 8
+    assert peak < per_frame * int(lengths.sum()) + temporaries + 2**16
+
+
+@pytest.mark.parametrize("index", [-1, 5, 2**31], ids=["negative", "len-base", "beyond-int32"])
+def test_dataset_rejects_a_gather_outside_the_frames(index):
+    base = np.arange(10.0).reshape(5, 2)
+    gather = np.array([[index], [0]], dtype=np.int64)
+    with pytest.raises(ModelError, match=r"gather indices must lie in \[0, 5\)"):
+        FrameDataset(base, gather, np.zeros(2, np.uint8), np.zeros(2, bool))
+
+
+@pytest.mark.parametrize(
+    "gather",
+    [np.zeros(2, np.int64), np.zeros((2, 0), np.int64), np.zeros((2, 1))],
+    ids=["one-dimensional", "no-columns", "float"],
+)
+def test_dataset_rejects_a_gather_that_is_not_an_index_matrix(gather):
+    with pytest.raises(ModelError, match="gather must be a 2-D integer matrix"):
+        FrameDataset(np.zeros((5, 2)), gather, np.zeros(2, np.uint8), np.zeros(2, bool))
+
+
+def test_dataset_rejects_more_frames_than_int32_indices_address():
+    base = np.broadcast_to(np.zeros((1, 1)), (2**31, 1))  # a view: allocates nothing
+    with pytest.raises(ModelError, match="dataset has 2147483648 frames"):
+        FrameDataset(base, np.zeros((1, 1), np.int64), np.zeros(1, np.uint8), np.zeros(1, bool))
 
 
 def test_fit_scaler_matches_direct_computation():
