@@ -13,7 +13,7 @@ from .augment import (
 )
 from .decode import DecodeConfig, Detection, detect_peaks, posterior_trace, smooth
 from .evaluate import EvalResult, det_curve, score
-from .features import compute_lfbe, stack_context
+from .features import compute_lfbe
 from .lexicon import ConfusableSet, Lexicon, build_confusable_set, levenshtein, load_lexicon
 from .mining import (
     MinedExample,

@@ -22,6 +22,7 @@ import traceback
 import numpy as np
 
 from . import augment as aug
+from . import config as conf
 from . import decode as dec
 from . import demo as demo_mod
 from . import evaluate as ev
@@ -30,14 +31,7 @@ from . import mining
 from .audio import parallel_map, read_wav
 from .config import ConfigError, PipelineConfig, load_config
 from .features import compute_lfbe
-from .model import (
-    SpotterConfig,
-    TrainConfig,
-    TrainingDiverged,
-    load_model,
-    save_model,
-    train,
-)
+from .model import TrainingDiverged, load_model, save_model, train
 from .pipeline import dataset_from_examples, dataset_from_manifest
 from .synth import make_room_pool
 from .tsv import DataError, read_tsv, write_tsv
@@ -148,19 +142,8 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
-    try:
-        recipe = aug.MixRecipe.from_table_row(
-            cfg.getstr("augment", "table_row"),
-            cfg.getfloat("augment", "recipe_scale", lo=0.0),
-        )
-        spec = aug.CorruptionSpec(
-            cfg.getfloat("augment", "snr_mean_db"),
-            cfg.getfloat("augment", "snr_std_db", lo=0.0),
-            cfg.getfloat("augment", "noise_music_split", lo=0.0, hi=1.0),
-            rng_seed=_seed(args, cfg),
-        )
-    except aug.AugmentError as exc:
-        raise ConfigError(f"augment: {exc}") from exc
+    recipe = conf.mix_recipe(cfg)
+    spec = conf.corruption_spec(cfg, _seed(args, cfg))
     clean = _load_clips(args.clean_dir)
     if args.mined:
         # keep only utterances with mined examples, so the augmented set
@@ -184,11 +167,8 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_confusables(args, cfg: PipelineConfig) -> int:
-    wake = args.wake_word or cfg.getstr("lexicon", "wake_word")
-    if not wake:
-        raise ConfigError("lexicon.wake_word: missing wake word")
-    d_max = cfg.getint("lexicon", "d_max", lo=0)
-    top_n = cfg.getint("lexicon", "top_n_frequent", lo=1)
+    wake = conf.wake_word(cfg, args.wake_word)
+    d_max, top_n = conf.confusable_limits(cfg)
     lexicon = lex.load_lexicon(args.lexicon, args.frequencies)
     confusables = lex.build_confusable_set(lexicon, wake, d_max, top_n)
     out = _run_dir(args, cfg, "confusables")
@@ -199,12 +179,8 @@ def cmd_confusables(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_mine(args, cfg: PipelineConfig) -> int:
-    pos_th = cfg.getfloat("mining", "pos_threshold", lo=0.0, hi=1.0)
-    neg_th = cfg.getfloat("mining", "neg_threshold", lo=0.0, hi=1.0)
-    ratio = cfg.getfloat("mining", "target_ratio", lo=1e-9)
-    wake = args.wake_word or cfg.getstr("lexicon", "wake_word")
-    if not wake:
-        raise ConfigError("lexicon.wake_word: missing wake word")
+    pos_th, neg_th, ratio = conf.mining_gates(cfg)
+    wake = conf.wake_word(cfg, args.wake_word)
     seed = _seed(args, cfg)
     confusables = lex.read_confusables(args.confusables, wake)
     hyps, skipped = mining.load_hypotheses(args.hypotheses)
@@ -222,16 +198,7 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    train_cfg = TrainConfig(
-        learning_rate=cfg.getfloat("training", "learning_rate", lo=1e-12),
-        minibatch_size=cfg.getint("training", "minibatch_size", lo=1),
-        epochs=cfg.getint("training", "epochs", lo=0),
-        rng_seed=_seed(args, cfg),
-    )
-    model_cfg = SpotterConfig(
-        bottleneck=cfg.getint("training", "bottleneck", lo=1),
-        hidden=cfg.getint("training", "hidden", lo=1),
-    )
+    train_cfg, model_cfg = conf.model_configs(cfg, "training", _seed(args, cfg))
     examples = mining.read_mined(args.mined)
     if not examples:
         raise DataError(f"{args.mined}: no mined examples")
@@ -267,11 +234,7 @@ def _decode_traces(args):
 
 
 def cmd_decode(args, cfg: PipelineConfig) -> int:
-    decode_cfg = dec.DecodeConfig(
-        cfg.getint("decoding", "smooth_window_frames", lo=1),
-        cfg.getfloat("decoding", "threshold", lo=1e-9, hi=1 - 1e-9),
-        cfg.getint("decoding", "min_gap_frames", lo=0),
-    )
+    decode_cfg = conf.decode_config(cfg)
     traces = _decode_traces(args)
     out = _run_dir(args, cfg, "decode")
     detections = []
@@ -287,7 +250,7 @@ def cmd_decode(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
-    tolerance = cfg.getint("decoding", "tolerance_frames", lo=0)
+    tolerance = conf.tolerance_frames(cfg)
     detections = dec.read_detections(args.detections)
     utt_frames = _read_utt_frames(args.utt_frames)
     # the evaluated set is what was decoded; ignore references outside it
@@ -310,13 +273,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_det(args, cfg: PipelineConfig) -> int:
-    decode_cfg = dec.DecodeConfig(
-        cfg.getint("decoding", "smooth_window_frames", lo=1),
-        0.5,
-        cfg.getint("decoding", "min_gap_frames", lo=0),
-    )
-    thresholds = cfg.thresholds()
-    tolerance = cfg.getint("decoding", "tolerance_frames", lo=0)
+    decode_cfg, thresholds, tolerance = conf.det_settings(cfg)
     traces = _decode_traces(args)
     all_refs = _read_references(args.references)
     references = {u: all_refs.get(u, []) for u in traces}
@@ -338,6 +295,8 @@ def cmd_e2e_demo(args, cfg: PipelineConfig) -> int:
         seeds = [_seed(args, cfg)]
     if not seeds:
         raise ConfigError("demo.seeds: need at least one seed")
+    # a bad setting fails here, before the run directory exists
+    demo_mod.demo_settings(cfg, seeds[0])
     out = _run_dir(args, cfg, "e2e-demo")
     suite = demo_mod.run_demo_suite(out, seeds, cfg, args.jobs)
     print(
@@ -400,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train the spotter")
     p.add_argument("--mined", required=True)
-    p.add_argument("--audio-dir")
-    p.add_argument("--augment-manifest")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--audio-dir")
+    source.add_argument("--augment-manifest")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("decode", parents=[common], help="detect wake words")
@@ -429,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "train" and not (args.audio_dir or args.augment_manifest):
-        print("train: need --audio-dir or --augment-manifest", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         cfg = load_config(args.config, args.set)
         return args.func(args, cfg)

@@ -13,6 +13,12 @@ import hashlib
 import math
 import os
 
+import numpy as np
+
+from .augment import AugmentError, CorruptionSpec, MixRecipe
+from .decode import DecodeConfig
+from .model import SpotterConfig, TrainConfig
+
 DEFAULTS: dict[str, dict[str, str]] = {
     "run": {"seed": "0"},
     "rir": {
@@ -127,8 +133,6 @@ class PipelineConfig:
         try:
             if raw.startswith("lin:"):
                 _, start, stop, count = raw.split(":")
-                import numpy as np
-
                 values = [round(float(v), 6) for v in np.linspace(float(start), float(stop), int(count))]
             else:
                 values = [float(v) for v in raw.split(",") if v.strip()]
@@ -185,3 +189,82 @@ def load_config(
             raise ConfigError(f"{dotted}: unknown configuration key")
         values[section][key] = value
     return PipelineConfig(values)
+
+
+# --- stage readers: the one place that reads the lexicon, mining, augment,
+# training and decoding sections and their bounds, for the subcommands and the demo
+
+
+def wake_word(cfg: PipelineConfig, given: str | None) -> str:
+    """The given wake word, else `lexicon.wake_word`; one must be set."""
+    wake = given or cfg.getstr("lexicon", "wake_word")
+    if not wake:
+        raise ConfigError("lexicon.wake_word: missing wake word")
+    return wake
+
+
+def confusable_limits(cfg: PipelineConfig) -> tuple[int, int]:
+    """The confusable scan's edit-distance bound and vocabulary cap."""
+    return cfg.getint("lexicon", "d_max", lo=0), cfg.getint("lexicon", "top_n_frequent", lo=1)
+
+
+def mining_gates(cfg: PipelineConfig) -> tuple[float, float, float]:
+    """The positive and negative confidence gates and the balancing ratio."""
+    pos_th = cfg.getfloat("mining", "pos_threshold", lo=0.0, hi=1.0)
+    neg_th = cfg.getfloat("mining", "neg_threshold", lo=0.0, hi=1.0)
+    return pos_th, neg_th, cfg.getfloat("mining", "target_ratio", lo=1e-9)
+
+
+def mix_recipe(cfg: PipelineConfig, scale: float | None = None) -> MixRecipe:
+    """`augment.table_row` scaled by `scale`, else by `augment.recipe_scale`."""
+    if scale is None:
+        scale = cfg.getfloat("augment", "recipe_scale", lo=0.0)
+    try:
+        return MixRecipe.from_table_row(cfg.getstr("augment", "table_row"), scale)
+    except AugmentError as exc:
+        raise ConfigError(f"augment: {exc}") from exc
+
+
+def corruption_spec(cfg: PipelineConfig, seed: int) -> CorruptionSpec:
+    """The multi-condition SNR draw and noise/music split, seeded."""
+    return CorruptionSpec(
+        cfg.getfloat("augment", "snr_mean_db"),
+        cfg.getfloat("augment", "snr_std_db", lo=0.0),
+        cfg.getfloat("augment", "noise_music_split", lo=0.0, hi=1.0),
+        rng_seed=seed,
+    )
+
+
+def model_configs(cfg: PipelineConfig, section: str, seed: int) -> tuple[TrainConfig, SpotterConfig]:
+    """The trainer and the network from `section`, "training" or the
+    demo's "demo"; the minibatch size is always `training`'s."""
+    learning_rate = cfg.getfloat(section, "learning_rate", lo=1e-12)
+    minibatch_size = cfg.getint("training", "minibatch_size", lo=1)
+    epochs = cfg.getint(section, "epochs", lo=0)
+    bottleneck = cfg.getint(section, "bottleneck", lo=1)
+    hidden = cfg.getint(section, "hidden", lo=1)
+    return (
+        TrainConfig(learning_rate, minibatch_size, epochs, seed),
+        SpotterConfig(bottleneck=bottleneck, hidden=hidden),
+    )
+
+
+def decode_config(cfg: PipelineConfig, window=None, threshold=None) -> DecodeConfig:
+    """The `decoding` section's smoother and peak picker; a given `window`
+    or `threshold` stands in for its key, which is then not read."""
+    if window is None:
+        window = cfg.getint("decoding", "smooth_window_frames", lo=1)
+    if threshold is None:
+        threshold = cfg.getfloat("decoding", "threshold", lo=1e-9, hi=1 - 1e-9)
+    return DecodeConfig(window, threshold, cfg.getint("decoding", "min_gap_frames", lo=0))
+
+
+def tolerance_frames(cfg: PipelineConfig) -> int:
+    """How many frames a matching detection's peak may lie outside its span."""
+    return cfg.getint("decoding", "tolerance_frames", lo=0)
+
+
+def det_settings(cfg: PipelineConfig, window=None) -> tuple[DecodeConfig, list[float], int]:
+    """A DET sweep's decoder (at the first threshold), thresholds and tolerance."""
+    sweep = cfg.thresholds()
+    return decode_config(cfg, window, sweep[0]), sweep, tolerance_frames(cfg)

@@ -125,14 +125,13 @@ def average_duration_frames(examples: list[MinedExample]) -> int:
 def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
     """Per-frame wake-word posterior for one utterance's LFBE matrix.
 
-    Equals `posteriors(model, stack_context(lfbe))[:, 1]`
-    within 1e-6, computed in float32: the scaler is folded into a
-    float32 copy of the parameters once, and each block of CHUNK_FRAMES
-    frames refills one reusable float32 buffer of stacked inputs and
-    goes through the cache-free forward. A block gathers only its own
-    LFBE rows plus context, ends replicated, and its stacked rows are
-    copied as windows of that span through a strided view. The trace
-    is float64.
+    Equals the tests' float64 oracle `whole_utterance_trace` within 1e-6,
+    computed in float32: the scaler is folded into a float32 copy of the
+    parameters once, and each block of CHUNK_FRAMES frames refills one
+    reusable float32 buffer of stacked inputs and goes through the
+    cache-free forward. A block gathers only its own LFBE rows plus
+    context, ends replicated, and its stacked rows are copied as windows
+    of that span through a strided view. The trace is float64.
     """
     lfbe = np.asarray(lfbe, dtype=np.float64)
     if lfbe.ndim != 2 or lfbe.shape[0] < 1:

@@ -12,27 +12,27 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
+from . import config as conf
 from .audio import AudioClip, read_wav
 from .augment import (
-    AugmentError,
     CorruptionSpec,
-    MixRecipe,
     build_mixed_dataset,
     corrupt,
     reverberate,
     synthesize_rir,
     write_manifest,
 )
-from .config import ConfigError, PipelineConfig
-from .decode import DecodeConfig, average_duration_frames, posterior_trace
+from .config import PipelineConfig
+from .decode import average_duration_frames, posterior_trace
 from .evaluate import EvalResult, det_curve, det_svg, write_det_csv
 from .features import FRAMES_PER_S, compute_lfbe
 from .lexicon import build_confusable_set, load_lexicon
 from .mining import balance_examples, load_hypotheses, mine_examples
-from .model import SpotterConfig, TrainConfig, train
+from .model import train
 from .pipeline import dataset_from_examples, dataset_from_manifest
 from .synth import (
     WAKE_WORD,
@@ -71,47 +71,32 @@ def median_operating_far(*curves: list[EvalResult]) -> float:
     return float(np.median(positive if positive else fars))
 
 
+def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
+    """Every setting of one demo run, read through the subcommands' stage
+    readers; `demo` sizes the corpus, test set and model. `run_demo` scales the
+    recipe row to the mined examples and widens the 1-frame smoothing window."""
+    return (
+        cfg.getint("demo", "n_train", lo=10),
+        cfg.getint("demo", "n_test", lo=10),
+        CorruptionSpec(cfg.getfloat("demo", "test_snr_db"), 0.0, 0.5, rng_seed=seed),
+        conf.confusable_limits(cfg),
+        conf.mining_gates(cfg),
+        conf.mix_recipe(cfg, scale=1.0),
+        conf.corruption_spec(cfg, seed),
+        conf.model_configs(cfg, "demo", seed),
+        conf.det_settings(cfg, window=1),
+    )
+
+
 def run_demo(
     out_dir: str | os.PathLike, seed: int, cfg: PipelineConfig, jobs: int = 1
 ) -> dict:
-    """One clean-vs-multi-condition comparison; returns the summary dict
-    (also written to summary.json next to the DET artifacts). The stages
-    read the config sections of the matching subcommands; `demo` sizes the
-    corpus and the model. The test set, the yardstick, depends only on the
-    seed, `demo.n_test` and `demo.test_snr_db`. All is read before work."""
+    """One clean-vs-multi-condition comparison with `demo_settings`; returns
+    the summary, also written to summary.json. The test set, the yardstick,
+    depends only on the seed, `demo.n_test` and `demo.test_snr_db`."""
     t0 = time.monotonic()
-    n_train = cfg.getint("demo", "n_train", lo=10)
-    n_test = cfg.getint("demo", "n_test", lo=10)
-    test_snr_db = cfg.getfloat("demo", "test_snr_db")
-    d_max = cfg.getint("lexicon", "d_max", lo=0)
-    top_n = cfg.getint("lexicon", "top_n_frequent", lo=1)
-    pos_th = cfg.getfloat("mining", "pos_threshold", lo=0.0, hi=1.0)
-    neg_th = cfg.getfloat("mining", "neg_threshold", lo=0.0, hi=1.0)
-    ratio = cfg.getfloat("mining", "target_ratio", lo=1e-9)
-    row = cfg.getstr("augment", "table_row")
-    try:
-        row_total = MixRecipe.from_table_row(row).total
-    except AugmentError as exc:
-        raise ConfigError(f"augment: {exc}") from exc
-    mct_spec = CorruptionSpec(
-        cfg.getfloat("augment", "snr_mean_db"),
-        cfg.getfloat("augment", "snr_std_db", lo=0.0),
-        cfg.getfloat("augment", "noise_music_split", lo=0.0, hi=1.0),
-        rng_seed=seed,
-    )
-    model_cfg = SpotterConfig(
-        bottleneck=cfg.getint("demo", "bottleneck", lo=1),
-        hidden=cfg.getint("demo", "hidden", lo=1),
-    )
-    train_cfg = TrainConfig(
-        learning_rate=cfg.getfloat("demo", "learning_rate", lo=1e-12),
-        minibatch_size=cfg.getint("training", "minibatch_size", lo=1),
-        epochs=cfg.getint("demo", "epochs", lo=1),
-        rng_seed=seed,
-    )
-    sweep = cfg.thresholds()
-    min_gap = cfg.getint("decoding", "min_gap_frames", lo=0)
-    tolerance = cfg.getint("decoding", "tolerance_frames", lo=0)
+    (n_train, n_test, test_spec, (d_max, top_n), (pos_th, neg_th, ratio), full_recipe, mct_spec,
+     (train_cfg, model_cfg), (decode_cfg, sweep, tolerance)) = demo_settings(cfg, seed)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -134,7 +119,6 @@ def run_demo(
     ]
     test_noises = make_noise_pool(6, 2.5, test_rng)
     test_musics = make_music_pool(4, 2.5, test_rng)
-    test_spec = CorruptionSpec(test_snr_db, 0.0, 0.5, rng_seed=seed)
     test_clips: dict[str, AudioClip] = {}
     references: dict[str, list[tuple[int, int]]] = {}
     for utt in test_utts:
@@ -171,7 +155,7 @@ def run_demo(
     clean_pool = [
         read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced
     ]
-    recipe = MixRecipe.from_table_row(row, scale=len(balanced) / row_total)
+    recipe = conf.mix_recipe(cfg, scale=len(balanced) / full_recipe.total)
     mct_dir = os.path.join(out_dir, "mct")
     rows = build_mixed_dataset(
         clean_pool, mct_rirs, mct_noises, mct_musics, recipe, mct_spec, mct_dir,
@@ -185,8 +169,7 @@ def run_demo(
     mct_model, mct_log = train(mct_ds, train_cfg, model_cfg)
 
     # 7. decode the corrupted test set and sweep thresholds
-    window = average_duration_frames(balanced)
-    decode_cfg = DecodeConfig(window, 0.5, min_gap)
+    decode_cfg = replace(decode_cfg, smooth_window_frames=average_duration_frames(balanced))
     traces_clean = {}
     traces_mct = {}
     for utt_id, clip in test_clips.items():
@@ -211,7 +194,7 @@ def run_demo(
         "seed": seed,
         "mined_examples": len(balanced),
         "mct_counts": recipe.counts,
-        "smooth_window_frames": window,
+        "smooth_window_frames": decode_cfg.smooth_window_frames,
         "operating_far_per_hour": operating_far,
         "frr_clean": frr_clean,
         "frr_mct": frr_mct,

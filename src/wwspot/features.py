@@ -107,17 +107,3 @@ def context_indices(n_frames: int) -> np.ndarray:
     frames = np.arange(n_frames, dtype=np.int64)
     padded = np.pad(frames, (LEFT_CONTEXT, RIGHT_CONTEXT), mode="edge")
     return np.lib.stride_tricks.sliding_window_view(padded, CONTEXT_WIDTH)
-
-
-def stack_context(feat: np.ndarray) -> np.ndarray:
-    """Concatenate frames t-LEFT_CONTEXT .. t+RIGHT_CONTEXT per row;
-    edges replicate.
-
-    A (T, B) matrix becomes (T, CONTEXT_WIDTH*B); each source frame's
-    bins stay contiguous in the output row.
-    """
-    feat = np.asarray(feat, dtype=np.float64)
-    if feat.ndim != 2 or feat.shape[0] < 1:
-        raise FeatureError("expected a non-empty (frames, bins) matrix")
-    idx = context_indices(feat.shape[0])
-    return feat[idx].reshape(feat.shape[0], CONTEXT_WIDTH * feat.shape[1])

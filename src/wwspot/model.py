@@ -348,14 +348,6 @@ class FrameDataset:
         return self.gather.shape[0]
 
     @classmethod
-    def from_vectors(
-        cls, x: np.ndarray, targets: np.ndarray, is_positive_utt: np.ndarray
-    ) -> "FrameDataset":
-        x = np.asarray(x, dtype=np.float64)
-        gather = np.arange(x.shape[0], dtype=np.int64)[:, None]
-        return cls(x, gather, targets, is_positive_utt)
-
-    @classmethod
     def from_utterances(cls, utterances) -> "FrameDataset":
         """Build from (lfbe_matrix, frame_targets, is_positive) triples;
         context windows never cross utterance boundaries. The arrays are

@@ -15,16 +15,18 @@ import numpy as np
 from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import SPEED_OF_SOUND, RoomSpec
 from wwspot.features import (
+    CONTEXT_WIDTH,
     FFT_SIZE,
     HOP_SAMPLES,
     LEFT_CONTEXT,
     LOG_FLOOR,
     RIGHT_CONTEXT,
     WINDOW_SAMPLES,
+    FeatureError,
+    context_indices,
     mel_filterbank,
-    stack_context,
 )
-from wwspot.model import NUM_BLOCKS, posteriors
+from wwspot.model import NUM_BLOCKS, FrameDataset, posteriors
 
 
 def recursive_distance(a: tuple, b: tuple) -> int:
@@ -136,6 +138,28 @@ def whole_matrix_lfbe(clip):
 def standardize(scaler, x):
     """The scaler's definition: each dimension less its mean, over its std."""
     return (x - scaler.mean) / scaler.std
+
+
+def stack_context(feat: np.ndarray) -> np.ndarray:
+    """Concatenate frames t-LEFT_CONTEXT .. t+RIGHT_CONTEXT per row;
+    edges replicate.
+
+    A (T, B) matrix becomes (T, CONTEXT_WIDTH*B); each source frame's
+    bins stay contiguous in the output row.
+    """
+    feat = np.asarray(feat, dtype=np.float64)
+    if feat.ndim != 2 or feat.shape[0] < 1:
+        raise FeatureError("expected a non-empty (frames, bins) matrix")
+    idx = context_indices(feat.shape[0])
+    return feat[idx].reshape(feat.shape[0], CONTEXT_WIDTH * feat.shape[1])
+
+
+def dataset_from_vectors(x, targets, is_positive_utt):
+    """A FrameDataset whose records are the rows of x, each gathering
+    only itself."""
+    x = np.asarray(x, dtype=np.float64)
+    gather = np.arange(x.shape[0], dtype=np.int64)[:, None]
+    return FrameDataset(x, gather, targets, is_positive_utt)
 
 
 def whole_utterance_trace(model, lfbe):

@@ -1,4 +1,5 @@
 import glob
+import json
 import os
 import re
 
@@ -644,8 +645,71 @@ def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
         assert len(fh.read().splitlines()) == 1 + 3
     # no word is a confusable at distance 0, so no negative is mined
     assert main(demo + ["--set", "lexicon.d_max=0"]) == 3
-    assert main(demo + ["--set", "decoding.thresholds=0.5"]) == 2
-    assert main(demo + ["--set", "augment.table_row=1K"]) == 2
+    capsys.readouterr()
+    # demo.epochs has training.epochs' bound: 0 trains nothing and logs no loss
+    assert main(demo + ["--set", "demo.epochs=0"]) == 0
+    run_dir = capsys.readouterr().out.split("\t")[0]
+    with open(os.path.join(run_dir, "seed-0", "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["final_train_loss_clean"] is None
+    assert summary["final_train_loss_mct"] is None
+
+
+_MISSING = "missing"
+# each subcommand with inputs that do not exist, so only a setting can fail
+_STAGE_COMMANDS = {
+    "lexicon": ["confusables", "--lexicon", _MISSING, "--wake-word", WAKE_WORD],
+    "mining": ["mine", "--hypotheses", _MISSING, "--confusables", _MISSING,
+               "--wake-word", WAKE_WORD],
+    "augment": ["augment", "--clean-dir", _MISSING],
+    "training": ["train", "--mined", _MISSING, "--audio-dir", _MISSING],
+    "decoding": ["det", "--model", _MISSING, "--wav-dir", _MISSING, "--references", _MISSING],
+}
+
+
+# one out-of-range value per stage key that the demo shares, and its message
+_BAD_SETTINGS = {
+    "lexicon.d_max=-1": "lexicon.d_max: -1 is below the minimum 0",
+    "lexicon.top_n_frequent=0": "lexicon.top_n_frequent: 0 is below the minimum 1",
+    "mining.pos_threshold=2": "mining.pos_threshold: 2.0 is above the maximum 1.0",
+    "mining.neg_threshold=-0.1": "mining.neg_threshold: -0.1 is below the minimum 0.0",
+    "mining.target_ratio=0": "mining.target_ratio: 0.0 is below the minimum 1e-09",
+    "augment.table_row=1K": "augment: unknown recipe row '1K'",
+    "augment.snr_mean_db=nan": "augment.snr_mean_db: 'nan' is not a finite number",
+    "augment.snr_std_db=-1": "augment.snr_std_db: -1.0 is below the minimum 0.0",
+    "augment.noise_music_split=2": "augment.noise_music_split: 2.0 is above the maximum 1.0",
+    "training.minibatch_size=0": "training.minibatch_size: 0 is below the minimum 1",
+    "decoding.min_gap_frames=-1": "decoding.min_gap_frames: -1 is below the minimum 0",
+    "decoding.tolerance_frames=-1": "decoding.tolerance_frames: -1 is below the minimum 0",
+    "decoding.thresholds=0.5": "decoding.thresholds: need at least 2 thresholds",
+}
+
+
+@pytest.mark.parametrize("setting", list(_BAD_SETTINGS))
+def test_demo_and_subcommand_reject_a_stage_setting_alike(tmp_path, capsys, setting):
+    stage = _STAGE_COMMANDS[setting.split(".")[0]]
+    for argv in (stage, ["e2e-demo"]):
+        out_dir = tmp_path / argv[0]
+        assert main(argv + ["--set", setting, "--out", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {_BAD_SETTINGS[setting]}")
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [pytest.param([], id="neither"),
+     pytest.param(["--audio-dir", _MISSING, "--augment-manifest", _MISSING], id="both")],
+)
+def test_train_takes_exactly_one_input_flag(tmp_path, capsys, sources):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--mined", _MISSING, *sources, "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--audio-dir" in err and "--augment-manifest" in err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import whole_matrix_lfbe
+from oracles import stack_context, whole_matrix_lfbe
 
 from wwspot.audio import SAMPLE_RATE, AudioClip
 from wwspot.evaluate import FRAMES_PER_HOUR
@@ -22,7 +22,6 @@ from wwspot.features import (
     compute_lfbe,
     hz_to_mel,
     mel_filterbank,
-    stack_context,
 )
 from wwspot.model import SpotterConfig
 

@@ -5,7 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import concatenated_dataset, kink_free_batch, pre_activations, standardize
+from oracles import (
+    concatenated_dataset,
+    dataset_from_vectors,
+    kink_free_batch,
+    pre_activations,
+    standardize,
+)
 
 import wwspot.model
 from wwspot.features import CONTEXT_WIDTH, LEFT_CONTEXT, NUM_MEL_BINS, RIGHT_CONTEXT
@@ -306,7 +312,7 @@ def separable_toy_dataset(seed=0, n=200, dim=8):
     y = np.array(ys, np.uint8)
     margins = (x @ w) * np.where(y == 1, 1.0, -1.0)
     assert margins.min() > 0  # separability oracle
-    return FrameDataset.from_vectors(x, y, y.astype(bool))
+    return dataset_from_vectors(x, y, y.astype(bool))
 
 
 TOY_CFG = SpotterConfig(input_dim=8, bottleneck=4, hidden=16)
@@ -403,7 +409,7 @@ def test_train_zero_epochs_returns_initialized_model():
 
 def test_train_rejects_single_class():
     x = np.random.default_rng(0).standard_normal((50, 8))
-    dataset = FrameDataset.from_vectors(x, np.zeros(50, np.uint8), np.zeros(50, bool))
+    dataset = dataset_from_vectors(x, np.zeros(50, np.uint8), np.zeros(50, bool))
     with pytest.raises(ModelError, match="single target class"):
         train(dataset, TrainConfig(epochs=1), TOY_CFG)
 
@@ -568,7 +574,7 @@ def subsampled(dataset, n_records):
     [
         # utterances shorter than the context window replicate their edges
         lambda rng: FrameDataset.from_utterances(lfbe_like_utterances(rng, (1, 5, 40, 1))),
-        lambda rng: FrameDataset.from_vectors(
+        lambda rng: dataset_from_vectors(
             rng.standard_normal((50, 6)) * 3.0 - 10.0, np.arange(50) % 2, np.ones(50, bool)
         ),
         lambda rng: subsampled(FrameDataset.from_utterances(lfbe_like_utterances(rng, (60, 45))), 70),
