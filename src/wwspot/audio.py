@@ -127,12 +127,13 @@ def _call(item):
 
 
 def parallel_map(fn, items, jobs, context):
-    """`fn(context, item)` for each item; jobs=1 stays in-process, and a
-    pool sends `context` to each worker once. Results come back in input
-    order, so outputs are byte-identical for any N."""
-    if jobs <= 1:
+    """`fn(context, item)` for each item of a list; one job or one item stays
+    in-process, and a pool of at most one worker per item sends `context` to
+    each worker once. Results keep input order, so any N gives the same bytes."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(context, item) for item in items]
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(fn, context)
+        max_workers=workers, initializer=_init_worker, initargs=(fn, context)
     ) as pool:
         return list(pool.map(_call, items, chunksize=8))

@@ -76,11 +76,20 @@ def _list_wavs(wav_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(wav_dir, "*.wav")))
 
 
-def _load_clips(wav_dir: str):
+def _load_clips(wav_dir: str, ids: set[str] | None = None):
+    """The WAVs under wav_dir, or only those whose file stem (the clip id) is in ids."""
     paths = _list_wavs(wav_dir)
+    if ids is not None:
+        paths = [p for p in paths if os.path.splitext(os.path.basename(p))[0] in ids]
     if not paths:
-        raise DataError(f"{wav_dir}: no wav files")
+        raise DataError(f"{wav_dir}: no wav files" + ("" if ids is None else " for the listed ids"))
     return [read_wav(p) for p in paths]
+
+
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _reference(utt_id: str, start: int, end: int) -> tuple[str, tuple[int, int]]:
@@ -144,14 +153,10 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
 def cmd_augment(args, cfg: PipelineConfig) -> int:
     recipe = conf.mix_recipe(cfg)
     spec = conf.corruption_spec(cfg, _seed(args, cfg))
-    clean = _load_clips(args.clean_dir)
-    if args.mined:
-        # keep only utterances with mined examples, so the augmented set
-        # inherits frame targets cleanly at training time
-        wanted = {e.utt_id for e in mining.read_mined(args.mined)}
-        clean = [c for c in clean if c.id in wanted]
-        if not clean:
-            raise DataError(f"{args.clean_dir}: no wav matches the mined utterances")
+    # --mined reads only utterances with mined examples, so the augmented
+    # set inherits frame targets cleanly at training time
+    wanted = {e.utt_id for e in mining.read_mined(args.mined)} if args.mined else None
+    clean = _load_clips(args.clean_dir, wanted)
     rirs = (
         [aug.rir_from_wav(p) for p in _list_wavs(args.rir_dir)] if args.rir_dir else []
     )
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECTION.KEY=VALUE",
         help="override one config value (repeatable)",
     )
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default="runs")
     common.add_argument(

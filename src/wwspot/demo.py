@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as conf
-from .audio import AudioClip, read_wav
+from .audio import read_wav
 from .augment import (
     CorruptionSpec,
     build_mixed_dataset,
@@ -88,12 +88,41 @@ def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
     )
 
 
+def _pools(prefix: str, rooms: int, noises: int, musics: int, rng) -> tuple:
+    """RIRs of random rooms, then 2.5 s noise and music clips, drawn in that order."""
+    rirs = [
+        synthesize_rir(room, id=f"{prefix}-rir-{i}")
+        for i, room in enumerate(make_room_pool(rooms, rng))
+    ]
+    return rirs, make_noise_pool(noises, 2.5, rng), make_music_pool(musics, 2.5, rng)
+
+
+def _test_set(seed: int, n_test: int, spec: CorruptionSpec) -> tuple[dict, dict]:
+    """The held-out test set, reverberated and corrupted, kept only as each
+    utterance's LFBE and its reference wake-word spans in frames."""
+    test_rng = np.random.default_rng([seed, 2])
+    utts = generate_utterances("test", n_test, 0.5, test_rng)
+    rirs, noises, musics = _pools("test", 8, 6, 4, test_rng)
+    lfbes, references = {}, {}
+    for utt in utts:
+        rir, noise, music = (p[int(test_rng.integers(len(p)))] for p in (rirs, noises, musics))
+        clip, _ = corrupt(reverberate(utt.clip, rir), noise, music, spec, test_rng)
+        lfbes[utt.utt_id] = compute_lfbe(clip)
+        references[utt.utt_id] = [
+            (int(round(s * FRAMES_PER_S)), int(round(e * FRAMES_PER_S)))
+            for s, e in utt.wake_spans()
+        ]
+    return lfbes, references
+
+
 def run_demo(
     out_dir: str | os.PathLike, seed: int, cfg: PipelineConfig, jobs: int = 1
 ) -> dict:
     """One clean-vs-multi-condition comparison with `demo_settings`; returns
     the summary, also written to summary.json. The test set, the yardstick,
-    depends only on the seed, `demo.n_test` and `demo.test_snr_db`."""
+    depends only on the seed, `demo.n_test` and `demo.test_snr_db`. The arms
+    run one at a time, each dropping its training set and model before the
+    next starts."""
     t0 = time.monotonic()
     (n_train, n_test, test_spec, (d_max, top_n), (pos_th, neg_th, ratio), full_recipe, mct_spec,
      (train_cfg, model_cfg), (decode_cfg, sweep, tolerance)) = demo_settings(cfg, seed)
@@ -102,36 +131,18 @@ def run_demo(
 
     # 1. corpus
     corpus_rng = np.random.default_rng([seed, 1])
-    train_utts = generate_utterances("train", n_train, WAKE_FRACTION, corpus_rng)
     train_wav = os.path.join(out_dir, "train_wav")
     hyp_path = os.path.join(out_dir, "hypotheses.jsonl")
-    write_corpus(train_utts, train_wav, hyp_path, corpus_rng)
+    write_corpus(
+        generate_utterances("train", n_train, WAKE_FRACTION, corpus_rng),
+        train_wav, hyp_path, corpus_rng,
+    )
     lex_path = os.path.join(out_dir, "lexicon.txt")
     freq_path = os.path.join(out_dir, "frequencies.txt")
     write_lexicon_files(lex_path, freq_path)
 
-    # 2. held-out test set, reverberated and corrupted
-    test_rng = np.random.default_rng([seed, 2])
-    test_utts = generate_utterances("test", n_test, 0.5, test_rng)
-    test_rooms = make_room_pool(8, test_rng)
-    test_rirs = [
-        synthesize_rir(room, id=f"test-rir-{i}") for i, room in enumerate(test_rooms)
-    ]
-    test_noises = make_noise_pool(6, 2.5, test_rng)
-    test_musics = make_music_pool(4, 2.5, test_rng)
-    test_clips: dict[str, AudioClip] = {}
-    references: dict[str, list[tuple[int, int]]] = {}
-    for utt in test_utts:
-        rir = test_rirs[int(test_rng.integers(len(test_rirs)))]
-        noise = test_noises[int(test_rng.integers(len(test_noises)))]
-        music = test_musics[int(test_rng.integers(len(test_musics)))]
-        clip = reverberate(utt.clip, rir)
-        clip, _ = corrupt(clip, noise, music, test_spec, test_rng)
-        test_clips[utt.utt_id] = clip
-        references[utt.utt_id] = [
-            (int(round(s * FRAMES_PER_S)), int(round(e * FRAMES_PER_S)))
-            for s, e in utt.wake_spans()
-        ]
+    # 2. held-out test set
+    test_lfbes, references = _test_set(seed, n_test, test_spec)
 
     # 3. confusables and mining
     lexicon = load_lexicon(lex_path, freq_path)
@@ -141,55 +152,39 @@ def run_demo(
     balanced = balance_examples(mined, ratio, rng_seed=seed)
     by_id = {ex.utt_id: ex for ex in balanced}
 
-    # 4. clean training set
-    clean_ds = dataset_from_examples(balanced, train_wav)
-
-    # 5. multi-condition training set built from the same clips
-    aug_rng = np.random.default_rng([seed, 3])
-    mct_rooms = make_room_pool(12, aug_rng)
-    mct_rirs = [
-        synthesize_rir(room, id=f"mct-rir-{i}") for i, room in enumerate(mct_rooms)
-    ]
-    mct_noises = make_noise_pool(8, 2.5, aug_rng)
-    mct_musics = make_music_pool(5, 2.5, aug_rng)
-    clean_pool = [
-        read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced
-    ]
+    # 4. multi-condition mix of the same clips; the clean pool goes once the mix is written
     recipe = conf.mix_recipe(cfg, scale=len(balanced) / full_recipe.total)
     mct_dir = os.path.join(out_dir, "mct")
     rows = build_mixed_dataset(
-        clean_pool, mct_rirs, mct_noises, mct_musics, recipe, mct_spec, mct_dir,
-        jobs=jobs,
+        [read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced],
+        *_pools("mct", 12, 8, 5, np.random.default_rng([seed, 3])),
+        recipe, mct_spec, mct_dir, jobs=jobs,
     )
     write_manifest(rows, os.path.join(mct_dir, "manifest.tsv"))
-    mct_ds = dataset_from_manifest(rows, by_id, mct_dir)
 
-    # 6. train both models identically
-    clean_model, clean_log = train(clean_ds, train_cfg, model_cfg)
-    mct_model, mct_log = train(mct_ds, train_cfg, model_cfg)
-
-    # 7. decode the corrupted test set and sweep thresholds
+    # 5. each arm trains identically, then decodes the test set and sweeps
     decode_cfg = replace(decode_cfg, smooth_window_frames=average_duration_frames(balanced))
-    traces_clean = {}
-    traces_mct = {}
-    for utt_id, clip in test_clips.items():
-        lfbe = compute_lfbe(clip)
-        traces_clean[utt_id] = posterior_trace(clean_model, lfbe)
-        traces_mct[utt_id] = posterior_trace(mct_model, lfbe)
-    curve_clean = det_curve(traces_clean, references, decode_cfg, sweep, tolerance)
-    curve_mct = det_curve(traces_mct, references, decode_cfg, sweep, tolerance)
-
-    write_det_csv(curve_clean, os.path.join(out_dir, "det_clean.csv"))
-    write_det_csv(curve_mct, os.path.join(out_dir, "det_mct.csv"))
+    arms = (
+        ("clean", "clean-only", lambda: dataset_from_examples(balanced, train_wav)),
+        ("mct", "multi-condition", lambda: dataset_from_manifest(rows, by_id, mct_dir)),
+    )
+    curves, losses = {}, {}
+    for arm, _, build in arms:
+        model, log = train(build(), train_cfg, model_cfg)
+        traces = {u: posterior_trace(model, lfbe) for u, lfbe in test_lfbes.items()}
+        curves[arm] = det_curve(traces, references, decode_cfg, sweep, tolerance)
+        write_det_csv(curves[arm], os.path.join(out_dir, f"det_{arm}.csv"))
+        losses[arm] = log[-1] if log else None
+        del model, traces
     det_svg(
-        [("clean-only", curve_clean), ("multi-condition", curve_mct)],
+        [(label, curves[arm]) for arm, label, _ in arms],
         os.path.join(out_dir, "det_compare.svg"),
         title="clean-only vs multi-condition training",
     )
 
-    operating_far = median_operating_far(curve_clean, curve_mct)
-    frr_clean = frr_at_far(curve_clean, operating_far)
-    frr_mct = frr_at_far(curve_mct, operating_far)
+    operating_far = median_operating_far(*curves.values())
+    frr_clean = frr_at_far(curves["clean"], operating_far)
+    frr_mct = frr_at_far(curves["mct"], operating_far)
     summary = {
         "seed": seed,
         "mined_examples": len(balanced),
@@ -199,8 +194,7 @@ def run_demo(
         "frr_clean": frr_clean,
         "frr_mct": frr_mct,
         "relative_frr_reduction": (frr_clean - frr_mct) / frr_clean if frr_clean else 0.0,
-        "final_train_loss_clean": clean_log[-1] if clean_log else None,
-        "final_train_loss_mct": mct_log[-1] if mct_log else None,
+        **{f"final_train_loss_{arm}": loss for arm, loss in losses.items()},
         "wall_seconds": round(time.monotonic() - t0, 2),
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:

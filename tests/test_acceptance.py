@@ -4,6 +4,7 @@ The conftest hook prints one [PASS]/[FAIL] line per criterion at the end
 of the run.
 """
 
+import json
 import math
 import time
 
@@ -366,9 +367,17 @@ def test_e2e_determinism(tmp_path):
         ["demo.n_train=120", "demo.n_test=48", "demo.epochs=4", "demo.bottleneck=24",
          "demo.hidden=48"],
     )
-    run_demo(tmp_path / "run1", 3, cfg)
-    run_demo(tmp_path / "run2", 3, cfg)
-    for name in ("det_clean.csv", "det_mct.csv"):
-        a = (tmp_path / "run1" / name).read_bytes()
-        b = (tmp_path / "run2" / name).read_bytes()
+    run1, run2 = tmp_path / "run1", tmp_path / "run2"
+    run_demo(run1, 3, cfg)
+    run_demo(run2, 3, cfg)
+    wavs = [sorted(p.name for p in (run / "mct" / "wav").iterdir()) for run in (run1, run2)]
+    assert wavs[0] and wavs[0] == wavs[1]
+    names = ["det_clean.csv", "det_mct.csv", "det_compare.svg", "mct/manifest.tsv"]
+    for name in names + [f"mct/wav/{w}" for w in wavs[0]]:
+        a = (run1 / name).read_bytes()
+        b = (run2 / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+    summaries = [json.loads((run / "summary.json").read_text()) for run in (run1, run2)]
+    for summary in summaries:
+        del summary["wall_seconds"]
+    assert summaries[0] == summaries[1]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from wwspot.audio import AudioClip, AudioError, read_wav, rms_power, write_wav
+from wwspot import audio
+from wwspot.audio import AudioClip, AudioError, parallel_map, read_wav, rms_power, write_wav
 
 
 def test_full_scale_int16_maps_to_one(tmp_path):
@@ -111,3 +112,37 @@ def test_empty_clip_rejected():
         AudioClip(np.zeros(0))
     with pytest.raises(AudioError):
         rms_power(np.zeros(0))
+
+
+def _add(context, item):
+    return context + item
+
+
+def test_parallel_map_pool_never_outnumbers_the_items(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process; starts no worker."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(audio, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(audio, "_WORKER", None)
+    assert parallel_map(_add, [1, 2, 3], 64, 10) == [11, 12, 13]
+    assert parallel_map(_add, [1, 2, 3], 2, 10) == [11, 12, 13]
+    # one item or one job stays in-process
+    assert parallel_map(_add, [1], 64, 10) == [11]
+    assert parallel_map(_add, [1, 2], 1, 10) == [11, 12]
+    assert parallel_map(_add, [], 64, 10) == []
+    assert sizes == [3, 2]

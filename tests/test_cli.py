@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from wwspot.cli import _read_references, _read_utt_frames, main
 from wwspot.decode import read_detections
 from wwspot.features import FRAMES_PER_S
 from wwspot.lexicon import load_lexicon, read_confusables
-from wwspot.mining import NEGATIVE, POSITIVE, read_mined
+from wwspot.mining import NEGATIVE, POSITIVE, MinedExample, read_mined, write_mined
 from wwspot.synth import (
     WAKE_WORD,
     generate_utterances,
@@ -277,6 +278,32 @@ def test_augment_cli_table_row_scaled_counts(tmp_path, corpus):
     assert main(args + ["--out", runs_b]) == 0
     manifest_b = os.path.join(_single_run_dir(runs_b, "augment"), "manifest.tsv")
     assert open(manifest_a, "rb").read() == open(manifest_b, "rb").read()
+
+
+def test_augment_mined_reads_only_the_mined_wavs(tmp_path, corpus):
+    clean = tmp_path / "clean"
+    shutil.copytree(corpus["wav"], clean)
+    (clean / "x.wav").write_bytes(b"not a wav")
+    mined_ids = [u.utt_id for u in corpus["utts"][:6]]
+    mined = tmp_path / "mined.tsv"
+    write_mined(
+        [MinedExample(u, POSITIVE, WAKE_WORD, (0.1, 0.2), 0.9) for u in mined_ids], mined
+    )
+    args = [
+        "augment",
+        "--clean-dir", str(clean),
+        "--rir-dir", corpus["rirs"],
+        "--noise-dir", corpus["noise"],
+        "--set", "augment.table_row=50K",
+        "--set", "augment.recipe_scale=0.0005",
+        "--set", "augment.noise_music_split=1.0",
+    ]
+    # the unmined x.wav is unreadable, so reading the whole directory fails
+    assert main(args + ["--out", str(tmp_path / "all")]) == 3
+    assert main(args + ["--mined", str(mined), "--out", str(tmp_path / "runs")]) == 0
+    manifest = os.path.join(_single_run_dir(str(tmp_path / "runs"), "augment"), "manifest.tsv")
+    rows = read_manifest(manifest)
+    assert rows and {r.source_id for r in rows} <= set(mined_ids)
 
 
 def test_augment_cli_needs_rir_pool_when_reverb_requested(tmp_path, corpus):
@@ -790,6 +817,17 @@ def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
             ["confusables", "--lexicon", lexicon, "--wake-word", WAKE_WORD, "--out", runs]
         ) == 0
     assert len(glob.glob(os.path.join(runs, "confusables-*"))) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["rir-gen", "--jobs", jobs, "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--jobs: expected an integer >= 1, got '{jobs}'" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_unknown_subcommand_exits_nonzero():
