@@ -26,10 +26,9 @@ class AudioError(DataError):
 
 @dataclass
 class AudioClip:
-    """Mono PCM samples plus an opaque utterance id."""
+    """Mono PCM samples at SAMPLE_RATE plus an opaque utterance id."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
     id: str = ""
 
     def __post_init__(self):
@@ -38,16 +37,15 @@ class AudioClip:
             raise AudioError("clip samples must be one-dimensional")
         if self.samples.size == 0:
             raise AudioError("clip is empty")
-        if self.sample_rate <= 0:
-            raise AudioError("sample rate must be positive")
 
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
-def read_wav(path: str | os.PathLike, id: str | None = None) -> AudioClip:
-    """Read a PCM WAV file as a mono clip scaled to [-1, 1].
+def read_wav(path: str | os.PathLike) -> AudioClip:
+    """Read a PCM WAV file as a mono clip scaled to [-1, 1], its id the
+    file's stem.
 
     Accepts 16-bit integer or 32/64-bit float encodings, and float
     samples must be finite; multi-channel audio is averaged down to
@@ -80,9 +78,7 @@ def read_wav(path: str | os.PathLike, id: str | None = None) -> AudioClip:
         raise AudioError(
             f"{path}: unsupported sample rate {rate} (expected {SAMPLE_RATE})"
         )
-    if id is None:
-        id = os.path.splitext(os.path.basename(path))[0]
-    return AudioClip(samples, int(rate), id=id)
+    return AudioClip(samples, id=os.path.splitext(os.path.basename(path))[0])
 
 
 def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
@@ -100,7 +96,7 @@ def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
         np.round(samples * _FULL_SCALE), -32768, 32767
     ).astype(np.int16)
     try:
-        wavfile.write(os.fspath(path), clip.sample_rate, quantized)
+        wavfile.write(os.fspath(path), SAMPLE_RATE, quantized)
     except OSError as exc:
         raise AudioError(f"{path}: cannot write ({exc})") from exc
 

@@ -105,11 +105,11 @@ def _axis_images(pos: float, length: float, max_order: int):
     return np.asarray(coords, dtype=np.float64), np.asarray(counts, dtype=np.int64)
 
 
-def _truncate_tail(taps: np.ndarray, fraction: float = TAIL_ENERGY_FRACTION) -> np.ndarray:
+def _truncate_tail(taps: np.ndarray) -> np.ndarray:
     energy = taps * taps
     total = energy.sum()
     tail = np.cumsum(energy[::-1])[::-1]
-    keep = np.flatnonzero(tail >= fraction * total)
+    keep = np.flatnonzero(tail >= TAIL_ENERGY_FRACTION * total)
     return taps[: keep[-1] + 1]
 
 
@@ -143,8 +143,8 @@ def rir_to_wav(rir: RirFilter, path: str | os.PathLike) -> None:
     write_wav(AudioClip(rir.taps, id=rir.id), path)
 
 
-def rir_from_wav(path: str | os.PathLike, id: str | None = None) -> RirFilter:
-    clip = read_wav(path, id=id)
+def rir_from_wav(path: str | os.PathLike) -> RirFilter:
+    clip = read_wav(path)
     return RirFilter(clip.samples, id=clip.id)
 
 
@@ -162,7 +162,7 @@ def reverberate(clip: AudioClip, rir: RirFilter) -> AudioClip:
     peak = float(np.max(np.abs(out)))
     if peak > 1.0:
         out = out * (WRITE_PEAK / peak)
-    return AudioClip(out, clip.sample_rate, id=clip.id)
+    return AudioClip(out, id=clip.id)
 
 
 # --- additive corruption -------------------------------------------------------
@@ -205,7 +205,7 @@ def corrupt(
     noise: AudioClip | None,
     music: AudioClip | None,
     spec: CorruptionSpec,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[AudioClip, float]:
     """Add noise and music at a target SNR drawn from the spec.
 
@@ -214,8 +214,6 @@ def corrupt(
     (the draw is clamped to [-5, 40] dB). Returns the corrupted clip and
     the realized SNR in dB.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.rng_seed)
     target = float(rng.normal(spec.snr_mean_db, spec.snr_std_db))
     target = float(np.clip(target, *SNR_CLAMP_DB))
 
@@ -244,7 +242,7 @@ def corrupt(
     mix *= np.sqrt(interference_power / mix_power)
 
     realized = 10.0 * np.log10(signal_power / rms_power(mix))
-    return AudioClip(x + mix, clip.sample_rate, id=clip.id), float(realized)
+    return AudioClip(x + mix, id=clip.id), float(realized)
 
 
 # --- the four-condition mix ---------------------------------------------------
@@ -346,18 +344,18 @@ def _run_job(ctx: _AugmentContext, job: tuple[int, str, int]) -> ManifestRow:
     rir_id = None
     if condition == "CTM":
         source = ctx.clean[k % len(ctx.clean)]
-        out = AudioClip(source.samples.copy(), source.sample_rate, id=utt_id)
     else:
         source = ctx.clean[int(rng.integers(len(ctx.clean)))]
-        out = AudioClip(source.samples.copy(), source.sample_rate, id=utt_id)
-        if condition in ("CTM+R", "CTM+RN"):
-            rir = ctx.rirs[int(rng.integers(len(ctx.rirs)))]
-            out = reverberate(out, rir)
-            rir_id = rir.id
-        if condition in ("CTM+N", "CTM+RN"):
-            noise = ctx.noises[int(rng.integers(len(ctx.noises)))]
-            music = ctx.musics[int(rng.integers(len(ctx.musics)))] if ctx.musics else None
-            out, snr = corrupt(out, noise, music, ctx.spec, rng)
+    # shares the source's samples: reverberate and corrupt return new clips
+    out = AudioClip(source.samples, id=utt_id)
+    if condition in ("CTM+R", "CTM+RN"):
+        rir = ctx.rirs[int(rng.integers(len(ctx.rirs)))]
+        out = reverberate(out, rir)
+        rir_id = rir.id
+    if condition in ("CTM+N", "CTM+RN"):
+        noise = ctx.noises[int(rng.integers(len(ctx.noises)))]
+        music = ctx.musics[int(rng.integers(len(ctx.musics)))] if ctx.musics else None
+        out, snr = corrupt(out, noise, music, ctx.spec, rng)
     wav_path = os.path.join("wav", f"{utt_id}.wav")
     write_wav(out, os.path.join(ctx.out_dir, wav_path))
     return ManifestRow(utt_id, condition, source.id, wav_path, snr, rir_id)

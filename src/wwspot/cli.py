@@ -92,16 +92,21 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
-def _reference(utt_id: str, start: int, end: int) -> tuple[str, tuple[int, int]]:
-    if not 0 <= start <= end:
-        raise ValueError(f"reference span needs 0 <= start <= end, got {start}, {end}")
-    return utt_id, (start, end)
-
-
 def _read_references(path: str) -> dict[str, list[tuple[int, int]]]:
+    """Inclusive frame spans per utterance; spans of one utterance may not
+    overlap (closed intervals, as `evaluate.score` checks)."""
     refs: dict[str, list[tuple[int, int]]] = {}
-    for utt_id, span in read_tsv(path, (str, int, int), _reference):
-        refs.setdefault(utt_id, []).append(span)
+
+    def add(utt_id: str, start: int, end: int) -> None:
+        if not 0 <= start <= end:
+            raise ValueError(f"reference span needs 0 <= start <= end, got {start}, {end}")
+        spans = refs.setdefault(utt_id, [])
+        for s, e in spans:
+            if start <= e and s <= end:
+                raise ValueError(f"{utt_id}: span {start}-{end} overlaps span {s}-{e}")
+        spans.append((start, end))
+
+    read_tsv(path, (str, int, int), add)
     return refs
 
 
@@ -279,8 +284,8 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 def cmd_det(args, cfg: PipelineConfig) -> int:
     decode_cfg, thresholds, tolerance = conf.det_settings(cfg)
-    traces = _decode_traces(args)
     all_refs = _read_references(args.references)
+    traces = _decode_traces(args)
     references = {u: all_refs.get(u, []) for u in traces}
     results = ev.det_curve(traces, references, decode_cfg, thresholds, tolerance)
     out = _run_dir(args, cfg, "det")

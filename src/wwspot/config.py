@@ -125,11 +125,11 @@ class PipelineConfig:
             self._check_range(section, key, value, lo, None)
         return values
 
-    def thresholds(self, section: str = "decoding", key: str = "thresholds") -> list[float]:
-        """Either a comma list or lin:<start>:<stop>:<count> of at least 2
-        values (a sweep); every value must lie in (0, 1), the range a
-        decoder threshold takes."""
-        raw = self.get(section, key)
+    def thresholds(self) -> list[float]:
+        """`decoding.thresholds`: either a comma list or
+        lin:<start>:<stop>:<count> of at least 2 values (a sweep); every value
+        must lie in (0, 1), the range a decoder threshold takes."""
+        raw = self.get("decoding", "thresholds")
         try:
             if raw.startswith("lin:"):
                 _, start, stop, count = raw.split(":")
@@ -137,12 +137,12 @@ class PipelineConfig:
             else:
                 values = [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
-            raise ConfigError(f"{section}.{key}: cannot parse threshold spec {raw!r}") from None
+            raise ConfigError(f"decoding.thresholds: cannot parse threshold spec {raw!r}") from None
         if len(values) < 2:
-            raise ConfigError(f"{section}.{key}: need at least 2 thresholds")
+            raise ConfigError("decoding.thresholds: need at least 2 thresholds")
         for value in values:
             if not 0.0 < value < 1.0:
-                raise ConfigError(f"{section}.{key}: threshold {value} is outside (0, 1)")
+                raise ConfigError(f"decoding.thresholds: threshold {value} is outside (0, 1)")
         return values
 
     @staticmethod

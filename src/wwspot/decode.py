@@ -40,9 +40,9 @@ class DecodeError(DataError):
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    smooth_window_frames: int = 50
-    threshold: float = 0.5
-    min_gap_frames: int = 30
+    smooth_window_frames: int
+    threshold: float
+    min_gap_frames: int
 
     def __post_init__(self):
         if self.smooth_window_frames < 1:

@@ -78,7 +78,7 @@ def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
     return (
         cfg.getint("demo", "n_train", lo=10),
         cfg.getint("demo", "n_test", lo=10),
-        CorruptionSpec(cfg.getfloat("demo", "test_snr_db"), 0.0, 0.5, rng_seed=seed),
+        CorruptionSpec(cfg.getfloat("demo", "test_snr_db"), 0.0, 0.5),
         conf.confusable_limits(cfg),
         conf.mining_gates(cfg),
         conf.mix_recipe(cfg, scale=1.0),

@@ -72,13 +72,8 @@ def compute_lfbe(clip: AudioClip) -> np.ndarray:
     natural log of (energy + LOG_FLOOR). Frame count is
     1 + floor((num_samples - window) / hop). The frames are strided
     views of the samples, transformed CHUNK_FRAMES at a time into the
-    preallocated output. Only SAMPLE_RATE clips are accepted: the
-    filterbank and the hop are fixed in samples.
+    preallocated output.
     """
-    if clip.sample_rate != SAMPLE_RATE:
-        raise FeatureError(
-            f"clip sample rate is {clip.sample_rate} Hz; the front end takes {SAMPLE_RATE} Hz"
-        )
     x = clip.samples
     if x.size < WINDOW_SAMPLES:
         raise FeatureError(

@@ -8,7 +8,7 @@ optionally restricted to the most frequent words.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,6 @@ def load_lexicon(
     return Lexicon(entries, ranks)
 
 
-def _encode(seq: tuple[str, ...], table: dict[str, int]) -> np.ndarray:
-    return np.asarray([table.setdefault(p, len(table)) for p in seq], dtype=np.int64)
-
-
 def _encode_batch(
     seqs: list[tuple[str, ...]], table: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,16 +126,14 @@ def levenshtein(a, b) -> int:
     if not a or not b:
         raise LexiconError("cannot compare empty phoneme sequences")
     table: dict[str, int] = {}
-    return int(_distances(_encode(a, table), *_encode_batch([b], table))[0])
+    return int(_distances(_encode_batch([a], table)[0][0], *_encode_batch([b], table))[0])
 
 
 @dataclass
 class ConfusableSet:
-    """Words within edit distance [1, d_max] of the wake word."""
+    """Words within edit distance [1, d_max] of the wake word, with distances."""
 
-    wake_word: str
-    d_max: int
-    members: dict[str, int] = field(default_factory=dict)
+    members: dict[str, int]
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.members
@@ -175,18 +169,18 @@ def build_confusable_set(
         )
     ]
     if not words:
-        return ConfusableSet(wake, d_max, {})
+        return ConfusableSet({})
     prons = [p for w in words for p in lex.entries[w]]
     # each word's pronunciations are contiguous in `prons`
     first = np.cumsum([0] + [len(lex.entries[w]) for w in words[:-1]])
     table: dict[str, int] = {}
-    wake_codes = [_encode(p, table) for p in lex.pronunciations(wake)]
+    wake_codes = [_encode_batch([p], table)[0][0] for p in lex.pronunciations(wake)]
     padded, lengths = _encode_batch(prons, table)
     per_pron = np.min([_distances(w, padded, lengths) for w in wake_codes], axis=0)
     dist = np.minimum.reduceat(per_pron, first)
     keep = np.flatnonzero((dist >= 1) & (dist <= d_max))
     members = {words[k]: int(dist[k]) for k in keep}
-    return ConfusableSet(wake, d_max, members)
+    return ConfusableSet(members)
 
 
 def write_confusables(confusables: ConfusableSet, path: str | os.PathLike) -> None:
@@ -194,13 +188,17 @@ def write_confusables(confusables: ConfusableSet, path: str | os.PathLike) -> No
     write_tsv(path, ((w, str(members[w])) for w in sorted(members)), LexiconError)
 
 
-def _confusable(word: str, distance: int) -> tuple[str, int]:
-    if distance < 1:
-        raise ValueError(f"distance {distance} is below 1")
-    return _word_count(word, distance)
+def read_confusables(path: str | os.PathLike, wake_word: str) -> ConfusableSet:
+    """Parse `word<TAB>distance` lines. A row naming the wake word is an
+    error: mining would turn its hits below the positive gate into negatives."""
+    wake = wake_word.lower()
 
+    def confusable(word: str, distance: int) -> tuple[str, int]:
+        word = word.strip().lower()
+        if distance < 1:
+            raise ValueError(f"distance {distance} is below 1")
+        if word == wake:
+            raise ValueError(f"{word!r} is the wake word")
+        return word, distance
 
-def read_confusables(path: str | os.PathLike, wake_word: str = "") -> ConfusableSet:
-    members = dict(read_tsv(path, (str, int), _confusable, LexiconError))
-    d_max = max(members.values(), default=0)
-    return ConfusableSet(wake_word.lower(), d_max, members)
+    return ConfusableSet(dict(read_tsv(path, (str, int), confusable, LexiconError)))

@@ -64,7 +64,6 @@ class MinedExample:
     trigger_word: str
     trigger_span: tuple[float, float]
     confidence: float
-    audio_path: str = ""
 
 
 def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis], int]:
@@ -152,7 +151,6 @@ def mine_examples(
                 hit.token.lower(),
                 (hit.start_s, hit.end_s),
                 hit.confidence,
-                audio_path=hyp.audio_path,
             )
         )
     out.sort(key=lambda e: e.utt_id)

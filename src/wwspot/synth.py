@@ -75,18 +75,16 @@ class SynthUtterance:
         return [(s, e) for t, s, e in self.words if t == WAKE_WORD]
 
 
-def _syllable_wave(
-    name: str, dur_s: float, f0: float, rng: np.random.Generator, sr: int = SAMPLE_RATE
-) -> np.ndarray:
-    n = int(dur_s * sr)
-    t = np.arange(n) / sr
+def _syllable_wave(name: str, dur_s: float, f0: float, rng: np.random.Generator) -> np.ndarray:
+    n = int(dur_s * SAMPLE_RATE)
+    t = np.arange(n) / SAMPLE_RATE
     wave = np.zeros(n)
     for gain, formant in zip(_FORMANT_GAINS, SYLLABLES[name]):
         freq = formant * (1.0 + rng.uniform(-0.04, 0.04))
         wave += gain * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
     # voicing: amplitude modulation at the fundamental
     wave *= (1.0 + 0.35 * np.sin(2 * np.pi * f0 * t)) / 1.35
-    ramp = max(1, int(0.02 * sr))
+    ramp = max(1, int(0.02 * SAMPLE_RATE))
     env = np.ones(n)
     env[:ramp] = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
     env[-ramp:] = env[:ramp][::-1]
@@ -164,7 +162,7 @@ def hypothesis_record(utt: SynthUtterance, audio_path: str, rng: np.random.Gener
 def write_corpus(
     utterances: list[SynthUtterance],
     wav_dir: str | os.PathLike,
-    hypotheses_path: str | os.PathLike | None,
+    hypotheses_path: str | os.PathLike,
     rng: np.random.Generator,
 ) -> None:
     os.makedirs(wav_dir, exist_ok=True)
@@ -173,10 +171,9 @@ def write_corpus(
         path = os.path.join(os.fspath(wav_dir), f"{utt.utt_id}.wav")
         write_wav(utt.clip, path)
         records.append(hypothesis_record(utt, path, rng))
-    if hypotheses_path is not None:
-        with open(hypotheses_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+    with open(hypotheses_path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
 
 
 def write_lexicon_files(

@@ -199,7 +199,7 @@ def test_lexicon_filter(tmp_path):
 # --- criterion: SSL mining --------------------------------------------------------
 
 WAKE = "wakeword"
-CONFUSABLES = ConfusableSet(WAKE, 2, {"confusayble": 1, "confuzorb": 2})
+CONFUSABLES = ConfusableSet({"confusayble": 1, "confuzorb": 2})
 
 
 def _mining_fixture():

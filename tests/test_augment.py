@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 from oracles import naive_convolve_truncated, oracle_rir_taps
 
 from wwspot.audio import SAMPLE_RATE, AudioClip, read_wav, rms_power
@@ -130,7 +131,7 @@ def test_corrupt_single_source_realizes_target_exactly():
     clip = _tone(440, SR)
     noise = AudioClip(rng.standard_normal(SR) * 0.3, id="n")
     spec = CorruptionSpec(10.0, 0.0, 1.0, rng_seed=5)
-    out, realized = corrupt(clip, noise, None, spec)
+    out, realized = corrupt(clip, noise, None, spec, np.random.default_rng(spec.rng_seed))
     assert realized == pytest.approx(10.0, abs=1e-9)
     # decomposition oracle: music share is exactly zero
     interference = out.samples - clip.samples
@@ -146,7 +147,7 @@ def test_corrupt_alpha_matches_closed_form():
     noise = AudioClip(np.where(np.arange(SR) % 2 == 0, 1.0, -1.0), id="sq")
     assert rms_power(noise) == pytest.approx(1.0)
     spec = CorruptionSpec(10.0, 0.0, 1.0, rng_seed=1)
-    out, realized = corrupt(clip, noise, None, spec)
+    out, realized = corrupt(clip, noise, None, spec, np.random.default_rng(spec.rng_seed))
     interference = out.samples - clip.samples
     alpha = np.max(np.abs(interference))  # square wave: |alpha * n| peak = alpha
     assert alpha == pytest.approx(np.sqrt(1 / 10 ** (10 / 10)), rel=1e-6)
@@ -172,7 +173,7 @@ def test_corrupt_split_preserves_power_ratio():
     music = AudioClip(np.sin(2 * np.pi * 600 * np.arange(SR) / SR), id="m")
     for split in (0.25, 0.5, 0.75):
         spec = CorruptionSpec(8.0, 0.0, split, rng_seed=3)
-        out, realized = corrupt(clip, noise, music, spec)
+        out, realized = corrupt(clip, noise, music, spec, np.random.default_rng(spec.rng_seed))
         interference = out.samples - clip.samples
         assert 10 * np.log10(rms_power(clip) / rms_power(interference)) == pytest.approx(
             realized, abs=0.01
@@ -186,7 +187,7 @@ def test_corrupt_tiles_short_and_crops_long_interference():
     long = AudioClip(np.sin(2 * np.pi * 800 * np.arange(3 * SR) / SR) + 0.01, id="l")
     spec = CorruptionSpec(12.0, 0.0, 1.0, rng_seed=4)
     for source in (short, long):
-        out, realized = corrupt(clip, source, None, spec)
+        out, realized = corrupt(clip, source, None, spec, np.random.default_rng(spec.rng_seed))
         assert out.samples.size == clip.samples.size
         assert realized == pytest.approx(12.0, abs=1e-9)
 
@@ -196,9 +197,9 @@ def test_corrupt_missing_source_for_nonzero_share_rejected():
     noise = AudioClip(np.random.default_rng(1).standard_normal(4000), id="n")
     spec = CorruptionSpec(10.0, 0.0, 0.5, rng_seed=0)
     with pytest.raises(AugmentError, match="music source required"):
-        corrupt(clip, noise, None, spec)
+        corrupt(clip, noise, None, spec, np.random.default_rng(spec.rng_seed))
     with pytest.raises(AugmentError, match="noise source required"):
-        corrupt(clip, None, noise, spec)
+        corrupt(clip, None, noise, spec, np.random.default_rng(spec.rng_seed))
 
 
 def test_corrupt_zero_power_interference_rejected():
@@ -207,14 +208,14 @@ def test_corrupt_zero_power_interference_rejected():
     silent.samples[:] = 0.0
     spec = CorruptionSpec(10.0, 0.0, 1.0, rng_seed=0)
     with pytest.raises(AugmentError, match="zero power"):
-        corrupt(clip, silent, None, spec)
+        corrupt(clip, silent, None, spec, np.random.default_rng(spec.rng_seed))
 
 
 def test_corrupt_snr_draw_is_clamped():
     clip = _tone(320, 8000)
     noise = AudioClip(np.random.default_rng(0).standard_normal(8000), id="n")
     spec = CorruptionSpec(-100.0, 0.0, 1.0, rng_seed=0)
-    _, realized = corrupt(clip, noise, None, spec)
+    _, realized = corrupt(clip, noise, None, spec, np.random.default_rng(spec.rng_seed))
     assert realized == pytest.approx(-5.0, abs=1e-9)
 
 
@@ -281,6 +282,19 @@ def test_build_mixed_dataset_deterministic(tmp_path):
         wav_a = (tmp_path / "a" / ra.wav_path).read_bytes()
         wav_b = (tmp_path / "b" / rb.wav_path).read_bytes()
         assert wav_a == wav_b
+
+
+def test_build_mixed_dataset_leaves_the_clean_clips_unchanged(tmp_path):
+    # each job's clip shares its source's samples, so nothing may write into them
+    clean, rirs, noises, musics = _builder_inputs()
+    clean.append(AudioClip(4.0 * clean[0].samples, id="loud"))  # peak 1.2: normalized on write
+    before = [c.samples.copy() for c in clean]
+    spec = CorruptionSpec(10.0, 3.0, 0.5, rng_seed=3)
+    rows = build_mixed_dataset(clean, rirs, noises, musics, MixRecipe(4, 4, 4, 4), spec, tmp_path)
+    for clip, samples in zip(clean, before):
+        np.testing.assert_array_equal(clip.samples, samples)
+    for r in rows:
+        assert wavfile.read(tmp_path / r.wav_path)[0] == SAMPLE_RATE
 
 
 def test_build_mixed_dataset_empty_pool_rejected(tmp_path):

@@ -575,6 +575,7 @@ _BAD_TSV_ROWS = [
     pytest.param("refs", "u1\tten\t20", id="refs"),
     pytest.param("refs", "u\udcff\t10\t20", id="refs-not-utf8"),  # byte 0xff
     pytest.param("refs", "u1\t20\t10", id="refs-end-before-start"),
+    pytest.param("refs", "u0\t20\t30", id="refs-overlapping-span"),  # shares frame 20
     pytest.param("utt_frames", "u1\tmany", id="utt_frames"),
     pytest.param("utt_frames", "u1\t-100", id="utt_frames-negative-frames"),
     pytest.param("utt_frames", "u0\t100", id="utt_frames-duplicate-utt-id"),
@@ -590,6 +591,7 @@ _BAD_TSV_ROWS = [
     pytest.param("mined", f"u0\t{NEGATIVE}\tww\t0.1\t0.2\t0.9", id="mined-duplicate-utt-id"),
     pytest.param("confusables", "other\tone", id="confusables"),
     pytest.param("confusables", "other\t-1", id="confusables-distance-below-1"),
+    pytest.param("confusables", "WW\t1", id="confusables-wake-word"),
     pytest.param(
         "manifest", "rev-000000\tCTM+R\tu0\twav/rev-000000.wav\tloud\tr0", id="manifest"
     ),
@@ -621,12 +623,42 @@ def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad,
     assert "Traceback" not in err
 
 
+def test_mine_refuses_a_confusables_file_that_lists_the_wake_word(tmp_path, capsys):
+    # a wake-word hit below the positive gate would otherwise be mined as a negative
+    conf = tmp_path / "conf.tsv"
+    conf.write_text(f"{WAKE_WORD}\t1\ncaly\t1\n")
+    hyp = tmp_path / "hyp.jsonl"
+    words = [{"w": WAKE_WORD, "conf": 0.6, "start": 0.1, "end": 0.5}]
+    hyp.write_text(json.dumps({"utt_id": "u0", "audio_path": "u0.wav", "words": words}) + "\n")
+    runs = tmp_path / "runs"
+    rc = main(["mine", "--hypotheses", str(hyp), "--confusables", str(conf), "--wake-word",
+               WAKE_WORD, "--set", "mining.pos_threshold=0.7", "--out", str(runs)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"{conf}:1:" in err
+    assert out == ""
+    assert not runs.exists()
+
+
+def test_det_reads_references_before_it_decodes(tmp_path, capsys):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("u0\t10\t30\nu0\t25\t40\n")
+    runs = tmp_path / "runs"
+    # neither --model nor --wav-dir exists: the references must fail first
+    rc = main(["det", "--model", str(tmp_path / "missing.ckpt"), "--wav-dir",
+               str(tmp_path / "missing"), "--references", str(refs), "--out", str(runs)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{refs}:2: u0: span 25-40 overlaps span 10-30" in err
+    assert not runs.exists()
+
+
 _READERS = {
     "refs": _read_references,
     "utt_frames": _read_utt_frames,
     "detections": read_detections,
     "mined": read_mined,
-    "confusables": read_confusables,
+    "confusables": lambda path: read_confusables(path, "ww"),
     "manifest": read_manifest,
     "lexicon": load_lexicon,
     "frequencies": lambda path: load_lexicon(path.with_name("lexicon.tsv"), path),

@@ -182,9 +182,8 @@ def test_confusables_monotone_in_top_n(tmp_path):
 
 
 def test_confusables_file_round_trip(tmp_path):
-    cs = ConfusableSet("ww", 2, {"w1": 1, "w2": 2})
+    cs = ConfusableSet({"w1": 1, "w2": 2})
     path = tmp_path / "conf.tsv"
     write_confusables(cs, path)
     back = read_confusables(path, "ww")
     assert back.members == cs.members
-    assert back.d_max == 2

@@ -22,7 +22,7 @@ from wwspot.mining import (
 )
 
 WAKE = "calypso"
-CONFUSABLES = ConfusableSet(WAKE, 2, {"caleeda": 1, "caly": 1, "cowesser": 2})
+CONFUSABLES = ConfusableSet({"caleeda": 1, "caly": 1, "cowesser": 2})
 
 
 def hyp(utt_id, words):

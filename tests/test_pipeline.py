@@ -12,7 +12,7 @@ def mined_clips(tmp_path):
     rng = np.random.default_rng(3)
     utts = generate_utterances("utt", 4, 0.5, rng)
     wav_dir = tmp_path / "wav"
-    write_corpus(utts, wav_dir, None, rng)
+    write_corpus(utts, wav_dir, tmp_path / "hypotheses.jsonl", rng)
     examples = []
     for utt in utts:
         spans = utt.wake_spans()

@@ -27,7 +27,7 @@ _FORMATS = {
         write_confusables,
         lambda path: read_confusables(path, "ww"),
         LexiconError,
-        lambda text: ConfusableSet("ww", 2, {"a": 1, text: 2}),
+        lambda text: ConfusableSet({"a": 1, text: 2}),
         (2, 1),
     ),
     "mined": (
