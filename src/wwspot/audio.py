@@ -20,10 +20,6 @@ WRITE_PEAK = 0.999
 _FULL_SCALE = 32768.0
 
 
-class AudioError(DataError):
-    """Unreadable, malformed, or out-of-contract audio."""
-
-
 @dataclass
 class AudioClip:
     """Mono PCM samples at SAMPLE_RATE plus an opaque utterance id."""
@@ -34,9 +30,9 @@ class AudioClip:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
-            raise AudioError("clip samples must be one-dimensional")
+            raise DataError("clip samples must be one-dimensional")
         if self.samples.size == 0:
-            raise AudioError("clip is empty")
+            raise DataError("clip is empty")
 
     @property
     def duration_s(self) -> float:
@@ -54,28 +50,28 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     """
     path = os.fspath(path)
     if not os.path.isfile(path):
-        raise AudioError(f"{path}: no such file")
+        raise DataError(f"{path}: no such file")
     try:
         rate, data = wavfile.read(path)
     except (ValueError, EOFError) as exc:
-        raise AudioError(f"{path}: not a readable PCM WAV ({exc})") from exc
+        raise DataError(f"{path}: not a readable PCM WAV ({exc})") from exc
     if data.size == 0:
-        raise AudioError(f"{path}: zero-length audio")
+        raise DataError(f"{path}: zero-length audio")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _FULL_SCALE
     elif data.dtype in (np.float32, np.float64):
         if not np.isfinite(data).all():
-            raise AudioError(f"{path}: non-finite samples")
+            raise DataError(f"{path}: non-finite samples")
         samples = data.astype(np.float64)
     else:
-        raise AudioError(
+        raise DataError(
             f"{path}: unsupported sample encoding {data.dtype}; "
             "expected 16-bit PCM or 32-bit float"
         )
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     if rate != SAMPLE_RATE:
-        raise AudioError(
+        raise DataError(
             f"{path}: unsupported sample rate {rate} (expected {SAMPLE_RATE})"
         )
     return AudioClip(samples, id=os.path.splitext(os.path.basename(path))[0])
@@ -98,14 +94,13 @@ def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
     try:
         wavfile.write(os.fspath(path), SAMPLE_RATE, quantized)
     except OSError as exc:
-        raise AudioError(f"{path}: cannot write ({exc})") from exc
+        raise DataError(f"{path}: cannot write ({exc})") from exc
 
 
-def rms_power(clip: AudioClip | np.ndarray) -> float:
-    """Mean squared amplitude of a clip (zero only for all-zero input)."""
-    samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip)
+def rms_power(samples: np.ndarray) -> float:
+    """Mean squared amplitude of samples (zero only for all-zero input)."""
     if samples.size == 0:
-        raise AudioError("cannot compute power of an empty clip")
+        raise DataError("cannot compute power of an empty clip")
     return float(np.mean(np.square(samples, dtype=np.float64)))
 
 

@@ -27,10 +27,6 @@ CONDITIONS = ("CTM", "CTM+R", "CTM+N", "CTM+RN")
 _CONDITION_SLUGS = {"CTM": "ctm", "CTM+R": "rev", "CTM+N": "noi", "CTM+RN": "rvn"}
 
 
-class AugmentError(DataError):
-    pass
-
-
 # --- room impulse responses --------------------------------------------------
 
 
@@ -46,26 +42,26 @@ class RoomSpec:
     dimensions: tuple[float, float, float]
     source_pos: tuple[float, float, float]
     mic_pos: tuple[float, float, float]
-    reflection_coeff: float = 0.7
-    max_order: int = 3
+    reflection_coeff: float
+    max_order: int
 
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=np.float64)
         src = np.asarray(self.source_pos, dtype=np.float64)
         mic = np.asarray(self.mic_pos, dtype=np.float64)
         if dims.shape != (3,) or src.shape != (3,) or mic.shape != (3,):
-            raise AugmentError("room geometry needs 3-D dimensions and positions")
+            raise DataError("room geometry needs 3-D dimensions and positions")
         if not np.all(dims > 0):
-            raise AugmentError("room dimensions must be positive")
+            raise DataError("room dimensions must be positive")
         for name, pos in (("source_pos", src), ("mic_pos", mic)):
             if not (np.all(pos > 0) and np.all(pos < dims)):
-                raise AugmentError(f"{name} must lie strictly inside the room")
+                raise DataError(f"{name} must lie strictly inside the room")
         if np.array_equal(src, mic):
-            raise AugmentError("source and microphone positions coincide")
+            raise DataError("source and microphone positions coincide")
         if not 0.0 <= self.reflection_coeff < 1.0:
-            raise AugmentError("reflection_coeff must be in [0, 1)")
+            raise DataError("reflection_coeff must be in [0, 1)")
         if not 0 <= self.max_order <= 10:
-            raise AugmentError("max_order must be in 0..10")
+            raise DataError("max_order must be in 0..10")
 
 
 @dataclass
@@ -78,11 +74,11 @@ class RirFilter:
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
         if self.taps.ndim != 1 or self.taps.size == 0:
-            raise AugmentError("RIR taps must be a non-empty vector")
+            raise DataError("RIR taps must be a non-empty vector")
         if not np.any(self.taps):
-            raise AugmentError("RIR has no non-zero tap")
+            raise DataError("RIR has no non-zero tap")
         if not np.isfinite(self.taps).all():
-            raise AugmentError("RIR taps must be finite")
+            raise DataError("RIR taps must be finite")
 
 
 def _axis_images(pos: float, length: float, max_order: int):
@@ -177,16 +173,16 @@ class CorruptionSpec:
     single-source corruption.
     """
 
-    snr_mean_db: float = 10.0
-    snr_std_db: float = 3.0
-    noise_music_split: float = 0.5
+    snr_mean_db: float
+    snr_std_db: float
+    noise_music_split: float
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.snr_std_db < 0:
-            raise AugmentError("snr_std_db must be >= 0")
+            raise DataError("snr_std_db must be >= 0")
         if not 0.0 <= self.noise_music_split <= 1.0:
-            raise AugmentError("noise_music_split must be in [0, 1]")
+            raise DataError("noise_music_split must be in [0, 1]")
 
 
 def _fit_to_length(samples: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,7 +216,7 @@ def corrupt(
     x = clip.samples
     signal_power = rms_power(x)
     if signal_power == 0.0:
-        raise AugmentError(f"{clip.id or 'clip'}: silent input has undefined SNR")
+        raise DataError(f"{clip.id or 'clip'}: silent input has undefined SNR")
     interference_power = signal_power / 10.0 ** (target / 10.0)
 
     split = spec.noise_music_split
@@ -229,16 +225,16 @@ def corrupt(
         if share == 0.0:
             continue
         if source is None:
-            raise AugmentError(f"{label} source required for split {split}")
+            raise DataError(f"{label} source required for split {split}")
         segment = _fit_to_length(source.samples, x.size, rng)
         power = rms_power(segment)
         if power == 0.0:
-            raise AugmentError(f"{label} source {source.id!r} has zero power")
+            raise DataError(f"{label} source {source.id!r} has zero power")
         mix += np.sqrt(share * interference_power / power) * segment
 
     mix_power = rms_power(mix)
     if mix_power == 0.0:
-        raise AugmentError("interference mix has zero power")
+        raise DataError("interference mix has zero power")
     mix *= np.sqrt(interference_power / mix_power)
 
     realized = 10.0 * np.log10(signal_power / rms_power(mix))
@@ -273,11 +269,11 @@ class MixRecipe:
     def __post_init__(self):
         counts = (self.ctm, self.reverb, self.noise, self.reverb_noise)
         if any(c < 0 for c in counts):
-            raise AugmentError("recipe counts must be non-negative")
+            raise DataError("recipe counts must be non-negative")
         if sum(counts) == 0:
-            raise AugmentError("recipe is empty")
+            raise DataError("recipe is empty")
         if not self.reverb == self.noise == self.reverb_noise:
-            raise AugmentError("augmented condition counts must be equal")
+            raise DataError("augmented condition counts must be equal")
 
     @property
     def total(self) -> int:
@@ -288,9 +284,9 @@ class MixRecipe:
         return (self.ctm, self.reverb, self.noise, self.reverb_noise)
 
     @classmethod
-    def from_table_row(cls, row: str, scale: float = 1.0) -> "MixRecipe":
+    def from_table_row(cls, row: str, scale: float) -> "MixRecipe":
         if row not in TABLE_ROWS:
-            raise AugmentError(
+            raise DataError(
                 f"unknown recipe row {row!r}; choose from {sorted(TABLE_ROWS)}"
             )
         counts = [int(round(c * scale)) for c in TABLE_ROWS[row]]
@@ -314,7 +310,7 @@ def write_manifest(rows: list[ManifestRow], path: str | os.PathLike) -> None:
          "NA" if r.rir_id is None else r.rir_id)
         for r in rows
     )
-    write_tsv(path, fields, AugmentError)
+    write_tsv(path, fields)
 
 
 def _or_na(parse: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -323,7 +319,7 @@ def _or_na(parse: Callable[[str], Any]) -> Callable[[str], Any]:
 
 def read_manifest(path: str | os.PathLike) -> list[ManifestRow]:
     fields = (str, str, str, str, _or_na(float), _or_na(str))
-    return read_tsv(path, fields, ManifestRow, AugmentError)
+    return read_tsv(path, fields, ManifestRow)
 
 
 @dataclass(frozen=True)
@@ -380,13 +376,13 @@ def build_mixed_dataset(
     them with `write_manifest`.
     """
     if not clean:
-        raise AugmentError("clean pool is empty")
+        raise DataError("clean pool is empty")
     if recipe.reverb > 0 and not rirs:
-        raise AugmentError("reverb conditions requested but RIR pool is empty")
+        raise DataError("reverb conditions requested but RIR pool is empty")
     if recipe.noise > 0 and not noises:
-        raise AugmentError("noise conditions requested but noise pool is empty")
+        raise DataError("noise conditions requested but noise pool is empty")
     if recipe.noise > 0 and spec.noise_music_split < 1.0 and not musics:
-        raise AugmentError("music share requested but music pool is empty")
+        raise DataError("music share requested but music pool is empty")
 
     out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "wav"), exist_ok=True)

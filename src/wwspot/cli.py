@@ -140,7 +140,7 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
             rooms.append(
                 aug.RoomSpec(room.dimensions, room.source_pos, room.mic_pos, beta, max_order)
             )
-        except aug.AugmentError as exc:
+        except DataError as exc:
             raise ConfigError(f"rir: {exc}") from exc
     # every room is valid before the run directory exists
     out = _run_dir(args, cfg, "rir-gen")

@@ -15,9 +15,10 @@ import os
 
 import numpy as np
 
-from .augment import AugmentError, CorruptionSpec, MixRecipe
+from .augment import CorruptionSpec, MixRecipe
 from .decode import DecodeConfig
 from .model import SpotterConfig, TrainConfig
+from .tsv import DataError
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "run": {"seed": "0"},
@@ -79,19 +80,16 @@ class PipelineConfig:
     def __init__(self, values: dict[str, dict[str, str]]):
         self.values = values
 
-    def get(self, section: str, key: str) -> str:
+    def getstr(self, section: str, key: str) -> str:
         try:
             return self.values[section][key]
         except KeyError:
             raise ConfigError(f"{section}.{key}: unknown configuration key") from None
 
-    def getstr(self, section: str, key: str) -> str:
-        return self.get(section, key)
-
     def getint(
         self, section: str, key: str, lo: int | None = None, hi: int | None = None
     ) -> int:
-        raw = self.get(section, key)
+        raw = self.getstr(section, key)
         try:
             value = int(raw)
         except ValueError:
@@ -102,7 +100,7 @@ class PipelineConfig:
     def getfloat(
         self, section: str, key: str, lo: float | None = None, hi: float | None = None
     ) -> float:
-        raw = self.get(section, key)
+        raw = self.getstr(section, key)
         try:
             value = float(raw)
         except ValueError:
@@ -114,7 +112,7 @@ class PipelineConfig:
         return value
 
     def getints(self, section: str, key: str, lo: int | None = None) -> list[int]:
-        raw = self.get(section, key)
+        raw = self.getstr(section, key)
         try:
             values = [int(v) for v in raw.split(",") if v.strip()]
         except ValueError:
@@ -129,7 +127,7 @@ class PipelineConfig:
         """`decoding.thresholds`: either a comma list or
         lin:<start>:<stop>:<count> of at least 2 values (a sweep); every value
         must lie in (0, 1), the range a decoder threshold takes."""
-        raw = self.get("decoding", "thresholds")
+        raw = self.getstr("decoding", "thresholds")
         try:
             if raw.startswith("lin:"):
                 _, start, stop, count = raw.split(":")
@@ -221,7 +219,7 @@ def mix_recipe(cfg: PipelineConfig, scale: float | None = None) -> MixRecipe:
         scale = cfg.getfloat("augment", "recipe_scale", lo=0.0)
     try:
         return MixRecipe.from_table_row(cfg.getstr("augment", "table_row"), scale)
-    except AugmentError as exc:
+    except DataError as exc:
         raise ConfigError(f"augment: {exc}") from exc
 
 

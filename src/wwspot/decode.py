@@ -21,21 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import (
-    CHUNK_FRAMES,
-    CONTEXT_WIDTH,
-    HOP_S,
-    LEFT_CONTEXT,
-    RIGHT_CONTEXT,
-    FeatureError,
-)
+from .features import CHUNK_FRAMES, CONTEXT_WIDTH, HOP_S, LEFT_CONTEXT, RIGHT_CONTEXT
 from .mining import MinedExample, POSITIVE
 from .model import SpotterModel, _check_input_dim, _fold_scaler, _forward
 from .tsv import DataError, read_tsv, write_tsv
-
-
-class DecodeError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -46,11 +35,11 @@ class DecodeConfig:
 
     def __post_init__(self):
         if self.smooth_window_frames < 1:
-            raise DecodeError("smooth_window_frames must be >= 1")
+            raise DataError("smooth_window_frames must be >= 1")
         if not 0.0 < self.threshold < 1.0:
-            raise DecodeError("threshold must be in (0, 1)")
+            raise DataError("threshold must be in (0, 1)")
         if self.min_gap_frames < 0:
-            raise DecodeError("min_gap_frames must be >= 0")
+            raise DataError("min_gap_frames must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,10 +58,10 @@ def smooth(trace: np.ndarray, window: int) -> np.ndarray:
     count, so constant traces stay constant all the way to the edges.
     """
     if window < 1:
-        raise DecodeError("window must be >= 1")
+        raise DataError("window must be >= 1")
     trace = np.asarray(trace, dtype=np.float64)
     if trace.ndim != 1 or trace.size == 0:
-        raise DecodeError("trace must be a non-empty vector")
+        raise DataError("trace must be a non-empty vector")
     ones = np.ones(window)
     sums = np.convolve(trace, ones, mode="same")
     counts = np.convolve(np.ones(trace.size), ones, mode="same")
@@ -118,7 +107,7 @@ def average_duration_frames(examples: list[MinedExample]) -> int:
         if e.polarity == POSITIVE
     ]
     if not spans:
-        raise DecodeError("no positive examples to measure")
+        raise DataError("no positive examples to measure")
     return max(1, int(round(float(np.mean(spans)) / HOP_S)))
 
 
@@ -135,7 +124,7 @@ def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
     """
     lfbe = np.asarray(lfbe, dtype=np.float64)
     if lfbe.ndim != 2 or lfbe.shape[0] < 1:
-        raise FeatureError("expected a non-empty (frames, bins) matrix")
+        raise DataError("expected a non-empty (frames, bins) matrix")
     n, bins = lfbe.shape
     _check_input_dim(model, CONTEXT_WIDTH * bins)
     params = _fold_scaler(model, np.float32)
@@ -159,7 +148,7 @@ def write_detections(detections: list[Detection], path: str | os.PathLike) -> No
          f"{d.peak_score:.6f}")
         for d in detections
     )
-    write_tsv(path, rows, DecodeError)
+    write_tsv(path, rows)
 
 
 def _detection(utt_id: str, start: int, end: int, peak: int, score: float) -> Detection:
@@ -171,4 +160,4 @@ def _detection(utt_id: str, start: int, end: int, peak: int, score: float) -> De
 
 
 def read_detections(path: str | os.PathLike) -> list[Detection]:
-    return read_tsv(path, (str, int, int, int, float), _detection, DecodeError)
+    return read_tsv(path, (str, int, int, int, float), _detection)

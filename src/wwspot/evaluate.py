@@ -19,11 +19,6 @@ from .features import FRAMES_PER_S
 from .tsv import DataError
 
 FRAMES_PER_HOUR = FRAMES_PER_S * 3600
-DEFAULT_TOLERANCE_FRAMES = 50
-
-
-class EvalError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -49,17 +44,17 @@ def _check_references(references: Mapping[str, Sequence[tuple[int, int]]]) -> No
         ordered = sorted(spans)
         for (s1, e1), (s2, _) in zip(ordered, ordered[1:]):
             if s2 <= e1:
-                raise EvalError(f"{utt_id}: overlapping reference spans")
+                raise DataError(f"{utt_id}: overlapping reference spans")
         for s, e in spans:
             if e < s:
-                raise EvalError(f"{utt_id}: reference span ends before it starts")
+                raise DataError(f"{utt_id}: reference span ends before it starts")
 
 
 def score(
     detections: Mapping[str, Sequence[Detection]],
     references: Mapping[str, Sequence[tuple[int, int]]],
     utt_frames: Mapping[str, int],
-    tolerance_frames: int = DEFAULT_TOLERANCE_FRAMES,
+    tolerance_frames: int,
     threshold: float = float("nan"),
 ) -> EvalResult:
     """Tally matches over the evaluation set defined by `references`.
@@ -72,10 +67,10 @@ def score(
     _check_references(references)
     unknown = set(detections) - set(references)
     if unknown:
-        raise EvalError(f"detections for utterances outside the eval set: {sorted(unknown)[:3]}")
+        raise DataError(f"detections for utterances outside the eval set: {sorted(unknown)[:3]}")
     missing = set(references) - set(utt_frames)
     if missing:
-        raise EvalError(f"missing frame counts for: {sorted(missing)[:3]}")
+        raise DataError(f"missing frame counts for: {sorted(missing)[:3]}")
 
     tp = fr = fa = 0
     for utt_id, spans in references.items():
@@ -101,7 +96,7 @@ def score(
 
     hours = sum(utt_frames[u] for u in references) / FRAMES_PER_HOUR
     if hours <= 0:
-        raise EvalError("evaluation set has no audio")
+        raise DataError("evaluation set has no audio")
     return EvalResult(threshold, tp, fr, fa, hours)
 
 
@@ -110,7 +105,7 @@ def det_curve(
     references: Mapping[str, Sequence[tuple[int, int]]],
     cfg: DecodeConfig,
     thresholds: Sequence[float],
-    tolerance_frames: int = DEFAULT_TOLERANCE_FRAMES,
+    tolerance_frames: int,
 ) -> list[EvalResult]:
     """One EvalResult per threshold over identically smoothed traces.
 
@@ -118,11 +113,11 @@ def det_curve(
     descending sweep); frame counts come from the trace lengths.
     """
     if len(thresholds) < 2:
-        raise EvalError("a DET sweep needs at least 2 thresholds")
+        raise DataError("a DET sweep needs at least 2 thresholds")
     if not traces:
-        raise EvalError("no evaluation inputs")
+        raise DataError("no evaluation inputs")
     if set(traces) != set(references):
-        raise EvalError("traces and references cover different utterances")
+        raise DataError("traces and references cover different utterances")
     smoothed = {u: smooth(tr, cfg.smooth_window_frames) for u, tr in traces.items()}
     utt_frames = {u: len(tr) for u, tr in traces.items()}
     results = []
@@ -147,7 +142,7 @@ def det_svg(
 ) -> None:
     """Standalone SVG line plot of FRR (y) against FAR per hour (x)."""
     if not series:
-        raise EvalError("nothing to plot")
+        raise DataError("nothing to plot")
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb

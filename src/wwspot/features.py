@@ -40,10 +40,6 @@ FRAMES_PER_S = SAMPLE_RATE // HOP_SAMPLES
 CHUNK_FRAMES = 512  # frames per decode block (5.12 s of audio)
 
 
-class FeatureError(DataError):
-    pass
-
-
 def hz_to_mel(hz):
     return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
 
@@ -76,7 +72,7 @@ def compute_lfbe(clip: AudioClip) -> np.ndarray:
     """
     x = clip.samples
     if x.size < WINDOW_SAMPLES:
-        raise FeatureError(
+        raise DataError(
             f"clip of {x.size} samples is shorter than one {WINDOW_SAMPLES}-sample window"
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
@@ -98,7 +94,7 @@ def context_indices(n_frames: int) -> np.ndarray:
     - 1 indices rather than a CONTEXT_WIDTH-fold matrix.
     """
     if n_frames < 1:
-        raise FeatureError("empty feature matrix")
+        raise DataError("empty feature matrix")
     frames = np.arange(n_frames, dtype=np.int64)
     padded = np.pad(frames, (LEFT_CONTEXT, RIGHT_CONTEXT), mode="edge")
     return np.lib.stride_tricks.sliding_window_view(padded, CONTEXT_WIDTH)

@@ -15,10 +15,6 @@ import numpy as np
 from .tsv import DataError, read_tsv, write_tsv
 
 
-class LexiconError(DataError):
-    pass
-
-
 @dataclass
 class Lexicon:
     """word -> pronunciations (each a tuple of phoneme symbols).
@@ -34,7 +30,7 @@ class Lexicon:
         try:
             return self.entries[word.lower()]
         except KeyError:
-            raise LexiconError(f"word {word!r} not in lexicon") from None
+            raise DataError(f"word {word!r} not in lexicon") from None
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.entries
@@ -50,8 +46,20 @@ def _pronunciation(word: str, phonemes: str) -> tuple[str, tuple[str, ...]]:
     return word, phones
 
 
-def _word_count(word: str, count: int) -> tuple[str, int]:
-    return word.strip().lower(), count
+def _word_values(path: str | os.PathLike, check) -> dict[str, int]:
+    """`word<TAB>integer` lines, one per word, the words lower-cased;
+    `check(word, value)` raises ValueError on a row it refuses."""
+    values: dict[str, int] = {}
+
+    def row(word: str, value: int) -> None:
+        word = word.strip().lower()
+        check(word, value)
+        if word in values:
+            raise ValueError(f"duplicate word {word!r}")
+        values[word] = value
+
+    read_tsv(path, (str, int), row)
+    return values
 
 
 def load_lexicon(
@@ -59,20 +67,21 @@ def load_lexicon(
 ) -> Lexicon:
     """Parse `word<TAB>PH1 PH2 ...` lines; repeated words add alternates.
 
-    The optional frequency file holds `word<TAB>count` lines; ranks are
-    assigned by descending count with lexicographic tie-breaking.
+    The optional frequency file holds `word<TAB>count` lines, one per
+    word; ranks are assigned by descending count with lexicographic
+    tie-breaking.
     """
     entries: dict[str, list[tuple[str, ...]]] = {}
-    for word, phonemes in read_tsv(path, (str, str), _pronunciation, LexiconError):
+    for word, phonemes in read_tsv(path, (str, str), _pronunciation):
         prons = entries.setdefault(word, [])
         if phonemes not in prons:
             prons.append(phonemes)
     if not entries:
-        raise LexiconError(f"{path}: empty lexicon")
+        raise DataError(f"{path}: empty lexicon")
 
     ranks = None
     if frequency_path is not None:
-        counts = dict(read_tsv(frequency_path, (str, int), _word_count, LexiconError))
+        counts = _word_values(frequency_path, lambda word, count: None)
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         ranks = {word: rank for rank, (word, _) in enumerate(ordered, 1)}
     return Lexicon(entries, ranks)
@@ -124,7 +133,7 @@ def levenshtein(a, b) -> int:
     a = tuple(a)
     b = tuple(b)
     if not a or not b:
-        raise LexiconError("cannot compare empty phoneme sequences")
+        raise DataError("cannot compare empty phoneme sequences")
     table: dict[str, int] = {}
     return int(_distances(_encode_batch([a], table)[0][0], *_encode_batch([b], table))[0])
 
@@ -146,7 +155,7 @@ class ConfusableSet:
 
 
 def build_confusable_set(
-    lex: Lexicon, wake_word: str, d_max: int, top_n_frequent: int = 10000
+    lex: Lexicon, wake_word: str, d_max: int, top_n_frequent: int
 ) -> ConfusableSet:
     """Scan the (frequency-capped) vocabulary for confusable words.
 
@@ -156,9 +165,9 @@ def build_confusable_set(
     """
     wake = wake_word.lower()
     if wake not in lex:
-        raise LexiconError(f"wake word {wake_word!r} not in lexicon")
+        raise DataError(f"wake word {wake_word!r} not in lexicon")
     if d_max < 0:
-        raise LexiconError("d_max must be >= 0")
+        raise DataError("d_max must be >= 0")
 
     words = [
         w for w in lex.entries
@@ -185,20 +194,19 @@ def build_confusable_set(
 
 def write_confusables(confusables: ConfusableSet, path: str | os.PathLike) -> None:
     members = confusables.members
-    write_tsv(path, ((w, str(members[w])) for w in sorted(members)), LexiconError)
+    write_tsv(path, ((w, str(members[w])) for w in sorted(members)))
 
 
 def read_confusables(path: str | os.PathLike, wake_word: str) -> ConfusableSet:
-    """Parse `word<TAB>distance` lines. A row naming the wake word is an
-    error: mining would turn its hits below the positive gate into negatives."""
+    """Parse `word<TAB>distance` lines, one per word. A row naming the wake
+    word is an error: mining would turn its hits below the positive gate
+    into negatives."""
     wake = wake_word.lower()
 
-    def confusable(word: str, distance: int) -> tuple[str, int]:
-        word = word.strip().lower()
+    def check(word: str, distance: int) -> None:
         if distance < 1:
             raise ValueError(f"distance {distance} is below 1")
         if word == wake:
             raise ValueError(f"{word!r} is the wake word")
-        return word, distance
 
-    return ConfusableSet(dict(read_tsv(path, (str, int), confusable, LexiconError)))
+    return ConfusableSet(_word_values(path, check))

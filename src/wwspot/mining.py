@@ -27,10 +27,6 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-class MiningError(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class WordHyp:
     token: str
@@ -49,11 +45,11 @@ class UtteranceHypothesis:
         prev_end = 0.0
         for w in self.words:
             if not 0.0 <= w.confidence <= 1.0:
-                raise MiningError(f"{self.utt_id}: confidence out of [0, 1]")
+                raise DataError(f"{self.utt_id}: confidence out of [0, 1]")
             if not -math.inf < w.start_s < w.end_s < math.inf:
-                raise MiningError(f"{self.utt_id}: word span is not finite with start < end")
+                raise DataError(f"{self.utt_id}: word span is not finite with start < end")
             if w.start_s < prev_end - 1e-9:
-                raise MiningError(f"{self.utt_id}: overlapping word spans")
+                raise DataError(f"{self.utt_id}: overlapping word spans")
             prev_end = w.end_s
 
 
@@ -121,8 +117,8 @@ def mine_examples(
     hyps,
     wake_word: str,
     confusables: ConfusableSet,
-    pos_threshold: float = 0.5,
-    neg_threshold: float = 0.5,
+    pos_threshold: float,
+    neg_threshold: float,
 ) -> list[MinedExample]:
     """One example per qualifying utterance, positives taking precedence.
 
@@ -132,7 +128,7 @@ def mine_examples(
     """
     for name, value in (("pos_threshold", pos_threshold), ("neg_threshold", neg_threshold)):
         if not 0.0 <= value <= 1.0:
-            raise MiningError(f"{name} must be in [0, 1], got {value}")
+            raise DataError(f"{name} must be in [0, 1], got {value}")
     wake = {wake_word.lower()}
     confusable_words = confusables.words()
     out: list[MinedExample] = []
@@ -158,28 +154,33 @@ def mine_examples(
 
 
 def balance_examples(
-    examples: list[MinedExample], target_ratio: float = 1.0, rng_seed: int = 0
+    examples: list[MinedExample], target_ratio: float, rng_seed: int
 ) -> list[MinedExample]:
     """Downsample the over-represented polarity to positives:negatives =
-    target_ratio (within one example), preserving input order."""
+    target_ratio (within one example), preserving input order. A ratio
+    that would keep no example of one polarity is an error, as training
+    needs both."""
     if target_ratio <= 0:
-        raise MiningError("target_ratio must be positive")
+        raise DataError("target_ratio must be positive")
     pos_idx = [i for i, e in enumerate(examples) if e.polarity == POSITIVE]
     neg_idx = [i for i, e in enumerate(examples) if e.polarity == NEGATIVE]
     if not pos_idx or not neg_idx:
-        raise MiningError("both polarities are required for balancing")
-    rng = np.random.default_rng(rng_seed)
-    keep: set[int] = set(range(len(examples)))
+        raise DataError("both polarities are required for balancing")
     n_pos, n_neg = len(pos_idx), len(neg_idx)
     if n_pos > target_ratio * n_neg:
-        want = int(round(target_ratio * n_neg))
-        drop = rng.choice(len(pos_idx), size=n_pos - want, replace=False)
-        keep -= {pos_idx[i] for i in drop}
+        idx, want = pos_idx, int(round(target_ratio * n_neg))
     elif n_neg > n_pos / target_ratio:
-        want = int(round(n_pos / target_ratio))
-        drop = rng.choice(len(neg_idx), size=n_neg - want, replace=False)
-        keep -= {neg_idx[i] for i in drop}
-    return [e for i, e in enumerate(examples) if i in keep]
+        idx, want = neg_idx, int(round(n_pos / target_ratio))
+    else:
+        return list(examples)
+    if want == 0:
+        raise DataError(
+            f"target_ratio {target_ratio} keeps no {examples[idx[0]].polarity} example "
+            f"of {n_pos} positive and {n_neg} negative"
+        )
+    rng = np.random.default_rng(rng_seed)
+    drop = {idx[i] for i in rng.choice(len(idx), size=len(idx) - want, replace=False)}
+    return [e for i, e in enumerate(examples) if i not in drop]
 
 
 def make_frame_targets(example: MinedExample, frame_count: int) -> np.ndarray:
@@ -187,23 +188,23 @@ def make_frame_targets(example: MinedExample, frame_count: int) -> np.ndarray:
     middle of its 10 ms hop slot) falls inside the trigger span of a
     positive example, 0 everywhere else and for negatives."""
     if frame_count < 1:
-        raise MiningError("frame_count must be >= 1")
+        raise DataError("frame_count must be >= 1")
     targets = np.zeros(frame_count, dtype=np.uint8)
     if example.polarity == NEGATIVE:
         return targets
     start, end = example.trigger_span
     if end <= start:
-        raise MiningError(f"{example.utt_id}: degenerate trigger span")
+        raise DataError(f"{example.utt_id}: degenerate trigger span")
     duration = frame_count * HOP_S
     if start < 0 or end > duration + HOP_S:
-        raise MiningError(
+        raise DataError(
             f"{example.utt_id}: span ({start:.3f}, {end:.3f}) outside "
             f"{duration:.2f}s of audio"
         )
     centers = (np.arange(frame_count) + 0.5) * HOP_S
     inside = (centers >= start) & (centers < end)
     if not inside.any():
-        raise MiningError(f"{example.utt_id}: span covers no frame center")
+        raise DataError(f"{example.utt_id}: span covers no frame center")
     targets[inside] = 1
     return targets
 
@@ -214,7 +215,7 @@ def write_mined(examples: list[MinedExample], path: str | os.PathLike) -> None:
          f"{e.trigger_span[1]:.6f}", f"{e.confidence:.6f}")
         for e in examples
     )
-    write_tsv(path, rows, MiningError)
+    write_tsv(path, rows)
 
 
 def _mined_example(
@@ -241,4 +242,4 @@ def read_mined(path: str | os.PathLike) -> list[MinedExample]:
         seen.add(example.utt_id)
         return example
 
-    return read_tsv(path, (str, str, str, float, float, float), row, MiningError)
+    return read_tsv(path, (str, str, str, float, float, float), row)

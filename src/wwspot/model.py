@@ -48,10 +48,6 @@ FIXED_HEADER = {"num_blocks": NUM_BLOCKS, "num_classes": NUM_CLASSES, "nonlinear
 MAX_FRAMES = 2**31
 
 
-class ModelError(DataError):
-    pass
-
-
 def _all_finite(a: np.ndarray) -> bool:
     # min and max propagate NaN, so both are finite exactly when every
     # entry is; np.isfinite(a).all() would allocate a mask the size of a
@@ -73,9 +69,9 @@ class SpotterConfig:
             value = getattr(self, name)
             # bool is an int subclass; a float size would fail deep in the loader
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ModelError(f"{name} must be an integer, got {value!r}")
+                raise DataError(f"{name} must be an integer, got {value!r}")
             if value < 1:
-                raise ModelError(f"{name} must be >= 1")
+                raise DataError(f"{name} must be >= 1")
 
     def array_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         """Parameter names and shapes in canonical (checkpoint) order."""
@@ -102,13 +98,9 @@ class FeatureScaler:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise ModelError("scaler mean/std must be matching vectors")
+            raise DataError("scaler mean/std must be matching vectors")
         if not np.all(self.std > 0):
-            raise ModelError("scaler std entries must be positive")
-
-    @classmethod
-    def identity(cls, dim: int) -> "FeatureScaler":
-        return cls(np.zeros(dim), np.ones(dim))
+            raise DataError("scaler std entries must be positive")
 
 
 @dataclass
@@ -120,24 +112,20 @@ class SpotterModel:
     def __post_init__(self):
         for name, shape in self.config.array_shapes():
             if name not in self.params:
-                raise ModelError(f"missing parameter {name}")
+                raise DataError(f"missing parameter {name}")
             if self.params[name].shape != shape:
-                raise ModelError(
+                raise DataError(
                     f"parameter {name} has shape {self.params[name].shape}, "
                     f"expected {shape}"
                 )
         if self.scaler.mean.size != self.config.input_dim:
-            raise ModelError("scaler dimension does not match input_dim")
+            raise DataError("scaler dimension does not match input_dim")
 
 
 def init_model(
-    config: SpotterConfig = SpotterConfig(),
-    rng: np.random.Generator | int = 0,
-    scaler: FeatureScaler | None = None,
+    config: SpotterConfig, rng: np.random.Generator, scaler: FeatureScaler
 ) -> SpotterModel:
     """Scaled-uniform fan-in initialization; biases start at zero."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     params: dict[str, np.ndarray] = {}
     for name, shape in config.array_shapes():
         if name.startswith("bias"):
@@ -145,8 +133,6 @@ def init_model(
         else:
             bound = 1.0 / np.sqrt(shape[0])
             params[name] = rng.uniform(-bound, bound, size=shape)
-    if scaler is None:
-        scaler = FeatureScaler.identity(config.input_dim)
     return SpotterModel(config, params, scaler)
 
 
@@ -179,7 +165,7 @@ def _forward(
 
 def _check_input_dim(model: SpotterModel, dim: int) -> None:
     if dim != model.config.input_dim:
-        raise ModelError(f"input dim {dim} does not match model {model.config.input_dim}")
+        raise DataError(f"input dim {dim} does not match model {model.config.input_dim}")
 
 
 def _fold_scaler(model: SpotterModel, dtype) -> dict[str, np.ndarray]:
@@ -206,10 +192,8 @@ def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
     return _forward(p, x)
 
 
-def ssl_loss(
-    q_ww: np.ndarray, targets: np.ndarray, is_positive_utt: np.ndarray
-) -> tuple[float, float]:
-    """Summed frame loss and its per-frame mean.
+def ssl_loss(q_ww: np.ndarray, targets: np.ndarray, is_positive_utt: np.ndarray) -> float:
+    """Summed frame loss.
 
     Per frame with effective target ye = y AND (utterance is positive):
     -(ye * log q + (1 - ye) * log(1 - q)), with q clamped away from 0/1.
@@ -221,8 +205,7 @@ def ssl_loss(
         is_positive_utt, dtype=np.float64
     )
     per_frame = -(y_eff * np.log(q) + (1.0 - y_eff) * np.log1p(-q))
-    total = float(per_frame.sum())
-    return total, total / max(q.size, 1)
+    return float(per_frame.sum())
 
 
 def gradient(
@@ -251,7 +234,7 @@ def gradient(
     cache = {"h": [xs], "z": []}
     probs = _forward(p, xs, cache)
     q = probs[:, 1]
-    loss, _ = ssl_loss(q, targets, is_positive_utt)
+    loss = ssl_loss(q, targets, is_positive_utt)
     y_eff = np.asarray(targets, dtype=np.float64) * np.asarray(
         is_positive_utt, dtype=np.float64
     )
@@ -283,18 +266,18 @@ def gradient(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.5
-    minibatch_size: int = 256
-    epochs: int = 10
-    rng_seed: int = 0
+    learning_rate: float
+    minibatch_size: int
+    epochs: int
+    rng_seed: int
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ModelError("learning_rate must be positive")
+            raise DataError("learning_rate must be positive")
         if self.minibatch_size < 1:
-            raise ModelError("minibatch_size must be >= 1")
+            raise DataError("minibatch_size must be >= 1")
         if self.epochs < 0:
-            raise ModelError("epochs must be >= 0")
+            raise DataError("epochs must be >= 0")
 
 
 class FrameDataset:
@@ -320,28 +303,28 @@ class FrameDataset:
         self.targets = np.asarray(targets, dtype=np.uint8)
         self.is_positive = np.asarray(is_positive_utt, dtype=bool)
         if self.base.ndim != 2:
-            raise ModelError(f"base must be a (frames, bins) matrix, got shape {self.base.shape}")
+            raise DataError(f"base must be a (frames, bins) matrix, got shape {self.base.shape}")
         if gather.ndim != 2 or gather.shape[1] < 1 or not np.issubdtype(gather.dtype, np.integer):
-            raise ModelError(
+            raise DataError(
                 "gather must be a 2-D integer matrix with at least one column, "
                 f"got {gather.dtype} of shape {gather.shape}"
             )
         n = gather.shape[0]
         if not (self.targets.shape == self.is_positive.shape == (n,)):
-            raise ModelError("dataset arrays disagree on the record count")
+            raise DataError("dataset arrays disagree on the record count")
         if n == 0:
-            raise ModelError("dataset is empty")
+            raise DataError("dataset is empty")
         frames = self.base.shape[0]
         if frames >= MAX_FRAMES:
-            raise ModelError(
+            raise DataError(
                 f"dataset has {frames} frames; int32 indices address fewer than {MAX_FRAMES}"
             )
         # checked before the cast, which would wrap an index of 2**31 or more
         if gather.min() < 0 or gather.max() >= frames:
-            raise ModelError(f"gather indices must lie in [0, {frames})")
+            raise DataError(f"gather indices must lie in [0, {frames})")
         self.gather = gather.astype(np.int32, copy=False)
         if not _all_finite(self.base):
-            raise ModelError("dataset contains non-finite feature values")
+            raise DataError("dataset contains non-finite feature values")
         self.dim = self.gather.shape[1] * self.base.shape[1]
 
     def __len__(self) -> int:
@@ -355,19 +338,19 @@ class FrameDataset:
         time, so the build never holds a second copy of the dataset."""
         utterances = list(utterances)
         if not utterances:
-            raise ModelError("dataset is empty")
+            raise DataError("dataset is empty")
         shapes = [np.shape(lfbe) for lfbe, _, _ in utterances]
         for i, (shape, (_, utt_targets, _)) in enumerate(zip(shapes, utterances)):
             if len(shape) != 2:
-                raise ModelError(
+                raise DataError(
                     f"utterance {i}: features must be a (frames, bins) matrix, got shape {shape}"
                 )
             if shape[1] != shapes[0][1]:
-                raise ModelError(
+                raise DataError(
                     f"utterance {i}: {shape[1]} bins per frame, utterance 0 has {shapes[0][1]}"
                 )
             if shape[0] != len(utt_targets):
-                raise ModelError("frame targets do not match the feature length")
+                raise DataError("frame targets do not match the feature length")
         frames = sum(n for n, _ in shapes)
         base = np.empty((frames, shapes[0][1]))
         gather = np.empty((frames, CONTEXT_WIDTH), dtype=np.int32)
@@ -418,9 +401,7 @@ class FrameDataset:
 
 
 def train(
-    dataset: FrameDataset,
-    cfg: TrainConfig,
-    model_cfg: SpotterConfig = SpotterConfig(),
+    dataset: FrameDataset, cfg: TrainConfig, model_cfg: SpotterConfig
 ) -> tuple[SpotterModel, list[float]]:
     """Fit the scaler, initialize, and run shuffled minibatch descent.
 
@@ -428,12 +409,12 @@ def train(
     TrainingDiverged as soon as a non-finite loss shows up.
     """
     if dataset.dim != model_cfg.input_dim:
-        raise ModelError(
+        raise DataError(
             f"dataset dim {dataset.dim} does not match model input {model_cfg.input_dim}"
         )
     y_eff = dataset.effective_targets()
     if y_eff.min() == y_eff.max():
-        raise ModelError("training data has a single target class")
+        raise DataError("training data has a single target class")
 
     rng = np.random.default_rng(cfg.rng_seed)
     model = init_model(model_cfg, rng, dataset.fit_scaler())
@@ -498,14 +479,14 @@ def _read_text_array(
     for _ in range(rows):
         line = fh.readline()
         if not line:
-            raise ModelError(f"{path}: truncated checkpoint")
+            raise DataError(f"{path}: truncated checkpoint")
         try:
             values.append(np.asarray(line.split(), dtype=np.float64))
         except ValueError:
-            raise ModelError(f"{path}: non-numeric value in checkpoint") from None
+            raise DataError(f"{path}: non-numeric value in checkpoint") from None
     out = np.concatenate(values)
     if out.size != int(np.prod(shape)):
-        raise ModelError(f"{path}: truncated checkpoint")
+        raise DataError(f"{path}: truncated checkpoint")
     return out.reshape(shape)
 
 
@@ -513,15 +494,15 @@ def load_model(path: str | os.PathLike) -> SpotterModel:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
-            raise ModelError(f"{path}: not a spotter checkpoint")
+            raise DataError(f"{path}: not a spotter checkpoint")
         if header[1] != CHECKPOINT_VERSION:
-            raise ModelError(f"{path}: unsupported checkpoint version {header[1]}")
+            raise DataError(f"{path}: unsupported checkpoint version {header[1]}")
         if header[2] != CHECKPOINT_MODE:
-            raise ModelError(f"{path}: unknown checkpoint mode {header[2]!r}")
+            raise DataError(f"{path}: unknown checkpoint mode {header[2]!r}")
         try:
             meta = json.loads(fh.readline().decode("ascii"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ModelError(f"{path}: corrupt checkpoint header") from exc
+            raise DataError(f"{path}: corrupt checkpoint header") from exc
         try:
             config = SpotterConfig(
                 input_dim=meta["input_dim"],
@@ -531,22 +512,22 @@ def load_model(path: str | os.PathLike) -> SpotterModel:
             for key, value in FIXED_HEADER.items():
                 # by type as well, since True == 1 and 3.0 == 3
                 if type(meta[key]) is not type(value) or meta[key] != value:
-                    raise ModelError(f"unsupported {key} {meta[key]!r}")
+                    raise DataError(f"unsupported {key} {meta[key]!r}")
             listed = [(name, tuple(shape)) for name, shape in meta["arrays"]]
-        except ModelError as exc:
-            raise ModelError(f"{path}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"{path}: corrupt checkpoint header") from exc
+            raise DataError(f"{path}: corrupt checkpoint header") from exc
         expected = config.array_shapes() + [
             ("scaler_mean", (config.input_dim,)),
             ("scaler_std", (config.input_dim,)),
         ]
         if listed != expected:
-            raise ModelError(f"{path}: checkpoint arrays do not match its shape header")
+            raise DataError(f"{path}: checkpoint arrays do not match its shape header")
         loaded: dict[str, np.ndarray] = {}
         for name, shape in expected:
             loaded[name] = _read_text_array(fh, shape, path)
             if not np.isfinite(loaded[name]).all():
-                raise ModelError(f"{path}: non-finite values in {name}")
+                raise DataError(f"{path}: non-finite values in {name}")
     scaler = FeatureScaler(loaded.pop("scaler_mean"), loaded.pop("scaler_std"))
     return SpotterModel(config, loaded, scaler)

@@ -7,8 +7,9 @@ import os
 from .audio import read_wav
 from .augment import ManifestRow
 from .features import compute_lfbe
-from .mining import POSITIVE, MinedExample, MiningError, make_frame_targets
+from .mining import POSITIVE, MinedExample, make_frame_targets
 from .model import FrameDataset
+from .tsv import DataError
 
 
 def _dataset(pairs: list[tuple[str, MinedExample]]) -> FrameDataset:
@@ -43,7 +44,7 @@ def dataset_from_manifest(
     for row in rows:
         ex = by_source.get(row.source_id)
         if ex is None:
-            raise MiningError(
+            raise DataError(
                 f"{row.utt_id}: source {row.source_id!r} has no mined example; "
                 "augment from the mined utterances only"
             )

@@ -28,12 +28,11 @@ def read_tsv(
     path: str | os.PathLike,
     fields: Sequence[Callable[[str], Any]],
     row: Callable[..., R],
-    error: type[DataError] = DataError,
 ) -> list[R]:
     """`row(*typed)` for each line, `typed` being its fields passed through
     `fields`, one parser each. A line that is not UTF-8, a wrong field
     count, or a ValueError from a parser or from `row` (which checks the
-    values), raises `error("<path>:<line>: <reason>")`."""
+    values), raises `DataError("<path>:<line>: <reason>")`."""
     out, n = [], len(fields)
     for lineno, raw in enumerate(byte_lines(path), 1):
         try:
@@ -45,30 +44,26 @@ def read_tsv(
                 raise ValueError(f"expected {n} tab-separated fields, got {len(parts)}")
             out.append(row(*[parse(p) for parse, p in zip(fields, parts)]))
         except ValueError as exc:  # UnicodeDecodeError is one too
-            raise error(f"{path}:{lineno}: {exc}") from None
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
-def write_tsv(
-    path: str | os.PathLike,
-    rows: Iterable[Sequence[str]],
-    error: type[DataError] = DataError,
-) -> None:
+def write_tsv(path: str | os.PathLike, rows: Iterable[Sequence[str]]) -> None:
     """Each row's fields tab-joined, one row per line, in UTF-8. Every
     field is checked and encoded before the file is opened, so a tab or
     line break (`<path>: row <n>: field <k> contains a tab or line break`)
     or text UTF-8 cannot encode (`... is not valid UTF-8`, such as a file
-    name that is not) raises `error` and writes nothing."""
+    name that is not) raises DataError and writes nothing."""
     lines = []
     for n, row in enumerate(rows, 1):
         fields = []
         for k, field in enumerate(row, 1):
             if "\t" in field or "\n" in field or "\r" in field:
-                raise error(f"{path}: row {n}: field {k} contains a tab or line break")
+                raise DataError(f"{path}: row {n}: field {k} contains a tab or line break")
             try:
                 fields.append(field.encode("utf-8"))
             except UnicodeEncodeError:
-                raise error(f"{path}: row {n}: field {k} is not valid UTF-8") from None
+                raise DataError(f"{path}: row {n}: field {k} is not valid UTF-8") from None
         lines.append(b"\t".join(fields) + b"\n")
     with open(path, "wb") as fh:
         fh.writelines(lines)

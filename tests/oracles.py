@@ -22,11 +22,11 @@ from wwspot.features import (
     LOG_FLOOR,
     RIGHT_CONTEXT,
     WINDOW_SAMPLES,
-    FeatureError,
     context_indices,
     mel_filterbank,
 )
-from wwspot.model import NUM_BLOCKS, FrameDataset, posteriors
+from wwspot.model import NUM_BLOCKS, FeatureScaler, FrameDataset, init_model, posteriors
+from wwspot.tsv import DataError
 
 
 def recursive_distance(a: tuple, b: tuple) -> int:
@@ -135,6 +135,12 @@ def whole_matrix_lfbe(clip):
     return np.log(spectrum @ mel_filterbank().T + LOG_FLOOR)
 
 
+def unscaled_model(config, seed=0):
+    """A freshly initialized model whose scaler leaves inputs unchanged."""
+    identity = FeatureScaler(np.zeros(config.input_dim), np.ones(config.input_dim))
+    return init_model(config, np.random.default_rng(seed), identity)
+
+
 def standardize(scaler, x):
     """The scaler's definition: each dimension less its mean, over its std."""
     return (x - scaler.mean) / scaler.std
@@ -149,7 +155,7 @@ def stack_context(feat: np.ndarray) -> np.ndarray:
     """
     feat = np.asarray(feat, dtype=np.float64)
     if feat.ndim != 2 or feat.shape[0] < 1:
-        raise FeatureError("expected a non-empty (frames, bins) matrix")
+        raise DataError("expected a non-empty (frames, bins) matrix")
     idx = context_indices(feat.shape[0])
     return feat[idx].reshape(feat.shape[0], CONTEXT_WIDTH * feat.shape[1])
 

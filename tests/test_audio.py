@@ -3,7 +3,8 @@ import pytest
 from scipy.io import wavfile
 
 from wwspot import audio
-from wwspot.audio import AudioClip, AudioError, parallel_map, read_wav, rms_power, write_wav
+from wwspot.audio import AudioClip, parallel_map, read_wav, rms_power, write_wav
+from wwspot.tsv import DataError
 
 
 def test_full_scale_int16_maps_to_one(tmp_path):
@@ -25,23 +26,23 @@ def test_stereo_averages_to_mono(tmp_path):
 def test_rejects_other_sample_rates(tmp_path):
     path = tmp_path / "8k.wav"
     wavfile.write(path, 8000, np.zeros(100, dtype=np.int16) + 5)
-    with pytest.raises(AudioError, match="unsupported sample rate"):
+    with pytest.raises(DataError, match="unsupported sample rate"):
         read_wav(path)
 
 
 def test_rejects_missing_and_non_wav(tmp_path):
-    with pytest.raises(AudioError, match="no such file"):
+    with pytest.raises(DataError, match="no such file"):
         read_wav(tmp_path / "absent.wav")
     junk = tmp_path / "junk.wav"
     junk.write_text("definitely not RIFF")
-    with pytest.raises(AudioError):
+    with pytest.raises(DataError, match="junk.wav: not a readable PCM WAV"):
         read_wav(junk)
 
 
 def test_rejects_zero_length(tmp_path):
     path = tmp_path / "empty.wav"
     wavfile.write(path, 16000, np.zeros(0, dtype=np.int16))
-    with pytest.raises(AudioError, match="zero-length"):
+    with pytest.raises(DataError, match="zero-length"):
         read_wav(path)
 
 
@@ -51,7 +52,7 @@ def test_rejects_non_finite_float_samples(tmp_path, dtype):
     frames = np.zeros((100, 2), dtype=dtype)
     frames[40, 1] = np.nan  # one channel is enough, before the mono mix
     wavfile.write(path, 16000, frames)
-    with pytest.raises(AudioError, match=f"{path}: non-finite samples"):
+    with pytest.raises(DataError, match=f"{path}: non-finite samples"):
         read_wav(path)
 
 
@@ -87,30 +88,30 @@ def test_round_trip_within_quantization_step(tmp_path):
 
 
 def test_rms_power_basics():
-    assert rms_power(AudioClip(np.full(100, 0.5))) == pytest.approx(0.25)
-    assert rms_power(AudioClip(np.zeros(64))) == 0.0
+    assert rms_power(np.full(100, 0.5)) == pytest.approx(0.25)
+    assert rms_power(np.zeros(64)) == 0.0
 
 
 def test_rms_power_unit_sine_whole_periods():
     # analytic oracle: mean of sin^2 over whole periods is 1/2
     t = np.arange(16000) / 16000
     sine = np.sin(2 * np.pi * 100 * t)  # exactly 100 periods
-    assert rms_power(AudioClip(sine)) == pytest.approx(0.5, abs=1e-6)
+    assert rms_power(sine) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_rms_power_scale_equivariance():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(500)
-    base = rms_power(AudioClip(x))
+    base = rms_power(x)
     for k in (0.1, 2.0, 17.5):
-        scaled = rms_power(AudioClip(k * x))
+        scaled = rms_power(k * x)
         assert scaled == pytest.approx(k * k * base, rel=1e-9)
 
 
 def test_empty_clip_rejected():
-    with pytest.raises(AudioError):
+    with pytest.raises(DataError, match="clip is empty"):
         AudioClip(np.zeros(0))
-    with pytest.raises(AudioError):
+    with pytest.raises(DataError, match="cannot compute power of an empty clip"):
         rms_power(np.zeros(0))
 
 

@@ -8,7 +8,6 @@ from oracles import naive_convolve_truncated, oracle_rir_taps
 from wwspot.audio import SAMPLE_RATE, AudioClip, read_wav, rms_power
 from wwspot.augment import (
     CONDITIONS,
-    AugmentError,
     CorruptionSpec,
     MixRecipe,
     RirFilter,
@@ -22,6 +21,7 @@ from wwspot.augment import (
     synthesize_rir,
     write_manifest,
 )
+from wwspot.tsv import DataError
 
 SR = SAMPLE_RATE
 SPEED = 343.0
@@ -55,12 +55,12 @@ def test_image_source_matches_enumeration_oracle(order):
 
 
 def test_room_validation():
-    with pytest.raises(AugmentError, match="inside the room"):
-        RoomSpec((5, 4, 3), (6, 1, 1), (3, 2, 1.5))
-    with pytest.raises(AugmentError, match="coincide"):
-        RoomSpec((5, 4, 3), (1, 1, 1), (1, 1, 1))
-    with pytest.raises(AugmentError, match="max_order"):
-        RoomSpec((5, 4, 3), (1, 1, 1), (3, 2, 1.5), max_order=11)
+    with pytest.raises(DataError, match="inside the room"):
+        RoomSpec((5, 4, 3), (6, 1, 1), (3, 2, 1.5), 0.7, 3)
+    with pytest.raises(DataError, match="coincide"):
+        RoomSpec((5, 4, 3), (1, 1, 1), (1, 1, 1), 0.7, 3)
+    with pytest.raises(DataError, match="max_order"):
+        RoomSpec((5, 4, 3), (1, 1, 1), (3, 2, 1.5), 0.7, 11)
 
 
 def test_rir_wav_round_trip(tmp_path):
@@ -135,7 +135,7 @@ def test_corrupt_single_source_realizes_target_exactly():
     assert realized == pytest.approx(10.0, abs=1e-9)
     # decomposition oracle: music share is exactly zero
     interference = out.samples - clip.samples
-    snr = 10 * np.log10(rms_power(clip) / rms_power(interference))
+    snr = 10 * np.log10(rms_power(clip.samples) / rms_power(interference))
     assert snr == pytest.approx(realized, abs=0.01)
 
 
@@ -143,9 +143,9 @@ def test_corrupt_alpha_matches_closed_form():
     # unit-power interference, P=1 signal, 10 dB target -> alpha ~ 0.3162
     clip = AudioClip(np.sin(2 * np.pi * 250 * np.arange(SR) / SR))
     # make the signal power exactly 1.0
-    clip = AudioClip(clip.samples / np.sqrt(rms_power(clip)))
+    clip = AudioClip(clip.samples / np.sqrt(rms_power(clip.samples)))
     noise = AudioClip(np.where(np.arange(SR) % 2 == 0, 1.0, -1.0), id="sq")
-    assert rms_power(noise) == pytest.approx(1.0)
+    assert rms_power(noise.samples) == pytest.approx(1.0)
     spec = CorruptionSpec(10.0, 0.0, 1.0, rng_seed=1)
     out, realized = corrupt(clip, noise, None, spec, np.random.default_rng(spec.rng_seed))
     interference = out.samples - clip.samples
@@ -175,7 +175,7 @@ def test_corrupt_split_preserves_power_ratio():
         spec = CorruptionSpec(8.0, 0.0, split, rng_seed=3)
         out, realized = corrupt(clip, noise, music, spec, np.random.default_rng(spec.rng_seed))
         interference = out.samples - clip.samples
-        assert 10 * np.log10(rms_power(clip) / rms_power(interference)) == pytest.approx(
+        assert 10 * np.log10(rms_power(clip.samples) / rms_power(interference)) == pytest.approx(
             realized, abs=0.01
         )
         assert realized == pytest.approx(8.0, abs=1e-9)
@@ -196,9 +196,9 @@ def test_corrupt_missing_source_for_nonzero_share_rejected():
     clip = _tone(220, 4000)
     noise = AudioClip(np.random.default_rng(1).standard_normal(4000), id="n")
     spec = CorruptionSpec(10.0, 0.0, 0.5, rng_seed=0)
-    with pytest.raises(AugmentError, match="music source required"):
+    with pytest.raises(DataError, match="music source required"):
         corrupt(clip, noise, None, spec, np.random.default_rng(spec.rng_seed))
-    with pytest.raises(AugmentError, match="noise source required"):
+    with pytest.raises(DataError, match="noise source required"):
         corrupt(clip, None, noise, spec, np.random.default_rng(spec.rng_seed))
 
 
@@ -207,7 +207,7 @@ def test_corrupt_zero_power_interference_rejected():
     silent = AudioClip(np.zeros(4000) + 0.0, id="z")
     silent.samples[:] = 0.0
     spec = CorruptionSpec(10.0, 0.0, 1.0, rng_seed=0)
-    with pytest.raises(AugmentError, match="zero power"):
+    with pytest.raises(DataError, match="zero power"):
         corrupt(clip, silent, None, spec, np.random.default_rng(spec.rng_seed))
 
 
@@ -226,14 +226,14 @@ def test_table_rows_scale():
     assert MixRecipe.from_table_row("200K", 0.001).counts == (20, 60, 60, 60)
     assert MixRecipe.from_table_row("50K", 0.001).counts == (10, 14, 14, 14)
     assert MixRecipe.from_table_row("350K", 0.001).counts == (35, 105, 105, 105)
-    assert MixRecipe.from_table_row("500K").counts == (50000, 150000, 150000, 150000)
+    assert MixRecipe.from_table_row("500K", 1.0).counts == (50000, 150000, 150000, 150000)
 
 
 def test_unequal_augmented_counts_rejected():
-    with pytest.raises(AugmentError, match="equal"):
+    with pytest.raises(DataError, match="equal"):
         MixRecipe(10, 14, 15, 14)
-    with pytest.raises(AugmentError, match="unknown recipe row"):
-        MixRecipe.from_table_row("99K")
+    with pytest.raises(DataError, match="unknown recipe row"):
+        MixRecipe.from_table_row("99K", 1.0)
 
 
 def _builder_inputs():
@@ -301,9 +301,9 @@ def test_build_mixed_dataset_empty_pool_rejected(tmp_path):
     clean, rirs, noises, musics = _builder_inputs()
     recipe = MixRecipe(1, 1, 1, 1)
     spec = CorruptionSpec(10.0, 0.0, 0.5, rng_seed=0)
-    with pytest.raises(AugmentError, match="RIR pool"):
+    with pytest.raises(DataError, match="RIR pool"):
         build_mixed_dataset(clean, [], noises, musics, recipe, spec, tmp_path)
-    with pytest.raises(AugmentError, match="music pool"):
+    with pytest.raises(DataError, match="music pool"):
         build_mixed_dataset(clean, rirs, noises, [], recipe, spec, tmp_path)
 
 

@@ -6,6 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
+from oracles import unscaled_model
 
 from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import read_manifest
@@ -383,10 +384,10 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
         b = open(os.path.join(_single_run_dir(str(tmp_path / "j2"), "augment"), rel), "rb").read()
         assert a == b
 
-    from wwspot.model import SpotterConfig, init_model, save_model
+    from wwspot.model import SpotterConfig, save_model
 
     ckpt = tmp_path / "model.ckpt"
-    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
     decode = ["decode", "--model", str(ckpt), "--wav-dir", corpus["wav"],
               "--set", "decoding.threshold=0.000001"]
     outs = []
@@ -421,14 +422,14 @@ def test_rir_gen(tmp_path):
 )
 def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys, name, reason):
     from wwspot.audio import AudioClip, write_wav
-    from wwspot.model import SpotterConfig, init_model, save_model
+    from wwspot.model import SpotterConfig, save_model
 
     wav_dir = tmp_path / "wav"
     wav_dir.mkdir()
     samples = np.random.default_rng(0).standard_normal(SAMPLE_RATE) * 0.1
     write_wav(AudioClip(samples), wav_dir / name)
     ckpt = tmp_path / "model.ckpt"
-    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
     runs = str(tmp_path / "runs")
     rc = main(
         [
@@ -446,7 +447,7 @@ def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys, name, 
 def test_decode_rejects_a_float_wav_with_a_non_finite_sample(tmp_path, capsys, bad):
     from scipy.io import wavfile
 
-    from wwspot.model import SpotterConfig, init_model, save_model
+    from wwspot.model import SpotterConfig, save_model
 
     wav_dir = tmp_path / "wav"
     wav_dir.mkdir()
@@ -455,7 +456,7 @@ def test_decode_rejects_a_float_wav_with_a_non_finite_sample(tmp_path, capsys, b
     wav = wav_dir / "u0.wav"
     wavfile.write(wav, 16000, samples)
     ckpt = tmp_path / "model.ckpt"
-    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
     rc = main(
         [
             "decode", "--model", str(ckpt), "--wav-dir", str(wav_dir),
@@ -518,13 +519,13 @@ def test_train_on_augment_manifest(tmp_path, corpus):
 
 def test_decode_rejects_a_float_layer_size_in_the_checkpoint_with_exit_3(tmp_path, capsys):
     from wwspot.audio import AudioClip, write_wav
-    from wwspot.model import SpotterConfig, init_model, save_model
+    from wwspot.model import SpotterConfig, save_model
 
     wav_dir = tmp_path / "wav"
     wav_dir.mkdir()
     write_wav(AudioClip(np.zeros(SAMPLE_RATE)), wav_dir / "u0.wav")
     ckpt = tmp_path / "model.ckpt"
-    save_model(init_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
     ckpt.write_bytes(ckpt.read_bytes().replace(b'"hidden": 8,', b'"hidden": 8.0,', 1))
     rc = main(
         [
@@ -592,6 +593,8 @@ _BAD_TSV_ROWS = [
     pytest.param("confusables", "other\tone", id="confusables"),
     pytest.param("confusables", "other\t-1", id="confusables-distance-below-1"),
     pytest.param("confusables", "WW\t1", id="confusables-wake-word"),
+    pytest.param("confusables", "word\t2", id="confusables-duplicate-word"),
+    pytest.param("frequencies", "ww\t90", id="frequencies-duplicate-word"),
     pytest.param(
         "manifest", "rev-000000\tCTM+R\tu0\twav/rev-000000.wav\tloud\tr0", id="manifest"
     ),
@@ -614,8 +617,12 @@ def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad,
         "train": ["train", "--mined", files["mined"], "--augment-manifest", files["manifest"]],
         "mine": ["mine", "--hypotheses", str(hypotheses),
                  "--confusables", files["confusables"], "--wake-word", "ww"],
+        "confusables": ["confusables", "--lexicon", files["lexicon"],
+                        "--frequencies", files["frequencies"], "--wake-word", "ww"],
     }
-    command = {"mined": "train", "manifest": "train", "confusables": "mine"}.get(bad, "eval")
+    command = {
+        "mined": "train", "manifest": "train", "confusables": "mine", "frequencies": "confusables"
+    }.get(bad, "eval")
     rc = main(argv[command] + ["--out", str(tmp_path / "runs")])
     err = capsys.readouterr().err
     assert rc == 3
@@ -636,6 +643,25 @@ def test_mine_refuses_a_confusables_file_that_lists_the_wake_word(tmp_path, caps
     out, err = capsys.readouterr()
     assert rc == 3
     assert f"{conf}:1:" in err
+    assert out == ""
+    assert not runs.exists()
+
+
+def test_mine_refuses_a_ratio_that_balances_one_polarity_away(tmp_path, capsys):
+    # 3 positives and 5 negatives at 0.1 would keep round(0.5) = 0 positives
+    conf = tmp_path / "conf.tsv"
+    conf.write_text("caly\t1\n")
+    hyp = tmp_path / "hyp.jsonl"
+    with open(hyp, "w") as fh:
+        for i, word in enumerate([WAKE_WORD] * 3 + ["caly"] * 5):
+            words = [{"w": word, "conf": 0.9, "start": 0.1, "end": 0.5}]
+            fh.write(json.dumps({"utt_id": f"u{i}", "audio_path": "a.wav", "words": words}) + "\n")
+    runs = tmp_path / "runs"
+    rc = main(["mine", "--hypotheses", str(hyp), "--confusables", str(conf), "--wake-word",
+               WAKE_WORD, "--set", "mining.target_ratio=0.1", "--out", str(runs)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "target_ratio 0.1 keeps no positive example of 3 positive and 5 negative" in err
     assert out == ""
     assert not runs.exists()
 

@@ -2,13 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import whole_utterance_trace
+from oracles import unscaled_model, whole_utterance_trace
 
 import wwspot.decode
 from wwspot.audio import SAMPLE_RATE, AudioClip
 from wwspot.decode import (
     DecodeConfig,
-    DecodeError,
     average_duration_frames,
     detect_peaks,
     posterior_trace,
@@ -16,9 +15,10 @@ from wwspot.decode import (
     smooth,
     write_detections,
 )
-from wwspot.features import CHUNK_FRAMES, RIGHT_CONTEXT, FeatureError, compute_lfbe
+from wwspot.features import CHUNK_FRAMES, RIGHT_CONTEXT, compute_lfbe
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
-from wwspot.model import FeatureScaler, ModelError, SpotterConfig, init_model
+from wwspot.model import FeatureScaler, SpotterConfig, init_model
+from wwspot.tsv import DataError
 
 # full 620-dimensional input, small layers: decoding cost is the input's
 SMALL_SPOTTER = SpotterConfig(input_dim=620, bottleneck=6, hidden=12)
@@ -63,9 +63,9 @@ def test_smooth_never_exceeds_trace_max():
 
 
 def test_smooth_rejects_bad_window():
-    with pytest.raises(DecodeError):
+    with pytest.raises(DataError, match="window must be >= 1"):
         smooth(np.ones(10), 0)
-    with pytest.raises(DecodeError):
+    with pytest.raises(DataError, match="trace must be a non-empty vector"):
         smooth(np.zeros(0), 3)
 
 
@@ -119,7 +119,7 @@ def test_average_duration_frames():
         MinedExample("c", NEGATIVE, "x", (0.0, 9.99), 0.9),
     ]
     assert average_duration_frames(examples) == 60
-    with pytest.raises(DecodeError):
+    with pytest.raises(DataError, match="no positive examples to measure"):
         average_duration_frames([examples[2]])
 
 
@@ -191,16 +191,16 @@ def test_trace_folds_the_scaler_once_and_runs_float32_blocks(monkeypatch):
 
 
 def test_trace_rejects_a_model_of_another_input_width():
-    model = init_model(SpotterConfig(input_dim=600, bottleneck=4, hidden=8), 0)
-    with pytest.raises(ModelError, match="input dim 620 does not match model 600"):
+    model = unscaled_model(SpotterConfig(input_dim=600, bottleneck=4, hidden=8))
+    with pytest.raises(DataError, match="input dim 620 does not match model 600"):
         posterior_trace(model, np.zeros((40, 20)))
 
 
 def test_trace_rejects_non_matrix_input():
     model = small_spotter()
-    with pytest.raises(FeatureError):
+    with pytest.raises(DataError, match=r"expected a non-empty \(frames, bins\) matrix"):
         posterior_trace(model, np.zeros((0, 20)))
-    with pytest.raises(FeatureError):
+    with pytest.raises(DataError, match=r"expected a non-empty \(frames, bins\) matrix"):
         posterior_trace(model, np.zeros(20))
 
 

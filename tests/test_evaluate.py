@@ -6,12 +6,12 @@ import pytest
 
 from wwspot.decode import DecodeConfig, Detection
 from wwspot.evaluate import (
-    EvalError,
     det_curve,
     det_svg,
     score,
     write_det_csv,
 )
+from wwspot.tsv import DataError
 
 
 def det(utt, peak, score_=0.8):
@@ -28,7 +28,7 @@ def test_frr_is_one_minus_recall():
         frames[utt] = 300
         if i < 90:
             detections[utt] = [det(utt, 126)]
-    result = score(detections, references, frames)
+    result = score(detections, references, frames, 50)
     assert result.true_positives == 90
     assert result.false_rejects == 10
     assert result.frr == pytest.approx(0.10)
@@ -40,7 +40,7 @@ def test_far_per_hour_normalization():
     references = {"u0": []}
     frames = {"u0": frames_per_utt}
     detections = {"u0": [det("u0", p) for p in (100, 5000, 10000, 20000, 40000)]}
-    result = score(detections, references, frames)
+    result = score(detections, references, frames, 50)
     assert result.false_accepts == 5
     assert result.total_audio_hours == pytest.approx(2.5)
     assert result.far_per_hour == pytest.approx(2.0)
@@ -50,11 +50,11 @@ def test_tolerance_boundary_rejects_far_match():
     references = {"u0": [(100, 150)]}  # center 125
     frames = {"u0": 400}
     detections = {"u0": [det("u0", 185)]}  # 60 frames away > 50
-    result = score(detections, references, frames)
+    result = score(detections, references, frames, 50)
     assert result.false_rejects == 1
     assert result.false_accepts == 1
     assert result.true_positives == 0
-    just_inside = score({"u0": [det("u0", 175)]}, references, frames)
+    just_inside = score({"u0": [det("u0", 175)]}, references, frames, 50)
     assert just_inside.true_positives == 1
 
 
@@ -62,7 +62,7 @@ def test_greedy_matching_is_one_to_one_ascending_distance():
     references = {"u0": [(90, 110), (200, 220)]}  # centers 100, 210
     frames = {"u0": 500}
     detections = {"u0": [det("u0", 102), det("u0", 104), det("u0", 260)]}
-    result = score(detections, references, frames)
+    result = score(detections, references, frames, 50)
     # 102 takes center 100; 104 cannot reuse it; 260 takes center 210
     assert result.true_positives == 2
     assert result.false_accepts == 1
@@ -70,12 +70,12 @@ def test_greedy_matching_is_one_to_one_ascending_distance():
 
 
 def test_score_validates_references_and_utts():
-    with pytest.raises(EvalError, match="overlapping"):
-        score({}, {"u0": [(0, 50), (40, 90)]}, {"u0": 100})
-    with pytest.raises(EvalError, match="outside the eval set"):
-        score({"ghost": [det("ghost", 10)]}, {"u0": []}, {"u0": 100})
-    with pytest.raises(EvalError, match="missing frame counts"):
-        score({}, {"u0": []}, {})
+    with pytest.raises(DataError, match="overlapping"):
+        score({}, {"u0": [(0, 50), (40, 90)]}, {"u0": 100}, 50)
+    with pytest.raises(DataError, match="outside the eval set"):
+        score({"ghost": [det("ghost", 10)]}, {"u0": []}, {"u0": 100}, 50)
+    with pytest.raises(DataError, match="missing frame counts"):
+        score({}, {"u0": []}, {}, 50)
 
 
 def test_score_is_permutation_symmetric():
@@ -89,9 +89,9 @@ def test_score_is_permutation_symmetric():
         frames[utt] = 200
         if rng.random() < 0.7:
             detections[utt] = [det(utt, int(rng.integers(0, 200)))]
-    a = score(detections, references, frames)
+    a = score(detections, references, frames, 50)
     rev = dict(reversed(list(references.items())))
-    b = score(detections, rev, frames)
+    b = score(detections, rev, frames, 50)
     assert (a.true_positives, a.false_rejects, a.false_accepts) == (
         b.true_positives,
         b.false_rejects,
@@ -131,7 +131,7 @@ def test_det_sweep_monotone_counts():
         traces[utt] = trace
     cfg = DecodeConfig(9, 0.5, 30)
     thresholds = np.linspace(0.9, 0.1, 15)
-    results = det_curve(traces, references, cfg, thresholds)
+    results = det_curve(traces, references, cfg, thresholds, 50)
     fas = [r.false_accepts for r in results]
     tps = [r.true_positives for r in results]
     frrs = [r.frr for r in results]
@@ -145,7 +145,7 @@ def test_det_extreme_thresholds():
     traces = {"u0": _two_event_trace(), "u1": np.full(600, 0.3)}
     references = {"u0": [(100, 140), (400, 440)], "u1": []}
     cfg = DecodeConfig(5, 0.5, 30)
-    results = det_curve(traces, references, cfg, [0.995, 0.005])
+    results = det_curve(traces, references, cfg, [0.995, 0.005], 50)
     assert results[0].frr == 1.0 and results[0].false_accepts == 0
     assert results[1].false_accepts >= results[0].false_accepts
 
@@ -165,26 +165,26 @@ def test_det_separable_traces_reach_zero_zero():
             references[utt] = []
         traces[utt] = trace
     cfg = DecodeConfig(5, 0.5, 30)
-    results = det_curve(traces, references, cfg, np.linspace(0.8, 0.2, 7))
+    results = det_curve(traces, references, cfg, np.linspace(0.8, 0.2, 7), 50)
     perfect = [r for r in results if r.frr == 0.0 and r.false_accepts == 0]
     assert perfect
 
 
 def test_det_curve_validation():
     cfg = DecodeConfig(5, 0.5, 30)
-    with pytest.raises(EvalError, match="at least 2"):
-        det_curve({"u0": np.ones(10)}, {"u0": []}, cfg, [0.5])
-    with pytest.raises(EvalError, match="no evaluation inputs"):
-        det_curve({}, {}, cfg, [0.5, 0.4])
-    with pytest.raises(EvalError, match="different utterances"):
-        det_curve({"u0": np.ones(10)}, {"u1": []}, cfg, [0.5, 0.4])
+    with pytest.raises(DataError, match="at least 2"):
+        det_curve({"u0": np.ones(10)}, {"u0": []}, cfg, [0.5], 50)
+    with pytest.raises(DataError, match="no evaluation inputs"):
+        det_curve({}, {}, cfg, [0.5, 0.4], 50)
+    with pytest.raises(DataError, match="different utterances"):
+        det_curve({"u0": np.ones(10)}, {"u1": []}, cfg, [0.5, 0.4], 50)
 
 
 def test_det_csv_round_trip(tmp_path):
     traces = {"u0": _two_event_trace()}
     references = {"u0": [(100, 140), (400, 440)]}
     cfg = DecodeConfig(5, 0.5, 30)
-    results = det_curve(traces, references, cfg, [0.9, 0.5, 0.1])
+    results = det_curve(traces, references, cfg, [0.9, 0.5, 0.1], 50)
     path = tmp_path / "det.csv"
     write_det_csv(results, path)
     with open(path, newline="") as fh:
@@ -200,7 +200,7 @@ def test_det_svg_is_wellformed_xml(tmp_path):
     traces = {"u0": _two_event_trace()}
     references = {"u0": [(100, 140), (400, 440)]}
     cfg = DecodeConfig(5, 0.5, 30)
-    results = det_curve(traces, references, cfg, [0.9, 0.5, 0.1])
+    results = det_curve(traces, references, cfg, [0.9, 0.5, 0.1], 50)
     path = tmp_path / "det.svg"
     det_svg([("a", results), ("b", results)], path)
     root = ET.parse(path).getroot()

@@ -18,12 +18,12 @@ from wwspot.features import (
     NUM_MEL_BINS,
     RIGHT_CONTEXT,
     WINDOW_SAMPLES,
-    FeatureError,
     compute_lfbe,
     hz_to_mel,
     mel_filterbank,
 )
 from wwspot.model import SpotterConfig
+from wwspot.tsv import DataError
 
 
 def test_frame_count_one_second():
@@ -60,7 +60,7 @@ def test_all_zero_clip_hits_log_floor():
 
 
 def test_too_short_clip_rejected():
-    with pytest.raises(FeatureError, match="shorter than one"):
+    with pytest.raises(DataError, match="shorter than one"):
         compute_lfbe(AudioClip(np.zeros(WINDOW_SAMPLES - 1)))
 
 
@@ -135,5 +135,5 @@ def test_stack_dimension_is_always_620():
 
 
 def test_stack_rejects_empty():
-    with pytest.raises(FeatureError):
+    with pytest.raises(DataError, match=r"expected a non-empty \(frames, bins\) matrix"):
         stack_context(np.zeros((0, NUM_MEL_BINS)))

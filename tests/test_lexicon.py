@@ -4,13 +4,13 @@ from oracles import recursive_distance
 
 from wwspot.lexicon import (
     ConfusableSet,
-    LexiconError,
     build_confusable_set,
     levenshtein,
     load_lexicon,
     read_confusables,
     write_confusables,
 )
+from wwspot.tsv import DataError
 
 PHONES = ["AA", "IY", "UW", "EH", "OW", "K", "S", "L", "T", "N"]
 
@@ -27,9 +27,9 @@ def test_identity_and_single_edit():
 
 
 def test_empty_sequences_rejected():
-    with pytest.raises(LexiconError):
+    with pytest.raises(DataError, match="cannot compare empty phoneme sequences"):
         levenshtein((), ("A",))
-    with pytest.raises(LexiconError):
+    with pytest.raises(DataError, match="cannot compare empty phoneme sequences"):
         levenshtein(("A",), ())
 
 
@@ -70,17 +70,17 @@ def test_load_lexicon_basics(tmp_path):
 
 def test_load_lexicon_malformed_line_reports_lineno(tmp_path):
     path = _write_lexicon(tmp_path, ["good\tG UH D", "bad\t"])
-    with pytest.raises(LexiconError, match=r":2:"):
+    with pytest.raises(DataError, match=r":2:"):
         load_lexicon(path)
     path2 = _write_lexicon(tmp_path, ["no-tab-here"], name="l2.txt")
-    with pytest.raises(LexiconError, match=r":1:"):
+    with pytest.raises(DataError, match=r":1:"):
         load_lexicon(path2)
 
 
 def test_load_lexicon_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    with pytest.raises(LexiconError, match="empty"):
+    with pytest.raises(DataError, match="empty"):
         load_lexicon(path)
 
 
@@ -96,7 +96,7 @@ def test_frequency_ranks(tmp_path):
 def test_confusables_toy_case(tmp_path):
     path = _write_lexicon(tmp_path, ["ww\tA B C", "w1\tA B D", "w2\tX Y Z"])
     lex = load_lexicon(path)
-    cs = build_confusable_set(lex, "ww", d_max=1)
+    cs = build_confusable_set(lex, "ww", 1, 10000)
     assert cs.members == {"w1": 1}
     assert "w1" in cs and "w2" not in cs and "ww" not in cs
 
@@ -104,16 +104,16 @@ def test_confusables_toy_case(tmp_path):
 def test_confusables_d_max_zero_is_empty(tmp_path):
     path = _write_lexicon(tmp_path, ["ww\tA B C", "w1\tA B C"])
     lex = load_lexicon(path)
-    assert len(build_confusable_set(lex, "ww", 0)) == 0
+    assert len(build_confusable_set(lex, "ww", 0, 10000)) == 0
     # a d=0 homophone is excluded even at d_max >= 1
-    assert len(build_confusable_set(lex, "ww", 1)) == 0
+    assert len(build_confusable_set(lex, "ww", 1, 10000)) == 0
 
 
 def test_confusables_wake_word_absent(tmp_path):
     path = _write_lexicon(tmp_path, ["w1\tA B"])
     lex = load_lexicon(path)
-    with pytest.raises(LexiconError, match="not in lexicon"):
-        build_confusable_set(lex, "ww", 1)
+    with pytest.raises(DataError, match="not in lexicon"):
+        build_confusable_set(lex, "ww", 1, 10000)
 
 
 def _toy_50_word_lexicon(tmp_path):
@@ -161,9 +161,9 @@ def test_confusables_match_exhaustive_enumeration(tmp_path, d_max):
 
 def test_confusables_monotone_in_d_max(tmp_path):
     lex = _toy_50_word_lexicon(tmp_path)
-    s1 = build_confusable_set(lex, "wakeword", 1).words()
-    s2 = build_confusable_set(lex, "wakeword", 2).words()
-    s3 = build_confusable_set(lex, "wakeword", 3).words()
+    s1 = build_confusable_set(lex, "wakeword", 1, 10000).words()
+    s2 = build_confusable_set(lex, "wakeword", 2, 10000).words()
+    s3 = build_confusable_set(lex, "wakeword", 3, 10000).words()
     assert s1 <= s2 <= s3
 
 

@@ -10,7 +10,6 @@ from wwspot.mining import (
     NEGATIVE,
     POSITIVE,
     MinedExample,
-    MiningError,
     UtteranceHypothesis,
     WordHyp,
     balance_examples,
@@ -20,6 +19,7 @@ from wwspot.mining import (
     read_mined,
     write_mined,
 )
+from wwspot.tsv import DataError
 
 WAKE = "calypso"
 CONFUSABLES = ConfusableSet({"caleeda": 1, "caly": 1, "cowesser": 2})
@@ -33,7 +33,7 @@ def hyp(utt_id, words):
 
 def test_wake_word_above_threshold_is_positive():
     h = hyp("u1", [("hello", 0.9, 0.0, 0.4), (WAKE, 0.6, 0.5, 1.0)])
-    out = mine_examples([h], WAKE, CONFUSABLES)
+    out = mine_examples([h], WAKE, CONFUSABLES, 0.5, 0.5)
     assert len(out) == 1
     ex = out[0]
     assert ex.polarity == POSITIVE
@@ -44,26 +44,26 @@ def test_wake_word_above_threshold_is_positive():
 
 def test_wake_word_below_threshold_no_confusable_yields_nothing():
     h = hyp("u1", [(WAKE, 0.4, 0.0, 0.5)])
-    assert mine_examples([h], WAKE, CONFUSABLES) == []
+    assert mine_examples([h], WAKE, CONFUSABLES, 0.5, 0.5) == []
 
 
 def test_confusable_above_threshold_is_negative():
     h = hyp("u1", [("caleeda", 0.7, 0.2, 0.8)])
-    out = mine_examples([h], WAKE, CONFUSABLES)
+    out = mine_examples([h], WAKE, CONFUSABLES, 0.5, 0.5)
     assert out[0].polarity == NEGATIVE
     assert out[0].trigger_word == "caleeda"
 
 
 def test_positive_takes_precedence_and_one_example_per_utterance():
     h = hyp("u1", [("caleeda", 0.9, 0.0, 0.4), (WAKE, 0.8, 0.5, 1.0)])
-    out = mine_examples([h], WAKE, CONFUSABLES)
+    out = mine_examples([h], WAKE, CONFUSABLES, 0.5, 0.5)
     assert len(out) == 1
     assert out[0].polarity == POSITIVE
 
 
 def test_low_wake_word_can_still_yield_negative():
     h = hyp("u1", [(WAKE, 0.3, 0.0, 0.4), ("caly", 0.8, 0.5, 0.9)])
-    out = mine_examples([h], WAKE, CONFUSABLES)
+    out = mine_examples([h], WAKE, CONFUSABLES, 0.5, 0.5)
     assert out[0].polarity == NEGATIVE
 
 
@@ -72,13 +72,13 @@ def test_highest_confidence_occurrence_wins_earliest_on_ties():
         "u1",
         [(WAKE, 0.7, 0.0, 0.4), (WAKE, 0.9, 1.0, 1.4), (WAKE, 0.9, 2.0, 2.4)],
     )
-    out = mine_examples([h], WAKE, CONFUSABLES)
+    out = mine_examples([h], WAKE, CONFUSABLES, 0.5, 0.5)
     assert out[0].trigger_span == (1.0, 1.4)
 
 
 def test_mid_utterance_wake_word_accepted():
     h = hyp("u1", [("caly", 0.9, 0.0, 0.4), (WAKE, 0.8, 0.5, 1.0), ("mooner", 0.9, 1.1, 1.5)])
-    out = mine_examples([h], WAKE, CONFUSABLES)
+    out = mine_examples([h], WAKE, CONFUSABLES, 0.5, 0.5)
     assert out[0].polarity == POSITIVE
 
 
@@ -113,10 +113,10 @@ def test_emitted_confidences_respect_thresholds():
 
 
 def test_invalid_thresholds_rejected():
-    with pytest.raises(MiningError):
-        mine_examples([], WAKE, CONFUSABLES, pos_threshold=1.01)
-    with pytest.raises(MiningError):
-        mine_examples([], WAKE, CONFUSABLES, neg_threshold=-0.1)
+    with pytest.raises(DataError, match=r"pos_threshold must be in \[0, 1\], got 1.01"):
+        mine_examples([], WAKE, CONFUSABLES, 1.01, 0.5)
+    with pytest.raises(DataError, match=r"neg_threshold must be in \[0, 1\], got -0.1"):
+        mine_examples([], WAKE, CONFUSABLES, 0.5, -0.1)
 
 
 def test_load_hypotheses_skips_malformed(tmp_path):
@@ -248,8 +248,19 @@ def test_balance_deterministic_and_order_preserving():
 
 def test_balance_requires_both_polarities():
     examples = [MinedExample("a", POSITIVE, WAKE, (0.0, 0.5), 0.9)]
-    with pytest.raises(MiningError, match="both polarities"):
-        balance_examples(examples, 1.0)
+    with pytest.raises(DataError, match="both polarities"):
+        balance_examples(examples, 1.0, rng_seed=0)
+
+
+@pytest.mark.parametrize("ratio, lost", [(0.1, POSITIVE), (20.0, NEGATIVE)])
+def test_balance_refuses_to_drop_a_whole_polarity(ratio, lost):
+    examples = [MinedExample(f"p{i}", POSITIVE, WAKE, (0.0, 0.5), 0.9) for i in range(3)] + [
+        MinedExample(f"n{i}", NEGATIVE, "caly", (0.0, 0.5), 0.9) for i in range(5)
+    ]
+    with pytest.raises(
+        DataError, match=rf"target_ratio {ratio} keeps no {lost} example of 3 positive and 5 negative"
+    ):
+        balance_examples(examples, ratio, rng_seed=0)
 
 
 def test_frame_targets_span_oracle():
@@ -268,13 +279,13 @@ def test_frame_targets_negative_all_zero():
 
 def test_frame_targets_degenerate_span_rejected():
     ex = MinedExample("u", POSITIVE, WAKE, (1.0, 1.0), 0.9)
-    with pytest.raises(MiningError, match="degenerate"):
+    with pytest.raises(DataError, match="degenerate"):
         make_frame_targets(ex, 200)
 
 
 def test_frame_targets_span_outside_audio_rejected():
     ex = MinedExample("u", POSITIVE, WAKE, (1.0, 2.5), 0.9)
-    with pytest.raises(MiningError, match="outside"):
+    with pytest.raises(DataError, match="outside"):
         make_frame_targets(ex, 200)
 
 

@@ -11,6 +11,7 @@ from oracles import (
     kink_free_batch,
     pre_activations,
     standardize,
+    unscaled_model,
 )
 
 import wwspot.model
@@ -19,7 +20,6 @@ from wwspot.model import (
     NUM_BLOCKS,
     FeatureScaler,
     FrameDataset,
-    ModelError,
     SpotterConfig,
     SpotterModel,
     TrainConfig,
@@ -32,12 +32,13 @@ from wwspot.model import (
     ssl_loss,
     train,
 )
+from wwspot.tsv import DataError
 
 TINY = SpotterConfig(input_dim=10, bottleneck=4, hidden=8)
 
 
 def tiny_model(seed=0, config=TINY):
-    return init_model(config, np.random.default_rng(seed))
+    return unscaled_model(config, seed)
 
 
 def random_batch(rng, n, dim):
@@ -112,7 +113,7 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
 
 
 def test_forward_shape_mismatch():
-    with pytest.raises(ModelError, match="input dim"):
+    with pytest.raises(DataError, match="input dim"):
         posteriors(tiny_model(), np.zeros((3, 11)))
 
 
@@ -133,13 +134,12 @@ def test_posteriors_applies_scaler():
 
 
 def test_loss_perfect_positive_is_zero():
-    total, _ = ssl_loss(np.array([1.0]), np.array([1]), np.array([True]))
+    total = ssl_loss(np.array([1.0]), np.array([1]), np.array([True]))
     assert total == pytest.approx(0.0, abs=1e-6)
 
 
 def test_loss_half_posterior_background_is_log2():
-    total, mean = ssl_loss(np.full(10, 0.5), np.zeros(10), np.zeros(10, bool))
-    assert mean == pytest.approx(math.log(2), rel=1e-12)
+    total = ssl_loss(np.full(10, 0.5), np.zeros(10), np.zeros(10, bool))
     assert total == pytest.approx(10 * math.log(2), rel=1e-12)
 
 
@@ -155,9 +155,7 @@ def test_loss_matches_scalar_loop_oracle():
             expected += math.log(1.0 / q[i])
         if not y[i]:
             expected += math.log(1.0 / (1.0 - q[i]))
-    total, mean = ssl_loss(q, y, pos)
-    assert total == pytest.approx(expected, rel=1e-12)
-    assert mean == pytest.approx(expected / 200, rel=1e-12)
+    assert ssl_loss(q, y, pos) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_invariant_to_targets_on_negative_utterances():
@@ -165,10 +163,10 @@ def test_loss_invariant_to_targets_on_negative_utterances():
     q = rng.uniform(0.05, 0.95, 100)
     pos = rng.random(100) < 0.4
     y = (rng.integers(0, 2, 100) & pos).astype(np.uint8)
-    base, _ = ssl_loss(q, y, pos)
+    base = ssl_loss(q, y, pos)
     flipped = y.copy()
     flipped[~pos] = 1  # corrupt targets of negative-utterance frames
-    after, _ = ssl_loss(q, flipped, pos)
+    after = ssl_loss(q, flipped, pos)
     assert after == pytest.approx(base, rel=1e-12)
 
 
@@ -177,7 +175,7 @@ def test_loss_invariant_to_targets_on_negative_utterances():
 
 def loss_of(model, x, y, pos):
     probs, = (posteriors(model, x),)
-    return ssl_loss(probs[:, 1], y, pos)[0]
+    return ssl_loss(probs[:, 1], y, pos)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -186,7 +184,7 @@ def test_gradient_matches_central_finite_differences(seed):
     model = tiny_model(seed=seed + 10)
     x, y, pos = kink_free_batch(model, rng, 12, 10)
     loss, grads = gradient(model, x, y, pos)
-    assert loss == ssl_loss(posteriors(model, x)[:, 1], y, pos)[0]
+    assert loss == ssl_loss(posteriors(model, x)[:, 1], y, pos)
     h = 1e-4
     for name, g in grads.items():
         param = model.params[name]
@@ -399,10 +397,10 @@ def test_train_is_deterministic():
 
 def test_train_zero_epochs_returns_initialized_model():
     dataset = separable_toy_dataset(seed=2)
-    cfg = TrainConfig(learning_rate=0.3, epochs=0, rng_seed=3)
+    cfg = TrainConfig(learning_rate=0.3, minibatch_size=256, epochs=0, rng_seed=3)
     model, log = train(dataset, cfg, TOY_CFG)
     assert log == []
-    reference = init_model(TOY_CFG, np.random.default_rng(3))
+    reference = unscaled_model(TOY_CFG, 3)
     for name in model.params:
         assert np.array_equal(model.params[name], reference.params[name])
 
@@ -410,8 +408,8 @@ def test_train_zero_epochs_returns_initialized_model():
 def test_train_rejects_single_class():
     x = np.random.default_rng(0).standard_normal((50, 8))
     dataset = dataset_from_vectors(x, np.zeros(50, np.uint8), np.zeros(50, bool))
-    with pytest.raises(ModelError, match="single target class"):
-        train(dataset, TrainConfig(epochs=1), TOY_CFG)
+    with pytest.raises(DataError, match="single target class"):
+        train(dataset, TrainConfig(learning_rate=0.5, minibatch_size=256, epochs=1, rng_seed=0), TOY_CFG)
 
 
 def test_train_divergence_guard():
@@ -480,7 +478,7 @@ def test_from_utterances_matches_the_concatenating_build(lengths):
     ],
 )
 def test_from_utterances_rejects_malformed_input(utts, message):
-    with pytest.raises(ModelError, match=message):
+    with pytest.raises(DataError, match=message):
         FrameDataset.from_utterances(utts)
 
 
@@ -508,7 +506,7 @@ def test_from_utterances_holds_one_copy_of_the_dataset():
 def test_dataset_rejects_a_gather_outside_the_frames(index):
     base = np.arange(10.0).reshape(5, 2)
     gather = np.array([[index], [0]], dtype=np.int64)
-    with pytest.raises(ModelError, match=r"gather indices must lie in \[0, 5\)"):
+    with pytest.raises(DataError, match=r"gather indices must lie in \[0, 5\)"):
         FrameDataset(base, gather, np.zeros(2, np.uint8), np.zeros(2, bool))
 
 
@@ -518,13 +516,13 @@ def test_dataset_rejects_a_gather_outside_the_frames(index):
     ids=["one-dimensional", "no-columns", "float"],
 )
 def test_dataset_rejects_a_gather_that_is_not_an_index_matrix(gather):
-    with pytest.raises(ModelError, match="gather must be a 2-D integer matrix"):
+    with pytest.raises(DataError, match="gather must be a 2-D integer matrix"):
         FrameDataset(np.zeros((5, 2)), gather, np.zeros(2, np.uint8), np.zeros(2, bool))
 
 
 def test_dataset_rejects_more_frames_than_int32_indices_address():
     base = np.broadcast_to(np.zeros((1, 1)), (2**31, 1))  # a view: allocates nothing
-    with pytest.raises(ModelError, match="dataset has 2147483648 frames"):
+    with pytest.raises(DataError, match="dataset has 2147483648 frames"):
         FrameDataset(base, np.zeros((1, 1), np.int64), np.zeros(1, np.uint8), np.zeros(1, bool))
 
 
@@ -616,7 +614,7 @@ def test_truncated_checkpoint_rejected(tmp_path):
     save_model(model, path)
     data = path.read_bytes()
     (tmp_path / "trunc.ckpt").write_bytes(data[: len(data) // 2])
-    with pytest.raises(ModelError, match="trunc.ckpt: truncated checkpoint"):
+    with pytest.raises(DataError, match="trunc.ckpt: truncated checkpoint"):
         load_model(tmp_path / "trunc.ckpt")
 
 
@@ -627,7 +625,7 @@ def test_non_finite_checkpoint_rejected(tmp_path, bad):
     model.params[name][0, 0] = bad
     path = tmp_path / "bad.ckpt"
     save_model(model, path)
-    with pytest.raises(ModelError, match=f"non-finite values in {name}"):
+    with pytest.raises(DataError, match=f"non-finite values in {name}"):
         load_model(path)
 
 
@@ -637,20 +635,20 @@ def test_non_numeric_checkpoint_token_rejected(tmp_path):
     lines = path.read_bytes().split(b"\n")
     lines[2] = b"abc " + lines[2].split(b" ", 1)[1]
     path.write_bytes(b"\n".join(lines))
-    with pytest.raises(ModelError, match="m.ckpt: non-numeric value in checkpoint"):
+    with pytest.raises(DataError, match="m.ckpt: non-numeric value in checkpoint"):
         load_model(path)
 
 
 def test_non_checkpoint_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"hello world\n more garbage\n")
-    with pytest.raises(ModelError, match="not a spotter checkpoint"):
+    with pytest.raises(DataError, match="not a spotter checkpoint"):
         load_model(path)
 
 
 @pytest.mark.parametrize("value", [8.0, True, "8"])
 def test_config_rejects_a_size_that_is_not_an_int(value):
-    with pytest.raises(ModelError, match="hidden must be an integer"):
+    with pytest.raises(DataError, match="hidden must be an integer"):
         SpotterConfig(input_dim=10, bottleneck=4, hidden=value)
 
 
@@ -679,7 +677,7 @@ def test_corrupt_header_values_rejected(tmp_path, fields, message):
     path = tmp_path / "m.ckpt"
     save_model(tiny_model(seed=11), path)
     _edit_header(path, **fields)
-    with pytest.raises(ModelError, match=f"m.ckpt: {message}"):
+    with pytest.raises(DataError, match=f"m.ckpt: {message}"):
         load_model(path)
 
 
@@ -687,7 +685,7 @@ def test_f32_checkpoint_header_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_model(tiny_model(seed=13), path)
     path.write_bytes(path.read_bytes().replace(b" v1 text\n", b" v1 f32\n", 1))
-    with pytest.raises(ModelError, match="m.ckpt: unknown checkpoint mode 'f32'"):
+    with pytest.raises(DataError, match="m.ckpt: unknown checkpoint mode 'f32'"):
         load_model(path)
 
 
@@ -698,5 +696,5 @@ def test_layer_sizes_beyond_the_file_rejected(tmp_path):
     huge = SpotterConfig(input_dim=10, bottleneck=4, hidden=10**15)
     arrays = [[name, list(shape)] for name, shape in huge.array_shapes()]
     _edit_header(path, hidden=10**15, arrays=arrays + [["scaler_mean", [10]], ["scaler_std", [10]]])
-    with pytest.raises(ModelError, match="m.ckpt: truncated checkpoint"):
+    with pytest.raises(DataError, match="m.ckpt: truncated checkpoint"):
         load_model(path)

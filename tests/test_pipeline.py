@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from wwspot.augment import ManifestRow
-from wwspot.mining import NEGATIVE, POSITIVE, MinedExample, MiningError
+from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.pipeline import dataset_from_examples, dataset_from_manifest
 from wwspot.synth import WAKE_WORD, generate_utterances, write_corpus
+from wwspot.tsv import DataError
 
 
 @pytest.fixture()
@@ -45,5 +46,5 @@ def test_manifest_sources_are_resolved_before_any_wav_is_read(mined_clips):
         ManifestRow("ctm-000000", "CTM", examples[0].utt_id, "missing.wav", None, None),
         ManifestRow("ctm-000001", "CTM", "unknown", f"{examples[1].utt_id}.wav", None, None),
     ]
-    with pytest.raises(MiningError, match="ctm-000001: source 'unknown'"):
+    with pytest.raises(DataError, match="ctm-000001: source 'unknown'"):
         dataset_from_manifest(rows, {e.utt_id: e for e in examples}, wav_dir)
