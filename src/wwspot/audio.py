@@ -39,6 +39,35 @@ class AudioClip:
         return self.samples.size / SAMPLE_RATE
 
 
+def _open_wav(path: str, mmap: bool) -> np.ndarray:
+    """The WAV's samples as stored, one row per frame, after the checks
+    every reader makes; each error names the file."""
+    if not os.path.isfile(path):
+        raise DataError(f"{path}: no such file")
+    try:
+        rate, data = wavfile.read(path, mmap=mmap)
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{path}: not a readable PCM WAV ({exc})") from exc
+    if data.size == 0:
+        raise DataError(f"{path}: zero-length audio")
+    if data.dtype not in (np.int16, np.float32, np.float64):
+        raise DataError(
+            f"{path}: unsupported sample encoding {data.dtype}; "
+            "expected 16-bit PCM or 32-bit float"
+        )
+    if rate != SAMPLE_RATE:
+        raise DataError(
+            f"{path}: unsupported sample rate {rate} (expected {SAMPLE_RATE})"
+        )
+    return data
+
+
+def wav_samples(path: str | os.PathLike) -> int:
+    """The number of samples per channel `read_wav` would return, from
+    the header and a memory map: no sample is read."""
+    return _open_wav(os.fspath(path), mmap=True).shape[0]
+
+
 def read_wav(path: str | os.PathLike) -> AudioClip:
     """Read a PCM WAV file as a mono clip scaled to [-1, 1], its id the
     file's stem.
@@ -49,31 +78,15 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     32767/32768).
     """
     path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise DataError(f"{path}: no such file")
-    try:
-        rate, data = wavfile.read(path)
-    except (ValueError, EOFError) as exc:
-        raise DataError(f"{path}: not a readable PCM WAV ({exc})") from exc
-    if data.size == 0:
-        raise DataError(f"{path}: zero-length audio")
+    data = _open_wav(path, mmap=False)
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _FULL_SCALE
-    elif data.dtype in (np.float32, np.float64):
+    else:
         if not np.isfinite(data).all():
             raise DataError(f"{path}: non-finite samples")
         samples = data.astype(np.float64)
-    else:
-        raise DataError(
-            f"{path}: unsupported sample encoding {data.dtype}; "
-            "expected 16-bit PCM or 32-bit float"
-        )
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    if rate != SAMPLE_RATE:
-        raise DataError(
-            f"{path}: unsupported sample rate {rate} (expected {SAMPLE_RATE})"
-        )
     return AudioClip(samples, id=os.path.splitext(os.path.basename(path))[0])
 
 

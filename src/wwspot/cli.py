@@ -18,6 +18,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -129,19 +130,13 @@ def _read_utt_frames(path: str) -> dict[str, int]:
 
 def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
     count = cfg.getint("rir", "count", lo=1)
-    max_order = cfg.getint("rir", "max_order", lo=0, hi=10)
-    beta_min = cfg.getfloat("rir", "beta_min", lo=0.0, hi=1.0)
-    beta_max = cfg.getfloat("rir", "beta_max", lo=beta_min, hi=1.0)
+    max_order, beta_min, beta_max = conf.room_settings(cfg)
     rng = np.random.default_rng(_seed(args, cfg))
-    rooms = []
-    for room in make_room_pool(count, rng, max_order=max_order):
-        beta = float(rng.uniform(beta_min, beta_max))
-        try:
-            rooms.append(
-                aug.RoomSpec(room.dimensions, room.source_pos, room.mic_pos, beta, max_order)
-            )
-        except DataError as exc:
-            raise ConfigError(f"rir: {exc}") from exc
+    # each room's reflection is drawn after the whole pool's geometry
+    rooms = [
+        replace(room, reflection_coeff=float(rng.uniform(beta_min, beta_max)))
+        for room in make_room_pool(count, rng, max_order=max_order)
+    ]
     # every room is valid before the run directory exists
     out = _run_dir(args, cfg, "rir-gen")
     rows = []
@@ -232,7 +227,11 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def _decode_one(model, path):
     clip = read_wav(path)
-    return clip.id, dec.posterior_trace(model, compute_lfbe(clip))
+    try:
+        lfbe = compute_lfbe(clip)
+    except DataError as exc:  # a clip shorter than one window
+        raise DataError(f"{path}: {exc}") from None
+    return clip.id, dec.posterior_trace(model, lfbe)
 
 
 def _decode_traces(args):

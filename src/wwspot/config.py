@@ -189,8 +189,20 @@ def load_config(
     return PipelineConfig(values)
 
 
-# --- stage readers: the one place that reads the lexicon, mining, augment,
+# --- stage readers: the one place that reads the rir, lexicon, mining, augment,
 # training and decoding sections and their bounds, for the subcommands and the demo
+
+
+def room_settings(cfg: PipelineConfig) -> tuple[int, float, float]:
+    """`rir`: the image-source order cap and the range each room's
+    reflection coefficient is drawn from. A coefficient of 1, the only
+    draw the range's bounds allow that a room refuses, fails here."""
+    max_order = cfg.getint("rir", "max_order", lo=0, hi=10)
+    beta_min = cfg.getfloat("rir", "beta_min", lo=0.0, hi=1.0)
+    beta_max = cfg.getfloat("rir", "beta_max", lo=beta_min, hi=1.0)
+    if beta_min == 1.0:
+        raise ConfigError("rir: reflection_coeff must be in [0, 1), and rir.beta_min is 1")
+    return max_order, beta_min, beta_max
 
 
 def wake_word(cfg: PipelineConfig, given: str | None) -> str:

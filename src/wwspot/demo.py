@@ -79,6 +79,7 @@ def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
         cfg.getint("demo", "n_train", lo=10),
         cfg.getint("demo", "n_test", lo=10),
         CorruptionSpec(cfg.getfloat("demo", "test_snr_db"), 0.0, 0.5),
+        conf.room_settings(cfg),
         conf.confusable_limits(cfg),
         conf.mining_gates(cfg),
         conf.mix_recipe(cfg, scale=1.0),
@@ -88,11 +89,13 @@ def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
     )
 
 
-def _pools(prefix: str, rooms: int, noises: int, musics: int, rng) -> tuple:
-    """RIRs of random rooms, then 2.5 s noise and music clips, drawn in that order."""
+def _pools(prefix: str, rooms: int, noises: int, musics: int, rng, room_settings=()) -> tuple:
+    """RIRs of random rooms, then 2.5 s noise and music clips, drawn in that
+    order; `room_settings` is `rir`'s (max_order, beta_min, beta_max), and
+    without it the rooms are the test set's fixed ones."""
     rirs = [
         synthesize_rir(room, id=f"{prefix}-rir-{i}")
-        for i, room in enumerate(make_room_pool(rooms, rng))
+        for i, room in enumerate(make_room_pool(rooms, rng, *room_settings))
     ]
     return rirs, make_noise_pool(noises, 2.5, rng), make_music_pool(musics, 2.5, rng)
 
@@ -124,8 +127,9 @@ def run_demo(
     run one at a time, each dropping its training set and model before the
     next starts."""
     t0 = time.monotonic()
-    (n_train, n_test, test_spec, (d_max, top_n), (pos_th, neg_th, ratio), full_recipe, mct_spec,
-     (train_cfg, model_cfg), (decode_cfg, sweep, tolerance)) = demo_settings(cfg, seed)
+    (n_train, n_test, test_spec, room_settings, (d_max, top_n), (pos_th, neg_th, ratio),
+     full_recipe, mct_spec, (train_cfg, model_cfg),
+     (decode_cfg, sweep, tolerance)) = demo_settings(cfg, seed)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -157,7 +161,7 @@ def run_demo(
     mct_dir = os.path.join(out_dir, "mct")
     rows = build_mixed_dataset(
         [read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced],
-        *_pools("mct", 12, 8, 5, np.random.default_rng([seed, 3])),
+        *_pools("mct", 12, 8, 5, np.random.default_rng([seed, 3]), room_settings),
         recipe, mct_spec, mct_dir, jobs=jobs,
     )
     write_manifest(rows, os.path.join(mct_dir, "manifest.tsv"))

@@ -10,7 +10,9 @@ its output one block of windows at a time, and the decoder stacks the
 context of one block of frames at a time, so neither the window
 matrix, the spectrum nor the stacked inputs of a whole recording are
 ever held at once. Memory is O(block) plus the output, one row per
-frame, however long the audio.
+frame, however long the audio. The output may be rows the caller
+owns: a training set's build featurizes each utterance straight into
+its rows of the dataset.
 """
 
 from __future__ import annotations
@@ -61,25 +63,42 @@ def mel_filterbank() -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, 1.0)
 
 
-def compute_lfbe(clip: AudioClip) -> np.ndarray:
-    """LFBE matrix of shape (frames, NUM_MEL_BINS).
+@cache
+def _hann_window() -> np.ndarray:
+    window = np.hanning(WINDOW_SAMPLES)
+    window.flags.writeable = False
+    return window
+
+
+def num_frames(n_samples: int) -> int:
+    """`compute_lfbe`'s frame count for n_samples of audio:
+    1 + floor((n_samples - window) / hop), at least one window long."""
+    if n_samples < WINDOW_SAMPLES:
+        raise DataError(
+            f"clip of {n_samples} samples is shorter than one {WINDOW_SAMPLES}-sample window"
+        )
+    return 1 + (n_samples - WINDOW_SAMPLES) // HOP_SAMPLES
+
+
+def compute_lfbe(clip: AudioClip, out: np.ndarray | None = None) -> np.ndarray:
+    """LFBE matrix of shape (num_frames(samples), NUM_MEL_BINS).
 
     Per frame: Hann window, magnitude-squared rfft, mel filterbank,
-    natural log of (energy + LOG_FLOOR). Frame count is
-    1 + floor((num_samples - window) / hop). The frames are strided
-    views of the samples, transformed CHUNK_FRAMES at a time into the
-    preallocated output.
+    natural log of (energy + LOG_FLOOR). The frames are strided views
+    of the samples, transformed CHUNK_FRAMES at a time into the output:
+    `out` when given (a dataset's rows, say), which must have that
+    shape, else a new matrix.
     """
     x = clip.samples
-    if x.size < WINDOW_SAMPLES:
-        raise DataError(
-            f"clip of {x.size} samples is shorter than one {WINDOW_SAMPLES}-sample window"
-        )
+    shape = (num_frames(x.size), NUM_MEL_BINS)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"output of shape {out.shape} for LFBE of shape {shape}")
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
-    hann = np.hanning(WINDOW_SAMPLES)
+    hann = _hann_window()
     fbank = mel_filterbank().T
-    out = np.empty((frames.shape[0], NUM_MEL_BINS))
-    for lo in range(0, frames.shape[0], CHUNK_FRAMES):
+    for lo in range(0, shape[0], CHUNK_FRAMES):
         block = slice(lo, lo + CHUNK_FRAMES)
         spectrum = np.abs(np.fft.rfft(frames[block] * hann, FFT_SIZE, axis=1)) ** 2
         np.log(spectrum @ fbank + LOG_FLOOR, out=out[block])
@@ -95,6 +114,5 @@ def context_indices(n_frames: int) -> np.ndarray:
     """
     if n_frames < 1:
         raise DataError("empty feature matrix")
-    frames = np.arange(n_frames, dtype=np.int64)
-    padded = np.pad(frames, (LEFT_CONTEXT, RIGHT_CONTEXT), mode="edge")
+    padded = np.clip(np.arange(-LEFT_CONTEXT, n_frames + RIGHT_CONTEXT), 0, n_frames - 1)
     return np.lib.stride_tricks.sliding_window_view(padded, CONTEXT_WIDTH)

@@ -39,13 +39,6 @@ class Lexicon:
         return len(self.entries)
 
 
-def _pronunciation(word: str, phonemes: str) -> tuple[str, tuple[str, ...]]:
-    word, phones = word.strip().lower(), tuple(phonemes.split())
-    if not word or not phones:
-        raise ValueError("empty word or phoneme field")
-    return word, phones
-
-
 def _word_values(path: str | os.PathLike, check) -> dict[str, int]:
     """`word<TAB>integer` lines, one per word, the words lower-cased;
     `check(word, value)` raises ValueError on a row it refuses."""
@@ -71,8 +64,19 @@ def load_lexicon(
     word; ranks are assigned by descending count with lexicographic
     tie-breaking.
     """
+    # ~10^5 pronunciations spell with a few dozen phoneme symbols, so
+    # `symbols` keeps one string per symbol for all of them to share
+    symbols: dict[str, str] = {}
+
+    def pronunciation(word: str, phonemes: str) -> tuple[str, tuple[str, ...]]:
+        parts = phonemes.split()
+        word, phones = word.strip().lower(), tuple(map(symbols.setdefault, parts, parts))
+        if not word or not phones:
+            raise ValueError("empty word or phoneme field")
+        return word, phones
+
     entries: dict[str, list[tuple[str, ...]]] = {}
-    for word, phonemes in read_tsv(path, (str, str), _pronunciation):
+    for word, phonemes in read_tsv(path, (str, str), pronunciation):
         prons = entries.setdefault(word, [])
         if phonemes not in prons:
             prons.append(phonemes)

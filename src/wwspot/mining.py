@@ -27,7 +27,7 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordHyp:
     token: str
     confidence: float
@@ -35,7 +35,7 @@ class WordHyp:
     end_s: float
 
 
-@dataclass
+@dataclass(slots=True)
 class UtteranceHypothesis:
     utt_id: str
     audio_path: str
@@ -75,6 +75,7 @@ def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis],
     """
     hyps: list[UtteranceHypothesis] = []
     seen: set[str] = set()
+    tokens: dict[str, str] = {}  # transcripts repeat a vocabulary: one string per word
     skipped = 0
     for raw in byte_lines(path):
         try:
@@ -84,7 +85,7 @@ def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis],
             rec = json.loads(line)
             words = [
                 WordHyp(
-                    str(w["w"]),
+                    tokens.setdefault(token := str(w["w"]), token),
                     float(w["conf"]),
                     float(w["start"]),
                     float(w["end"]),

@@ -286,7 +286,7 @@ class FrameDataset:
     Rows of `base` are single feature frames; `gather` holds, per training
     record, the int32 indices of the frames that concatenate into its
     input vector, so 620-dimensional vectors never need to be
-    materialized for the whole dataset at once. `from_utterances` makes
+    materialized for the whole dataset at once. `build` makes
     one record per frame, so a record costs one float64 frame plus
     CONTEXT_WIDTH int32 indices; `base` holds fewer than MAX_FRAMES frames.
     """
@@ -332,10 +332,8 @@ class FrameDataset:
 
     @classmethod
     def from_utterances(cls, utterances) -> "FrameDataset":
-        """Build from (lfbe_matrix, frame_targets, is_positive) triples;
-        context windows never cross utterance boundaries. The arrays are
-        allocated once at their final size and filled one utterance at a
-        time, so the build never holds a second copy of the dataset."""
+        """Build from (lfbe_matrix, frame_targets, is_positive) triples
+        through `build`, each triple's matrix copied into its rows."""
         utterances = list(utterances)
         if not utterances:
             raise DataError("dataset is empty")
@@ -351,19 +349,33 @@ class FrameDataset:
                 )
             if shape[0] != len(utt_targets):
                 raise DataError("frame targets do not match the feature length")
-        frames = sum(n for n, _ in shapes)
-        base = np.empty((frames, shapes[0][1]))
+
+        def copy(i, rows):
+            lfbe, utt_targets, is_pos = utterances[i]
+            rows[:] = lfbe
+            return utt_targets, is_pos
+
+        return cls.build([n for n, _ in shapes], shapes[0][1], copy)
+
+    @classmethod
+    def build(cls, lengths: list[int], bins: int, fill) -> "FrameDataset":
+        """The one build: utterance i has lengths[i] frames of `bins` bins,
+        and `fill(i, rows)` writes its frames into `rows`, its slice of
+        `base`, and returns its frame targets and polarity. The arrays are
+        allocated once at their final size (286 B per 20-bin frame) and
+        filled one utterance at a time, so no second copy of the dataset
+        is ever held; context windows never cross utterance boundaries."""
+        frames = sum(lengths)
+        base = np.empty((frames, bins))
         gather = np.empty((frames, CONTEXT_WIDTH), dtype=np.int32)
         targets = np.empty(frames, dtype=np.uint8)
         is_positive = np.empty(frames, dtype=bool)
         lo = 0
-        for (lfbe, utt_targets, is_pos), (n, _) in zip(utterances, shapes):
+        for i, n in enumerate(lengths):
             rows = slice(lo, lo + n)
-            base[rows] = lfbe
+            targets[rows], is_positive[rows] = fill(i, base[rows])
             gather[rows] = context_indices(n)
             gather[rows] += lo
-            targets[rows] = utt_targets
-            is_positive[rows] = bool(is_pos)
             lo += n
         return cls(base, gather, targets, is_positive)
 

@@ -242,7 +242,16 @@ def make_music_pool(count: int, dur_s: float, rng: np.random.Generator) -> list[
     ]
 
 
-def make_room_pool(count: int, rng: np.random.Generator, max_order: int = 5) -> list[RoomSpec]:
+def make_room_pool(
+    count: int,
+    rng: np.random.Generator,
+    max_order: int = 5,
+    beta_min: float = 0.55,
+    beta_max: float = 0.8,
+) -> list[RoomSpec]:
+    """Random shoebox rooms, each with its reflection coefficient drawn
+    from [beta_min, beta_max). The defaults are the fixed rooms of the
+    demo's test set, which stays the same whatever `rir` says."""
     rooms = []
     for _ in range(count):
         dims = (
@@ -266,7 +275,7 @@ def make_room_pool(count: int, rng: np.random.Generator, max_order: int = 5) -> 
                 dimensions=dims,
                 source_pos=src,
                 mic_pos=mic,
-                reflection_coeff=float(rng.uniform(0.55, 0.8)),
+                reflection_coeff=float(rng.uniform(beta_min, beta_max)),
                 max_order=max_order,
             )
         )

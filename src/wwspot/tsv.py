@@ -5,10 +5,14 @@ field may contain a tab or a line break, so whatever `write_tsv` writes,
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 R = TypeVar("R")
+
+# applies a field's parser to its text; operator.call is new in Python 3.11
+_parse = getattr(operator, "call", lambda parse, text: parse(text))
 
 
 class DataError(ValueError):
@@ -42,7 +46,7 @@ def read_tsv(
             parts = line.split("\t")
             if len(parts) != n:
                 raise ValueError(f"expected {n} tab-separated fields, got {len(parts)}")
-            out.append(row(*[parse(p) for parse, p in zip(fields, parts)]))
+            out.append(row(*map(_parse, fields, parts)))
         except ValueError as exc:  # UnicodeDecodeError is one too
             raise DataError(f"{path}:{lineno}: {exc}") from None
     return out

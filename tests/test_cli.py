@@ -749,6 +749,7 @@ _STAGE_COMMANDS = {
     "augment": ["augment", "--clean-dir", _MISSING],
     "training": ["train", "--mined", _MISSING, "--audio-dir", _MISSING],
     "decoding": ["det", "--model", _MISSING, "--wav-dir", _MISSING, "--references", _MISSING],
+    "rir": ["rir-gen"],
 }
 
 
@@ -767,6 +768,9 @@ _BAD_SETTINGS = {
     "decoding.min_gap_frames=-1": "decoding.min_gap_frames: -1 is below the minimum 0",
     "decoding.tolerance_frames=-1": "decoding.tolerance_frames: -1 is below the minimum 0",
     "decoding.thresholds=0.5": "decoding.thresholds: need at least 2 thresholds",
+    "rir.max_order=11": "rir.max_order: 11 is above the maximum 10",
+    "rir.beta_min=-0.1": "rir.beta_min: -0.1 is below the minimum 0.0",
+    "rir.beta_max=0.5": "rir.beta_max: 0.5 is below the minimum 0.55",
 }
 
 
@@ -857,6 +861,59 @@ def test_rir_gen_reflection_coefficient_of_one_exits_2(tmp_path, capsys):
     assert "config error: rir: reflection_coeff must be in [0, 1)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_e2e_demo_reflection_coefficient_of_one_exits_2(tmp_path, capsys):
+    argv = ["e2e-demo", *_TINY_DEMO, "--set", "rir.beta_min=1", "--set", "rir.beta_max=1"]
+    assert main(argv + ["--out", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: rir: reflection_coeff must be in [0, 1)")
+    assert out == ""
+    assert not (tmp_path / "runs").exists()
+
+
+_SHORT = "clip of 300 samples is shorter than one 400-sample window"
+
+
+def _short_wav_dir(tmp_path):
+    """A directory whose u1.wav holds 300 samples, less than one 400-sample window."""
+    from scipy.io import wavfile
+
+    wav_dir = tmp_path / "a"
+    wav_dir.mkdir()
+    wavfile.write(wav_dir / "u1.wav", SAMPLE_RATE, np.zeros(300, np.int16))
+    return wav_dir
+
+
+def test_train_names_a_wav_shorter_than_one_window(tmp_path, capsys):
+    wav_dir = _short_wav_dir(tmp_path)
+    mined = tmp_path / "m.tsv"
+    write_mined([MinedExample("u1", NEGATIVE, "caly", (0.0, 0.01), 0.9)], mined)
+    runs = tmp_path / "runs"
+    rc = main(["train", "--mined", str(mined), "--audio-dir", str(wav_dir), "--out", str(runs)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {wav_dir / 'u1.wav'}: {_SHORT}" in err
+    assert out == ""
+    assert not runs.exists()
+
+
+def test_det_names_a_wav_shorter_than_one_window(tmp_path, capsys):
+    from wwspot.model import SpotterConfig, save_model
+
+    wav_dir = _short_wav_dir(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("u1\t0\t1\n")
+    runs = tmp_path / "runs"
+    rc = main(["det", "--model", str(ckpt), "--wav-dir", str(wav_dir), "--references", str(refs),
+               "--out", str(runs)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {wav_dir / 'u1.wav'}: {_SHORT}" in err
+    assert out == ""
+    assert not runs.exists()
 
 
 def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):

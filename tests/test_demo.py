@@ -1,3 +1,5 @@
+import filecmp
+import os
 import tracemalloc
 
 import pytest
@@ -68,3 +70,24 @@ def test_demo_holds_one_arm_at_a_time(tmp_path, monkeypatch):
     for arm, nbytes in zip(("clean", "mct"), held):
         assert nbytes <= 20 * MIB, f"{arm} arm started training with {nbytes / MIB:.1f} MiB held"
     assert peak <= 45 * MIB, f"run_demo peaked at {peak / MIB:.1f} MiB"
+
+
+def test_rir_settings_reach_the_multi_condition_rooms_only(tmp_path):
+    # epochs=0: each arm's model is its initialization and scaler, so the clean
+    # arm's DET depends only on the clean clips and the test set
+    tiny = ["demo.n_train=40", "demo.n_test=10", "demo.epochs=0", "demo.bottleneck=8",
+            "demo.hidden=16"]
+    runs = {}
+    for name, extra in (("default", []), ("order-1", ["rir.max_order=1"])):
+        runs[name] = tmp_path / name
+        demo.run_demo(runs[name], 0, load_config(None, tiny + extra))
+
+    def same(rel):
+        return filecmp.cmp(runs["default"] / rel, runs["order-1"] / rel, shallow=False)
+
+    wavs = sorted(os.listdir(runs["default"] / "mct" / "wav"))
+    assert wavs and wavs == sorted(os.listdir(runs["order-1"] / "mct" / "wav"))
+    assert not all(same(os.path.join("mct", "wav", f)) for f in wavs)
+    for f in sorted(os.listdir(runs["default"] / "train_wav")):
+        assert same(os.path.join("train_wav", f))
+    assert same("det_clean.csv")
