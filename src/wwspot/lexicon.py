@@ -87,7 +87,10 @@ def load_lexicon(
     if frequency_path is not None:
         counts = _word_values(frequency_path, lambda word, count: None)
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        ranks = {word: rank for rank, (word, _) in enumerate(ordered, 1)}
+        # a lexicon word's rank is keyed by its entry's own string, so the
+        # frequency file's copy of the word is dropped with `counts`
+        keys = {word: word for word in entries}
+        ranks = {keys.get(word, word): rank for rank, (word, _) in enumerate(ordered, 1)}
     return Lexicon(entries, ranks)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import CONTEXT_WIDTH, NUM_MEL_BINS, context_indices
-from .tsv import DataError
+from .tsv import DataError, open_input
 
 Q_CLAMP = 1e-7
 NUM_BLOCKS = 3
@@ -503,7 +503,7 @@ def _read_text_array(
 
 
 def load_model(path: str | os.PathLike) -> SpotterModel:
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a spotter checkpoint")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import operator
 import os
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 R = TypeVar("R")
 
@@ -19,11 +19,21 @@ class DataError(ValueError):
     """Malformed or unusable input data (CLI exit code 3)."""
 
 
+def open_input(path: str | os.PathLike) -> BinaryIO:
+    """The input file opened for binary reading. A path that cannot be
+    opened (missing, a directory, through a file, not permitted) raises
+    `DataError("<path>: <reason>")`."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{os.fspath(path)}: {(exc.strerror or str(exc)).lower()}") from None
+
+
 def byte_lines(path: str | os.PathLike) -> Iterator[bytes]:
     """The file's lines as undecoded bytes without their line breaks,
     split where text mode splits them (at \\n, \\r\\n or \\r), so that a
     reader can decode each line where it handles the line's other faults."""
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         for chunk in fh:
             yield from chunk.splitlines()
 

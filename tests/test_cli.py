@@ -949,3 +949,82 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize(
+    "argv, path, reason",
+    [
+        pytest.param(
+            ["confusables", "--lexicon", "{d}", "--wake-word", "alexa"], "{d}", "is a directory",
+            id="lexicon-dir",
+        ),
+        pytest.param(
+            ["mine", "--hypotheses", "{d}/f", "--confusables", "{d}/f/x.tsv", "--wake-word", "alexa"],
+            "{d}/f/x.tsv", "not a directory", id="confusables-through-a-file",
+        ),
+        pytest.param(
+            ["decode", "--model", "{d}", "--wav-dir", "{d}/a"], "{d}", "is a directory", id="model-dir"
+        ),
+    ],
+)
+def test_an_input_path_that_cannot_be_opened_exits_3(tmp_path, capsys, argv, path, reason):
+    (tmp_path / "f").write_text("u\t1\n")
+    _patched_wav_dir(tmp_path, lambda raw: raw)  # decode lists its WAVs before it loads the model
+    rc = main([a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {path.format(d=tmp_path)}: {reason}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def _patched_wav_dir(tmp_path, patch):
+    """A directory whose u1.wav is a 1 s write_wav file passed through `patch`."""
+    from wwspot.audio import AudioClip, write_wav
+
+    wav_dir = tmp_path / "a"
+    wav_dir.mkdir()
+    wav = wav_dir / "u1.wav"
+    write_wav(AudioClip(np.random.default_rng(3).uniform(-0.5, 0.5, SAMPLE_RATE)), wav)
+    wav.write_bytes(patch(wav.read_bytes()))
+    return wav_dir, wav
+
+
+def _wav_argv(command, tmp_path, wav_dir):
+    from wwspot.model import SpotterConfig, save_model
+
+    if command == "decode":
+        ckpt = tmp_path / "model.ckpt"
+        save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+        return ["decode", "--model", str(ckpt), "--wav-dir", str(wav_dir)]
+    mined = tmp_path / "m.tsv"
+    write_mined([MinedExample("u1", NEGATIVE, "caly", (0.0, 0.01), 0.9)], mined)
+    return ["train", "--mined", str(mined), "--audio-dir", str(wav_dir)]
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+@pytest.mark.parametrize(
+    "patch, reason",
+    [
+        pytest.param(lambda raw: raw[:22] + b"\0\0" + raw[24:], "not a readable PCM WAV (0 channels", id="zero-channels"),
+        pytest.param(lambda raw: raw[:-101], "truncated WAV", id="truncated"),
+    ],
+)
+def test_a_malformed_wav_exits_3_naming_it(tmp_path, capsys, command, patch, reason):
+    wav_dir, wav = _patched_wav_dir(tmp_path, patch)
+    runs = tmp_path / "runs"
+    rc = main(_wav_argv(command, tmp_path, wav_dir) + ["--out", str(runs)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {wav}: {reason}" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not runs.exists()
+
+
+def test_decode_reads_a_wav_whose_riff_size_field_is_4(tmp_path, capsys):
+    wav_dir, _ = _patched_wav_dir(tmp_path, lambda raw: raw[:4] + b"\4\0\0\0" + raw[8:])
+    rc = main(_wav_argv("decode", tmp_path, wav_dir) + ["--out", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert out.strip().endswith("detections.tsv")

@@ -93,6 +93,17 @@ def test_frequency_ranks(tmp_path):
     assert lex.frequency_rank == {"aa": 1, "bb": 2, "cc": 3}
 
 
+def test_a_rank_key_is_its_entry_key(tmp_path):
+    lex_path = _write_lexicon(tmp_path, ["Alexa\tA L", "bb\tB"])
+    freq_path = tmp_path / "freq.txt"
+    freq_path.write_text("ALEXA\t5\nzz\t9\n")
+    lex = load_lexicon(lex_path, freq_path)
+    assert lex.frequency_rank == {"zz": 1, "alexa": 2}
+    entry_key = next(k for k in lex.entries if k == "alexa")
+    rank_key = next(k for k in lex.frequency_rank if k == "alexa")
+    assert rank_key is entry_key
+
+
 def test_confusables_toy_case(tmp_path):
     path = _write_lexicon(tmp_path, ["ww\tA B C", "w1\tA B D", "w2\tX Y Z"])
     lex = load_lexicon(path)
