@@ -40,6 +40,7 @@ from .synth import (
     make_music_pool,
     make_noise_pool,
     make_room_pool,
+    stream_utterances,
     write_corpus,
     write_lexicon_files,
 )
@@ -138,7 +139,7 @@ def run_demo(
     train_wav = os.path.join(out_dir, "train_wav")
     hyp_path = os.path.join(out_dir, "hypotheses.jsonl")
     write_corpus(
-        generate_utterances("train", n_train, WAKE_FRACTION, corpus_rng),
+        stream_utterances("train", n_train, WAKE_FRACTION, corpus_rng),
         train_wav, hyp_path, corpus_rng,
     )
     lex_path = os.path.join(out_dir, "lexicon.txt")

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,33 +28,26 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-@dataclass(frozen=True, slots=True)
-class WordHyp:
-    token: str
-    confidence: float
-    start_s: float
-    end_s: float
-
-
 @dataclass(slots=True)
-class UtteranceHypothesis:
-    utt_id: str
-    audio_path: str
-    words: list[WordHyp]
+class Hypotheses:
+    """Word hypotheses of many utterances, held as columns. The words of
+    utterance `u` are rows `first[u]:first[u + 1]` of `token`, `conf`,
+    `start` and `end`; `token` indexes `tokens`, which holds each distinct
+    token string once."""
 
-    def validate(self) -> None:
-        prev_end = 0.0
-        for w in self.words:
-            if not 0.0 <= w.confidence <= 1.0:
-                raise DataError(f"{self.utt_id}: confidence out of [0, 1]")
-            if not -math.inf < w.start_s < w.end_s < math.inf:
-                raise DataError(f"{self.utt_id}: word span is not finite with start < end")
-            if w.start_s < prev_end - 1e-9:
-                raise DataError(f"{self.utt_id}: overlapping word spans")
-            prev_end = w.end_s
+    utt_ids: list[str]
+    first: np.ndarray  # int64, one offset per utterance plus one
+    tokens: list[str]
+    token: np.ndarray  # int32
+    conf: np.ndarray  # float64
+    start: np.ndarray  # float64, seconds
+    end: np.ndarray  # float64, seconds
+
+    def __len__(self) -> int:
+        return len(self.utt_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinedExample:
     utt_id: str
     polarity: str
@@ -62,20 +56,33 @@ class MinedExample:
     confidence: float
 
 
-def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis], int]:
+def _valid_words(words: list[tuple[str, float, float, float]]) -> bool:
+    """Confidences in [0, 1], finite spans with start < end, and no span
+    starting more than 1e-9 s before the previous one ends (or before 0)."""
+    prev_end = 0.0
+    for _, conf, start, end in words:
+        if not 0.0 <= conf <= 1.0 or not prev_end - 1e-9 <= start < end < math.inf:
+            return False
+        prev_end = end
+    return True
+
+
+def load_hypotheses(path: str | os.PathLike) -> tuple[Hypotheses, int]:
     """Parse a JSONL hypothesis file; malformed records are skipped.
 
     Each line is an object with utt_id, audio_path, and words, where a
-    word is {"w": token, "conf": c, "start": s, "end": e}. A line that is
-    not UTF-8, and a utt_id that repeats an earlier record's or holds a
-    tab or a line break (it could not be written as one TSV field), also
-    count as malformed;
-    the first record of an id is kept. Returns the parsed hypotheses and
-    the count of skipped records.
+    word is {"w": token, "conf": c, "start": s, "end": e}. audio_path must
+    be present, but nothing reads it. A line that is not UTF-8, and a
+    utt_id that repeats an earlier record's or holds a tab or a line
+    break (it could not be written as one TSV field), also count as
+    malformed; the first record of an id is kept. Returns the parsed
+    hypotheses and the count of skipped records.
     """
-    hyps: list[UtteranceHypothesis] = []
+    utt_ids: list[str] = []
     seen: set[str] = set()
-    tokens: dict[str, str] = {}  # transcripts repeat a vocabulary: one string per word
+    index: dict[str, int] = {}  # transcripts repeat a vocabulary: one string per token
+    first, token = array("q", [0]), array("i")
+    conf, start, end = array("d"), array("d"), array("d")
     skipped = 0
     for raw in byte_lines(path):
         try:
@@ -84,38 +91,38 @@ def load_hypotheses(path: str | os.PathLike) -> tuple[list[UtteranceHypothesis],
                 continue
             rec = json.loads(line)
             words = [
-                WordHyp(
-                    tokens.setdefault(token := str(w["w"]), token),
-                    float(w["conf"]),
-                    float(w["start"]),
-                    float(w["end"]),
-                )
+                (str(w["w"]), float(w["conf"]), float(w["start"]), float(w["end"]))
                 for w in rec["words"]
             ]
-            hyp = UtteranceHypothesis(str(rec["utt_id"]), str(rec["audio_path"]), words)
-            hyp.validate()
-        except (KeyError, TypeError, ValueError):  # a JSON or UTF-8 error is a ValueError
+            utt_id = str(rec["utt_id"])
+            if "audio_path" not in rec:
+                raise KeyError("audio_path")
+        # a JSON or UTF-8 error is a ValueError; an integer beyond float range an OverflowError
+        except (KeyError, TypeError, ValueError, OverflowError):
             skipped += 1
             continue
-        if hyp.utt_id in seen or any(c in hyp.utt_id for c in "\t\n\r"):
+        if not _valid_words(words) or utt_id in seen or any(c in utt_id for c in "\t\n\r"):
             skipped += 1
             continue
-        seen.add(hyp.utt_id)
-        hyps.append(hyp)
+        seen.add(utt_id)
+        utt_ids.append(utt_id)
+        for w, c, s, e in words:
+            token.append(index.setdefault(w, len(index)))
+            conf.append(c)
+            start.append(s)
+            end.append(e)
+        first.append(len(token))
     if skipped:
         log.warning("%s: skipped %d malformed hypothesis records", path, skipped)
+    hyps = Hypotheses(
+        utt_ids, np.array(first, dtype=np.int64), list(index), np.array(token, dtype=np.int32),
+        np.array(conf), np.array(start), np.array(end),
+    )
     return hyps, skipped
 
 
-def _best_hit(words: list[WordHyp], wanted, threshold: float) -> WordHyp | None:
-    hits = [w for w in words if w.token.lower() in wanted and w.confidence >= threshold]
-    if not hits:
-        return None
-    return min(hits, key=lambda w: (-w.confidence, w.start_s))
-
-
 def mine_examples(
-    hyps,
+    hyps: Hypotheses,
     wake_word: str,
     confusables: ConfusableSet,
     pos_threshold: float,
@@ -123,33 +130,36 @@ def mine_examples(
 ) -> list[MinedExample]:
     """One example per qualifying utterance, positives taking precedence.
 
-    The highest-confidence occurrence (earliest on ties) defines the
-    trigger span. Threshold comparison is inclusive. Output is sorted by
-    utterance id, so merging from concurrent readers is deterministic.
+    A word is a positive hit when it is the wake word (in any case) at a
+    confidence of at least `pos_threshold`, and a negative hit when it is
+    a confusable at least `neg_threshold` in an utterance with no positive
+    hit. The highest-confidence hit (the earliest start on ties, then the
+    first word) defines the trigger span. Output is sorted by utterance
+    id, so merging from concurrent readers is deterministic.
     """
     for name, value in (("pos_threshold", pos_threshold), ("neg_threshold", neg_threshold)):
         if not 0.0 <= value <= 1.0:
             raise DataError(f"{name} must be in [0, 1], got {value}")
-    wake = {wake_word.lower()}
+    lowered = [t.lower() for t in hyps.tokens]
+    wake = wake_word.lower()
     confusable_words = confusables.words()
-    out: list[MinedExample] = []
-    for hyp in hyps:
-        hit = _best_hit(hyp.words, wake, pos_threshold)
-        polarity = POSITIVE
-        if hit is None:
-            hit = _best_hit(hyp.words, confusable_words, neg_threshold)
-            polarity = NEGATIVE
-        if hit is None:
-            continue
-        out.append(
-            MinedExample(
-                hyp.utt_id,
-                polarity,
-                hit.token.lower(),
-                (hit.start_s, hit.end_s),
-                hit.confidence,
-            )
+    is_wake = np.array([t == wake for t in lowered], dtype=bool)[hyps.token]
+    is_confusable = np.array([t in confusable_words for t in lowered], dtype=bool)[hyps.token]
+    utt = np.repeat(np.arange(len(hyps)), np.diff(hyps.first))
+    positive = is_wake & (hyps.conf >= pos_threshold)
+    has_positive = np.zeros(len(hyps), dtype=bool)
+    has_positive[utt[positive]] = True
+    negative = is_confusable & (hyps.conf >= neg_threshold) & ~has_positive[utt]
+    hit = np.flatnonzero(positive | negative)
+    hit = hit[np.lexsort((hit, hyps.start[hit], -hyps.conf[hit], utt[hit]))]
+    best = hit[np.diff(utt[hit], prepend=-1) != 0]
+    out = [
+        MinedExample(hyps.utt_ids[u], POSITIVE if is_pos else NEGATIVE, lowered[t], (s, e), c)
+        for u, is_pos, t, s, e, c in zip(
+            utt[best].tolist(), positive[best].tolist(), hyps.token[best].tolist(),
+            hyps.start[best].tolist(), hyps.end[best].tolist(), hyps.conf[best].tolist(),
         )
+    ]
     out.sort(key=lambda e: e.utt_id)
     return out
 

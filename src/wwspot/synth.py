@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.signal import lfilter
@@ -138,42 +139,52 @@ def _confidence(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.6, 0.98))
 
 
+def stream_utterances(
+    prefix: str, count: int, wake_fraction: float, rng: np.random.Generator
+) -> Iterator[SynthUtterance]:
+    """Utterances `<prefix>-00000` onwards, each synthesized when asked for."""
+    for i in range(count):
+        tokens = _pick_tokens(rng, rng.random() < wake_fraction)
+        yield make_utterance(f"{prefix}-{i:05d}", tokens, rng)
+
+
 def generate_utterances(
     prefix: str, count: int, wake_fraction: float, rng: np.random.Generator
 ) -> list[SynthUtterance]:
-    out = []
-    for i in range(count):
-        tokens = _pick_tokens(rng, rng.random() < wake_fraction)
-        out.append(make_utterance(f"{prefix}-{i:05d}", tokens, rng))
-    return out
-
-
-def hypothesis_record(utt: SynthUtterance, audio_path: str, rng: np.random.Generator) -> dict:
-    return {
-        "utt_id": utt.utt_id,
-        "audio_path": audio_path,
-        "words": [
-            {"w": t, "conf": _confidence(rng), "start": round(s, 6), "end": round(e, 6)}
-            for t, s, e in utt.words
-        ],
-    }
+    """All of `stream_utterances` at once, for a caller that draws more
+    from `rng` before it is done with them."""
+    return list(stream_utterances(prefix, count, wake_fraction, rng))
 
 
 def write_corpus(
-    utterances: list[SynthUtterance],
+    utterances: Iterable[SynthUtterance],
     wav_dir: str | os.PathLike,
     hypotheses_path: str | os.PathLike,
     rng: np.random.Generator,
 ) -> None:
+    """Write each utterance's WAV as it arrives, keeping only its id and
+    word spans, then the hypotheses with each `audio_path` relative to the
+    hypothesis file's directory. The confidences are drawn from `rng` after
+    the last utterance, so `stream_utterances` on the same `rng` writes the
+    bytes that `generate_utterances` does."""
     os.makedirs(wav_dir, exist_ok=True)
-    records = []
+    hyp_dir = os.path.dirname(os.path.abspath(hypotheses_path))
+    kept = []
     for utt in utterances:
         path = os.path.join(os.fspath(wav_dir), f"{utt.utt_id}.wav")
         write_wav(utt.clip, path)
-        records.append(hypothesis_record(utt, path, rng))
+        kept.append((utt.utt_id, os.path.relpath(path, hyp_dir), utt.words))
     with open(hypotheses_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+        for utt_id, audio_path, words in kept:
+            record = {
+                "utt_id": utt_id,
+                "audio_path": audio_path,
+                "words": [
+                    {"w": t, "conf": _confidence(rng), "start": round(s, 6), "end": round(e, 6)}
+                    for t, s, e in words
+                ],
+            }
+            fh.write(json.dumps(record) + "\n")
 
 
 def write_lexicon_files(

@@ -7,7 +7,9 @@ instead of FFTs, whole matrices instead of frame blocks), so agreement
 is meaningful.
 """
 
+import json
 import math
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -25,8 +27,9 @@ from wwspot.features import (
     context_indices,
     mel_filterbank,
 )
+from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.model import NUM_BLOCKS, FeatureScaler, FrameDataset, init_model, posteriors
-from wwspot.tsv import DataError
+from wwspot.tsv import DataError, byte_lines
 
 
 def recursive_distance(a: tuple, b: tuple) -> int:
@@ -192,3 +195,85 @@ def concatenated_dataset(utterances):
         polarity.append(np.full(n, bool(is_pos)))
         offset += n
     return tuple(np.concatenate(parts) for parts in (bases, gathers, targets, polarity))
+
+
+@dataclass(frozen=True, slots=True)
+class WordHyp:
+    token: str
+    confidence: float
+    start_s: float
+    end_s: float
+
+
+@dataclass(slots=True)
+class UtteranceHypothesis:
+    utt_id: str
+    audio_path: str
+    words: list[WordHyp]
+
+    def validate(self) -> None:
+        prev_end = 0.0
+        for w in self.words:
+            if not 0.0 <= w.confidence <= 1.0:
+                raise DataError(f"{self.utt_id}: confidence out of [0, 1]")
+            if not -math.inf < w.start_s < w.end_s < math.inf:
+                raise DataError(f"{self.utt_id}: word span is not finite with start < end")
+            if w.start_s < prev_end - 1e-9:
+                raise DataError(f"{self.utt_id}: overlapping word spans")
+            prev_end = w.end_s
+
+
+def per_object_hypotheses(path) -> tuple[list[UtteranceHypothesis], int]:
+    """The hypothesis file read record by record into one object per word
+    and per utterance, each record checked as a whole; returns the kept
+    hypotheses and the skipped count."""
+    hyps: list[UtteranceHypothesis] = []
+    seen: set[str] = set()
+    skipped = 0
+    for raw in byte_lines(path):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            words = [
+                WordHyp(str(w["w"]), float(w["conf"]), float(w["start"]), float(w["end"]))
+                for w in rec["words"]
+            ]
+            hyp = UtteranceHypothesis(str(rec["utt_id"]), str(rec["audio_path"]), words)
+            hyp.validate()
+        except (KeyError, TypeError, ValueError, OverflowError):
+            skipped += 1
+            continue
+        if hyp.utt_id in seen or any(c in hyp.utt_id for c in "\t\n\r"):
+            skipped += 1
+            continue
+        seen.add(hyp.utt_id)
+        hyps.append(hyp)
+    return hyps, skipped
+
+
+def _best_hit(words: list[WordHyp], wanted, threshold: float) -> WordHyp | None:
+    hits = [w for w in words if w.token.lower() in wanted and w.confidence >= threshold]
+    if not hits:
+        return None
+    return min(hits, key=lambda w: (-w.confidence, w.start_s))
+
+
+def per_object_mine(hyps, wake_word, confusables, pos_threshold, neg_threshold):
+    """Mining utterance by utterance: the best wake-word hit at the
+    positive gate, else the best confusable hit at the negative gate,
+    best being the highest confidence, then the earliest start, then the
+    first word (`min` keeps the first of equal keys); sorted by id."""
+    out = []
+    for hyp in hyps:
+        hit = _best_hit(hyp.words, {wake_word.lower()}, pos_threshold)
+        polarity = POSITIVE
+        if hit is None:
+            hit = _best_hit(hyp.words, confusables.words(), neg_threshold)
+            polarity = NEGATIVE
+        if hit is not None:
+            span = (hit.start_s, hit.end_s)
+            out.append(MinedExample(hyp.utt_id, polarity, hit.token.lower(), span, hit.confidence))
+    out.sort(key=lambda e: e.utt_id)
+    return out

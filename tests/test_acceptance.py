@@ -35,7 +35,7 @@ from wwspot.decode import DecodeConfig, detect_peaks, smooth
 from wwspot.demo import run_demo, run_demo_suite
 from wwspot.evaluate import det_curve
 from wwspot.lexicon import ConfusableSet, build_confusable_set, levenshtein, load_lexicon
-from wwspot.mining import NEGATIVE, POSITIVE, UtteranceHypothesis, WordHyp, mine_examples
+from wwspot.mining import NEGATIVE, POSITIVE, load_hypotheses, mine_examples
 from wwspot.model import SpotterConfig, gradient, posteriors, ssl_loss
 
 SR = SAMPLE_RATE
@@ -203,15 +203,15 @@ WAKE = "wakeword"
 CONFUSABLES = ConfusableSet({"confusayble": 1, "confuzorb": 2})
 
 
-def _mining_fixture():
-    """200 hypotheses whose expected mining outcome is fixed at
-    construction time, case by case."""
+def _mining_fixture(path):
+    """200 hypotheses, written to `path` and loaded, whose expected mining
+    outcome is fixed at construction time, case by case."""
     rng = np.random.default_rng(77)
-    hyps = []
+    records = []
     expected = []
 
     def word(token, conf, at):
-        return WordHyp(token, round(conf, 4), at, at + 0.5)
+        return {"w": token, "conf": round(conf, 4), "start": at, "end": at + 0.5}
 
     for i in range(200):
         utt = f"utt-{i:04d}"
@@ -242,12 +242,15 @@ def _mining_fixture():
             expected.append((utt, POSITIVE, WAKE, 0.6, 0.8))
         else:  # confusable below threshold
             words = [word("confusayble", float(rng.uniform(0.0, 0.4999)), 0.0)]
-        hyps.append(UtteranceHypothesis(utt, f"{utt}.wav", words))
+        records.append({"utt_id": utt, "audio_path": f"{utt}.wav", "words": words})
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    hyps, skipped = load_hypotheses(path)
+    assert skipped == 0
     return hyps, expected
 
 
-def test_ssl_mining():
-    hyps, expected = _mining_fixture()
+def test_ssl_mining(tmp_path):
+    hyps, expected = _mining_fixture(tmp_path / "hypotheses.jsonl")
     mined = mine_examples(hyps, WAKE, CONFUSABLES, 0.5, 0.5)
     got = [
         (e.utt_id, e.polarity, e.trigger_word, e.trigger_span[0], round(e.confidence, 4))
@@ -373,7 +376,9 @@ def test_e2e_determinism(tmp_path):
     run_demo(run2, 3, cfg)
     wavs = [sorted(p.name for p in (run / "mct" / "wav").iterdir()) for run in (run1, run2)]
     assert wavs[0] and wavs[0] == wavs[1]
-    names = ["det_clean.csv", "det_mct.csv", "det_compare.svg", "mct/manifest.tsv"]
+    # run1 and run2 are two output directories: no file may record which
+    names = ["hypotheses.jsonl", "det_clean.csv", "det_mct.csv", "det_compare.svg",
+             "mct/manifest.tsv"]
     for name in names + [f"mct/wav/{w}" for w in wavs[0]]:
         a = (run1 / name).read_bytes()
         b = (run2 / name).read_bytes()

@@ -1,13 +1,16 @@
 import filecmp
+import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from wwspot import demo
 from wwspot.config import load_config
 from wwspot.demo import frr_at_far, median_operating_far
 from wwspot.evaluate import EvalResult
+from wwspot.synth import generate_utterances, stream_utterances, write_corpus
 
 MIB = 2**20
 
@@ -70,6 +73,32 @@ def test_demo_holds_one_arm_at_a_time(tmp_path, monkeypatch):
     for arm, nbytes in zip(("clean", "mct"), held):
         assert nbytes <= 20 * MIB, f"{arm} arm started training with {nbytes / MIB:.1f} MiB held"
     assert peak <= 45 * MIB, f"run_demo peaked at {peak / MIB:.1f} MiB"
+
+
+def test_streamed_corpus_writes_the_listed_bytes_holding_one_utterance(tmp_path):
+    # 60 utterances of about 1.5 s are ~11 MiB of float64 samples as a list
+    runs = {}
+    for name, make in (("listed", generate_utterances), ("streamed", stream_utterances)):
+        rng = np.random.default_rng([0, 1])
+        runs[name] = tmp_path / name
+        tracemalloc.start()
+        try:
+            write_corpus(make("train", 60, 0.55, rng), runs[name] / "wav",
+                         runs[name] / "hypotheses.jsonl", rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if name == "streamed":
+            assert peak <= 2 * MIB, f"streamed corpus peaked at {peak / MIB:.1f} MiB"
+    wavs = sorted(os.listdir(runs["listed"] / "wav"))
+    assert len(wavs) == 60 and wavs == sorted(os.listdir(runs["streamed"] / "wav"))
+    match, mismatch, errors = filecmp.cmpfiles(
+        runs["listed"], runs["streamed"], ["hypotheses.jsonl"] + [f"wav/{w}" for w in wavs],
+        shallow=False,
+    )
+    assert (mismatch, errors) == ([], [])
+    first = (runs["streamed"] / "hypotheses.jsonl").read_text().splitlines()[0]
+    assert json.loads(first)["audio_path"] == "wav/train-00000.wav"
 
 
 def test_rir_settings_reach_the_multi_condition_rooms_only(tmp_path):
