@@ -1,9 +1,10 @@
 """Command-line entry point wiring the pipeline stages.
 
-Every subcommand reads the shared sectioned config (overridable with
-repeated --set section.key=value flags) and writes its artifacts into a
-run directory named after the configuration hash, so identical runs are
-re-runnable and land on identical bytes.
+Every setting, the seed and wake word too, is a key of the shared config
+(overridable with repeated --set section.key=value flags); flags name only
+inputs, outputs and worker count. Each run writes into a directory named
+after the config hash and its input flags, so identical runs land on
+identical bytes.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
 failure.
@@ -16,7 +17,6 @@ import glob
 import hashlib
 import os
 import sys
-import time
 import traceback
 from dataclasses import replace
 
@@ -43,31 +43,22 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
-# --config and --set reach the run-dir key through the config hash and
-# --seed as the effective seed; --jobs, --out and --timestamp never
-# change output bytes
-_NOT_IN_RUN_KEY = {"func", "command", "config", "set", "seed", "jobs", "out", "timestamp"}
-
-
-def _seed(args, cfg: PipelineConfig) -> int:
-    """The effective seed: --seed, else run.seed. numpy seeds are >= 0."""
-    if args.seed is None:
-        return cfg.getint("run", "seed", lo=0)
-    if args.seed < 0:
-        raise ConfigError(f"--seed: {args.seed} is below the minimum 0")
-    return args.seed
+# --config and --set reach the run-dir key through the config hash;
+# --jobs and --out never change output bytes
+_NOT_IN_RUN_KEY = {"func", "command", "config", "set", "jobs", "out"}
 
 
 def _run_dir(args, cfg: PipelineConfig, name: str) -> str:
-    """`<out>/<name>-<key>`, where the key hashes the config, the
-    effective seed and the stage's own flags (input paths, wake word)."""
+    """`<out>/<name>-<key>`, where the key hashes the config and the
+    stage's own flags (input paths, --no-balance)."""
+    conf.run_seed(cfg)  # run.seed is in every config hash, so a negative one fails every run
     stage = sorted((k, v) for k, v in vars(args).items() if k not in _NOT_IN_RUN_KEY)
-    key = f"{cfg.hash8()}\n{_seed(args, cfg)}\n{stage!r}"
-    suffix = f"-{time.strftime('%Y%m%d-%H%M%S')}" if args.timestamp else ""
-    path = os.path.join(
-        args.out, f"{name}-{hashlib.sha256(key.encode()).hexdigest()[:8]}{suffix}"
-    )
-    os.makedirs(path, exist_ok=True)
+    key = f"{cfg.hash8()}\n{stage!r}"
+    path = os.path.join(args.out, f"{name}-{hashlib.sha256(key.encode()).hexdigest()[:8]}")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create {path}: {exc.strerror}") from None
     return path
 
 
@@ -131,7 +122,7 @@ def _read_utt_frames(path: str) -> dict[str, int]:
 def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
     count = cfg.getint("rir", "count", lo=1)
     max_order, beta_min, beta_max = conf.room_settings(cfg)
-    rng = np.random.default_rng(_seed(args, cfg))
+    rng = np.random.default_rng(conf.run_seed(cfg))
     # each room's reflection is drawn after the whole pool's geometry
     rooms = [
         replace(room, reflection_coeff=float(rng.uniform(beta_min, beta_max)))
@@ -152,7 +143,7 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
     recipe = conf.mix_recipe(cfg)
-    spec = conf.corruption_spec(cfg, _seed(args, cfg))
+    spec = conf.corruption_spec(cfg, conf.run_seed(cfg))
     # --mined reads only utterances with mined examples, so the augmented
     # set inherits frame targets cleanly at training time
     wanted = {e.utt_id for e in mining.read_mined(args.mined)} if args.mined else None
@@ -172,7 +163,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_confusables(args, cfg: PipelineConfig) -> int:
-    wake = conf.wake_word(cfg, args.wake_word)
+    wake = conf.wake_word(cfg)
     d_max, top_n = conf.confusable_limits(cfg)
     lexicon = lex.load_lexicon(args.lexicon, args.frequencies)
     confusables = lex.build_confusable_set(lexicon, wake, d_max, top_n)
@@ -185,8 +176,8 @@ def cmd_confusables(args, cfg: PipelineConfig) -> int:
 
 def cmd_mine(args, cfg: PipelineConfig) -> int:
     pos_th, neg_th, ratio = conf.mining_gates(cfg)
-    wake = conf.wake_word(cfg, args.wake_word)
-    seed = _seed(args, cfg)
+    wake = conf.wake_word(cfg)
+    seed = conf.run_seed(cfg)
     confusables = lex.read_confusables(args.confusables, wake)
     hyps, skipped = mining.load_hypotheses(args.hypotheses)
     if not hyps:
@@ -203,7 +194,7 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    train_cfg, model_cfg = conf.model_configs(cfg, "training", _seed(args, cfg))
+    train_cfg, model_cfg = conf.model_configs(cfg, "training", conf.run_seed(cfg))
     examples = mining.read_mined(args.mined)
     if not examples:
         raise DataError(f"{args.mined}: no mined examples")
@@ -282,7 +273,8 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_det(args, cfg: PipelineConfig) -> int:
-    decode_cfg, thresholds, tolerance = conf.det_settings(cfg)
+    thresholds, min_gap, tolerance = conf.det_settings(cfg)
+    decode_cfg = dec.DecodeConfig(conf.smooth_window_frames(cfg), thresholds[0], min_gap)
     all_refs = _read_references(args.references)
     traces = _decode_traces(args)
     references = {u: all_refs.get(u, []) for u in traces}
@@ -300,8 +292,6 @@ def cmd_e2e_demo(args, cfg: PipelineConfig) -> int:
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ConfigError(f"demo.seeds: seed {repeated[0]} is listed more than once")
-    if args.seed is not None:
-        seeds = [_seed(args, cfg)]
     if not seeds:
         raise ConfigError("demo.seeds: need at least one seed")
     # a bad setting fails here, before the run directory exists
@@ -334,11 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one config value (repeatable)",
     )
     common.add_argument("--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default="runs")
-    common.add_argument(
-        "--timestamp", action="store_true", help="append a timestamp to the run dir"
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -356,13 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("confusables", parents=[common], help="build the confusable-word set")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--frequencies")
-    p.add_argument("--wake-word")
     p.set_defaults(func=cmd_confusables)
 
     p = sub.add_parser("mine", parents=[common], help="mine examples from hypotheses")
     p.add_argument("--hypotheses", required=True)
     p.add_argument("--confusables", required=True)
-    p.add_argument("--wake-word")
     p.add_argument("--no-balance", dest="balance", action="store_false")
     p.set_defaults(func=cmd_mine, balance=True)
 

@@ -125,12 +125,14 @@ class PipelineConfig:
 
     def thresholds(self) -> list[float]:
         """`decoding.thresholds`: either a comma list or
-        lin:<start>:<stop>:<count> of at least 2 values (a sweep); every value
+        lin:<start>:<stop>:<count> of 2 to 10000 values (a sweep); every value
         must lie in (0, 1), the range a decoder threshold takes."""
         raw = self.getstr("decoding", "thresholds")
         try:
             if raw.startswith("lin:"):
                 _, start, stop, count = raw.split(":")
+                if int(count) > 10_000:  # a longer sweep is a typo that linspace would allocate
+                    raise ConfigError(f"decoding.thresholds: {count} is above the maximum 10000")
                 values = [round(float(v), 6) for v in np.linspace(float(start), float(stop), int(count))]
             else:
                 values = [float(v) for v in raw.split(",") if v.strip()]
@@ -205,9 +207,14 @@ def room_settings(cfg: PipelineConfig) -> tuple[int, float, float]:
     return max_order, beta_min, beta_max
 
 
-def wake_word(cfg: PipelineConfig, given: str | None) -> str:
-    """The given wake word, else `lexicon.wake_word`; one must be set."""
-    wake = given or cfg.getstr("lexicon", "wake_word")
+def run_seed(cfg: PipelineConfig) -> int:
+    """`run.seed`, the subcommands' seed; numpy seeds are >= 0."""
+    return cfg.getint("run", "seed", lo=0)
+
+
+def wake_word(cfg: PipelineConfig) -> str:
+    """`lexicon.wake_word`, which must be set."""
+    wake = cfg.getstr("lexicon", "wake_word")
     if not wake:
         raise ConfigError("lexicon.wake_word: missing wake word")
     return wake
@@ -259,14 +266,21 @@ def model_configs(cfg: PipelineConfig, section: str, seed: int) -> tuple[TrainCo
     )
 
 
-def decode_config(cfg: PipelineConfig, window=None, threshold=None) -> DecodeConfig:
-    """The `decoding` section's smoother and peak picker; a given `window`
-    or `threshold` stands in for its key, which is then not read."""
-    if window is None:
-        window = cfg.getint("decoding", "smooth_window_frames", lo=1)
-    if threshold is None:
-        threshold = cfg.getfloat("decoding", "threshold", lo=1e-9, hi=1 - 1e-9)
-    return DecodeConfig(window, threshold, cfg.getint("decoding", "min_gap_frames", lo=0))
+def smooth_window_frames(cfg: PipelineConfig) -> int:
+    """The moving-average width of `decode` and `det`; not the demo's."""
+    return cfg.getint("decoding", "smooth_window_frames", lo=1)
+
+
+def min_gap_frames(cfg: PipelineConfig) -> int:
+    """How close two supra-threshold regions may be before they merge."""
+    return cfg.getint("decoding", "min_gap_frames", lo=0)
+
+
+def decode_config(cfg: PipelineConfig) -> DecodeConfig:
+    """`decode`'s smoother and peak picker."""
+    window = smooth_window_frames(cfg)
+    threshold = cfg.getfloat("decoding", "threshold", lo=1e-9, hi=1 - 1e-9)
+    return DecodeConfig(window, threshold, min_gap_frames(cfg))
 
 
 def tolerance_frames(cfg: PipelineConfig) -> int:
@@ -274,7 +288,6 @@ def tolerance_frames(cfg: PipelineConfig) -> int:
     return cfg.getint("decoding", "tolerance_frames", lo=0)
 
 
-def det_settings(cfg: PipelineConfig, window=None) -> tuple[DecodeConfig, list[float], int]:
-    """A DET sweep's decoder (at the first threshold), thresholds and tolerance."""
-    sweep = cfg.thresholds()
-    return decode_config(cfg, window, sweep[0]), sweep, tolerance_frames(cfg)
+def det_settings(cfg: PipelineConfig) -> tuple[list[float], int, int]:
+    """A DET sweep's thresholds, merge gap and tolerance; not its window."""
+    return cfg.thresholds(), min_gap_frames(cfg), tolerance_frames(cfg)

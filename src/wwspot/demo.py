@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .augment import (
     write_manifest,
 )
 from .config import PipelineConfig
-from .decode import average_duration_frames, posterior_trace
+from .decode import DecodeConfig, average_duration_frames, posterior_trace
 from .evaluate import EvalResult, det_curve, det_svg, write_det_csv
 from .features import FRAMES_PER_S, compute_lfbe
 from .lexicon import build_confusable_set, load_lexicon
@@ -75,7 +74,7 @@ def median_operating_far(*curves: list[EvalResult]) -> float:
 def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
     """Every setting of one demo run, read through the subcommands' stage
     readers; `demo` sizes the corpus, test set and model. `run_demo` scales the
-    recipe row to the mined examples and widens the 1-frame smoothing window."""
+    recipe row to the mined examples and smooths over their average duration."""
     return (
         cfg.getint("demo", "n_train", lo=10),
         cfg.getint("demo", "n_test", lo=10),
@@ -86,7 +85,7 @@ def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
         conf.mix_recipe(cfg, scale=1.0),
         conf.corruption_spec(cfg, seed),
         conf.model_configs(cfg, "demo", seed),
-        conf.det_settings(cfg, window=1),
+        conf.det_settings(cfg),
     )
 
 
@@ -130,7 +129,7 @@ def run_demo(
     t0 = time.monotonic()
     (n_train, n_test, test_spec, room_settings, (d_max, top_n), (pos_th, neg_th, ratio),
      full_recipe, mct_spec, (train_cfg, model_cfg),
-     (decode_cfg, sweep, tolerance)) = demo_settings(cfg, seed)
+     (sweep, min_gap, tolerance)) = demo_settings(cfg, seed)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -168,7 +167,7 @@ def run_demo(
     write_manifest(rows, os.path.join(mct_dir, "manifest.tsv"))
 
     # 5. each arm trains identically, then decodes the test set and sweeps
-    decode_cfg = replace(decode_cfg, smooth_window_frames=average_duration_frames(balanced))
+    decode_cfg = DecodeConfig(average_duration_frames(balanced), sweep[0], min_gap)
     arms = (
         ("clean", "clean-only", lambda: dataset_from_examples(balanced, train_wav)),
         ("mct", "multi-condition", lambda: dataset_from_manifest(rows, by_id, mct_dir)),

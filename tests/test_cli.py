@@ -1,3 +1,4 @@
+import argparse
 import glob
 import json
 import os
@@ -10,7 +11,8 @@ from oracles import unscaled_model
 
 from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import read_manifest
-from wwspot.cli import _read_references, _read_utt_frames, main
+from wwspot.cli import _read_references, _read_utt_frames, build_parser, main
+from wwspot.config import DEFAULTS
 from wwspot.decode import read_detections
 from wwspot.features import FRAMES_PER_S
 from wwspot.lexicon import load_lexicon, read_confusables
@@ -77,7 +79,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     [
         pytest.param(
             ["mine", "--hypotheses", "{hyp}", "--confusables", "unused.tsv",
-             "--wake-word", WAKE_WORD, "--set", "mining.pos_threshold=1.01"],
+             "--set", f"lexicon.wake_word={WAKE_WORD}", "--set", "mining.pos_threshold=1.01"],
             id="mine",
         ),
         # --model and --wav-dir do not exist: the threshold must fail first
@@ -114,7 +116,7 @@ def test_det_without_inputs_exits_3(tmp_path, corpus, capsys):
             "confusables",
             "--lexicon", corpus["lexicon"],
             "--frequencies", corpus["freqs"],
-            "--wake-word", WAKE_WORD,
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
             "--out", str(tmp_path / "runs"),
         ]
     )
@@ -125,7 +127,7 @@ def test_det_without_inputs_exits_3(tmp_path, corpus, capsys):
             "mine",
             "--hypotheses", corpus["hyp"],
             "--confusables", conf_path,
-            "--wake-word", WAKE_WORD,
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
             "--out", str(tmp_path / "runs"),
         ]
     )
@@ -168,7 +170,7 @@ def test_full_cli_pipeline(tmp_path, corpus):
             "confusables",
             "--lexicon", corpus["lexicon"],
             "--frequencies", corpus["freqs"],
-            "--wake-word", WAKE_WORD,
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
             "--out", runs,
         ]
     ) == 0
@@ -180,8 +182,8 @@ def test_full_cli_pipeline(tmp_path, corpus):
             "mine",
             "--hypotheses", corpus["hyp"],
             "--confusables", conf,
-            "--wake-word", WAKE_WORD,
-            "--seed", "1",
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
+            "--set", "run.seed=1",
             "--out", runs,
         ]
     ) == 0
@@ -265,7 +267,7 @@ def test_augment_cli_table_row_scaled_counts(tmp_path, corpus):
         "--set", "augment.table_row=200K",
         "--set", "augment.recipe_scale=0.001",
         "--set", "augment.noise_music_split=1.0",
-        "--seed", "5",
+        "--set", "run.seed=5",
     ]
     assert main(args + ["--out", runs_a]) == 0
     manifest_a = os.path.join(_single_run_dir(runs_a, "augment"), "manifest.tsv")
@@ -328,7 +330,7 @@ def test_train_checkpoints_byte_identical_across_runs(tmp_path, corpus):
             "confusables",
             "--lexicon", corpus["lexicon"],
             "--frequencies", corpus["freqs"],
-            "--wake-word", WAKE_WORD,
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
             "--out", runs,
         ]
     ) == 0
@@ -338,7 +340,7 @@ def test_train_checkpoints_byte_identical_across_runs(tmp_path, corpus):
             "mine",
             "--hypotheses", corpus["hyp"],
             "--confusables", conf,
-            "--wake-word", WAKE_WORD,
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
             "--out", runs,
         ]
     ) == 0
@@ -354,7 +356,7 @@ def test_train_checkpoints_byte_identical_across_runs(tmp_path, corpus):
                 "--set", "training.epochs=1",
                 "--set", "training.bottleneck=8",
                 "--set", "training.hidden=16",
-                "--seed", "4",
+                "--set", "run.seed=4",
                 "--out", out,
             ]
         ) == 0
@@ -371,7 +373,7 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
         "--set", "augment.table_row=50K",
         "--set", "augment.recipe_scale=0.0005",
         "--set", "augment.noise_music_split=1.0",
-        "--seed", "6",
+        "--set", "run.seed=6",
     ]
     assert main(base + ["--jobs", "1", "--out", str(tmp_path / "j1")]) == 0
     assert main(base + ["--jobs", "2", "--out", str(tmp_path / "j2")]) == 0
@@ -402,7 +404,7 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
 
 def test_rir_gen(tmp_path):
     runs = str(tmp_path / "runs")
-    assert main(["rir-gen", "--set", "rir.count=3", "--seed", "2", "--out", runs]) == 0
+    assert main(["rir-gen", "--set", "rir.count=3", "--set", "run.seed=2", "--out", runs]) == 0
     rir_dir = _single_run_dir(runs, "rir-gen")
     wavs = glob.glob(os.path.join(rir_dir, "*.wav"))
     assert len(wavs) == 3
@@ -474,7 +476,7 @@ def test_train_on_augment_manifest(tmp_path, corpus):
             "confusables",
             "--lexicon", corpus["lexicon"],
             "--frequencies", corpus["freqs"],
-            "--wake-word", WAKE_WORD,
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
             "--out", runs,
         ]
     ) == 0
@@ -484,7 +486,7 @@ def test_train_on_augment_manifest(tmp_path, corpus):
             "mine",
             "--hypotheses", corpus["hyp"],
             "--confusables", conf,
-            "--wake-word", WAKE_WORD,
+            "--set", f"lexicon.wake_word={WAKE_WORD}",
             "--out", runs,
         ]
     ) == 0
@@ -616,9 +618,9 @@ def test_non_numeric_tsv_field_exits_3_with_file_and_line(tmp_path, capsys, bad,
                  "--utt-frames", files["utt_frames"], "--references", files["refs"]],
         "train": ["train", "--mined", files["mined"], "--augment-manifest", files["manifest"]],
         "mine": ["mine", "--hypotheses", str(hypotheses),
-                 "--confusables", files["confusables"], "--wake-word", "ww"],
+                 "--confusables", files["confusables"], "--set", "lexicon.wake_word=ww"],
         "confusables": ["confusables", "--lexicon", files["lexicon"],
-                        "--frequencies", files["frequencies"], "--wake-word", "ww"],
+                        "--frequencies", files["frequencies"], "--set", "lexicon.wake_word=ww"],
     }
     command = {
         "mined": "train", "manifest": "train", "confusables": "mine", "frequencies": "confusables"
@@ -638,8 +640,9 @@ def test_mine_refuses_a_confusables_file_that_lists_the_wake_word(tmp_path, caps
     words = [{"w": WAKE_WORD, "conf": 0.6, "start": 0.1, "end": 0.5}]
     hyp.write_text(json.dumps({"utt_id": "u0", "audio_path": "u0.wav", "words": words}) + "\n")
     runs = tmp_path / "runs"
-    rc = main(["mine", "--hypotheses", str(hyp), "--confusables", str(conf), "--wake-word",
-               WAKE_WORD, "--set", "mining.pos_threshold=0.7", "--out", str(runs)])
+    rc = main(["mine", "--hypotheses", str(hyp), "--confusables", str(conf),
+               "--set", f"lexicon.wake_word={WAKE_WORD}", "--set", "mining.pos_threshold=0.7",
+               "--out", str(runs)])
     out, err = capsys.readouterr()
     assert rc == 3
     assert f"{conf}:1:" in err
@@ -657,8 +660,9 @@ def test_mine_refuses_a_ratio_that_balances_one_polarity_away(tmp_path, capsys):
             words = [{"w": word, "conf": 0.9, "start": 0.1, "end": 0.5}]
             fh.write(json.dumps({"utt_id": f"u{i}", "audio_path": "a.wav", "words": words}) + "\n")
     runs = tmp_path / "runs"
-    rc = main(["mine", "--hypotheses", str(hyp), "--confusables", str(conf), "--wake-word",
-               WAKE_WORD, "--set", "mining.target_ratio=0.1", "--out", str(runs)])
+    rc = main(["mine", "--hypotheses", str(hyp), "--confusables", str(conf),
+               "--set", f"lexicon.wake_word={WAKE_WORD}", "--set", "mining.target_ratio=0.1",
+               "--out", str(runs)])
     out, err = capsys.readouterr()
     assert rc == 3
     assert "target_ratio 0.1 keeps no positive example of 3 positive and 5 negative" in err
@@ -743,9 +747,9 @@ def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
 _MISSING = "missing"
 # each subcommand with inputs that do not exist, so only a setting can fail
 _STAGE_COMMANDS = {
-    "lexicon": ["confusables", "--lexicon", _MISSING, "--wake-word", WAKE_WORD],
+    "lexicon": ["confusables", "--lexicon", _MISSING, "--set", f"lexicon.wake_word={WAKE_WORD}"],
     "mining": ["mine", "--hypotheses", _MISSING, "--confusables", _MISSING,
-               "--wake-word", WAKE_WORD],
+               "--set", f"lexicon.wake_word={WAKE_WORD}"],
     "augment": ["augment", "--clean-dir", _MISSING],
     "training": ["train", "--mined", _MISSING, "--audio-dir", _MISSING],
     "decoding": ["det", "--model", _MISSING, "--wav-dir", _MISSING, "--references", _MISSING],
@@ -768,6 +772,9 @@ _BAD_SETTINGS = {
     "decoding.min_gap_frames=-1": "decoding.min_gap_frames: -1 is below the minimum 0",
     "decoding.tolerance_frames=-1": "decoding.tolerance_frames: -1 is below the minimum 0",
     "decoding.thresholds=0.5": "decoding.thresholds: need at least 2 thresholds",
+    # refused before linspace would try to allocate 80 TB
+    "decoding.thresholds=lin:0.9:0.1:10000000000000":
+        "decoding.thresholds: 10000000000000 is above the maximum 10000",
     "rir.max_order=11": "rir.max_order: 11 is above the maximum 10",
     "rir.beta_min=-0.1": "rir.beta_min: -0.1 is below the minimum 0.0",
     "rir.beta_max=0.5": "rir.beta_max: 0.5 is below the minimum 0.55",
@@ -804,7 +811,6 @@ def test_train_takes_exactly_one_input_flag(tmp_path, capsys, sources):
 @pytest.mark.parametrize(
     "command, message",
     [
-        pytest.param(["rir-gen", "--seed", "-1"], "--seed: -1 is below", id="flag"),
         pytest.param(["rir-gen", "--set", "run.seed=-2"], "run.seed: -2 is below", id="run-seed"),
         pytest.param(
             ["e2e-demo", *_TINY_DEMO, "--set", "demo.seeds=0,-1"],
@@ -834,7 +840,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, message):
     [
         pytest.param(["augment", "--clean-dir", "missing"], "augment.snr_mean_db", id="augment"),
         pytest.param(
-            ["mine", "--hypotheses", "missing", "--confusables", "missing", "--wake-word", "x"],
+            ["mine", "--hypotheses", "missing", "--confusables", "missing",
+             "--set", "lexicon.wake_word=x"],
             "mining.pos_threshold",
             id="mine",
         ),
@@ -918,8 +925,9 @@ def test_det_names_a_wav_shorter_than_one_window(tmp_path, capsys):
 
 def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
     runs = str(tmp_path / "runs")
-    for extra in (["--seed", "1"], ["--seed", "2"], ["--seed", "1", "--jobs", "2"]):
-        assert main(["rir-gen", "--set", "rir.count=1", "--out", runs] + extra) == 0
+    for seed, jobs in (("1", "1"), ("2", "1"), ("1", "2")):
+        argv = ["rir-gen", "--set", "rir.count=1", "--set", f"run.seed={seed}", "--jobs", jobs]
+        assert main(argv + ["--out", runs]) == 0
     assert len(glob.glob(os.path.join(runs, "rir-gen-*"))) == 2
 
     lexicons = []
@@ -929,7 +937,8 @@ def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
         lexicons.append(str(lexicon))
     for lexicon in lexicons:
         assert main(
-            ["confusables", "--lexicon", lexicon, "--wake-word", WAKE_WORD, "--out", runs]
+            ["confusables", "--lexicon", lexicon, "--set", f"lexicon.wake_word={WAKE_WORD}",
+             "--out", runs]
         ) == 0
     assert len(glob.glob(os.path.join(runs, "confusables-*"))) == 2
 
@@ -945,6 +954,27 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("under", ["", "/sub"], ids=["a-file", "under-a-file"])
+def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
+    (tmp_path / "afile").write_text("")
+    out_dir = f"{tmp_path / 'afile'}{under}"
+    assert main(["rir-gen", "--out", out_dir]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: --out: cannot create {out_dir}{os.sep}rir-gen-")
+    assert "Traceback" not in err
+
+
+def test_flags_name_only_inputs_outputs_and_workers():
+    # every value that changes output bytes is a config key, so it is set one way
+    keys = {key for section in DEFAULTS.values() for key in section}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+    assert set.intersection(*dests.values()) == {"config", "set", "jobs", "out"}
+    for name, options in dests.items():
+        assert not options & keys, name
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -955,11 +985,13 @@ def test_unknown_subcommand_exits_nonzero():
     "argv, path, reason",
     [
         pytest.param(
-            ["confusables", "--lexicon", "{d}", "--wake-word", "alexa"], "{d}", "is a directory",
+            ["confusables", "--lexicon", "{d}", "--set", "lexicon.wake_word=alexa"],
+            "{d}", "is a directory",
             id="lexicon-dir",
         ),
         pytest.param(
-            ["mine", "--hypotheses", "{d}/f", "--confusables", "{d}/f/x.tsv", "--wake-word", "alexa"],
+            ["mine", "--hypotheses", "{d}/f", "--confusables", "{d}/f/x.tsv",
+             "--set", "lexicon.wake_word=alexa"],
             "{d}/f/x.tsv", "not a directory", id="confusables-through-a-file",
         ),
         pytest.param(

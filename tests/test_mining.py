@@ -327,7 +327,7 @@ def test_mine_on_a_repeated_utt_id_writes_a_file_read_mined_accepts(tmp_path):
     conf_path.write_text("caly\t1\n")
     out = tmp_path / "runs"
     argv = ["mine", "--hypotheses", str(hyp_path), "--confusables", str(conf_path),
-            "--wake-word", WAKE, "--no-balance", "--out", str(out)]
+            "--set", f"lexicon.wake_word={WAKE}", "--no-balance", "--out", str(out)]
     assert main(argv) == 0
     [mined_path] = glob.glob(str(out / "mine-*" / "mined.tsv"))
     mined = read_mined(mined_path)
