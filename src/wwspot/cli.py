@@ -2,9 +2,11 @@
 
 Every setting, the seed and wake word too, is a key of the shared config
 (overridable with repeated --set section.key=value flags); flags name only
-inputs, outputs and worker count. Each run writes into a directory named
-after the config hash and its input flags, so identical runs land on
-identical bytes.
+inputs, outputs and worker count. The config is parsed and checked whole
+before any subcommand starts, so a bad value fails every subcommand alike
+and the subcommands only look their values up. Each run writes into a
+directory named after the config hash and its input flags, so identical
+runs land on identical bytes.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
 failure.
@@ -51,7 +53,6 @@ _NOT_IN_RUN_KEY = {"func", "command", "config", "set", "jobs", "out"}
 def _run_dir(args, cfg: PipelineConfig, name: str) -> str:
     """`<out>/<name>-<key>`, where the key hashes the config and the
     stage's own flags (input paths, --no-balance)."""
-    conf.run_seed(cfg)  # run.seed is in every config hash, so a negative one fails every run
     stage = sorted((k, v) for k, v in vars(args).items() if k not in _NOT_IN_RUN_KEY)
     key = f"{cfg.hash8()}\n{stage!r}"
     path = os.path.join(args.out, f"{name}-{hashlib.sha256(key.encode()).hexdigest()[:8]}")
@@ -120,30 +121,29 @@ def _read_utt_frames(path: str) -> dict[str, int]:
 
 
 def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
-    count = cfg.getint("rir", "count", lo=1)
-    max_order, beta_min, beta_max = conf.room_settings(cfg)
-    rng = np.random.default_rng(conf.run_seed(cfg))
+    beta_min, beta_max = cfg.get("rir", "beta_min"), cfg.get("rir", "beta_max")
+    rng = np.random.default_rng(cfg.get("run", "seed"))
     # each room's reflection is drawn after the whole pool's geometry
     rooms = [
         replace(room, reflection_coeff=float(rng.uniform(beta_min, beta_max)))
-        for room in make_room_pool(count, rng, max_order=max_order)
+        for room in make_room_pool(cfg.get("rir", "count"), rng, max_order=cfg.get("rir", "max_order"))
     ]
     # every room is valid before the run directory exists
     out = _run_dir(args, cfg, "rir-gen")
     rows = []
     for i, room in enumerate(rooms):
         rir = aug.synthesize_rir(room, id=f"rir-{i:04d}")
-        path = os.path.join(out, f"{rir.id}.wav")
-        aug.rir_to_wav(rir, path)
-        rows.append((rir.id, path))
+        aug.rir_to_wav(rir, os.path.join(out, f"{rir.id}.wav"))
+        # relative to rirs.tsv, so the file moves with its directory
+        rows.append((rir.id, f"{rir.id}.wav"))
     write_tsv(os.path.join(out, "rirs.tsv"), rows)
     print(out)
     return EXIT_OK
 
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
-    recipe = conf.mix_recipe(cfg)
-    spec = conf.corruption_spec(cfg, conf.run_seed(cfg))
+    recipe = conf.mix_recipe(cfg, cfg.get("augment", "recipe_scale"))
+    spec = conf.corruption_spec(cfg, cfg.get("run", "seed"))
     # --mined reads only utterances with mined examples, so the augmented
     # set inherits frame targets cleanly at training time
     wanted = {e.utt_id for e in mining.read_mined(args.mined)} if args.mined else None
@@ -164,9 +164,10 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
 def cmd_confusables(args, cfg: PipelineConfig) -> int:
     wake = conf.wake_word(cfg)
-    d_max, top_n = conf.confusable_limits(cfg)
     lexicon = lex.load_lexicon(args.lexicon, args.frequencies)
-    confusables = lex.build_confusable_set(lexicon, wake, d_max, top_n)
+    confusables = lex.build_confusable_set(
+        lexicon, wake, cfg.get("lexicon", "d_max"), cfg.get("lexicon", "top_n_frequent")
+    )
     out = _run_dir(args, cfg, "confusables")
     path = os.path.join(out, "confusables.tsv")
     lex.write_confusables(confusables, path)
@@ -175,16 +176,18 @@ def cmd_confusables(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_mine(args, cfg: PipelineConfig) -> int:
-    pos_th, neg_th, ratio = conf.mining_gates(cfg)
     wake = conf.wake_word(cfg)
-    seed = conf.run_seed(cfg)
     confusables = lex.read_confusables(args.confusables, wake)
     hyps, skipped = mining.load_hypotheses(args.hypotheses)
     if not hyps:
         raise DataError(f"{args.hypotheses}: no usable hypotheses")
-    examples = mining.mine_examples(hyps, wake, confusables, pos_th, neg_th)
+    examples = mining.mine_examples(
+        hyps, wake, confusables, cfg.get("mining", "pos_threshold"), cfg.get("mining", "neg_threshold")
+    )
     if args.balance:
-        examples = mining.balance_examples(examples, ratio, rng_seed=seed)
+        examples = mining.balance_examples(
+            examples, cfg.get("mining", "target_ratio"), rng_seed=cfg.get("run", "seed")
+        )
     out = _run_dir(args, cfg, "mine")
     path = os.path.join(out, "mined.tsv")
     mining.write_mined(examples, path)
@@ -194,7 +197,7 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    train_cfg, model_cfg = conf.model_configs(cfg, "training", conf.run_seed(cfg))
+    train_cfg, model_cfg = conf.model_configs(cfg, "training", cfg.get("run", "seed"))
     examples = mining.read_mined(args.mined)
     if not examples:
         raise DataError(f"{args.mined}: no mined examples")
@@ -234,7 +237,11 @@ def _decode_traces(args):
 
 
 def cmd_decode(args, cfg: PipelineConfig) -> int:
-    decode_cfg = conf.decode_config(cfg)
+    decode_cfg = dec.DecodeConfig(
+        cfg.get("decoding", "smooth_window_frames"),
+        cfg.get("decoding", "threshold"),
+        cfg.get("decoding", "min_gap_frames"),
+    )
     traces = _decode_traces(args)
     out = _run_dir(args, cfg, "decode")
     detections = []
@@ -250,7 +257,6 @@ def cmd_decode(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
-    tolerance = conf.tolerance_frames(cfg)
     detections = dec.read_detections(args.detections)
     utt_frames = _read_utt_frames(args.utt_frames)
     # the evaluated set is what was decoded; ignore references outside it
@@ -259,7 +265,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     by_utt: dict[str, list] = {}
     for d in detections:
         by_utt.setdefault(d.utt_id, []).append(d)
-    result = ev.score(by_utt, references, utt_frames, tolerance)
+    result = ev.score(by_utt, references, utt_frames, cfg.get("decoding", "tolerance_frames"))
     out = _run_dir(args, cfg, "eval")
     line = (
         f"frr={result.frr:.6f} far_per_hour={result.far_per_hour:.6f} "
@@ -273,12 +279,16 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_det(args, cfg: PipelineConfig) -> int:
-    thresholds, min_gap, tolerance = conf.det_settings(cfg)
-    decode_cfg = dec.DecodeConfig(conf.smooth_window_frames(cfg), thresholds[0], min_gap)
+    thresholds = cfg.get("decoding", "thresholds")
+    decode_cfg = dec.DecodeConfig(
+        cfg.get("decoding", "smooth_window_frames"), thresholds[0], cfg.get("decoding", "min_gap_frames")
+    )
     all_refs = _read_references(args.references)
     traces = _decode_traces(args)
     references = {u: all_refs.get(u, []) for u in traces}
-    results = ev.det_curve(traces, references, decode_cfg, thresholds, tolerance)
+    results = ev.det_curve(
+        traces, references, decode_cfg, thresholds, cfg.get("decoding", "tolerance_frames")
+    )
     out = _run_dir(args, cfg, "det")
     ev.write_det_csv(results, os.path.join(out, "det.csv"))
     ev.det_svg([("model", results)], os.path.join(out, "det.svg"))
@@ -287,17 +297,8 @@ def cmd_det(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_e2e_demo(args, cfg: PipelineConfig) -> int:
-    seeds = cfg.getints("demo", "seeds", lo=0)
-    # two runs of one seed would share its seed-<n> directory
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if repeated:
-        raise ConfigError(f"demo.seeds: seed {repeated[0]} is listed more than once")
-    if not seeds:
-        raise ConfigError("demo.seeds: need at least one seed")
-    # a bad setting fails here, before the run directory exists
-    demo_mod.demo_settings(cfg, seeds[0])
     out = _run_dir(args, cfg, "e2e-demo")
-    suite = demo_mod.run_demo_suite(out, seeds, cfg, args.jobs)
+    suite = demo_mod.run_demo_suite(out, cfg.get("demo", "seeds"), cfg, args.jobs)
     print(
         f"{out}\tfrr_clean={suite['mean_frr_clean']:.4f}"
         f"\tfrr_mct={suite['mean_frr_mct']:.4f}"

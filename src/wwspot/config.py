@@ -1,9 +1,13 @@
 """Sectioned key-value pipeline configuration.
 
 The file format is INI-style: flat sections of key = value pairs. Every
-key can be overridden on the command line with --set section.key=value,
-and the content hash names the run directory so identical configurations
-land in identical places.
+key can be overridden on the command line with --set section.key=value.
+`SCHEMA` is the one table of every key's default and parser (its type
+and bounds). `load_config` parses every key once and runs the checks
+that span keys, so a bad value fails every subcommand, whether or not
+it reads that key, before any input is read or directory made. The
+hash of the raw text names the run directory, so identical
+configurations land in identical places.
 """
 
 from __future__ import annotations
@@ -16,141 +20,189 @@ import os
 import numpy as np
 
 from .augment import CorruptionSpec, MixRecipe
-from .decode import DecodeConfig
 from .model import SpotterConfig, TrainConfig
 from .tsv import DataError
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {"seed": "0"},
-    "rir": {
-        "count": "10",
-        "max_order": "5",
-        "beta_min": "0.55",
-        "beta_max": "0.8",
-    },
-    "augment": {
-        "table_row": "200K",
-        "recipe_scale": "1.0",
-        "snr_mean_db": "10.0",
-        "snr_std_db": "3.0",
-        "noise_music_split": "0.5",
-    },
-    "lexicon": {
-        "wake_word": "",
-        "d_max": "2",
-        "top_n_frequent": "10000",
-    },
-    "mining": {
-        "pos_threshold": "0.5",
-        "neg_threshold": "0.5",
-        "target_ratio": "1.0",
-    },
-    "training": {
-        "learning_rate": "0.5",
-        "minibatch_size": "256",
-        "epochs": "10",
-        "bottleneck": "87",
-        "hidden": "400",
-    },
-    "decoding": {
-        "smooth_window_frames": "50",
-        "threshold": "0.5",
-        "min_gap_frames": "30",
-        "tolerance_frames": "50",
-        "thresholds": "lin:0.95:0.05:19",
-    },
-    "demo": {
-        "n_train": "500",
-        "n_test": "200",
-        "epochs": "10",
-        "learning_rate": "0.4",
-        "bottleneck": "48",
-        "hidden": "96",
-        "seeds": "0",
-        "test_snr_db": "10.0",
-    },
-}
+# a scaled recipe holds one job per utterance, so a larger one is a typo
+# that would fill memory before the first mix is written
+MAX_RECIPE_UTTERANCES = 10_000_000
 
 
 class ConfigError(Exception):
     pass
 
 
+def _number(kind, lo=None, hi=None):
+    """A parser of one `kind` (int or float) value within [lo, hi]."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(name: str, raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"{name}: {raw!r} is not {noun}") from None
+        # nan passes every range check, and inf is no usable setting either
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{name}: {raw!r} is not a finite number")
+        if lo is not None and value < lo:
+            raise ConfigError(f"{name}: {value} is below the minimum {lo}")
+        if hi is not None and value > hi:
+            raise ConfigError(f"{name}: {value} is above the maximum {hi}")
+        return value
+
+    return parse
+
+
+def _text(name: str, raw: str) -> str:
+    return raw
+
+
+def _recipe_row(name: str, raw: str) -> str:
+    """A row name of `augment.TABLE_ROWS`."""
+    try:
+        MixRecipe.from_table_row(raw, 1.0)
+    except DataError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return raw
+
+
+def _seeds(name: str, raw: str) -> list[int]:
+    """A comma list of distinct seeds >= 0: two runs of one seed would
+    share its seed-<n> directory."""
+    try:
+        seeds = [int(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{name}: {raw!r} is not a comma-separated integer list") from None
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"{name}: {seed} is below the minimum 0")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"{name}: seed {repeated[0]} is listed more than once")
+    if not seeds:
+        raise ConfigError(f"{name}: need at least one seed")
+    return seeds
+
+
+def _thresholds(name: str, raw: str) -> list[float]:
+    """Either a comma list or lin:<start>:<stop>:<count> of 2 to 10000
+    values (a sweep); every value must lie in (0, 1), the range a decoder
+    threshold takes."""
+    try:
+        if raw.startswith("lin:"):
+            _, start, stop, count = raw.split(":")
+            if int(count) > 10_000:  # a longer sweep is a typo that linspace would allocate
+                raise ConfigError(f"{name}: {count} is above the maximum 10000")
+            values = [round(float(v), 6) for v in np.linspace(float(start), float(stop), int(count))]
+        else:
+            values = [float(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{name}: cannot parse threshold spec {raw!r}") from None
+    if len(values) < 2:
+        raise ConfigError(f"{name}: need at least 2 thresholds")
+    for value in values:
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"{name}: threshold {value} is outside (0, 1)")
+    return values
+
+
+# every key: its default text and the parser that checks and converts it
+SCHEMA = {
+    "run": {"seed": ("0", _number(int, lo=0))},
+    "rir": {
+        "count": ("10", _number(int, lo=1)),
+        "max_order": ("5", _number(int, lo=0, hi=10)),
+        "beta_min": ("0.55", _number(float, lo=0.0, hi=1.0)),
+        "beta_max": ("0.8", _number(float, hi=1.0)),  # and >= beta_min
+    },
+    "augment": {
+        "table_row": ("200K", _recipe_row),
+        "recipe_scale": ("1.0", _number(float, lo=0.0)),
+        "snr_mean_db": ("10.0", _number(float)),
+        "snr_std_db": ("3.0", _number(float, lo=0.0)),
+        "noise_music_split": ("0.5", _number(float, lo=0.0, hi=1.0)),
+    },
+    "lexicon": {
+        "wake_word": ("", _text),
+        "d_max": ("2", _number(int, lo=0)),
+        "top_n_frequent": ("10000", _number(int, lo=1)),
+    },
+    "mining": {
+        "pos_threshold": ("0.5", _number(float, lo=0.0, hi=1.0)),
+        "neg_threshold": ("0.5", _number(float, lo=0.0, hi=1.0)),
+        "target_ratio": ("1.0", _number(float, lo=1e-9)),
+    },
+    "training": {
+        "learning_rate": ("0.5", _number(float, lo=1e-12)),
+        "minibatch_size": ("256", _number(int, lo=1)),
+        "epochs": ("10", _number(int, lo=0)),
+        "bottleneck": ("87", _number(int, lo=1)),
+        "hidden": ("400", _number(int, lo=1)),
+    },
+    "decoding": {
+        "smooth_window_frames": ("50", _number(int, lo=1)),
+        "threshold": ("0.5", _number(float, lo=1e-9, hi=1 - 1e-9)),
+        "min_gap_frames": ("30", _number(int, lo=0)),
+        "tolerance_frames": ("50", _number(int, lo=0)),
+        "thresholds": ("lin:0.95:0.05:19", _thresholds),
+    },
+    "demo": {
+        "n_train": ("500", _number(int, lo=10)),
+        "n_test": ("200", _number(int, lo=10)),
+        "epochs": ("10", _number(int, lo=0)),
+        "learning_rate": ("0.4", _number(float, lo=1e-12)),
+        "bottleneck": ("48", _number(int, lo=1)),
+        "hidden": ("96", _number(int, lo=1)),
+        "seeds": ("0", _seeds),
+        "test_snr_db": ("10.0", _number(float)),
+    },
+}
+
+
+def _check_across_keys(parsed: dict[str, dict]) -> None:
+    """The bounds that one key's value sets on another's."""
+    rir, aug = parsed["rir"], parsed["augment"]
+    if rir["beta_max"] < rir["beta_min"]:
+        raise ConfigError(f"rir.beta_max: {rir['beta_max']} is below the minimum {rir['beta_min']}")
+    # a coefficient of 1 is the only draw the bounds allow that a room refuses
+    if rir["beta_min"] == 1.0:
+        raise ConfigError("rir: reflection_coeff must be in [0, 1), and rir.beta_min is 1")
+    scale = aug["recipe_scale"]
+    if MixRecipe.from_table_row(aug["table_row"], 1.0).total * scale > MAX_RECIPE_UTTERANCES:
+        raise ConfigError(
+            f"augment.recipe_scale: {scale} scales row {aug['table_row']} above "
+            f"the maximum {MAX_RECIPE_UTTERANCES} utterances"
+        )
+    try:
+        MixRecipe.from_table_row(aug["table_row"], scale)
+    except DataError as exc:
+        raise ConfigError(f"augment.recipe_scale: {exc}") from None
+
+
 class PipelineConfig:
+    """Every key's raw text, which `hash8` hashes, and its parsed value,
+    which `get` returns; building one checks every key."""
+
     def __init__(self, values: dict[str, dict[str, str]]):
         self.values = values
+        self._parsed = {
+            section: {key: parse(f"{section}.{key}", values[section][key])
+                      for key, (_, parse) in keys.items()}
+            for section, keys in SCHEMA.items()
+        }
+        _check_across_keys(self._parsed)
 
-    def getstr(self, section: str, key: str) -> str:
+    def get(self, section: str, key: str):
         try:
-            return self.values[section][key]
+            return self._parsed[section][key]
         except KeyError:
             raise ConfigError(f"{section}.{key}: unknown configuration key") from None
 
-    def getint(
-        self, section: str, key: str, lo: int | None = None, hi: int | None = None
-    ) -> int:
-        raw = self.getstr(section, key)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: {raw!r} is not an integer") from None
-        self._check_range(section, key, value, lo, hi)
-        return value
-
-    def getfloat(
-        self, section: str, key: str, lo: float | None = None, hi: float | None = None
-    ) -> float:
-        raw = self.getstr(section, key)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: {raw!r} is not a number") from None
-        # nan passes every range check, and inf is no usable setting either
-        if not math.isfinite(value):
-            raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number")
-        self._check_range(section, key, value, lo, hi)
-        return value
-
-    def getints(self, section: str, key: str, lo: int | None = None) -> list[int]:
-        raw = self.getstr(section, key)
-        try:
-            values = [int(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"{section}.{key}: {raw!r} is not a comma-separated integer list"
-            ) from None
-        for value in values:
-            self._check_range(section, key, value, lo, None)
-        return values
+    # the typed names the benchmark reads; each is the parsed value
+    getstr = getint = getfloat = get
 
     def thresholds(self) -> list[float]:
-        """`decoding.thresholds`: either a comma list or
-        lin:<start>:<stop>:<count> of 2 to 10000 values (a sweep); every value
-        must lie in (0, 1), the range a decoder threshold takes."""
-        raw = self.getstr("decoding", "thresholds")
-        try:
-            if raw.startswith("lin:"):
-                _, start, stop, count = raw.split(":")
-                if int(count) > 10_000:  # a longer sweep is a typo that linspace would allocate
-                    raise ConfigError(f"decoding.thresholds: {count} is above the maximum 10000")
-                values = [round(float(v), 6) for v in np.linspace(float(start), float(stop), int(count))]
-            else:
-                values = [float(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"decoding.thresholds: cannot parse threshold spec {raw!r}") from None
-        if len(values) < 2:
-            raise ConfigError("decoding.thresholds: need at least 2 thresholds")
-        for value in values:
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"decoding.thresholds: threshold {value} is outside (0, 1)")
-        return values
-
-    @staticmethod
-    def _check_range(section, key, value, lo, hi):
-        if lo is not None and value < lo:
-            raise ConfigError(f"{section}.{key}: {value} is below the minimum {lo}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{section}.{key}: {value} is above the maximum {hi}")
+        return self.get("decoding", "thresholds")
 
     def hash8(self) -> str:
         lines = [
@@ -164,7 +216,7 @@ class PipelineConfig:
 def load_config(
     path: str | os.PathLike | None, overrides: list[str] | None = None
 ) -> PipelineConfig:
-    values = {s: dict(kv) for s, kv in DEFAULTS.items()}
+    values = {s: {k: default for k, (default, _) in keys.items()} for s, keys in SCHEMA.items()}
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file {path!r} does not exist")
@@ -191,53 +243,21 @@ def load_config(
     return PipelineConfig(values)
 
 
-# --- stage readers: the one place that reads the rir, lexicon, mining, augment,
-# training and decoding sections and their bounds, for the subcommands and the demo
-
-
-def room_settings(cfg: PipelineConfig) -> tuple[int, float, float]:
-    """`rir`: the image-source order cap and the range each room's
-    reflection coefficient is drawn from. A coefficient of 1, the only
-    draw the range's bounds allow that a room refuses, fails here."""
-    max_order = cfg.getint("rir", "max_order", lo=0, hi=10)
-    beta_min = cfg.getfloat("rir", "beta_min", lo=0.0, hi=1.0)
-    beta_max = cfg.getfloat("rir", "beta_max", lo=beta_min, hi=1.0)
-    if beta_min == 1.0:
-        raise ConfigError("rir: reflection_coeff must be in [0, 1), and rir.beta_min is 1")
-    return max_order, beta_min, beta_max
-
-
-def run_seed(cfg: PipelineConfig) -> int:
-    """`run.seed`, the subcommands' seed; numpy seeds are >= 0."""
-    return cfg.getint("run", "seed", lo=0)
+# --- readers that build the library objects several commands share
 
 
 def wake_word(cfg: PipelineConfig) -> str:
     """`lexicon.wake_word`, which must be set."""
-    wake = cfg.getstr("lexicon", "wake_word")
+    wake = cfg.get("lexicon", "wake_word")
     if not wake:
         raise ConfigError("lexicon.wake_word: missing wake word")
     return wake
 
 
-def confusable_limits(cfg: PipelineConfig) -> tuple[int, int]:
-    """The confusable scan's edit-distance bound and vocabulary cap."""
-    return cfg.getint("lexicon", "d_max", lo=0), cfg.getint("lexicon", "top_n_frequent", lo=1)
-
-
-def mining_gates(cfg: PipelineConfig) -> tuple[float, float, float]:
-    """The positive and negative confidence gates and the balancing ratio."""
-    pos_th = cfg.getfloat("mining", "pos_threshold", lo=0.0, hi=1.0)
-    neg_th = cfg.getfloat("mining", "neg_threshold", lo=0.0, hi=1.0)
-    return pos_th, neg_th, cfg.getfloat("mining", "target_ratio", lo=1e-9)
-
-
-def mix_recipe(cfg: PipelineConfig, scale: float | None = None) -> MixRecipe:
-    """`augment.table_row` scaled by `scale`, else by `augment.recipe_scale`."""
-    if scale is None:
-        scale = cfg.getfloat("augment", "recipe_scale", lo=0.0)
+def mix_recipe(cfg: PipelineConfig, scale: float) -> MixRecipe:
+    """`augment.table_row` with its counts scaled by `scale`."""
     try:
-        return MixRecipe.from_table_row(cfg.getstr("augment", "table_row"), scale)
+        return MixRecipe.from_table_row(cfg.get("augment", "table_row"), scale)
     except DataError as exc:
         raise ConfigError(f"augment: {exc}") from exc
 
@@ -245,9 +265,9 @@ def mix_recipe(cfg: PipelineConfig, scale: float | None = None) -> MixRecipe:
 def corruption_spec(cfg: PipelineConfig, seed: int) -> CorruptionSpec:
     """The multi-condition SNR draw and noise/music split, seeded."""
     return CorruptionSpec(
-        cfg.getfloat("augment", "snr_mean_db"),
-        cfg.getfloat("augment", "snr_std_db", lo=0.0),
-        cfg.getfloat("augment", "noise_music_split", lo=0.0, hi=1.0),
+        cfg.get("augment", "snr_mean_db"),
+        cfg.get("augment", "snr_std_db"),
+        cfg.get("augment", "noise_music_split"),
         rng_seed=seed,
     )
 
@@ -255,39 +275,12 @@ def corruption_spec(cfg: PipelineConfig, seed: int) -> CorruptionSpec:
 def model_configs(cfg: PipelineConfig, section: str, seed: int) -> tuple[TrainConfig, SpotterConfig]:
     """The trainer and the network from `section`, "training" or the
     demo's "demo"; the minibatch size is always `training`'s."""
-    learning_rate = cfg.getfloat(section, "learning_rate", lo=1e-12)
-    minibatch_size = cfg.getint("training", "minibatch_size", lo=1)
-    epochs = cfg.getint(section, "epochs", lo=0)
-    bottleneck = cfg.getint(section, "bottleneck", lo=1)
-    hidden = cfg.getint(section, "hidden", lo=1)
     return (
-        TrainConfig(learning_rate, minibatch_size, epochs, seed),
-        SpotterConfig(bottleneck=bottleneck, hidden=hidden),
+        TrainConfig(
+            cfg.get(section, "learning_rate"),
+            cfg.get("training", "minibatch_size"),
+            cfg.get(section, "epochs"),
+            seed,
+        ),
+        SpotterConfig(bottleneck=cfg.get(section, "bottleneck"), hidden=cfg.get(section, "hidden")),
     )
-
-
-def smooth_window_frames(cfg: PipelineConfig) -> int:
-    """The moving-average width of `decode` and `det`; not the demo's."""
-    return cfg.getint("decoding", "smooth_window_frames", lo=1)
-
-
-def min_gap_frames(cfg: PipelineConfig) -> int:
-    """How close two supra-threshold regions may be before they merge."""
-    return cfg.getint("decoding", "min_gap_frames", lo=0)
-
-
-def decode_config(cfg: PipelineConfig) -> DecodeConfig:
-    """`decode`'s smoother and peak picker."""
-    window = smooth_window_frames(cfg)
-    threshold = cfg.getfloat("decoding", "threshold", lo=1e-9, hi=1 - 1e-9)
-    return DecodeConfig(window, threshold, min_gap_frames(cfg))
-
-
-def tolerance_frames(cfg: PipelineConfig) -> int:
-    """How many frames a matching detection's peak may lie outside its span."""
-    return cfg.getint("decoding", "tolerance_frames", lo=0)
-
-
-def det_settings(cfg: PipelineConfig) -> tuple[list[float], int, int]:
-    """A DET sweep's thresholds, merge gap and tolerance; not its window."""
-    return cfg.thresholds(), min_gap_frames(cfg), tolerance_frames(cfg)

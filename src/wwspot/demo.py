@@ -71,24 +71,6 @@ def median_operating_far(*curves: list[EvalResult]) -> float:
     return float(np.median(positive if positive else fars))
 
 
-def demo_settings(cfg: PipelineConfig, seed: int) -> tuple:
-    """Every setting of one demo run, read through the subcommands' stage
-    readers; `demo` sizes the corpus, test set and model. `run_demo` scales the
-    recipe row to the mined examples and smooths over their average duration."""
-    return (
-        cfg.getint("demo", "n_train", lo=10),
-        cfg.getint("demo", "n_test", lo=10),
-        CorruptionSpec(cfg.getfloat("demo", "test_snr_db"), 0.0, 0.5),
-        conf.room_settings(cfg),
-        conf.confusable_limits(cfg),
-        conf.mining_gates(cfg),
-        conf.mix_recipe(cfg, scale=1.0),
-        conf.corruption_spec(cfg, seed),
-        conf.model_configs(cfg, "demo", seed),
-        conf.det_settings(cfg),
-    )
-
-
 def _pools(prefix: str, rooms: int, noises: int, musics: int, rng, room_settings=()) -> tuple:
     """RIRs of random rooms, then 2.5 s noise and music clips, drawn in that
     order; `room_settings` is `rir`'s (max_order, beta_min, beta_max), and
@@ -100,9 +82,11 @@ def _pools(prefix: str, rooms: int, noises: int, musics: int, rng, room_settings
     return rirs, make_noise_pool(noises, 2.5, rng), make_music_pool(musics, 2.5, rng)
 
 
-def _test_set(seed: int, n_test: int, spec: CorruptionSpec) -> tuple[dict, dict]:
-    """The held-out test set, reverberated and corrupted, kept only as each
-    utterance's LFBE and its reference wake-word spans in frames."""
+def _test_set(seed: int, n_test: int, snr_db: float) -> tuple[dict, dict]:
+    """The held-out test set, reverberated and corrupted at `snr_db` with a
+    0.5 noise/music split, kept only as each utterance's LFBE and its
+    reference wake-word spans in frames."""
+    spec = CorruptionSpec(snr_db, 0.0, 0.5)
     test_rng = np.random.default_rng([seed, 2])
     utts = generate_utterances("test", n_test, 0.5, test_rng)
     rirs, noises, musics = _pools("test", 8, 6, 4, test_rng)
@@ -121,15 +105,14 @@ def _test_set(seed: int, n_test: int, spec: CorruptionSpec) -> tuple[dict, dict]
 def run_demo(
     out_dir: str | os.PathLike, seed: int, cfg: PipelineConfig, jobs: int = 1
 ) -> dict:
-    """One clean-vs-multi-condition comparison with `demo_settings`; returns
-    the summary, also written to summary.json. The test set, the yardstick,
-    depends only on the seed, `demo.n_test` and `demo.test_snr_db`. The arms
-    run one at a time, each dropping its training set and model before the
-    next starts."""
+    """One clean-vs-multi-condition comparison; returns the summary, also
+    written to summary.json. `demo` sizes the corpus, test set and model, and
+    the other stages read the subcommands' sections, except that the recipe
+    row is scaled to the mined examples and the smoothing window is their
+    average duration. The test set, the yardstick, depends only on the seed,
+    `demo.n_test` and `demo.test_snr_db`. The arms run one at a time, each
+    dropping its training set and model before the next starts."""
     t0 = time.monotonic()
-    (n_train, n_test, test_spec, room_settings, (d_max, top_n), (pos_th, neg_th, ratio),
-     full_recipe, mct_spec, (train_cfg, model_cfg),
-     (sweep, min_gap, tolerance)) = demo_settings(cfg, seed)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -138,7 +121,7 @@ def run_demo(
     train_wav = os.path.join(out_dir, "train_wav")
     hyp_path = os.path.join(out_dir, "hypotheses.jsonl")
     write_corpus(
-        stream_utterances("train", n_train, WAKE_FRACTION, corpus_rng),
+        stream_utterances("train", cfg.get("demo", "n_train"), WAKE_FRACTION, corpus_rng),
         train_wav, hyp_path, corpus_rng,
     )
     lex_path = os.path.join(out_dir, "lexicon.txt")
@@ -146,28 +129,37 @@ def run_demo(
     write_lexicon_files(lex_path, freq_path)
 
     # 2. held-out test set
-    test_lfbes, references = _test_set(seed, n_test, test_spec)
+    test_lfbes, references = _test_set(seed, cfg.get("demo", "n_test"), cfg.get("demo", "test_snr_db"))
 
     # 3. confusables and mining
     lexicon = load_lexicon(lex_path, freq_path)
-    confusables = build_confusable_set(lexicon, WAKE_WORD, d_max, top_n)
+    confusables = build_confusable_set(
+        lexicon, WAKE_WORD, cfg.get("lexicon", "d_max"), cfg.get("lexicon", "top_n_frequent")
+    )
     hyps, _ = load_hypotheses(hyp_path)
-    mined = mine_examples(hyps, WAKE_WORD, confusables, pos_th, neg_th)
-    balanced = balance_examples(mined, ratio, rng_seed=seed)
+    mined = mine_examples(
+        hyps, WAKE_WORD, confusables, cfg.get("mining", "pos_threshold"), cfg.get("mining", "neg_threshold")
+    )
+    balanced = balance_examples(mined, cfg.get("mining", "target_ratio"), rng_seed=seed)
     by_id = {ex.utt_id: ex for ex in balanced}
 
     # 4. multi-condition mix of the same clips; the clean pool goes once the mix is written
-    recipe = conf.mix_recipe(cfg, scale=len(balanced) / full_recipe.total)
+    recipe = conf.mix_recipe(cfg, len(balanced) / conf.mix_recipe(cfg, 1.0).total)
+    room_settings = [cfg.get("rir", key) for key in ("max_order", "beta_min", "beta_max")]
     mct_dir = os.path.join(out_dir, "mct")
     rows = build_mixed_dataset(
         [read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced],
         *_pools("mct", 12, 8, 5, np.random.default_rng([seed, 3]), room_settings),
-        recipe, mct_spec, mct_dir, jobs=jobs,
+        recipe, conf.corruption_spec(cfg, seed), mct_dir, jobs=jobs,
     )
     write_manifest(rows, os.path.join(mct_dir, "manifest.tsv"))
 
     # 5. each arm trains identically, then decodes the test set and sweeps
-    decode_cfg = DecodeConfig(average_duration_frames(balanced), sweep[0], min_gap)
+    train_cfg, model_cfg = conf.model_configs(cfg, "demo", seed)
+    sweep, tolerance = cfg.get("decoding", "thresholds"), cfg.get("decoding", "tolerance_frames")
+    decode_cfg = DecodeConfig(
+        average_duration_frames(balanced), sweep[0], cfg.get("decoding", "min_gap_frames")
+    )
     arms = (
         ("clean", "clean-only", lambda: dataset_from_examples(balanced, train_wav)),
         ("mct", "multi-condition", lambda: dataset_from_manifest(rows, by_id, mct_dir)),

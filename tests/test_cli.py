@@ -12,7 +12,7 @@ from oracles import unscaled_model
 from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import read_manifest
 from wwspot.cli import _read_references, _read_utt_frames, build_parser, main
-from wwspot.config import DEFAULTS
+from wwspot.config import SCHEMA
 from wwspot.decode import read_detections
 from wwspot.features import FRAMES_PER_S
 from wwspot.lexicon import load_lexicon, read_confusables
@@ -414,6 +414,16 @@ def test_rir_gen(tmp_path):
     assert exc.value.code == 2
 
 
+def test_rir_gen_lists_paths_relative_to_rirs_tsv(tmp_path):
+    tables = []
+    for out in ("a", "b/c"):
+        runs = str(tmp_path / out)
+        assert main(["rir-gen", "--set", "rir.count=2", "--out", runs]) == 0
+        with open(os.path.join(_single_run_dir(runs, "rir-gen"), "rirs.tsv"), "rb") as fh:
+            tables.append(fh.read())
+    assert tables[0] == tables[1] == b"rir-0000\trir-0000.wav\nrir-0001\trir-0001.wav\n"
+
+
 @pytest.mark.parametrize(
     "name, reason",
     [
@@ -745,30 +755,45 @@ def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
 
 
 _MISSING = "missing"
-# each subcommand with inputs that do not exist, so only a setting can fail
-_STAGE_COMMANDS = {
-    "lexicon": ["confusables", "--lexicon", _MISSING, "--set", f"lexicon.wake_word={WAKE_WORD}"],
-    "mining": ["mine", "--hypotheses", _MISSING, "--confusables", _MISSING,
-               "--set", f"lexicon.wake_word={WAKE_WORD}"],
-    "augment": ["augment", "--clean-dir", _MISSING],
-    "training": ["train", "--mined", _MISSING, "--audio-dir", _MISSING],
-    "decoding": ["det", "--model", _MISSING, "--wav-dir", _MISSING, "--references", _MISSING],
-    "rir": ["rir-gen"],
-}
+# every subcommand, with inputs that do not exist, so only a setting can fail
+_COMMANDS = [
+    ["rir-gen"],
+    ["augment", "--clean-dir", _MISSING],
+    ["confusables", "--lexicon", _MISSING, "--set", f"lexicon.wake_word={WAKE_WORD}"],
+    ["mine", "--hypotheses", _MISSING, "--confusables", _MISSING,
+     "--set", f"lexicon.wake_word={WAKE_WORD}"],
+    ["train", "--mined", _MISSING, "--audio-dir", _MISSING],
+    ["decode", "--model", _MISSING, "--wav-dir", _MISSING],
+    ["eval", "--detections", _MISSING, "--utt-frames", _MISSING, "--references", _MISSING],
+    ["det", "--model", _MISSING, "--wav-dir", _MISSING, "--references", _MISSING],
+    ["e2e-demo"],
+]
 
 
-# one out-of-range value per stage key that the demo shares, and its message
+# one out-of-range value per bounded key, and its message
 _BAD_SETTINGS = {
+    "run.seed=-1": "run.seed: -1 is below the minimum 0",
     "lexicon.d_max=-1": "lexicon.d_max: -1 is below the minimum 0",
     "lexicon.top_n_frequent=0": "lexicon.top_n_frequent: 0 is below the minimum 1",
     "mining.pos_threshold=2": "mining.pos_threshold: 2.0 is above the maximum 1.0",
     "mining.neg_threshold=-0.1": "mining.neg_threshold: -0.1 is below the minimum 0.0",
     "mining.target_ratio=0": "mining.target_ratio: 0.0 is below the minimum 1e-09",
-    "augment.table_row=1K": "augment: unknown recipe row '1K'",
+    "augment.table_row=1K": "augment.table_row: unknown recipe row '1K'",
+    "augment.recipe_scale=-1": "augment.recipe_scale: -1.0 is below the minimum 0.0",
+    "augment.recipe_scale=0": "augment.recipe_scale: recipe is empty",
+    # refused before augment would queue 2e304 mixing jobs
+    "augment.recipe_scale=1e300":
+        "augment.recipe_scale: 1e+300 scales row 200K above the maximum 10000000 utterances",
     "augment.snr_mean_db=nan": "augment.snr_mean_db: 'nan' is not a finite number",
     "augment.snr_std_db=-1": "augment.snr_std_db: -1.0 is below the minimum 0.0",
     "augment.noise_music_split=2": "augment.noise_music_split: 2.0 is above the maximum 1.0",
+    "training.learning_rate=0": "training.learning_rate: 0.0 is below the minimum 1e-12",
     "training.minibatch_size=0": "training.minibatch_size: 0 is below the minimum 1",
+    "training.epochs=-1": "training.epochs: -1 is below the minimum 0",
+    "training.bottleneck=0": "training.bottleneck: 0 is below the minimum 1",
+    "training.hidden=x": "training.hidden: 'x' is not an integer",
+    "decoding.smooth_window_frames=0": "decoding.smooth_window_frames: 0 is below the minimum 1",
+    "decoding.threshold=1": "decoding.threshold: 1.0 is above the maximum 0.999999999",
     "decoding.min_gap_frames=-1": "decoding.min_gap_frames: -1 is below the minimum 0",
     "decoding.tolerance_frames=-1": "decoding.tolerance_frames: -1 is below the minimum 0",
     "decoding.thresholds=0.5": "decoding.thresholds: need at least 2 thresholds",
@@ -778,13 +803,22 @@ _BAD_SETTINGS = {
     "rir.max_order=11": "rir.max_order: 11 is above the maximum 10",
     "rir.beta_min=-0.1": "rir.beta_min: -0.1 is below the minimum 0.0",
     "rir.beta_max=0.5": "rir.beta_max: 0.5 is below the minimum 0.55",
+    "rir.count=0": "rir.count: 0 is below the minimum 1",
+    "demo.n_train=9": "demo.n_train: 9 is below the minimum 10",
+    "demo.n_test=9": "demo.n_test: 9 is below the minimum 10",
+    "demo.epochs=-1": "demo.epochs: -1 is below the minimum 0",
+    "demo.learning_rate=inf": "demo.learning_rate: 'inf' is not a finite number",
+    "demo.bottleneck=0": "demo.bottleneck: 0 is below the minimum 1",
+    "demo.hidden=1.5": "demo.hidden: '1.5' is not an integer",
+    "demo.test_snr_db=x": "demo.test_snr_db: 'x' is not a number",
+    "demo.seeds=0,x": "demo.seeds: '0,x' is not a comma-separated integer list",
 }
 
 
 @pytest.mark.parametrize("setting", list(_BAD_SETTINGS))
 def test_demo_and_subcommand_reject_a_stage_setting_alike(tmp_path, capsys, setting):
-    stage = _STAGE_COMMANDS[setting.split(".")[0]]
-    for argv in (stage, ["e2e-demo"]):
+    # the config is checked whole at load, so a command refuses even a key it never reads
+    for argv in _COMMANDS:
         out_dir = tmp_path / argv[0]
         assert main(argv + ["--set", setting, "--out", str(out_dir)]) == 2
         out, err = capsys.readouterr()
@@ -967,7 +1001,7 @@ def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
 
 def test_flags_name_only_inputs_outputs_and_workers():
     # every value that changes output bytes is a config key, so it is set one way
-    keys = {key for section in DEFAULTS.values() for key in section}
+    keys = {key for section in SCHEMA.values() for key in section}
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
     assert set.intersection(*dests.values()) == {"config", "set", "jobs", "out"}
