@@ -207,8 +207,8 @@ def corrupt(
 
     The per-source scales follow the power split, then both are rescaled
     jointly so the combined interference realizes the drawn SNR exactly
-    (the draw is clamped to [-5, 40] dB). Returns the corrupted clip and
-    the realized SNR in dB.
+    (the draw is clamped to [-5, 40] dB); a source may be None only where
+    its share is 0. Returns the corrupted clip and the realized SNR in dB.
     """
     target = float(rng.normal(spec.snr_mean_db, spec.snr_std_db))
     target = float(np.clip(target, *SNR_CLAMP_DB))
@@ -224,8 +224,6 @@ def corrupt(
     for source, share, label in ((noise, split, "noise"), (music, 1.0 - split, "music")):
         if share == 0.0:
             continue
-        if source is None:
-            raise DataError(f"{label} source required for split {split}")
         segment = _fit_to_length(source.samples, x.size, rng)
         power = rms_power(segment)
         if power == 0.0:
@@ -375,8 +373,6 @@ def build_mixed_dataset(
     same bytes. Returns manifest rows in job order; the caller persists
     them with `write_manifest`.
     """
-    if not clean:
-        raise DataError("clean pool is empty")
     if recipe.reverb > 0 and not rirs:
         raise DataError("reverb conditions requested but RIR pool is empty")
     if recipe.noise > 0 and not noises:

@@ -20,7 +20,6 @@ import hashlib
 import os
 import sys
 import traceback
-from dataclasses import replace
 
 import numpy as np
 
@@ -87,7 +86,7 @@ def _jobs(text: str) -> int:
 
 def _read_references(path: str) -> dict[str, list[tuple[int, int]]]:
     """Inclusive frame spans per utterance; spans of one utterance may not
-    overlap (closed intervals, as `evaluate.score` checks)."""
+    overlap (closed intervals). `evaluate.score` relies on this check."""
     refs: dict[str, list[tuple[int, int]]] = {}
 
     def add(utt_id: str, start: int, end: int) -> None:
@@ -121,13 +120,11 @@ def _read_utt_frames(path: str) -> dict[str, int]:
 
 
 def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
-    beta_min, beta_max = cfg.get("rir", "beta_min"), cfg.get("rir", "beta_max")
-    rng = np.random.default_rng(cfg.get("run", "seed"))
-    # each room's reflection is drawn after the whole pool's geometry
-    rooms = [
-        replace(room, reflection_coeff=float(rng.uniform(beta_min, beta_max)))
-        for room in make_room_pool(cfg.get("rir", "count"), rng, max_order=cfg.get("rir", "max_order"))
-    ]
+    # the rooms the demo's training mix draws from the same `rir` settings
+    rooms = make_room_pool(
+        cfg.get("rir", "count"), np.random.default_rng(cfg.get("run", "seed")),
+        *(cfg.get("rir", key) for key in ("max_order", "beta_min", "beta_max")),
+    )
     # every room is valid before the run directory exists
     out = _run_dir(args, cfg, "rir-gen")
     rows = []
@@ -142,7 +139,9 @@ def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
-    recipe = conf.mix_recipe(cfg, cfg.get("augment", "recipe_scale"))
+    # load_config built this recipe once to check it, so it cannot fail here
+    row, scale = cfg.get("augment", "table_row"), cfg.get("augment", "recipe_scale")
+    recipe = aug.MixRecipe.from_table_row(row, scale)
     spec = conf.corruption_spec(cfg, cfg.get("run", "seed"))
     # --mined reads only utterances with mined examples, so the augmented
     # set inherits frame targets cleanly at training time

@@ -210,7 +210,8 @@ class PipelineConfig:
             for s in sorted(self.values)
             for k, v in sorted(self.values[s].items())
         ]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:8]
+        # surrogateescape: a --set argument that is not UTF-8 hashes as the bytes typed
+        return hashlib.sha256("\n".join(lines).encode("utf-8", "surrogateescape")).hexdigest()[:8]
 
 
 def load_config(
@@ -218,19 +219,21 @@ def load_config(
 ) -> PipelineConfig:
     values = {s: {k: default for k, (default, _) in keys.items()} for s, keys in SCHEMA.items()}
     if path is not None:
-        if not os.path.isfile(path):
-            raise ConfigError(f"config file {path!r} does not exist")
-        parser = configparser.ConfigParser()
+        # literal values, and no special section: [DEFAULT] is refused like any unknown one
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except OSError as exc:
+            raise ConfigError(f"{path}: {(exc.strerror or str(exc)).lower()}") from None
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         for section in parser.sections():
             if section not in values:
-                raise ConfigError(f"{section}: unknown configuration section")
+                raise ConfigError(f"{path}: {section}: unknown configuration section")
             for key, value in parser.items(section):
                 if key not in values[section]:
-                    raise ConfigError(f"{section}.{key}: unknown configuration key")
+                    raise ConfigError(f"{path}: {section}.{key}: unknown configuration key")
                 values[section][key] = value
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -252,14 +255,6 @@ def wake_word(cfg: PipelineConfig) -> str:
     if not wake:
         raise ConfigError("lexicon.wake_word: missing wake word")
     return wake
-
-
-def mix_recipe(cfg: PipelineConfig, scale: float) -> MixRecipe:
-    """`augment.table_row` with its counts scaled by `scale`."""
-    try:
-        return MixRecipe.from_table_row(cfg.get("augment", "table_row"), scale)
-    except DataError as exc:
-        raise ConfigError(f"augment: {exc}") from exc
 
 
 def corruption_spec(cfg: PipelineConfig, seed: int) -> CorruptionSpec:

@@ -57,11 +57,7 @@ def smooth(trace: np.ndarray, window: int) -> np.ndarray:
     Boundary windows are truncated and divided by the actual sample
     count, so constant traces stay constant all the way to the edges.
     """
-    if window < 1:
-        raise DataError("window must be >= 1")
     trace = np.asarray(trace, dtype=np.float64)
-    if trace.ndim != 1 or trace.size == 0:
-        raise DataError("trace must be a non-empty vector")
     ones = np.ones(window)
     sums = np.convolve(trace, ones, mode="same")
     counts = np.convolve(np.ones(trace.size), ones, mode="same")
@@ -99,15 +95,13 @@ def detect_peaks(
 
 
 def average_duration_frames(examples: list[MinedExample]) -> int:
-    """Mean trigger duration of the positive examples, in frames; the
-    natural smoothing-window width for decoding."""
+    """Mean trigger duration of the positive examples (at least one), in
+    frames; the natural smoothing-window width for decoding."""
     spans = [
         e.trigger_span[1] - e.trigger_span[0]
         for e in examples
         if e.polarity == POSITIVE
     ]
-    if not spans:
-        raise DataError("no positive examples to measure")
     return max(1, int(round(float(np.mean(spans)) / HOP_S)))
 
 
@@ -122,9 +116,6 @@ def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
     context, ends replicated, and its stacked rows are copied as windows
     of that span through a strided view. The trace is float64.
     """
-    lfbe = np.asarray(lfbe, dtype=np.float64)
-    if lfbe.ndim != 2 or lfbe.shape[0] < 1:
-        raise DataError("expected a non-empty (frames, bins) matrix")
     n, bins = lfbe.shape
     _check_input_dim(model, CONTEXT_WIDTH * bins)
     params = _fold_scaler(model, np.float32)

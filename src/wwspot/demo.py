@@ -19,6 +19,7 @@ from . import config as conf
 from .audio import read_wav
 from .augment import (
     CorruptionSpec,
+    MixRecipe,
     build_mixed_dataset,
     corrupt,
     reverberate,
@@ -143,8 +144,10 @@ def run_demo(
     balanced = balance_examples(mined, cfg.get("mining", "target_ratio"), rng_seed=seed)
     by_id = {ex.utt_id: ex for ex in balanced}
 
-    # 4. multi-condition mix of the same clips; the clean pool goes once the mix is written
-    recipe = conf.mix_recipe(cfg, len(balanced) / conf.mix_recipe(cfg, 1.0).total)
+    # 4. multi-condition mix of the same clips; the clean pool goes once the mix is written.
+    # With both polarities kept, every augmented condition gets at least one utterance.
+    row = cfg.get("augment", "table_row")
+    recipe = MixRecipe.from_table_row(row, len(balanced) / MixRecipe.from_table_row(row, 1.0).total)
     room_settings = [cfg.get("rir", key) for key in ("max_order", "beta_min", "beta_max")]
     mct_dir = os.path.join(out_dir, "mct")
     rows = build_mixed_dataset(

@@ -173,8 +173,6 @@ def build_confusable_set(
     wake = wake_word.lower()
     if wake not in lex:
         raise DataError(f"wake word {wake_word!r} not in lexicon")
-    if d_max < 0:
-        raise DataError("d_max must be >= 0")
 
     words = [
         w for w in lex.entries

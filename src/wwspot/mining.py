@@ -137,9 +137,6 @@ def mine_examples(
     first word) defines the trigger span. Output is sorted by utterance
     id, so merging from concurrent readers is deterministic.
     """
-    for name, value in (("pos_threshold", pos_threshold), ("neg_threshold", neg_threshold)):
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"{name} must be in [0, 1], got {value}")
     lowered = [t.lower() for t in hyps.tokens]
     wake = wake_word.lower()
     confusable_words = confusables.words()
@@ -171,8 +168,6 @@ def balance_examples(
     target_ratio (within one example), preserving input order. A ratio
     that would keep no example of one polarity is an error, as training
     needs both."""
-    if target_ratio <= 0:
-        raise DataError("target_ratio must be positive")
     pos_idx = [i for i, e in enumerate(examples) if e.polarity == POSITIVE]
     neg_idx = [i for i, e in enumerate(examples) if e.polarity == NEGATIVE]
     if not pos_idx or not neg_idx:
@@ -198,8 +193,6 @@ def make_frame_targets(example: MinedExample, frame_count: int) -> np.ndarray:
     """Frame labels for one utterance: 1 where the frame center (the
     middle of its 10 ms hop slot) falls inside the trigger span of a
     positive example, 0 everywhere else and for negatives."""
-    if frame_count < 1:
-        raise DataError("frame_count must be >= 1")
     targets = np.zeros(frame_count, dtype=np.uint8)
     if example.polarity == NEGATIVE:
         return targets

@@ -420,10 +420,6 @@ def train(
     Returns the trained model and the per-epoch mean frame loss. Raises
     TrainingDiverged as soon as a non-finite loss shows up.
     """
-    if dataset.dim != model_cfg.input_dim:
-        raise DataError(
-            f"dataset dim {dataset.dim} does not match model input {model_cfg.input_dim}"
-        )
     y_eff = dataset.effective_targets()
     if y_eff.min() == y_eff.max():
         raise DataError("training data has a single target class")

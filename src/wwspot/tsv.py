@@ -21,12 +21,13 @@ class DataError(ValueError):
 
 def open_input(path: str | os.PathLike) -> BinaryIO:
     """The input file opened for binary reading. A path that cannot be
-    opened (missing, a directory, through a file, not permitted) raises
-    `DataError("<path>: <reason>")`."""
+    opened (missing, a directory, through a file, not permitted, holding a
+    NUL byte) raises `DataError("<path>: <reason>")`."""
     try:
         return open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"{os.fspath(path)}: {(exc.strerror or str(exc)).lower()}") from None
+    except (OSError, ValueError) as exc:  # open raises ValueError for a NUL byte
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise DataError(f"{os.fspath(path)}: {reason.lower()}") from None
 
 
 def byte_lines(path: str | os.PathLike) -> Iterator[bytes]:

@@ -192,16 +192,6 @@ def test_corrupt_tiles_short_and_crops_long_interference():
         assert realized == pytest.approx(12.0, abs=1e-9)
 
 
-def test_corrupt_missing_source_for_nonzero_share_rejected():
-    clip = _tone(220, 4000)
-    noise = AudioClip(np.random.default_rng(1).standard_normal(4000), id="n")
-    spec = CorruptionSpec(10.0, 0.0, 0.5, rng_seed=0)
-    with pytest.raises(DataError, match="music source required"):
-        corrupt(clip, noise, None, spec, np.random.default_rng(spec.rng_seed))
-    with pytest.raises(DataError, match="noise source required"):
-        corrupt(clip, None, noise, spec, np.random.default_rng(spec.rng_seed))
-
-
 def test_corrupt_zero_power_interference_rejected():
     clip = _tone(200, 4000)
     silent = AudioClip(np.zeros(4000) + 0.0, id="z")

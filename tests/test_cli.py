@@ -414,6 +414,21 @@ def test_rir_gen(tmp_path):
     assert exc.value.code == 2
 
 
+def test_rir_gen_writes_the_rooms_the_demo_draws(tmp_path):
+    # one make_room_pool call on the `rir` settings, as the demo's training mix makes
+    from wwspot.augment import rir_to_wav, synthesize_rir
+    from wwspot.synth import make_room_pool
+
+    settings = {"run.seed": 3, "rir.count": 2, "rir.max_order": 2, "rir.beta_min": 0.2, "rir.beta_max": 0.3}
+    argv = ["rir-gen", *(f"--set={k}={v}" for k, v in settings.items()), "--out", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    rir_dir = _single_run_dir(str(tmp_path / "runs"), "rir-gen")
+    for i, room in enumerate(make_room_pool(2, np.random.default_rng(3), 2, 0.2, 0.3)):
+        rir_to_wav(synthesize_rir(room), tmp_path / "expected.wav")
+        with open(os.path.join(rir_dir, f"rir-{i:04d}.wav"), "rb") as fh:
+            assert fh.read() == (tmp_path / "expected.wav").read_bytes()
+
+
 def test_rir_gen_lists_paths_relative_to_rirs_tsv(tmp_path):
     tables = []
     for out in ("a", "b/c"):
@@ -678,6 +693,18 @@ def test_mine_refuses_a_ratio_that_balances_one_polarity_away(tmp_path, capsys):
     assert "target_ratio 0.1 keeps no positive example of 3 positive and 5 negative" in err
     assert out == ""
     assert not runs.exists()
+
+
+def test_augment_without_a_clean_wav_exits_3(tmp_path, capsys):
+    # the check that keeps build_mixed_dataset's clean pool non-empty
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    rc = main(["augment", "--clean-dir", str(clean), "--out", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {clean}: no wav files" in err
+    assert out == ""
+    assert not (tmp_path / "runs").exists()
 
 
 def test_det_reads_references_before_it_decodes(tmp_path, capsys):
@@ -1031,10 +1058,16 @@ def test_unknown_subcommand_exits_nonzero():
         pytest.param(
             ["decode", "--model", "{d}", "--wav-dir", "{d}/a"], "{d}", "is a directory", id="model-dir"
         ),
+        # a mined utt_id names its WAV, and open refuses a path with a NUL byte
+        pytest.param(
+            ["train", "--mined", "{d}/n", "--audio-dir", "{d}/a"], "{d}/a/u\0.wav", "embedded null byte",
+            id="nul-in-mined-utt-id",
+        ),
     ],
 )
 def test_an_input_path_that_cannot_be_opened_exits_3(tmp_path, capsys, argv, path, reason):
     (tmp_path / "f").write_text("u\t1\n")
+    (tmp_path / "n").write_text("u\0\tnegative\tcaly\t0.1\t0.2\t0.9\n")
     _patched_wav_dir(tmp_path, lambda raw: raw)  # decode lists its WAVs before it loads the model
     rc = main([a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "runs")])
     out, err = capsys.readouterr()

@@ -62,13 +62,6 @@ def test_smooth_never_exceeds_trace_max():
         assert smooth(trace, w).max() <= trace.max() + 1e-12
 
 
-def test_smooth_rejects_bad_window():
-    with pytest.raises(DataError, match="window must be >= 1"):
-        smooth(np.ones(10), 0)
-    with pytest.raises(DataError, match="trace must be a non-empty vector"):
-        smooth(np.zeros(0), 3)
-
-
 def test_detect_nothing_below_threshold():
     cfg = DecodeConfig(5, 0.5, 30)
     assert detect_peaks(np.full(100, 0.4), cfg) == []
@@ -119,8 +112,6 @@ def test_average_duration_frames():
         MinedExample("c", NEGATIVE, "x", (0.0, 9.99), 0.9),
     ]
     assert average_duration_frames(examples) == 60
-    with pytest.raises(DataError, match="no positive examples to measure"):
-        average_duration_frames([examples[2]])
 
 
 def test_detections_file_round_trip(tmp_path):
@@ -194,14 +185,6 @@ def test_trace_rejects_a_model_of_another_input_width():
     model = unscaled_model(SpotterConfig(input_dim=600, bottleneck=4, hidden=8))
     with pytest.raises(DataError, match="input dim 620 does not match model 600"):
         posterior_trace(model, np.zeros((40, 20)))
-
-
-def test_trace_rejects_non_matrix_input():
-    model = small_spotter()
-    with pytest.raises(DataError, match=r"expected a non-empty \(frames, bins\) matrix"):
-        posterior_trace(model, np.zeros((0, 20)))
-    with pytest.raises(DataError, match=r"expected a non-empty \(frames, bins\) matrix"):
-        posterior_trace(model, np.zeros(20))
 
 
 def _traced_peak(fn, *args):

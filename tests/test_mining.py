@@ -125,13 +125,6 @@ def test_emitted_confidences_respect_thresholds(tmp_path):
         assert e.confidence >= (0.5 if e.polarity == POSITIVE else 0.6)
 
 
-def test_invalid_thresholds_rejected():
-    with pytest.raises(DataError, match=r"pos_threshold must be in \[0, 1\], got 1.01"):
-        mine_examples([], WAKE, CONFUSABLES, 1.01, 0.5)
-    with pytest.raises(DataError, match=r"neg_threshold must be in \[0, 1\], got -0.1"):
-        mine_examples([], WAKE, CONFUSABLES, 0.5, -0.1)
-
-
 def test_load_hypotheses_skips_malformed(tmp_path):
     path = tmp_path / "hyp.jsonl"
     good = {
