@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .audio import SAMPLE_RATE, AudioClip, WRITE_PEAK, parallel_map, rms_power, read_wav, write_wav
 from .tsv import DataError, read_tsv, write_tsv
@@ -147,14 +146,34 @@ def rir_from_wav(path: str | os.PathLike) -> RirFilter:
 # --- reverberation ------------------------------------------------------------
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 2·3·5-smooth integer >= n, the real-FFT length that
+    pocketfft factors fastest (`scipy.fft.next_fast_len(n, real=True)`)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def reverberate(clip: AudioClip, rir: RirFilter) -> AudioClip:
     """Convolve the clip with the RIR, keeping the original length.
 
     Truncating to the input length keeps any frame-level targets of the
     source utterance aligned. The output is rescaled only when its peak
-    exceeds 1.0.
+    exceeds 1.0. The full convolution runs through real FFTs of the
+    smooth length scipy's `fftconvolve` picks, so the samples equal
+    `fftconvolve(x, h)[:len(x)]` bit for bit (numpy 2 and scipy share
+    pocketfft).
     """
-    out = fftconvolve(clip.samples, rir.taps)[: clip.samples.size]
+    x, h = clip.samples, rir.taps
+    size = _fft_size(x.size + h.size - 1)
+    out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[: x.size]
     peak = float(np.max(np.abs(out)))
     if peak > 1.0:
         out = out * (WRITE_PEAK / peak)

@@ -57,7 +57,6 @@ def smooth(trace: np.ndarray, window: int) -> np.ndarray:
     Boundary windows are truncated and divided by the actual sample
     count, so constant traces stay constant all the way to the edges.
     """
-    trace = np.asarray(trace, dtype=np.float64)
     ones = np.ones(window)
     sums = np.convolve(trace, ones, mode="same")
     counts = np.convolve(np.ones(trace.size), ones, mode="same")
@@ -74,7 +73,6 @@ def detect_peaks(
     only guaranteed monotone across a threshold sweep while regions stay
     separated by at least the merge gap.
     """
-    trace = np.asarray(trace, dtype=np.float64)
     above = np.flatnonzero(trace >= cfg.threshold)
     if above.size == 0:
         return []

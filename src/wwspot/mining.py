@@ -197,8 +197,6 @@ def make_frame_targets(example: MinedExample, frame_count: int) -> np.ndarray:
     if example.polarity == NEGATIVE:
         return targets
     start, end = example.trigger_span
-    if end <= start:
-        raise DataError(f"{example.utt_id}: degenerate trigger span")
     duration = frame_count * HOP_S
     if start < 0 or end > duration + HOP_S:
         raise DataError(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio import SAMPLE_RATE, AudioClip, write_wav
 from .augment import RoomSpec
@@ -217,7 +216,12 @@ def make_hum(dur_s: float, rng: np.random.Generator) -> AudioClip:
     """Lowpassed noise, household-appliance flavoured."""
     n = int(dur_s * SAMPLE_RATE)
     white = rng.standard_normal(n)
-    out = lfilter([0.04], [1.0, -0.96], white)
+    # the one-pole lowpass y[i] = 0.04 x[i] + 0.96 y[i-1], from rest
+    lowpassed, y = [], 0.0
+    for x in white.tolist():
+        y = 0.04 * x + 0.96 * y
+        lowpassed.append(y)
+    out = np.array(lowpassed)
     return AudioClip(out / max(1e-9, np.max(np.abs(out))), id="hum")
 
 

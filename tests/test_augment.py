@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
+from scipy.signal import fftconvolve
 from oracles import naive_convolve_truncated, oracle_rir_taps
 
 from wwspot.audio import SAMPLE_RATE, AudioClip, read_wav, rms_power
@@ -12,6 +14,7 @@ from wwspot.augment import (
     MixRecipe,
     RirFilter,
     RoomSpec,
+    _fft_size,
     build_mixed_dataset,
     corrupt,
     read_manifest,
@@ -101,6 +104,23 @@ def test_reverberate_matches_naive_convolution():
         taps[0] = 0.5  # keep the filter and the peak bounded
         out = reverberate(AudioClip(x), RirFilter(taps))
         assert np.max(np.abs(out.samples - naive_convolve_truncated(x, taps))) < 1e-7
+
+
+def test_fft_size_is_scipys_real_fast_length():
+    sizes = list(range(1, 20001)) + np.random.default_rng(9).integers(1, 5_000_001, 500).tolist()
+    assert [_fft_size(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
+
+
+def test_reverberate_equals_fftconvolve_bit_for_bit():
+    rng = np.random.default_rng(8)
+    # a minute-long recording, then random clip and RIR lengths
+    pairs = [(60 * SR, 4000)] + [tuple(rng.integers(1, (40000, 8000))) for _ in range(40)]
+    for n, k in pairs:
+        x = rng.uniform(-0.1, 0.1, n)
+        taps = rng.normal(0.0, 0.01, k)
+        taps[0] = 0.3  # a direct path keeps some tap non-zero
+        out = reverberate(AudioClip(x), RirFilter(taps)).samples
+        assert np.array_equal(out, fftconvolve(x, taps)[:n]), (n, k)
 
 
 def test_reverberate_linearity():

@@ -4,11 +4,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from oracles import unscaled_model
 
+from wwspot import tsv
 from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import read_manifest
 from wwspot.cli import _read_references, _read_utt_frames, build_parser, main
@@ -1063,10 +1066,23 @@ def test_unknown_subcommand_exits_nonzero():
             ["train", "--mined", "{d}/n", "--audio-dir", "{d}/a"], "{d}/a/u\0.wav", "embedded null byte",
             id="nul-in-mined-utt-id",
         ),
+        # root opens any file whatever its mode, so `open` refuses {d}/denied below
+        pytest.param(
+            ["mine", "--hypotheses", "{d}/denied", "--confusables", "{d}/f",
+             "--set", "lexicon.wake_word=alexa"],
+            "{d}/denied", "permission denied", id="permission-denied",
+        ),
     ],
 )
-def test_an_input_path_that_cannot_be_opened_exits_3(tmp_path, capsys, argv, path, reason):
+def test_an_input_path_that_cannot_be_opened_exits_3(tmp_path, capsys, monkeypatch, argv, path, reason):
+    def refusing_open(file, *args, **kwargs):
+        if file == str(tmp_path / "denied"):
+            raise PermissionError(13, "Permission denied")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(tsv, "open", refusing_open, raising=False)
     (tmp_path / "f").write_text("u\t1\n")
+    (tmp_path / "denied").write_text("")
     (tmp_path / "n").write_text("u\0\tnegative\tcaly\t0.1\t0.2\t0.9\n")
     _patched_wav_dir(tmp_path, lambda raw: raw)  # decode lists its WAVs before it loads the model
     rc = main([a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "runs")])
@@ -1127,3 +1143,9 @@ def test_decode_reads_a_wav_whose_riff_size_field_is_4(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 0, err
     assert out.strip().endswith("detections.tsv")
+
+
+def test_the_cli_imports_no_scipy():
+    code = "import sys, wwspot.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

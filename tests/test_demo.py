@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from wwspot import demo
+from wwspot.audio import SAMPLE_RATE
 from wwspot.config import load_config
 from wwspot.demo import frr_at_far, median_operating_far
 from wwspot.evaluate import EvalResult
-from wwspot.synth import generate_utterances, stream_utterances, write_corpus
+from wwspot.synth import generate_utterances, make_hum, stream_utterances, write_corpus
 
 MIB = 2**20
 
@@ -120,3 +122,11 @@ def test_rir_settings_reach_the_multi_condition_rooms_only(tmp_path):
     for f in sorted(os.listdir(runs["default"] / "train_wav")):
         assert same(os.path.join("train_wav", f))
     assert same("det_clean.csv")
+
+
+def test_make_hum_equals_lfilter_bit_for_bit():
+    for seed in range(3):
+        white = np.random.default_rng(seed).standard_normal(int(2.5 * SAMPLE_RATE))
+        expected = lfilter([0.04], [1.0, -0.96], white)
+        hum = make_hum(2.5, np.random.default_rng(seed)).samples
+        assert np.array_equal(hum, expected / np.max(np.abs(expected)))
