@@ -411,12 +411,19 @@ def test_frame_targets_negative_all_zero():
     assert not make_frame_targets(ex, 200).any()
 
 
-def test_frame_targets_span_outside_audio_rejected():
-    # a zero-width span lies inside the audio but covers no frame center
-    for span, message in (((1.0, 2.5), "outside"), ((1.0, 1.0), "covers no frame center")):
+def test_frame_targets_degenerate_span_rejected():
+    # read_mined refuses such a span at the boundary; one built in code
+    # lies inside the audio but covers no frame center
+    for span in ((1.0, 1.0), (1.5, 1.0)):
         ex = MinedExample("u", POSITIVE, WAKE, span, 0.9)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match="covers no frame center"):
             make_frame_targets(ex, 200)
+
+
+def test_frame_targets_span_outside_audio_rejected():
+    ex = MinedExample("u", POSITIVE, WAKE, (1.0, 2.5), 0.9)
+    with pytest.raises(DataError, match="outside"):
+        make_frame_targets(ex, 200)
 
 
 def test_frame_targets_stable_under_small_perturbation():
