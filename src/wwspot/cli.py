@@ -24,18 +24,15 @@ import traceback
 import numpy as np
 
 from . import augment as aug
-from . import config as conf
 from . import decode as dec
 from . import demo as demo_mod
 from . import evaluate as ev
 from . import lexicon as lex
-from . import mining
+from . import mining, pipeline
 from .audio import parallel_map, read_wav
 from .config import ConfigError, PipelineConfig, load_config
 from .features import compute_lfbe
 from .model import TrainingDiverged, load_model, save_model, train
-from .pipeline import dataset_from_examples, dataset_from_manifest
-from .synth import make_room_pool
 from .tsv import DataError, read_tsv, write_tsv
 
 EXIT_OK = 0
@@ -121,10 +118,7 @@ def _read_utt_frames(path: str) -> dict[str, int]:
 
 def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
     # the rooms the demo's training mix draws from the same `rir` settings
-    rooms = make_room_pool(
-        cfg.get("rir", "count"), np.random.default_rng(cfg.get("run", "seed")),
-        *(cfg.get("rir", key) for key in ("max_order", "beta_min", "beta_max")),
-    )
+    rooms = pipeline.rooms(cfg, cfg.get("rir", "count"), np.random.default_rng(cfg.get("run", "seed")))
     # every room is valid before the run directory exists
     out = _run_dir(args, cfg, "rir-gen")
     rows = []
@@ -142,7 +136,6 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
     # load_config built this recipe once to check it, so it cannot fail here
     row, scale = cfg.get("augment", "table_row"), cfg.get("augment", "recipe_scale")
     recipe = aug.MixRecipe.from_table_row(row, scale)
-    spec = conf.corruption_spec(cfg, cfg.get("run", "seed"))
     # --mined reads only utterances with mined examples, so the augmented
     # set inherits frame targets cleanly at training time
     wanted = {e.utt_id for e in mining.read_mined(args.mined)} if args.mined else None
@@ -153,20 +146,15 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
     noises = _load_clips(args.noise_dir) if args.noise_dir else []
     musics = _load_clips(args.music_dir) if args.music_dir else []
     out = _run_dir(args, cfg, "augment")
-    rows = aug.build_mixed_dataset(
-        clean, rirs, noises, musics, recipe, spec, out, jobs=args.jobs
-    )
-    aug.write_manifest(rows, os.path.join(out, "manifest.tsv"))
+    pipeline.augment(cfg, clean, rirs, noises, musics, recipe, cfg.get("run", "seed"), out, args.jobs)
     print(os.path.join(out, "manifest.tsv"))
     return EXIT_OK
 
 
 def cmd_confusables(args, cfg: PipelineConfig) -> int:
-    wake = conf.wake_word(cfg)
+    wake = pipeline.wake_word(cfg)
     lexicon = lex.load_lexicon(args.lexicon, args.frequencies)
-    confusables = lex.build_confusable_set(
-        lexicon, wake, cfg.get("lexicon", "d_max"), cfg.get("lexicon", "top_n_frequent")
-    )
+    confusables = pipeline.confusables(cfg, lexicon, wake)
     out = _run_dir(args, cfg, "confusables")
     path = os.path.join(out, "confusables.tsv")
     lex.write_confusables(confusables, path)
@@ -175,18 +163,12 @@ def cmd_confusables(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_mine(args, cfg: PipelineConfig) -> int:
-    wake = conf.wake_word(cfg)
+    wake = pipeline.wake_word(cfg)
     confusables = lex.read_confusables(args.confusables, wake)
     hyps, skipped = mining.load_hypotheses(args.hypotheses)
     if not hyps:
         raise DataError(f"{args.hypotheses}: no usable hypotheses")
-    examples = mining.mine_examples(
-        hyps, wake, confusables, cfg.get("mining", "pos_threshold"), cfg.get("mining", "neg_threshold")
-    )
-    if args.balance:
-        examples = mining.balance_examples(
-            examples, cfg.get("mining", "target_ratio"), rng_seed=cfg.get("run", "seed")
-        )
+    examples = pipeline.mine(cfg, hyps, wake, confusables, cfg.get("run", "seed"), args.balance)
     out = _run_dir(args, cfg, "mine")
     path = os.path.join(out, "mined.tsv")
     mining.write_mined(examples, path)
@@ -196,16 +178,16 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    train_cfg, model_cfg = conf.model_configs(cfg, "training", cfg.get("run", "seed"))
+    train_cfg, model_cfg = pipeline.model_configs(cfg, "training", cfg.get("run", "seed"))
     examples = mining.read_mined(args.mined)
     if not examples:
         raise DataError(f"{args.mined}: no mined examples")
     if args.augment_manifest:
         rows = aug.read_manifest(args.augment_manifest)
         by_id = {e.utt_id: e for e in examples}
-        dataset = dataset_from_manifest(rows, by_id, os.path.dirname(args.augment_manifest))
+        dataset = pipeline.dataset_from_manifest(rows, by_id, os.path.dirname(args.augment_manifest))
     else:
-        dataset = dataset_from_examples(examples, args.audio_dir)
+        dataset = pipeline.dataset_from_examples(examples, args.audio_dir)
     model, log = train(dataset, train_cfg, model_cfg)
     out = _run_dir(args, cfg, "train")
     ckpt = os.path.join(out, "model.ckpt")
@@ -278,16 +260,10 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_det(args, cfg: PipelineConfig) -> int:
-    thresholds = cfg.get("decoding", "thresholds")
-    decode_cfg = dec.DecodeConfig(
-        cfg.get("decoding", "smooth_window_frames"), thresholds[0], cfg.get("decoding", "min_gap_frames")
-    )
     all_refs = _read_references(args.references)
     traces = _decode_traces(args)
     references = {u: all_refs.get(u, []) for u in traces}
-    results = ev.det_curve(
-        traces, references, decode_cfg, thresholds, cfg.get("decoding", "tolerance_frames")
-    )
+    results = pipeline.det(cfg, traces, references, cfg.get("decoding", "smooth_window_frames"))
     out = _run_dir(args, cfg, "det")
     ev.write_det_csv(results, os.path.join(out, "det.csv"))
     ev.det_svg([("model", results)], os.path.join(out, "det.svg"))

@@ -7,7 +7,8 @@ and bounds). `load_config` parses every key once and runs the checks
 that span keys, so a bad value fails every subcommand, whether or not
 it reads that key, before any input is read or directory made. The
 hash of the raw text names the run directory, so identical
-configurations land in identical places.
+configurations land in identical places. The stage functions of
+`pipeline` map the parsed values to the library's arguments.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import os
 
 import numpy as np
 
-from .augment import CorruptionSpec, MixRecipe
-from .model import SpotterConfig, TrainConfig
+from .augment import MixRecipe
 from .tsv import DataError
 
 # a scaled recipe holds one job per utterance, so a larger one is a typo
@@ -245,37 +245,3 @@ def load_config(
         values[section][key] = value
     return PipelineConfig(values)
 
-
-# --- readers that build the library objects several commands share
-
-
-def wake_word(cfg: PipelineConfig) -> str:
-    """`lexicon.wake_word`, which must be set."""
-    wake = cfg.get("lexicon", "wake_word")
-    if not wake:
-        raise ConfigError("lexicon.wake_word: missing wake word")
-    return wake
-
-
-def corruption_spec(cfg: PipelineConfig, seed: int) -> CorruptionSpec:
-    """The multi-condition SNR draw and noise/music split, seeded."""
-    return CorruptionSpec(
-        cfg.get("augment", "snr_mean_db"),
-        cfg.get("augment", "snr_std_db"),
-        cfg.get("augment", "noise_music_split"),
-        rng_seed=seed,
-    )
-
-
-def model_configs(cfg: PipelineConfig, section: str, seed: int) -> tuple[TrainConfig, SpotterConfig]:
-    """The trainer and the network from `section`, "training" or the
-    demo's "demo"; the minibatch size is always `training`'s."""
-    return (
-        TrainConfig(
-            cfg.get(section, "learning_rate"),
-            cfg.get("training", "minibatch_size"),
-            cfg.get(section, "epochs"),
-            seed,
-        ),
-        SpotterConfig(bottleneck=cfg.get(section, "bottleneck"), hidden=cfg.get(section, "hidden")),
-    )

@@ -17,35 +17,18 @@ import time
 
 import numpy as np
 
-from . import config as conf
+from . import pipeline
 from .audio import read_wav
-from .augment import (
-    CorruptionSpec,
-    MixRecipe,
-    build_mixed_dataset,
-    corrupt,
-    reverberate,
-    synthesize_rir,
-    write_manifest,
-)
+from .augment import CorruptionSpec, MixRecipe, corrupt, reverberate, synthesize_rir
 from .config import PipelineConfig
-from .decode import DecodeConfig, average_duration_frames, posterior_trace
-from .evaluate import EvalResult, det_curve, det_svg, write_det_csv
+from .decode import average_duration_frames, posterior_trace
+from .evaluate import EvalResult, det_svg, write_det_csv
 from .features import FRAMES_PER_S, compute_lfbe
-from .lexicon import build_confusable_set, load_lexicon
-from .mining import balance_examples, load_hypotheses, mine_examples
+from .lexicon import load_lexicon
+from .mining import load_hypotheses
 from .model import train
-from .pipeline import dataset_from_examples, dataset_from_manifest
-from .synth import (
-    WAKE_WORD,
-    generate_utterances,
-    make_music_pool,
-    make_noise_pool,
-    make_room_pool,
-    stream_utterances,
-    write_corpus,
-    write_lexicon_files,
-)
+from .synth import WAKE_WORD, generate_utterances, make_music_pool, make_noise_pool, make_room_pool
+from .synth import stream_utterances, write_corpus, write_lexicon_files
 
 
 # share of training utterances that contain the wake word
@@ -74,14 +57,10 @@ def median_operating_far(*curves: list[EvalResult]) -> float:
     return float(np.median(positive if positive else fars))
 
 
-def _pools(prefix: str, rooms: int, noises: int, musics: int, rng, room_settings=()) -> tuple:
-    """RIRs of random rooms, then 2.5 s noise and music clips, drawn in that
-    order; `room_settings` is `rir`'s (max_order, beta_min, beta_max), and
-    without it the rooms are the test set's fixed ones."""
-    rirs = [
-        synthesize_rir(room, id=f"{prefix}-rir-{i}")
-        for i, room in enumerate(make_room_pool(rooms, rng, *room_settings))
-    ]
+def _pools(prefix: str, rooms: list, noises: int, musics: int, rng) -> tuple:
+    """The RIRs of `rooms`, then 2.5 s noise and music clips; the caller
+    draws the rooms from `rng` first."""
+    rirs = [synthesize_rir(room, id=f"{prefix}-rir-{i}") for i, room in enumerate(rooms)]
     return rirs, make_noise_pool(noises, 2.5, rng), make_music_pool(musics, 2.5, rng)
 
 
@@ -92,7 +71,7 @@ def _test_set(seed: int, n_test: int, snr_db: float) -> tuple[dict, dict]:
     spec = CorruptionSpec(snr_db, 0.0, 0.5)
     test_rng = np.random.default_rng([seed, 2])
     utts = generate_utterances("test", n_test, 0.5, test_rng)
-    rirs, noises, musics = _pools("test", 8, 6, 4, test_rng)
+    rirs, noises, musics = _pools("test", make_room_pool(8, test_rng), 6, 4, test_rng)
     lfbes, references = {}, {}
     for utt in utts:
         rir, noise, music = (p[int(test_rng.integers(len(p)))] for p in (rirs, noises, musics))
@@ -136,44 +115,33 @@ def run_demo(
 
     # 3. confusables and mining
     lexicon = load_lexicon(lex_path, freq_path)
-    confusables = build_confusable_set(
-        lexicon, WAKE_WORD, cfg.get("lexicon", "d_max"), cfg.get("lexicon", "top_n_frequent")
-    )
+    confusables = pipeline.confusables(cfg, lexicon, WAKE_WORD)
     hyps, _ = load_hypotheses(hyp_path)
-    mined = mine_examples(
-        hyps, WAKE_WORD, confusables, cfg.get("mining", "pos_threshold"), cfg.get("mining", "neg_threshold")
-    )
-    balanced = balance_examples(mined, cfg.get("mining", "target_ratio"), rng_seed=seed)
+    balanced = pipeline.mine(cfg, hyps, WAKE_WORD, confusables, seed)
     by_id = {ex.utt_id: ex for ex in balanced}
 
     # 4. multi-condition mix of the same clips; the clean pool goes once the mix is written.
     # With both polarities kept, every augmented condition gets at least one utterance.
     row = cfg.get("augment", "table_row")
     recipe = MixRecipe.from_table_row(row, len(balanced) / MixRecipe.from_table_row(row, 1.0).total)
-    room_settings = [cfg.get("rir", key) for key in ("max_order", "beta_min", "beta_max")]
-    mct_dir = os.path.join(out_dir, "mct")
-    rows = build_mixed_dataset(
-        [read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced],
-        *_pools("mct", 12, 8, 5, np.random.default_rng([seed, 3]), room_settings),
-        recipe, conf.corruption_spec(cfg, seed), mct_dir, jobs=jobs,
+    mct_dir, mct_rng = os.path.join(out_dir, "mct"), np.random.default_rng([seed, 3])
+    rows = pipeline.augment(
+        cfg, [read_wav(os.path.join(train_wav, f"{ex.utt_id}.wav")) for ex in balanced],
+        *_pools("mct", pipeline.rooms(cfg, 12, mct_rng), 8, 5, mct_rng), recipe, seed, mct_dir, jobs,
     )
-    write_manifest(rows, os.path.join(mct_dir, "manifest.tsv"))
 
     # 5. each arm trains identically, then decodes the test set and sweeps
-    train_cfg, model_cfg = conf.model_configs(cfg, "demo", seed)
-    sweep, tolerance = cfg.get("decoding", "thresholds"), cfg.get("decoding", "tolerance_frames")
-    decode_cfg = DecodeConfig(
-        average_duration_frames(balanced), sweep[0], cfg.get("decoding", "min_gap_frames")
-    )
+    train_cfg, model_cfg = pipeline.model_configs(cfg, "demo", seed)
+    window = average_duration_frames(balanced)
     arms = (
-        ("clean", "clean-only", lambda: dataset_from_examples(balanced, train_wav)),
-        ("mct", "multi-condition", lambda: dataset_from_manifest(rows, by_id, mct_dir)),
+        ("clean", "clean-only", lambda: pipeline.dataset_from_examples(balanced, train_wav)),
+        ("mct", "multi-condition", lambda: pipeline.dataset_from_manifest(rows, by_id, mct_dir)),
     )
     curves, losses = {}, {}
     for arm, _, build in arms:
         model, log = train(build(), train_cfg, model_cfg)
         traces = {u: posterior_trace(model, lfbe) for u, lfbe in test_lfbes.items()}
-        curves[arm] = det_curve(traces, references, decode_cfg, sweep, tolerance)
+        curves[arm] = pipeline.det(cfg, traces, references, window)
         write_det_csv(curves[arm], os.path.join(out_dir, f"det_{arm}.csv"))
         losses[arm] = log[-1] if log else None
         del model, traces
@@ -190,7 +158,7 @@ def run_demo(
         "seed": seed,
         "mined_examples": len(balanced),
         "mct_counts": recipe.counts,
-        "smooth_window_frames": decode_cfg.smooth_window_frames,
+        "smooth_window_frames": window,
         "operating_far_per_hour": operating_far,
         "frr_clean": frr_clean,
         "frr_mct": frr_mct,

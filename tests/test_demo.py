@@ -9,9 +9,12 @@ from scipy.signal import lfilter
 
 from wwspot import demo
 from wwspot.audio import SAMPLE_RATE
+from wwspot.cli import main
 from wwspot.config import load_config
+from wwspot.decode import average_duration_frames
 from wwspot.demo import frr_at_far, median_operating_far
 from wwspot.evaluate import EvalResult
+from wwspot.mining import read_mined
 from wwspot.synth import generate_utterances, make_hum, stream_utterances, write_corpus
 
 MIB = 2**20
@@ -122,6 +125,23 @@ def test_rir_settings_reach_the_multi_condition_rooms_only(tmp_path):
     for f in sorted(os.listdir(runs["default"] / "train_wav")):
         assert same(os.path.join("train_wav", f))
     assert same("det_clean.csv")
+
+
+def test_the_cli_mines_what_the_demo_mines(tmp_path, capsys):
+    # both run pipeline's confusables and mine stages at run.seed 0 on the same files
+    run = tmp_path / "demo"
+    summary = demo.run_demo(run, 0, load_config(None, [
+        "demo.n_train=40", "demo.n_test=10", "demo.epochs=0", "demo.bottleneck=8", "demo.hidden=16"]))
+    capsys.readouterr()
+    common = ["--set", "lexicon.wake_word=calypso", "--out", str(tmp_path / "runs")]
+    assert main(["confusables", "--lexicon", str(run / "lexicon.txt"),
+                 "--frequencies", str(run / "frequencies.txt"), *common]) == 0
+    confusables = capsys.readouterr().out.strip()
+    assert main(["mine", "--hypotheses", str(run / "hypotheses.jsonl"),
+                 "--confusables", confusables, *common]) == 0
+    mined = read_mined(capsys.readouterr().out.split("\t")[0])
+    assert len(mined) == summary["mined_examples"]
+    assert average_duration_frames(mined) == summary["smooth_window_frames"]
 
 
 def test_make_hum_equals_lfilter_bit_for_bit():
