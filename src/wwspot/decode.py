@@ -54,12 +54,16 @@ class Detection:
 def smooth(trace: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average with edge shrinking.
 
+    Frame t averages frames t - window // 2 .. t + (window - 1) // 2.
     Boundary windows are truncated and divided by the actual sample
     count, so constant traces stay constant all the way to the edges.
+    The output has the trace's length even when the window is longer
+    (mode="same" would return `window` values then).
     """
     ones = np.ones(window)
-    sums = np.convolve(trace, ones, mode="same")
-    counts = np.convolve(np.ones(trace.size), ones, mode="same")
+    frames = slice((window - 1) // 2, (window - 1) // 2 + trace.size)
+    sums = np.convolve(trace, ones)[frames]
+    counts = np.convolve(np.ones(trace.size), ones)[frames]
     return sums / counts
 
 

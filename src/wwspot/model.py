@@ -15,7 +15,10 @@ decoder's posterior trace compute in float32 over the float64
 parameters. A training step gathers its batch from one float32 copy of
 the frames, standardizes it into one float32 buffer, casts the
 parameters once per step and computes the softmax and the loss in
-float64. Inference folds the feature scaler into the first bottleneck
+float64. Its backward pass pops each cached activation at its last read
+and the trainer pops each gradient as it applies it, so a step holds no
+activation past its block's backward step and no gradient past its own
+update. Inference folds the feature scaler into the first bottleneck
 instead, once per call or recording, so it never standardizes a copy
 of its input. Both go through one forward body, which adds each bias
 and applies each ReLU in place: the gradient asks it to keep each
@@ -245,17 +248,19 @@ def gradient(
     dlogits = np.stack([-dlogit1, dlogit1], axis=1).astype(dtype, copy=False)
 
     grads: dict[str, np.ndarray] = {}
-    h_last = cache["h"][-1]
-    grads["weight_out"] = h_last.T @ dlogits
+    # each activation is popped at its last read, so the backward pass
+    # frees block i's outputs before it computes block i - 1's gradients
+    h, z = cache["h"], cache["z"]
+    grads["weight_out"] = h[-1].T @ dlogits
     grads["bias_out"] = dlogits.sum(axis=0)
     dh = dlogits @ p["weight_out"].T
     for i in range(NUM_BLOCKS, 0, -1):
         # h = max(a, 0), so h > 0 is exactly the ReLU mask a > 0
-        da = np.multiply(dh, cache["h"][i] > 0, out=dh)
-        grads[f"weight{i}"] = cache["z"][i - 1].T @ da
+        da = np.multiply(dh, h.pop() > 0, out=dh)
+        grads[f"weight{i}"] = z.pop().T @ da
         grads[f"bias{i}"] = da.sum(axis=0)
         dz = da @ p[f"weight{i}"].T
-        grads[f"bottleneck{i}"] = cache["h"][i - 1].T @ dz
+        grads[f"bottleneck{i}"] = h[-1].T @ dz
         if i > 1:  # nothing reads the gradient of the input itself
             dh = dz @ p[f"bottleneck{i}"].T
     return loss, grads
@@ -441,7 +446,9 @@ def train(
                 raise TrainingDiverged("loss became non-finite; lower the learning rate")
             epoch_loss += loss
             scale = cfg.learning_rate / len(idx)
-            for name, g in grads.items():
+            # popped as applied, so no gradient outlives its step
+            while grads:
+                name, g = grads.popitem()
                 # in float64, like the parameters it updates: a float32 step
                 # would round the update and overflow (with a warning) on a diverging run
                 model.params[name] -= np.multiply(scale, g, dtype=np.float64)

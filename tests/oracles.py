@@ -28,7 +28,14 @@ from wwspot.features import (
     mel_filterbank,
 )
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
-from wwspot.model import NUM_BLOCKS, FeatureScaler, FrameDataset, init_model, posteriors
+from wwspot.model import (
+    NUM_BLOCKS,
+    FeatureScaler,
+    FrameDataset,
+    gradient,
+    init_model,
+    posteriors,
+)
 from wwspot.tsv import DataError, byte_lines
 
 
@@ -169,6 +176,32 @@ def dataset_from_vectors(x, targets, is_positive_utt):
     x = np.asarray(x, dtype=np.float64)
     gather = np.arange(x.shape[0], dtype=np.int64)[:, None]
     return FrameDataset(x, gather, targets, is_positive_utt)
+
+
+def straight_line_train(dataset, cfg, model_cfg):
+    """Shuffled minibatch descent written out over the public `gradient`:
+    the fitted scaler and an initialization drawn from the seed's
+    generator, then per epoch one permutation and per minibatch the
+    float64 gather cast to float32, its gradient, and a float64 step of
+    learning_rate / batch size times each gradient. Returns the model
+    and the per-epoch mean frame loss."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    model = init_model(model_cfg, rng, dataset.fit_scaler())
+    n = len(dataset)
+    log = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, cfg.minibatch_size):
+            idx = order[lo : lo + cfg.minibatch_size]
+            x, y, pos = dataset.batch(idx)
+            loss, grads = gradient(model, x.astype(np.float32), y, pos)
+            total += loss
+            for name, g in grads.items():
+                step = (cfg.learning_rate / len(idx)) * g.astype(np.float64)
+                model.params[name] = model.params[name] - step
+        log.append(total / n)
+    return model, log
 
 
 def whole_utterance_trace(model, lfbe):

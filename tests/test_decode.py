@@ -55,6 +55,18 @@ def test_smooth_matches_sliding_oracle():
         assert out[t] == pytest.approx(trace[lo:hi].mean(), abs=1e-9)
 
 
+@pytest.mark.parametrize("n,w", [(1, 2), (10, 48), (46, 48), (7, 8), (3, 51)])
+def test_smooth_keeps_a_trace_shorter_than_its_window(n, w):
+    # mode="same" would return w values, the last ones past the trace
+    trace = np.random.default_rng(n).random(n)
+    out = smooth(trace, w)
+    assert out.shape == (n,)
+    for t in range(n):
+        lo = max(0, t - w // 2)
+        hi = min(n, t + (w - 1) // 2 + 1)
+        assert out[t] == pytest.approx(trace[lo:hi].mean(), abs=1e-12)
+
+
 def test_smooth_never_exceeds_trace_max():
     rng = np.random.default_rng(1)
     for w in (1, 4, 11):

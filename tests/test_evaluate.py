@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from wwspot.decode import DecodeConfig, Detection
+from wwspot.decode import DecodeConfig, Detection, detect_peaks, smooth
 from wwspot.evaluate import (
     det_curve,
     det_svg,
@@ -193,3 +193,16 @@ def test_det_svg_is_wellformed_xml(tmp_path):
     assert root.tag.endswith("svg")
     polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polylines) == 2
+
+
+def test_det_curve_finds_no_detection_past_a_short_trace():
+    # every 48-frame window covers the whole 10-frame trace, so each frame
+    # scores the trace's mean, 0.5; a smoother that returned 48 values
+    # would score frame 47 at 0.72 and accept it at 0.6
+    trace = np.linspace(0.0, 1.0, 10)
+    cfg = DecodeConfig(48, 0.45, 5)
+    above, below = det_curve({"u": trace}, {"u": []}, cfg, [0.6, 0.45], 5)
+    assert above.false_accepts == 0
+    assert below.false_accepts == 1
+    [detection] = detect_peaks(smooth(trace, 48), cfg, "u")
+    assert detection.end_frame == 9
