@@ -57,8 +57,7 @@ def smooth(trace: np.ndarray, window: int) -> np.ndarray:
     Frame t averages frames t - window // 2 .. t + (window - 1) // 2.
     Boundary windows are truncated and divided by the actual sample
     count, so constant traces stay constant all the way to the edges.
-    The output has the trace's length even when the window is longer
-    (mode="same" would return `window` values then).
+    The output has the trace's length even when the window is longer.
     """
     ones = np.ones(window)
     frames = slice((window - 1) // 2, (window - 1) // 2 + trace.size)
