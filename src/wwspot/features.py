@@ -105,14 +105,15 @@ def compute_lfbe(clip: AudioClip, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def context_indices(n_frames: int) -> np.ndarray:
-    """Gather indices with edge replication, shape (n_frames, CONTEXT_WIDTH).
-
-    The rows are sliding windows over the edge-padded frame indices, so
-    the result is a read-only view that allocates n_frames + CONTEXT_WIDTH
-    - 1 indices rather than a CONTEXT_WIDTH-fold matrix.
+def context_offsets(n_frames: int) -> np.ndarray:
+    """Context offsets with edge replication, an int8 matrix of shape
+    (n_frames, CONTEXT_WIDTH): frame t's context is the frames
+    t + offsets[t], that is t - LEFT_CONTEXT .. t + RIGHT_CONTEXT with
+    each one past the utterance's edge replaced by its edge frame.
     """
     if n_frames < 1:
         raise DataError("empty feature matrix")
-    padded = np.clip(np.arange(-LEFT_CONTEXT, n_frames + RIGHT_CONTEXT), 0, n_frames - 1)
-    return np.lib.stride_tricks.sliding_window_view(padded, CONTEXT_WIDTH)
+    t = np.arange(n_frames)
+    lo = np.maximum(-t, -LEFT_CONTEXT).astype(np.int8)[:, None]
+    hi = np.minimum(n_frames - 1 - t, RIGHT_CONTEXT).astype(np.int8)[:, None]
+    return np.clip(np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1, dtype=np.int8), lo, hi)

@@ -4,27 +4,29 @@ The network maps a 620-dimensional stacked-LFBE vector through three
 blocks of (linear bottleneck -> affine -> ReLU) to a 2-way softmax whose
 second component is the wake-word posterior. That shape is fixed
 (NUM_BLOCKS, NUM_CLASSES); only the input and layer widths vary. The
-loss is frame-level cross entropy in which the positive term is gated
-by the polarity of the source utterance, so frames from negative
-utterances can only ever contribute background evidence. Training is
-shuffled minibatch descent on the analytic gradient, whose one forward
-pass per step also gives the loss; it is deterministic under a fixed
-seed. Parameters and checkpoints are float64, and so is `posteriors`;
-a checkpoint is one text file of %.17g decimals. Training steps and the
-decoder's posterior trace compute in float32 over the float64
-parameters. A training step gathers its batch from one float32 copy of
-the frames, standardizes it into one float32 buffer, casts the
-parameters once per step and computes the softmax and the loss in
-float64. Its backward pass pops each cached activation at its last read
-and the trainer pops each gradient as it applies it, so a step holds no
-activation past its block's backward step and no gradient past its own
-update. Inference folds the feature scaler into the first bottleneck
-instead, once per call or recording, so it never standardizes a copy
-of its input. Both go through one forward body, which adds each bias
-and applies each ReLU in place: the gradient asks it to keep each
+loss is frame-level cross entropy in which the positive term is gated by
+the polarity of the source utterance, so frames from negative utterances
+can only ever contribute background evidence. Training is shuffled
+minibatch descent on the analytic gradient, whose one forward pass per
+step also gives the loss; it is deterministic under a fixed seed. The
+frame dataset keeps each frame once and each record's context as
+CONTEXT_WIDTH int8 offsets from its own frame, and stacks a record's
+input only when a batch asks for it. Parameters and checkpoints are
+float64, and so is `posteriors`; a checkpoint is one text file of %.17g
+decimals. Training steps and the decoder's posterior trace compute in
+float32 over the float64 parameters. A training step gathers its batch
+from one float32 copy of the frames, standardizes it into one float32
+buffer, casts the parameters once per step and computes the softmax and
+the loss in float64. Its backward pass pops each cached activation at
+its last read and the trainer pops each gradient as it applies it, so a
+step holds no activation past its block's backward step and no gradient
+past its own update. Inference folds the feature scaler into the first
+bottleneck instead, once per call or recording, so it never standardizes
+a copy of its input. Both go through one forward body, which adds each
+bias and applies each ReLU in place: the gradient asks it to keep each
 block's activations for backprop, while inference keeps none, so
-decoding a block of frames holds only the activations of the layer
-being computed.
+decoding a block of frames holds only the activations of the layer being
+computed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import CONTEXT_WIDTH, NUM_MEL_BINS, context_indices
+from .features import CONTEXT_WIDTH, NUM_MEL_BINS, context_offsets
 from .tsv import DataError, open_input
 
 Q_CLAMP = 1e-7
@@ -47,8 +49,6 @@ CHECKPOINT_VERSION = "v1"
 CHECKPOINT_MODE = "text"
 # header fields that every checkpoint records and the loader holds to these values
 FIXED_HEADER = {"num_blocks": NUM_BLOCKS, "num_classes": NUM_CLASSES, "nonlinearity": "relu"}
-# FrameDataset's int32 context indices address frames 0 .. MAX_FRAMES - 1
-MAX_FRAMES = 2**31
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -288,12 +288,12 @@ class TrainConfig:
 class FrameDataset:
     """Frame-level training records with lazy context stacking.
 
-    Rows of `base` are single feature frames; `gather` holds, per training
-    record, the int32 indices of the frames that concatenate into its
-    input vector, so 620-dimensional vectors never need to be
-    materialized for the whole dataset at once. `build` makes
-    one record per frame, so a record costs one float64 frame plus
-    CONTEXT_WIDTH int32 indices; `base` holds fewer than MAX_FRAMES frames.
+    Rows of `base` are single feature frames. Record i's input vector
+    concatenates the frames i + offsets[i], where `offsets` is an int8
+    (records, width) matrix, so 620-dimensional vectors never need to be
+    materialized for the whole dataset at once. `build` makes one record
+    per frame, so a record costs one float64 frame, CONTEXT_WIDTH int8
+    offsets and a target and a polarity byte: 193 B per 20-bin frame.
     """
 
     def __init__(
@@ -303,37 +303,58 @@ class FrameDataset:
         targets: np.ndarray,
         is_positive_utt: np.ndarray,
     ):
-        self.base = np.asarray(base, dtype=np.float64)
+        """Records from absolute frame indices: record i stacks the frames
+        gather[i], each of which must lie within int8 reach of i."""
+        base = np.asarray(base, dtype=np.float64)
         gather = np.asarray(gather)
-        self.targets = np.asarray(targets, dtype=np.uint8)
-        self.is_positive = np.asarray(is_positive_utt, dtype=bool)
-        if self.base.ndim != 2:
-            raise DataError(f"base must be a (frames, bins) matrix, got shape {self.base.shape}")
+        if base.ndim != 2:
+            raise DataError(f"base must be a (frames, bins) matrix, got shape {base.shape}")
         if gather.ndim != 2 or gather.shape[1] < 1 or not np.issubdtype(gather.dtype, np.integer):
             raise DataError(
                 "gather must be a 2-D integer matrix with at least one column, "
                 f"got {gather.dtype} of shape {gather.shape}"
             )
-        n = gather.shape[0]
+        (n, width), frames = gather.shape, base.shape[0]
+        if n == 0:
+            raise DataError("dataset is empty")
+        # checked before the subtraction, which would wrap an index of 2**63 or more
+        if gather.min() < 0 or gather.max() >= frames:
+            raise DataError(f"gather indices must lie in [0, {frames})")
+        # column by column, so no (records, width) int64 matrix is made
+        offsets = np.empty((n, width), dtype=np.int8)
+        records, reach = np.arange(n), np.iinfo(np.int8)
+        for k in range(width):
+            step = np.subtract(gather[:, k], records, dtype=np.intp)
+            if step.min() < reach.min or step.max() > reach.max:
+                raise DataError(
+                    f"gather indices must lie within [{reach.min}, {reach.max}] "
+                    "frames of their record"
+                )
+            offsets[:, k] = step
+        self._hold(base, offsets, targets, is_positive_utt)
+
+    def _hold(self, base, offsets, targets, is_positive) -> None:
+        # the one place a dataset's arrays are checked together and kept
+        self.base = base
+        self.offsets = offsets
+        self.targets = np.asarray(targets, dtype=np.uint8)
+        self.is_positive = np.asarray(is_positive, dtype=bool)
+        n = offsets.shape[0]
         if not (self.targets.shape == self.is_positive.shape == (n,)):
             raise DataError("dataset arrays disagree on the record count")
         if n == 0:
             raise DataError("dataset is empty")
-        frames = self.base.shape[0]
-        if frames >= MAX_FRAMES:
-            raise DataError(
-                f"dataset has {frames} frames; int32 indices address fewer than {MAX_FRAMES}"
-            )
-        # checked before the cast, which would wrap an index of 2**31 or more
-        if gather.min() < 0 or gather.max() >= frames:
-            raise DataError(f"gather indices must lie in [0, {frames})")
-        self.gather = gather.astype(np.int32, copy=False)
-        if not _all_finite(self.base):
+        if not _all_finite(base):
             raise DataError("dataset contains non-finite feature values")
-        self.dim = self.gather.shape[1] * self.base.shape[1]
+        self.dim = offsets.shape[1] * base.shape[1]
 
     def __len__(self) -> int:
-        return self.gather.shape[0]
+        return self.offsets.shape[0]
+
+    @property
+    def gather(self) -> np.ndarray:
+        """The absolute int64 frame indices of every record's context."""
+        return np.arange(len(self))[:, None] + self.offsets
 
     @classmethod
     def from_utterances(cls, utterances) -> "FrameDataset":
@@ -367,31 +388,34 @@ class FrameDataset:
         """The one build: utterance i has lengths[i] frames of `bins` bins,
         and `fill(i, rows)` writes its frames into `rows`, its slice of
         `base`, and returns its frame targets and polarity. The arrays are
-        allocated once at their final size (286 B per 20-bin frame) and
+        allocated once at their final size (193 B per 20-bin frame) and
         filled one utterance at a time, so no second copy of the dataset
         is ever held; context windows never cross utterance boundaries."""
         frames = sum(lengths)
         base = np.empty((frames, bins))
-        gather = np.empty((frames, CONTEXT_WIDTH), dtype=np.int32)
+        offsets = np.empty((frames, CONTEXT_WIDTH), dtype=np.int8)
         targets = np.empty(frames, dtype=np.uint8)
         is_positive = np.empty(frames, dtype=bool)
         lo = 0
         for i, n in enumerate(lengths):
             rows = slice(lo, lo + n)
             targets[rows], is_positive[rows] = fill(i, base[rows])
-            gather[rows] = context_indices(n)
-            gather[rows] += lo
+            offsets[rows] = context_offsets(n)
             lo += n
-        return cls(base, gather, targets, is_positive)
+        dataset = cls.__new__(cls)
+        dataset._hold(base, offsets, targets, is_positive)
+        return dataset
 
     def batch(
         self, idx: np.ndarray, base: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked inputs, targets and polarity of the records idx. The
-        inputs are gathered from `base`, a copy of self.base in another
-        dtype, when one is given."""
+        """Stacked inputs, targets and polarity of the records idx, each in
+        [0, len(self)). The inputs are gathered from `base`, a copy of
+        self.base in another dtype, when one is given."""
         base = self.base if base is None else base
-        x = np.take(base, self.gather[idx], axis=0).reshape(len(idx), self.dim)
+        idx = np.asarray(idx, dtype=np.intp)
+        rows = idx[:, None] + self.offsets[idx]
+        x = np.take(base, rows, axis=0).reshape(len(idx), self.dim)
         return x, self.targets[idx], self.is_positive[idx]
 
     def effective_targets(self) -> np.ndarray:
@@ -401,13 +425,20 @@ class FrameDataset:
         """Per-dimension mean/std over the stacked vectors. Context column
         k averages the frames it gathers, so it is the frames weighted by
         how often column k gathers each of them; no column is materialized.
-        Constant dimensions get std 1 so standardization stays defined."""
-        n, width = self.gather.shape
+        Beside the float64 squares of the frames, it holds two
+        frame-length vectors at a time. Constant dimensions get std 1 so
+        standardization stays defined."""
+        n, width = self.offsets.shape
         frames = self.base.shape[0]
         squares = np.square(self.base)
         mean, sq = [], []
         for k in range(width):
-            w = np.bincount(self.gather[:, k], minlength=frames) / n
+            # one name for the frame indices, their counts and the weights,
+            # so each is freed as soon as the next is made
+            w = np.arange(n)
+            w += self.offsets[:, k]
+            w = np.bincount(w, minlength=frames)
+            w = w / n
             mean.append(w @ self.base)
             sq.append(w @ squares)
         mean, sq = np.concatenate(mean), np.concatenate(sq)

@@ -24,7 +24,6 @@ from wwspot.features import (
     LOG_FLOOR,
     RIGHT_CONTEXT,
     WINDOW_SAMPLES,
-    context_indices,
     mel_filterbank,
 )
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
@@ -166,7 +165,8 @@ def stack_context(feat: np.ndarray) -> np.ndarray:
     feat = np.asarray(feat, dtype=np.float64)
     if feat.ndim != 2 or feat.shape[0] < 1:
         raise DataError("expected a non-empty (frames, bins) matrix")
-    idx = context_indices(feat.shape[0])
+    n = feat.shape[0]
+    idx = np.clip(np.arange(n)[:, None] + np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1), 0, n - 1)
     return feat[idx].reshape(feat.shape[0], CONTEXT_WIDTH * feat.shape[1])
 
 
@@ -176,6 +176,35 @@ def dataset_from_vectors(x, targets, is_positive_utt):
     x = np.asarray(x, dtype=np.float64)
     gather = np.arange(x.shape[0], dtype=np.int64)[:, None]
     return FrameDataset(x, gather, targets, is_positive_utt)
+
+
+class AbsoluteIndexDataset(FrameDataset):
+    """A FrameDataset that batches and fits its scaler from the absolute
+    int64 frame indices it was given, not from its offsets: a batch is
+    the fancy-index take of its records' index rows, and scaler column k
+    weights each frame by how often index column k names it."""
+
+    def __init__(self, base, gather, targets, is_positive_utt):
+        super().__init__(base, gather, targets, is_positive_utt)
+        self.indices = np.array(gather, dtype=np.int64)
+
+    def batch(self, idx, base=None):
+        base = self.base if base is None else base
+        x = np.take(base, self.indices[idx], axis=0).reshape(len(idx), self.dim)
+        return x, self.targets[idx], self.is_positive[idx]
+
+    def fit_scaler(self):
+        frames = self.base.shape[0]
+        squares = np.square(self.base)
+        mean, sq = [], []
+        for column in self.indices.T:
+            w = np.bincount(column, minlength=frames) / len(self)
+            mean.append(w @ self.base)
+            sq.append(w @ squares)
+        mean, sq = np.concatenate(mean), np.concatenate(sq)
+        std = np.sqrt(np.maximum(sq - mean**2, 0.0))
+        std[std < 1e-12] = 1.0
+        return FeatureScaler(mean, std)
 
 
 def straight_line_train(dataset, cfg, model_cfg):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracles import (
+    AbsoluteIndexDataset,
     concatenated_dataset,
     dataset_from_vectors,
     kink_free_batch,
@@ -435,6 +436,26 @@ def test_train_equals_a_straight_line_loop_over_gradient():
         assert model.params[name].tobytes() == expected.params[name].tobytes()
 
 
+def test_train_on_a_trimmed_set_equals_training_from_absolute_indices():
+    # the trim the train benchmark makes: the first records of a build,
+    # passed back through the constructor as absolute indices
+    rng = np.random.default_rng(22)
+    built = FrameDataset.from_utterances(lfbe_like_utterances(rng, (60, 45, 50)))
+    cfg = TrainConfig(learning_rate=0.05, minibatch_size=32, epochs=3, rng_seed=5)
+    model_cfg = replace(TOY_CFG, input_dim=CONTEXT_WIDTH * 2)
+    model, log = train(subsampled(built, 130), cfg, model_cfg)
+    expected, expected_log = train(
+        AbsoluteIndexDataset(built.base, built.gather[:130], built.targets[:130], built.is_positive[:130]),
+        cfg,
+        model_cfg,
+    )
+    assert log == expected_log
+    for name in expected.params:
+        assert model.params[name].tobytes() == expected.params[name].tobytes()
+    assert model.scaler.mean.tobytes() == expected.scaler.mean.tobytes()
+    assert model.scaler.std.tobytes() == expected.scaler.std.tobytes()
+
+
 def test_train_holds_its_parameters_its_frames_and_one_step():
     # train may hold the float64 parameters, the float32 copy of the
     # frames, the epoch's permutation and one step: the raw and the
@@ -503,7 +524,7 @@ def test_from_utterances_matches_the_concatenating_build(lengths):
     assert dataset.base.tobytes() == base.tobytes()
     assert dataset.targets.tobytes() == targets.tobytes()
     assert dataset.is_positive.tobytes() == polarity.tobytes()
-    assert dataset.gather.dtype == np.int32
+    assert dataset.offsets.dtype == np.int8
     assert np.array_equal(dataset.gather, gather)
 
 
@@ -535,8 +556,9 @@ def test_from_utterances_rejects_malformed_input(utts, message):
 
 def test_from_utterances_holds_one_copy_of_the_dataset():
     # the build may hold the final arrays (per frame: a float64 frame,
-    # CONTEXT_WIDTH int32 indices, a target byte and a polarity byte), at
-    # most one utterance's int64 context-index matrix and a fixed slack; a
+    # CONTEXT_WIDTH int8 offsets, a target byte and a polarity byte), at
+    # most one utterance's temporaries (no more than its int64
+    # context-index matrix) and a fixed slack; a
     # build that concatenates per-utterance int64 indices holds them for
     # every frame, twice over
     rng = np.random.default_rng(18)
@@ -548,7 +570,7 @@ def test_from_utterances_holds_one_copy_of_the_dataset():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_frame = NUM_MEL_BINS * 8 + CONTEXT_WIDTH * 4 + 2
+    per_frame = NUM_MEL_BINS * 8 + CONTEXT_WIDTH + 2
     temporaries = int(lengths.max()) * CONTEXT_WIDTH * 8
     assert peak < per_frame * int(lengths.sum()) + temporaries + 2**16
 
@@ -571,10 +593,45 @@ def test_dataset_rejects_a_gather_that_is_not_an_index_matrix(gather):
         FrameDataset(np.zeros((5, 2)), gather, np.zeros(2, np.uint8), np.zeros(2, bool))
 
 
-def test_dataset_rejects_more_frames_than_int32_indices_address():
-    base = np.broadcast_to(np.zeros((1, 1)), (2**31, 1))  # a view: allocates nothing
-    with pytest.raises(DataError, match="dataset has 2147483648 frames"):
-        FrameDataset(base, np.zeros((1, 1), np.int64), np.zeros(1, np.uint8), np.zeros(1, bool))
+@pytest.mark.parametrize(
+    "record, index, offset", [(0, 128, 128), (129, 0, -129)], ids=["128", "-129"]
+)
+def test_dataset_rejects_a_context_beyond_int8_offsets(record, index, offset):
+    base = np.zeros((200, 2))
+    gather = np.arange(130)[:, None]
+    gather[record] = index
+    with pytest.raises(DataError, match=r"within \[-128, 127\] frames of their record"):
+        FrameDataset(base, gather, np.zeros(130, np.uint8), np.zeros(130, bool))
+    # one frame nearer, the offset fits
+    gather[record] -= np.sign(offset)
+    dataset = FrameDataset(base, gather, np.zeros(130, np.uint8), np.zeros(130, bool))
+    assert dataset.offsets[record, 0] == offset - np.sign(offset)
+    assert np.array_equal(dataset.gather, gather)
+
+
+@pytest.mark.parametrize("n_records", [None, 70])
+def test_constructor_from_gather_holds_the_offsets_of_the_build(n_records):
+    built = FrameDataset.from_utterances(lfbe_like_utterances(np.random.default_rng(19), (60, 45)))
+    again = subsampled(built, n_records or len(built))
+    assert again.offsets.dtype == np.int8
+    assert again.offsets.tobytes() == built.offsets[:n_records].tobytes()
+    assert again.base is built.base
+
+
+def test_fit_scaler_holds_the_squares_and_two_frame_vectors():
+    # per frame: the float64 squares of its bins (160 B), then at most two
+    # frame-length 8-byte vectors at once (frame indices, their counts or
+    # the weights), plus a slack for numpy's casting buffer and the column
+    # statistics; a third frame-length vector is 320 KB here
+    utts = lfbe_like_utterances(np.random.default_rng(20), [2000] * 20, bins=NUM_MEL_BINS)
+    dataset = FrameDataset.from_utterances(utts)
+    tracemalloc.start()
+    try:
+        dataset.fit_scaler()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (NUM_MEL_BINS * 8 + 16) * len(dataset) + 2**17
 
 
 def test_fit_scaler_matches_direct_computation():
@@ -600,6 +657,14 @@ def test_batch_is_the_fancy_index_gather(dtype):
     assert x.tobytes() == expected.tobytes()
     assert np.array_equal(y, dataset.targets[idx])
     assert np.array_equal(pos, dataset.is_positive[idx])
+
+
+def test_batch_takes_int32_and_int64_record_numbers_alike():
+    dataset = FrameDataset.from_utterances(lfbe_like_utterances(np.random.default_rng(21), (7, 40, 3)))
+    idx = np.array([31, 2, 2, 49, 0, 31, 17, 5, 5, 5])
+    for got, want in zip(dataset.batch(idx.astype(np.int32)), dataset.batch(idx.astype(np.int64))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def per_column_scaler_oracle(dataset):
