@@ -136,11 +136,13 @@ SCHEMA = {
         "learning_rate": ("0.5", _number(float, lo=1e-12)),
         "minibatch_size": ("256", _number(int, lo=1)),
         "epochs": ("10", _number(int, lo=0)),
-        "bottleneck": ("87", _number(int, lo=1)),
-        "hidden": ("400", _number(int, lo=1)),
+        # the widths size the model's arrays: 86.4M float64 parameters at 4096/4096
+        "bottleneck": ("87", _number(int, lo=1, hi=4096)),
+        "hidden": ("400", _number(int, lo=1, hi=4096)),
     },
     "decoding": {
-        "smooth_window_frames": ("50", _number(int, lo=1)),
+        # smoothing costs this many multiply-adds per frame of trace
+        "smooth_window_frames": ("50", _number(int, lo=1, hi=10000)),
         "threshold": ("0.5", _number(float, lo=1e-9, hi=1 - 1e-9)),
         "min_gap_frames": ("30", _number(int, lo=0)),
         "tolerance_frames": ("50", _number(int, lo=0)),
@@ -151,8 +153,8 @@ SCHEMA = {
         "n_test": ("200", _number(int, lo=10)),
         "epochs": ("10", _number(int, lo=0)),
         "learning_rate": ("0.4", _number(float, lo=1e-12)),
-        "bottleneck": ("48", _number(int, lo=1)),
-        "hidden": ("96", _number(int, lo=1)),
+        "bottleneck": ("48", _number(int, lo=1, hi=4096)),
+        "hidden": ("96", _number(int, lo=1, hi=4096)),
         "seeds": ("0", _seeds),
         "test_snr_db": ("10.0", _number(float)),
     },

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import CHUNK_FRAMES, CONTEXT_WIDTH, HOP_S, LEFT_CONTEXT, RIGHT_CONTEXT
-from .mining import MinedExample, POSITIVE
-from .model import SpotterModel, _check_input_dim, _fold_scaler, _forward
+from .features import CHUNK_FRAMES, CONTEXT_WIDTH, LEFT_CONTEXT, RIGHT_CONTEXT
+from .model import SpotterModel, _fold_scaler, _forward
 from .tsv import DataError, read_tsv, write_tsv
 
 
@@ -95,17 +94,6 @@ def detect_peaks(
     return detections
 
 
-def average_duration_frames(examples: list[MinedExample]) -> int:
-    """Mean trigger duration of the positive examples (at least one), in
-    frames; the natural smoothing-window width for decoding."""
-    spans = [
-        e.trigger_span[1] - e.trigger_span[0]
-        for e in examples
-        if e.polarity == POSITIVE
-    ]
-    return max(1, int(round(float(np.mean(spans)) / HOP_S)))
-
-
 def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
     """Per-frame wake-word posterior for one utterance's LFBE matrix.
 
@@ -118,7 +106,6 @@ def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
     of that span through a strided view. The trace is float64.
     """
     n, bins = lfbe.shape
-    _check_input_dim(model, CONTEXT_WIDTH * bins)
     params = _fold_scaler(model, np.float32)
     trace = np.empty(n)
     buf = np.empty((min(n, CHUNK_FRAMES), CONTEXT_WIDTH * bins), dtype=np.float32)

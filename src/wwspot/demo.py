@@ -21,11 +21,11 @@ from . import pipeline
 from .audio import read_wav
 from .augment import CorruptionSpec, MixRecipe, corrupt, reverberate, synthesize_rir
 from .config import PipelineConfig
-from .decode import average_duration_frames, posterior_trace
+from .decode import posterior_trace
 from .evaluate import EvalResult, det_svg, write_det_csv
-from .features import FRAMES_PER_S, compute_lfbe
+from .features import FRAMES_PER_S, HOP_S, compute_lfbe
 from .lexicon import load_lexicon
-from .mining import load_hypotheses
+from .mining import POSITIVE, MinedExample, load_hypotheses
 from .model import train
 from .synth import WAKE_WORD, generate_utterances, make_music_pool, make_noise_pool, make_room_pool
 from .synth import stream_utterances, write_corpus, write_lexicon_files
@@ -33,6 +33,17 @@ from .synth import stream_utterances, write_corpus, write_lexicon_files
 
 # share of training utterances that contain the wake word
 WAKE_FRACTION = 0.55
+
+
+def average_duration_frames(examples: list[MinedExample]) -> int:
+    """Mean trigger duration of the positive examples (at least one), in
+    frames; the demo's smoothing-window width for decoding."""
+    spans = [
+        e.trigger_span[1] - e.trigger_span[0]
+        for e in examples
+        if e.polarity == POSITIVE
+    ]
+    return max(1, int(round(float(np.mean(spans)) / HOP_S)))
 
 
 def frr_at_far(results: list[EvalResult], far_value: float) -> float:

@@ -3,7 +3,7 @@
 The network maps a 620-dimensional stacked-LFBE vector through three
 blocks of (linear bottleneck -> affine -> ReLU) to a 2-way softmax whose
 second component is the wake-word posterior. That shape is fixed
-(NUM_BLOCKS, NUM_CLASSES); only the input and layer widths vary. The
+(INPUT_DIM, NUM_BLOCKS, NUM_CLASSES); only the layer widths vary. The
 loss is frame-level cross entropy in which the positive term is gated by
 the polarity of the source utterance, so frames from negative utterances
 can only ever contribute background evidence. Training is shuffled
@@ -13,11 +13,12 @@ frame dataset keeps each frame once and each record's context as
 CONTEXT_WIDTH int8 offsets from its own frame, and stacks a record's
 input only when a batch asks for it. Parameters and checkpoints are
 float64, and so is `posteriors`; a checkpoint is one text file of %.17g
-decimals. Training steps and the decoder's posterior trace compute in
-float32 over the float64 parameters. A training step gathers its batch
-from one float32 copy of the frames, standardizes it into one float32
-buffer, casts the parameters once per step and computes the softmax and
-the loss in float64. Its backward pass pops each cached activation at
+decimals whose header records the fixed shape, which the loader holds.
+Training steps and the decoder's posterior trace compute in float32
+over the float64 parameters. A training step gathers its batch from one
+float32 copy of the frames, standardizes it into one float32 buffer,
+casts the parameters once per step and computes the softmax and the
+loss in float64. Its backward pass pops each cached activation at
 its last read and the trainer pops each gradient as it applies it, so a
 step holds no activation past its block's backward step and no gradient
 past its own update. Inference folds the feature scaler into the first
@@ -44,11 +45,17 @@ from .tsv import DataError, open_input
 Q_CLAMP = 1e-7
 NUM_BLOCKS = 3
 NUM_CLASSES = 2
+INPUT_DIM = CONTEXT_WIDTH * NUM_MEL_BINS
 CHECKPOINT_MAGIC = "wwspot-checkpoint"
 CHECKPOINT_VERSION = "v1"
 CHECKPOINT_MODE = "text"
 # header fields that every checkpoint records and the loader holds to these values
-FIXED_HEADER = {"num_blocks": NUM_BLOCKS, "num_classes": NUM_CLASSES, "nonlinearity": "relu"}
+FIXED_HEADER = {
+    "input_dim": INPUT_DIM,
+    "num_blocks": NUM_BLOCKS,
+    "num_classes": NUM_CLASSES,
+    "nonlinearity": "relu",
+}
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -63,12 +70,11 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class SpotterConfig:
-    input_dim: int = CONTEXT_WIDTH * NUM_MEL_BINS
     bottleneck: int = 87
     hidden: int = 400
 
     def __post_init__(self):
-        for name in ("input_dim", "bottleneck", "hidden"):
+        for name in ("bottleneck", "hidden"):
             value = getattr(self, name)
             # bool is an int subclass; a float size would fail deep in the loader
             if isinstance(value, bool) or not isinstance(value, int):
@@ -79,7 +85,7 @@ class SpotterConfig:
     def array_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         """Parameter names and shapes in canonical (checkpoint) order."""
         shapes: list[tuple[str, tuple[int, ...]]] = []
-        in_dim = self.input_dim
+        in_dim = INPUT_DIM
         for i in range(1, NUM_BLOCKS + 1):
             shapes.append((f"bottleneck{i}", (in_dim, self.bottleneck)))
             shapes.append((f"weight{i}", (self.bottleneck, self.hidden)))
@@ -121,7 +127,7 @@ class SpotterModel:
                     f"parameter {name} has shape {self.params[name].shape}, "
                     f"expected {shape}"
                 )
-        if self.scaler.mean.size != self.config.input_dim:
+        if self.scaler.mean.size != INPUT_DIM:
             raise DataError("scaler dimension does not match input_dim")
 
 
@@ -166,11 +172,6 @@ def _forward(
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _check_input_dim(model: SpotterModel, dim: int) -> None:
-    if dim != model.config.input_dim:
-        raise DataError(f"input dim {dim} does not match model {model.config.input_dim}")
-
-
 def _fold_scaler(model: SpotterModel, dtype) -> dict[str, np.ndarray]:
     """The model's parameters in `dtype`, with the scaler folded into the
     first block so that they take raw stacked features:
@@ -190,7 +191,6 @@ def posteriors(model: SpotterModel, raw_x: np.ndarray) -> np.ndarray:
     """Forward pass on raw stacked features. The stored scaler is folded
     into the first bottleneck, so no standardized copy of raw_x is made."""
     x = np.atleast_2d(np.asarray(raw_x, dtype=np.float64))
-    _check_input_dim(model, x.shape[1])
     p = _fold_scaler(model, np.float64)
     return _forward(p, x)
 
@@ -500,7 +500,6 @@ def save_model(model: SpotterModel, path: str | os.PathLike) -> None:
     arrays.append(("scaler_mean", model.scaler.mean))
     arrays.append(("scaler_std", model.scaler.std))
     meta = {
-        "input_dim": c.input_dim,
         "bottleneck": c.bottleneck,
         "hidden": c.hidden,
         **FIXED_HEADER,
@@ -550,11 +549,7 @@ def load_model(path: str | os.PathLike) -> SpotterModel:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: corrupt checkpoint header") from exc
         try:
-            config = SpotterConfig(
-                input_dim=meta["input_dim"],
-                bottleneck=meta["bottleneck"],
-                hidden=meta["hidden"],
-            )
+            config = SpotterConfig(bottleneck=meta["bottleneck"], hidden=meta["hidden"])
             for key, value in FIXED_HEADER.items():
                 # by type as well, since True == 1 and 3.0 == 3
                 if type(meta[key]) is not type(value) or meta[key] != value:
@@ -565,8 +560,8 @@ def load_model(path: str | os.PathLike) -> SpotterModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: corrupt checkpoint header") from exc
         expected = config.array_shapes() + [
-            ("scaler_mean", (config.input_dim,)),
-            ("scaler_std", (config.input_dim,)),
+            ("scaler_mean", (INPUT_DIM,)),
+            ("scaler_std", (INPUT_DIM,)),
         ]
         if listed != expected:
             raise DataError(f"{path}: checkpoint arrays do not match its shape header")

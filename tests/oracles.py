@@ -28,6 +28,7 @@ from wwspot.features import (
 )
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.model import (
+    INPUT_DIM,
     NUM_BLOCKS,
     FeatureScaler,
     FrameDataset,
@@ -146,8 +147,34 @@ def whole_matrix_lfbe(clip):
 
 def unscaled_model(config, seed=0):
     """A freshly initialized model whose scaler leaves inputs unchanged."""
-    identity = FeatureScaler(np.zeros(config.input_dim), np.ones(config.input_dim))
+    identity = FeatureScaler(np.zeros(INPUT_DIM), np.ones(INPUT_DIM))
     return init_model(config, np.random.default_rng(seed), identity)
+
+
+def handwritten_checkpoint(path, input_dim, bottleneck=4, hidden=8, seed=0):
+    """A text checkpoint written out by hand for inputs `input_dim` wide:
+    its header, its array list and its arrays all agree on that width, so
+    only the width itself can be refused. Every value is drawn from
+    [0.5, 1.5), which keeps the scaler's std positive."""
+    shapes, fan_in = [], input_dim
+    for i in range(1, NUM_BLOCKS + 1):
+        shapes += [(f"bottleneck{i}", (fan_in, bottleneck)), (f"weight{i}", (bottleneck, hidden))]
+        shapes.append((f"bias{i}", (hidden,)))
+        fan_in = hidden
+    shapes += [("weight_out", (hidden, 2)), ("bias_out", (2,))]
+    shapes += [("scaler_mean", (input_dim,)), ("scaler_std", (input_dim,))]
+    meta = {
+        "input_dim": input_dim, "bottleneck": bottleneck, "hidden": hidden,
+        "num_blocks": NUM_BLOCKS, "num_classes": 2, "nonlinearity": "relu",
+        "arrays": [[name, list(shape)] for name, shape in shapes],
+    }
+    rng = np.random.default_rng(seed)
+    lines = ["wwspot-checkpoint v1 text", json.dumps(meta)]
+    for _, shape in shapes:
+        rows = rng.uniform(0.5, 1.5, shape).reshape(shape[0] if len(shape) == 2 else 1, -1)
+        lines += [" ".join(repr(float(v)) for v in row) for row in rows]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def standardize(scaler, x):

@@ -36,7 +36,7 @@ from wwspot.demo import run_demo, run_demo_suite
 from wwspot.evaluate import det_curve
 from wwspot.lexicon import ConfusableSet, build_confusable_set, levenshtein, load_lexicon
 from wwspot.mining import NEGATIVE, POSITIVE, load_hypotheses, mine_examples
-from wwspot.model import SpotterConfig, gradient, posteriors, ssl_loss
+from wwspot.model import INPUT_DIM, SpotterConfig, gradient, posteriors, ssl_loss
 
 SR = SAMPLE_RATE
 
@@ -276,10 +276,10 @@ def test_ssl_mining(tmp_path):
 
 
 def test_model_loss_gradients():
-    tiny = SpotterConfig(input_dim=10, bottleneck=4, hidden=8)
+    tiny = SpotterConfig(bottleneck=4, hidden=8)
     # softmax normalization
     model = unscaled_model(tiny, 0)
-    probs = posteriors(model, np.random.default_rng(1).standard_normal((100, 10)) * 2)
+    probs = posteriors(model, np.random.default_rng(1).standard_normal((100, INPUT_DIM)) * 2)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-6
 
     # loss equals the term-by-term scalar loop
@@ -306,7 +306,7 @@ def test_model_loss_gradients():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         model = unscaled_model(tiny, seed + 10)
-        x, y, pos = kink_free_batch(model, rng, 12, 10)
+        x, y, pos = kink_free_batch(model, rng, 12, INPUT_DIM)
         _, grads = gradient(model, x, y, pos)
 
         def loss_now():

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import unscaled_model
+from oracles import handwritten_checkpoint, unscaled_model
 
 from wwspot import tsv
 from wwspot.audio import SAMPLE_RATE
@@ -569,6 +569,24 @@ def test_decode_rejects_a_float_layer_size_in_the_checkpoint_with_exit_3(tmp_pat
     assert "Traceback" not in err
 
 
+def test_decode_refuses_a_checkpoint_of_another_input_width_with_exit_3(tmp_path, capsys):
+    from wwspot.audio import AudioClip, write_wav
+
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    write_wav(AudioClip(np.zeros(SAMPLE_RATE)), wav_dir / "u0.wav")
+    ckpt = tmp_path / "model.ckpt"
+    handwritten_checkpoint(ckpt, 600)
+    runs = tmp_path / "runs"
+    rc = main(["decode", "--model", str(ckpt), "--wav-dir", str(wav_dir), "--out", str(runs)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {ckpt}: unsupported input_dim 600" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not runs.exists()
+
+
 def test_eval_rejects_duplicate_utt_ids(tmp_path, capsys):
     det_file = tmp_path / "dets.tsv"
     det_file.write_text("u0\t10\t20\t15\t0.8\n")
@@ -822,7 +840,12 @@ _BAD_SETTINGS = {
     "training.epochs=-1": "training.epochs: -1 is below the minimum 0",
     "training.bottleneck=0": "training.bottleneck: 0 is below the minimum 1",
     "training.hidden=x": "training.hidden: 'x' is not an integer",
+    # the widths and the smoothing window size allocations, so each has a maximum
+    "training.bottleneck=4097": "training.bottleneck: 4097 is above the maximum 4096",
+    "training.hidden=4097": "training.hidden: 4097 is above the maximum 4096",
     "decoding.smooth_window_frames=0": "decoding.smooth_window_frames: 0 is below the minimum 1",
+    "decoding.smooth_window_frames=10001":
+        "decoding.smooth_window_frames: 10001 is above the maximum 10000",
     "decoding.threshold=1": "decoding.threshold: 1.0 is above the maximum 0.999999999",
     "decoding.min_gap_frames=-1": "decoding.min_gap_frames: -1 is below the minimum 0",
     "decoding.tolerance_frames=-1": "decoding.tolerance_frames: -1 is below the minimum 0",
@@ -839,7 +862,9 @@ _BAD_SETTINGS = {
     "demo.epochs=-1": "demo.epochs: -1 is below the minimum 0",
     "demo.learning_rate=inf": "demo.learning_rate: 'inf' is not a finite number",
     "demo.bottleneck=0": "demo.bottleneck: 0 is below the minimum 1",
+    "demo.bottleneck=4097": "demo.bottleneck: 4097 is above the maximum 4096",
     "demo.hidden=1.5": "demo.hidden: '1.5' is not an integer",
+    "demo.hidden=4097": "demo.hidden: 4097 is above the maximum 4096",
     "demo.test_snr_db=x": "demo.test_snr_db: 'x' is not a number",
     "demo.seeds=0,x": "demo.seeds: '0,x' is not a comma-separated integer list",
 }

@@ -2,26 +2,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import unscaled_model, whole_utterance_trace
+from oracles import whole_utterance_trace
 
 import wwspot.decode
 from wwspot.audio import SAMPLE_RATE, AudioClip
 from wwspot.decode import (
     DecodeConfig,
-    average_duration_frames,
     detect_peaks,
     posterior_trace,
     read_detections,
     smooth,
     write_detections,
 )
+from wwspot.demo import average_duration_frames
 from wwspot.features import CHUNK_FRAMES, RIGHT_CONTEXT, compute_lfbe
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.model import FeatureScaler, SpotterConfig, init_model
-from wwspot.tsv import DataError
 
 # full 620-dimensional input, small layers: decoding cost is the input's
-SMALL_SPOTTER = SpotterConfig(input_dim=620, bottleneck=6, hidden=12)
+SMALL_SPOTTER = SpotterConfig(bottleneck=6, hidden=12)
 
 
 def small_spotter(seed=0):
@@ -191,12 +190,6 @@ def test_trace_folds_the_scaler_once_and_runs_float32_blocks(monkeypatch):
         assert dtype == np.float32 and param_dtypes == {np.dtype(np.float32)}
         assert cache is None
     assert trace.dtype == np.float64 and np.isfinite(trace).all()
-
-
-def test_trace_rejects_a_model_of_another_input_width():
-    model = unscaled_model(SpotterConfig(input_dim=600, bottleneck=4, hidden=8))
-    with pytest.raises(DataError, match="input dim 620 does not match model 600"):
-        posterior_trace(model, np.zeros((40, 20)))
 
 
 def _traced_peak(fn, *args):

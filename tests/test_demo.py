@@ -11,8 +11,7 @@ from wwspot import demo
 from wwspot.audio import SAMPLE_RATE
 from wwspot.cli import main
 from wwspot.config import load_config
-from wwspot.decode import average_duration_frames
-from wwspot.demo import frr_at_far, median_operating_far
+from wwspot.demo import average_duration_frames, frr_at_far, median_operating_far
 from wwspot.evaluate import EvalResult
 from wwspot.mining import read_mined
 from wwspot.synth import generate_utterances, make_hum, stream_utterances, write_corpus

@@ -23,7 +23,7 @@ from wwspot.features import (
     hz_to_mel,
     mel_filterbank,
 )
-from wwspot.model import SpotterConfig
+from wwspot.model import INPUT_DIM
 from wwspot.tsv import DataError
 
 
@@ -37,7 +37,7 @@ def test_frame_count_one_second():
 def test_frame_constants_agree():
     assert FRAMES_PER_HOUR == FRAMES_PER_S * 3600
     assert HOP_S * SAMPLE_RATE == HOP_SAMPLES
-    assert CONTEXT_WIDTH * NUM_MEL_BINS == SpotterConfig().input_dim == 620
+    assert CONTEXT_WIDTH * NUM_MEL_BINS == INPUT_DIM == 620
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
+import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from oracles import (
     AbsoluteIndexDataset,
     concatenated_dataset,
     dataset_from_vectors,
+    handwritten_checkpoint,
     kink_free_batch,
     pre_activations,
     standardize,
@@ -19,6 +20,7 @@ from oracles import (
 import wwspot.model
 from wwspot.features import CONTEXT_WIDTH, LEFT_CONTEXT, NUM_MEL_BINS, RIGHT_CONTEXT
 from wwspot.model import (
+    INPUT_DIM,
     NUM_BLOCKS,
     FeatureScaler,
     FrameDataset,
@@ -36,7 +38,7 @@ from wwspot.model import (
 )
 from wwspot.tsv import DataError
 
-TINY = SpotterConfig(input_dim=10, bottleneck=4, hidden=8)
+TINY = SpotterConfig(bottleneck=4, hidden=8)
 
 
 def tiny_model(seed=0, config=TINY):
@@ -57,7 +59,7 @@ def random_batch(rng, n, dim):
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     model = tiny_model()
-    probs = posteriors(model, rng.standard_normal((50, 10)) * 3)
+    probs = posteriors(model, rng.standard_normal((50, INPUT_DIM)) * 3)
     assert np.all(probs > 0)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-6
 
@@ -66,7 +68,7 @@ def test_zero_weights_give_uniform_posteriors():
     model = tiny_model()
     for name in model.params:
         model.params[name][:] = 0.0
-    probs = posteriors(model, np.random.default_rng(1).standard_normal((7, 10)))
+    probs = posteriors(model, np.random.default_rng(1).standard_normal((7, INPUT_DIM)))
     assert np.allclose(probs, 0.5)
 
 
@@ -74,7 +76,7 @@ def test_forward_matches_straight_line_recomputation():
     # independent by-hand evaluation of the block structure
     rng = np.random.default_rng(2)
     model = tiny_model(seed=3)
-    x = rng.standard_normal((5, 10))
+    x = rng.standard_normal((5, INPUT_DIM))
     p = model.params
     h = x
     for i in (1, 2, 3):
@@ -89,7 +91,7 @@ def test_forward_matches_straight_line_recomputation():
 def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
     rng = np.random.default_rng(12)
     model = tiny_model(5)
-    x, y, pos = random_batch(rng, 40, 10)
+    x, y, pos = random_batch(rng, 40, INPUT_DIM)
     x *= 3.0
     passes = []
     forward_body = wwspot.model._forward
@@ -116,18 +118,13 @@ def test_forward_equals_the_cached_pass_inside_gradient(monkeypatch):
         assert np.array_equal(cache["z"][i - 1], cache["h"][i - 1] @ model.params[f"bottleneck{i}"])
 
 
-def test_forward_shape_mismatch():
-    with pytest.raises(DataError, match="input dim"):
-        posteriors(tiny_model(), np.zeros((3, 11)))
-
-
 def test_posteriors_applies_scaler():
     # per-dimension statistics, so a fold that mixed up dimensions shows
     rng = np.random.default_rng(4)
     model = tiny_model()
-    mean, std = rng.standard_normal(10) * 5.0, rng.uniform(0.5, 3.0, 10)
+    mean, std = rng.standard_normal(INPUT_DIM) * 5.0, rng.uniform(0.5, 3.0, INPUT_DIM)
     model.scaler = FeatureScaler(mean, std)
-    raw = rng.standard_normal((6, 10)) * std + mean
+    raw = rng.standard_normal((6, INPUT_DIM)) * std + mean
     np.testing.assert_allclose(
         posteriors(model, raw), posteriors(tiny_model(), standardize(model.scaler, raw)),
         rtol=0, atol=1e-12,
@@ -186,7 +183,7 @@ def loss_of(model, x, y, pos):
 def test_gradient_matches_central_finite_differences(seed):
     rng = np.random.default_rng(seed)
     model = tiny_model(seed=seed + 10)
-    x, y, pos = kink_free_batch(model, rng, 12, 10)
+    x, y, pos = kink_free_batch(model, rng, 12, INPUT_DIM)
     loss, grads = gradient(model, x, y, pos)
     assert loss == ssl_loss(posteriors(model, x)[:, 1], y, pos)
     h = 1e-4
@@ -211,7 +208,7 @@ def test_gradient_matches_central_finite_differences(seed):
 def test_negative_utterance_positive_targets_contribute_nothing():
     rng = np.random.default_rng(9)
     model = tiny_model(seed=4)
-    x = rng.standard_normal((8, 10))
+    x = rng.standard_normal((8, INPUT_DIM))
     pos = np.zeros(8, bool)
     _, g_zero = gradient(model, x, np.zeros(8, np.uint8), pos)
     _, g_one = gradient(model, x, np.ones(8, np.uint8), pos)
@@ -222,7 +219,7 @@ def test_negative_utterance_positive_targets_contribute_nothing():
 def test_gradient_step_decreases_loss():
     rng = np.random.default_rng(11)
     model = tiny_model(seed=5)
-    x, y, pos = random_batch(rng, 32, 10)
+    x, y, pos = random_batch(rng, 32, INPUT_DIM)
     before = loss_of(model, x, y, pos)
     _, grads = gradient(model, x, y, pos)
     for name, g in grads.items():
@@ -235,9 +232,9 @@ def scaled_pair(seed):
     # plus raw frames and their standardized copy
     rng = np.random.default_rng(seed)
     scaled = tiny_model(seed=seed + 20)
-    scaled.scaler = FeatureScaler(rng.normal(3.0, 2.0, 10), rng.uniform(0.5, 3.0, 10))
+    scaled.scaler = FeatureScaler(rng.normal(3.0, 2.0, INPUT_DIM), rng.uniform(0.5, 3.0, INPUT_DIM))
     plain = tiny_model(seed=seed + 20)
-    x, y, pos = random_batch(rng, 64, 10)
+    x, y, pos = random_batch(rng, 64, INPUT_DIM)
     raw = x * scaled.scaler.std + scaled.scaler.mean
     return scaled, plain, raw, standardize(scaled.scaler, raw), y, pos
 
@@ -295,7 +292,7 @@ def test_float32_gradient_agrees_with_float64_under_an_lfbe_like_scaler(seed):
 # --- training ---------------------------------------------------------------------
 
 
-def separable_toy_dataset(seed=0, n=200, dim=8):
+def separable_toy_dataset(seed=0, n=200, dim=INPUT_DIM):
     # points on both sides of a known hyperplane with a hard margin; the
     # generating plane itself is the witness that a perfect linear
     # classifier exists
@@ -317,7 +314,7 @@ def separable_toy_dataset(seed=0, n=200, dim=8):
     return dataset_from_vectors(x, y, y.astype(bool))
 
 
-TOY_CFG = SpotterConfig(input_dim=8, bottleneck=4, hidden=16)
+TOY_CFG = SpotterConfig(bottleneck=4, hidden=16)
 
 
 def test_train_fits_separable_toy_set():
@@ -377,11 +374,11 @@ def test_train_computes_in_float32_over_float64_parameters(monkeypatch):
     monkeypatch.setattr(wwspot.model, "gradient", recording)
     rng = np.random.default_rng(6)
     dataset = FrameDataset.from_utterances(
-        [(rng.standard_normal((n, 2)) * 3.0 - 5.0, rng.integers(0, 2, n), n % 2 == 0)
+        [(rng.standard_normal((n, NUM_MEL_BINS)) * 3.0 - 5.0, rng.integers(0, 2, n), n % 2 == 0)
          for n in (30, 41, 52)]
     )
     cfg = TrainConfig(learning_rate=0.3, minibatch_size=32, epochs=2, rng_seed=1)
-    model, _ = train(dataset, cfg, replace(TOY_CFG, input_dim=CONTEXT_WIDTH * 2))
+    model, _ = train(dataset, cfg, TOY_CFG)
     assert len(inputs) == len(indices) == cfg.epochs * math.ceil(len(dataset) / 32)
     for idx, x in zip(indices, inputs):
         assert x.dtype == np.float32
@@ -410,7 +407,7 @@ def test_train_zero_epochs_returns_initialized_model():
 
 
 def test_train_rejects_single_class():
-    x = np.random.default_rng(0).standard_normal((50, 8))
+    x = np.random.default_rng(0).standard_normal((50, INPUT_DIM))
     dataset = dataset_from_vectors(x, np.zeros(50, np.uint8), np.zeros(50, bool))
     with pytest.raises(DataError, match="single target class"):
         train(dataset, TrainConfig(learning_rate=0.5, minibatch_size=256, epochs=1, rng_seed=0), TOY_CFG)
@@ -426,11 +423,10 @@ def test_train_divergence_guard():
 def test_train_equals_a_straight_line_loop_over_gradient():
     # 130 records in minibatches of 32 leave a short last batch of 2
     rng = np.random.default_rng(20)
-    dataset = FrameDataset.from_utterances(lfbe_like_utterances(rng, (40, 57, 33)))
+    dataset = FrameDataset.from_utterances(lfbe_like_utterances(rng, (40, 57, 33), bins=NUM_MEL_BINS))
     cfg = TrainConfig(learning_rate=0.05, minibatch_size=32, epochs=3, rng_seed=4)
-    model_cfg = replace(TOY_CFG, input_dim=CONTEXT_WIDTH * 2)
-    model, log = train(dataset, cfg, model_cfg)
-    expected, expected_log = straight_line_train(dataset, cfg, model_cfg)
+    model, log = train(dataset, cfg, TOY_CFG)
+    expected, expected_log = straight_line_train(dataset, cfg, TOY_CFG)
     assert log == expected_log
     for name in expected.params:
         assert model.params[name].tobytes() == expected.params[name].tobytes()
@@ -440,14 +436,13 @@ def test_train_on_a_trimmed_set_equals_training_from_absolute_indices():
     # the trim the train benchmark makes: the first records of a build,
     # passed back through the constructor as absolute indices
     rng = np.random.default_rng(22)
-    built = FrameDataset.from_utterances(lfbe_like_utterances(rng, (60, 45, 50)))
+    built = FrameDataset.from_utterances(lfbe_like_utterances(rng, (60, 45, 50), bins=NUM_MEL_BINS))
     cfg = TrainConfig(learning_rate=0.05, minibatch_size=32, epochs=3, rng_seed=5)
-    model_cfg = replace(TOY_CFG, input_dim=CONTEXT_WIDTH * 2)
-    model, log = train(subsampled(built, 130), cfg, model_cfg)
+    model, log = train(subsampled(built, 130), cfg, TOY_CFG)
     expected, expected_log = train(
         AbsoluteIndexDataset(built.base, built.gather[:130], built.targets[:130], built.is_positive[:130]),
         cfg,
-        model_cfg,
+        TOY_CFG,
     )
     assert log == expected_log
     for name in expected.params:
@@ -482,7 +477,7 @@ def test_train_holds_its_parameters_its_frames_and_one_step():
     num_params = sum(math.prod(shape) for _, shape in model_cfg.array_shapes())
     activations = NUM_BLOCKS * batch * (hidden + bottleneck) * 4
     step = (
-        2 * batch * model_cfg.input_dim * 4
+        2 * batch * INPUT_DIM * 4
         + num_params * 4
         + max(activations, num_params * 4)
         + 2 * batch * hidden * 4
@@ -708,16 +703,17 @@ def test_fit_scaler_matches_the_per_column_oracle(make):
 
 def test_text_checkpoint_round_trip_is_exact(tmp_path):
     model = tiny_model(seed=6)
-    model.scaler = FeatureScaler(np.random.default_rng(0).standard_normal(10), np.full(10, 1.5))
+    model.scaler = FeatureScaler(np.random.default_rng(0).standard_normal(INPUT_DIM), np.full(INPUT_DIM, 1.5))
     path = tmp_path / "m.ckpt"
     save_model(model, path)
     # the fixed shape is still written out, so readers that check it load the file
     magic, header = path.read_bytes().split(b"\n")[:2]
     assert magic == b"wwspot-checkpoint v1 text"
     meta = json.loads(header)
-    assert (meta["num_blocks"], meta["num_classes"], meta["nonlinearity"]) == (3, 2, "relu")
+    fixed = (meta["input_dim"], meta["num_blocks"], meta["num_classes"], meta["nonlinearity"])
+    assert fixed == (620, 3, 2, "relu")
     back = load_model(path)
-    x = np.random.default_rng(1).standard_normal((20, 10))
+    x = np.random.default_rng(1).standard_normal((20, INPUT_DIM))
     assert np.max(np.abs(posteriors(back, x) - posteriors(model, x))) <= 1e-9
     for name in model.params:
         assert np.array_equal(back.params[name], model.params[name])
@@ -765,7 +761,7 @@ def test_non_checkpoint_rejected(tmp_path):
 @pytest.mark.parametrize("value", [8.0, True, "8"])
 def test_config_rejects_a_size_that_is_not_an_int(value):
     with pytest.raises(DataError, match="hidden must be an integer"):
-        SpotterConfig(input_dim=10, bottleneck=4, hidden=value)
+        SpotterConfig(bottleneck=4, hidden=value)
 
 
 def _edit_header(path, **fields):
@@ -787,6 +783,8 @@ def _edit_header(path, **fields):
         ({"num_blocks": 3.0}, "unsupported num_blocks 3.0"),
         ({"num_blocks": 2}, "unsupported num_blocks 2"),
         ({"num_classes": 3}, "unsupported num_classes 3"),
+        ({"input_dim": 620.0}, "unsupported input_dim 620.0"),
+        ({"input_dim": True}, "unsupported input_dim True"),
     ],
 )
 def test_corrupt_header_values_rejected(tmp_path, fields, message):
@@ -809,8 +807,32 @@ def test_layer_sizes_beyond_the_file_rejected(tmp_path):
     # the reader must not try to allocate what a corrupt header names
     path = tmp_path / "m.ckpt"
     save_model(tiny_model(seed=12), path)
-    huge = SpotterConfig(input_dim=10, bottleneck=4, hidden=10**15)
+    huge = SpotterConfig(bottleneck=4, hidden=10**15)
     arrays = [[name, list(shape)] for name, shape in huge.array_shapes()]
-    _edit_header(path, hidden=10**15, arrays=arrays + [["scaler_mean", [10]], ["scaler_std", [10]]])
+    scaler = [["scaler_mean", [INPUT_DIM]], ["scaler_std", [INPUT_DIM]]]
+    _edit_header(path, hidden=10**15, arrays=arrays + scaler)
     with pytest.raises(DataError, match="m.ckpt: truncated checkpoint"):
         load_model(path)
+
+
+def test_loader_holds_the_input_width(tmp_path):
+    # two checkpoints that each agree with themselves: the 620-wide one
+    # loads, and the 600-wide one is refused at load, before any decode
+    # could feed it 620-wide frames
+    handwritten_checkpoint(tmp_path / "a.ckpt", INPUT_DIM)
+    assert load_model(tmp_path / "a.ckpt").params["bottleneck1"].shape == (INPUT_DIM, 4)
+    handwritten_checkpoint(tmp_path / "b.ckpt", 600)
+    with pytest.raises(DataError, match="b.ckpt: unsupported input_dim 600$"):
+        load_model(tmp_path / "b.ckpt")
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # a small seeded checkpoint's exact bytes; the header's keys are
+    # sorted, so which dict of the writer a field comes from moves nothing
+    rng = np.random.default_rng(24)
+    scaler = FeatureScaler(rng.standard_normal(INPUT_DIM), rng.uniform(0.5, 2.0, INPUT_DIM))
+    model = init_model(SpotterConfig(bottleneck=3, hidden=5), rng, scaler)
+    path = tmp_path / "m.ckpt"
+    save_model(model, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "4ab622da684e47a0dd71af72995c90625f1aba62ee82ed1d1b02cb964d7f9647"
