@@ -1,7 +1,10 @@
 """WAV I/O, clip-level power helpers, and the per-utterance worker pool.
 
-Everything downstream works on mono float64 samples at 16 kHz. Readers
-reject other sample rates outright; there is no resampler here.
+Clips hold mono samples at 16 kHz: float32 where float32 holds a WAV's
+samples exactly (mono 16-bit PCM or 32-bit float), float64 otherwise.
+Every stage computes in float64 whatever the clip holds, so the storage
+type never changes a result. Readers reject other sample rates
+outright; there is no resampler here.
 """
 
 from __future__ import annotations
@@ -44,13 +47,17 @@ _BLOCK_FRAMES = 32768  # frames per read; one block is all read_wav holds beyond
 
 @dataclass
 class AudioClip:
-    """Mono PCM samples at SAMPLE_RATE plus an opaque utterance id."""
+    """Mono PCM samples at SAMPLE_RATE plus an opaque utterance id.
+
+    float32 samples are kept as they are; any other type becomes float64.
+    """
 
     samples: np.ndarray
     id: str = ""
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        self.samples = samples if samples.dtype == np.float32 else samples.astype(np.float64, copy=False)
         if self.samples.ndim != 1:
             raise DataError("clip samples must be one-dimensional")
         if self.samples.size == 0:
@@ -163,8 +170,10 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     WAVE_FORMAT_EXTENSIBLE, and float samples must be finite;
     multi-channel audio is averaged down to mono. Integer full scale maps
     to magnitude 1.0 (32767 reads as 32767/32768). The samples are read
-    in blocks straight into the float64 clip, so the only memory beyond
-    the clip is one block.
+    in blocks straight into the clip, so the only memory beyond the clip
+    is one block. A mono 16-bit or 32-bit float WAV reads into float32,
+    which holds its samples exactly (4 B per sample); a multi-channel
+    mean or a 64-bit sample needs float64.
     """
     path = os.fspath(path)
     with open_input(path) as fh:
@@ -173,7 +182,8 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
         # 2**-15 is a power of two, so multiplying by it rounds exactly as
         # dividing by 32768 does, and runs faster
         scale = 1.0 if floats else 1.0 / _FULL_SCALE
-        samples = np.empty(data.frames)
+        exact32 = data.channels == 1 and data.dtype.itemsize <= 4
+        samples = np.empty(data.frames, np.float32 if exact32 else np.float64)
         for lo, block in _blocks(fh, data, path):
             if floats and not np.isfinite(block).all():
                 raise DataError(f"{path}: non-finite samples")
@@ -181,7 +191,9 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
             if data.channels > 1:
                 np.multiply(block, scale, dtype=np.float64).mean(axis=1, out=rows)
             else:
-                rows[:] = block[:, 0]  # a cast copy needs no scratch, a mixed-type product does
+                # a cast copy needs no scratch, a mixed-type product does; an
+                # int16 times 2**-15 is exact in float32 too
+                rows[:] = block[:, 0]
                 rows *= scale
     return AudioClip(samples, id=os.path.splitext(os.path.basename(path))[0])
 
@@ -196,7 +208,9 @@ def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
     samples = clip.samples
     peak = float(np.max(np.abs(samples)))
     if peak > 1.0:
-        samples = samples * (WRITE_PEAK / peak)
+        # in float64: a float32 clip times a float would round in float32
+        # (the product by 2**15 below is exact in either type)
+        samples = np.multiply(samples, WRITE_PEAK / peak, dtype=np.float64)
     quantized = np.clip(
         np.round(samples * _FULL_SCALE), -32768, 32767
     ).astype("<i2")

@@ -171,7 +171,8 @@ def reverberate(clip: AudioClip, rir: RirFilter) -> AudioClip:
     `fftconvolve(x, h)[:len(x)]` bit for bit (numpy 2 and scipy share
     pocketfft).
     """
-    x, h = clip.samples, rir.taps
+    # widened, since numpy.fft transforms float32 input in float32
+    x, h = clip.samples.astype(np.float64, copy=False), rir.taps
     size = _fft_size(x.size + h.size - 1)
     out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[: x.size]
     peak = float(np.max(np.abs(out)))
@@ -232,7 +233,7 @@ def corrupt(
     target = float(rng.normal(spec.snr_mean_db, spec.snr_std_db))
     target = float(np.clip(target, *SNR_CLAMP_DB))
 
-    x = clip.samples
+    x = clip.samples.astype(np.float64, copy=False)  # so the mix and the sum are float64
     signal_power = rms_power(x)
     if signal_power == 0.0:
         raise DataError(f"{clip.id or 'clip'}: silent input has undefined SNR")

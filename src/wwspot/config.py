@@ -110,7 +110,7 @@ def _thresholds(name: str, raw: str) -> list[float]:
 SCHEMA = {
     "run": {"seed": ("0", _number(int, lo=0))},
     "rir": {
-        "count": ("10", _number(int, lo=1)),
+        "count": ("10", _number(int, lo=1, hi=10000)),
         "max_order": ("5", _number(int, lo=0, hi=10)),
         "beta_min": ("0.55", _number(float, lo=0.0, hi=1.0)),
         "beta_max": ("0.8", _number(float, hi=1.0)),  # and >= beta_min

@@ -8,6 +8,8 @@ from scipy.io import wavfile
 
 from wwspot import audio
 from wwspot.audio import AudioClip, parallel_map, read_wav, rms_power, wav_samples, write_wav
+from wwspot.augment import CorruptionSpec, RirFilter, corrupt, reverberate
+from wwspot.features import compute_lfbe
 from wwspot.tsv import DataError
 
 
@@ -97,16 +99,21 @@ _FLOAT = _rng.standard_normal((2 * audio._BLOCK_FRAMES + 5, 2))
 
 
 @pytest.mark.parametrize(
-    "wav",
+    ("wav", "dtype"),
     [
-        pytest.param(_riff((b"fmt ", _fmt(1, 1, 16)), (b"data", _INT16[:, 0].tobytes())), id="int16-mono"),
-        pytest.param(_riff((b"fmt ", _fmt(1, 2, 16)), (b"data", _INT16.tobytes())), id="int16-stereo"),
+        pytest.param(
+            _riff((b"fmt ", _fmt(1, 1, 16)), (b"data", _INT16[:, 0].tobytes())), np.float32, id="int16-mono"
+        ),
+        pytest.param(_riff((b"fmt ", _fmt(1, 2, 16)), (b"data", _INT16.tobytes())), np.float64, id="int16-stereo"),
         pytest.param(
             _riff((b"fmt ", _fmt(3, 1, 32)), (b"data", _FLOAT[:, 0].astype("<f4").tobytes())),
+            np.float32,
             id="float32",
         ),
-        pytest.param(_riff((b"fmt ", _fmt(3, 2, 64)), (b"data", _FLOAT.tobytes())), id="float64-stereo"),
-        pytest.param(_riff((b"fmt ", _fmt(1, 1, 16)), (b"data", b"\x01\x80")), id="one-frame"),
+        pytest.param(
+            _riff((b"fmt ", _fmt(3, 2, 64)), (b"data", _FLOAT.tobytes())), np.float64, id="float64-stereo"
+        ),
+        pytest.param(_riff((b"fmt ", _fmt(1, 1, 16)), (b"data", b"\x01\x80")), np.float32, id="one-frame"),
         pytest.param(
             _riff(
                 (b"fmt ", _fmt(1, 1, 16)),
@@ -115,23 +122,30 @@ _FLOAT = _rng.standard_normal((2 * audio._BLOCK_FRAMES + 5, 2))
                 (b"fact", struct.pack("<I", len(_INT16))),
                 (b"data", _INT16[:, 1].tobytes()),
             ),
+            np.float32,
             id="odd-LIST-chunks",
         ),
         pytest.param(
             _riff((b"fmt ", _fmt(3, 2, 32, extensible=True)), (b"data", _FLOAT.astype("<f4").tobytes())),
+            np.float64,
             id="extensible-float32",
         ),
         pytest.param(
             _riff((b"fmt ", _fmt(1, 1, 16, extensible=True)), (b"data", _INT16[:, 0].tobytes())),
+            np.float32,
             id="extensible-int16",
         ),
     ],
 )
-def test_samples_equal_scipy_byte_for_byte(tmp_path, wav):
+def test_samples_equal_scipy_byte_for_byte(tmp_path, wav, dtype):
     path = tmp_path / "x.wav"
     path.write_bytes(wav)
     expected = _scipy_samples(path)
-    assert read_wav(path).samples.tobytes() == expected.tobytes()
+    samples = read_wav(path).samples
+    # float32 exactly where it holds every sample: mono 16-bit or 32-bit float;
+    # widening it back is exact, so each value is still checked bit for bit
+    assert samples.dtype == dtype
+    assert samples.astype(np.float64).tobytes() == expected.tobytes()
     assert wav_samples(path) == expected.size
 
 
@@ -200,9 +214,37 @@ def test_read_wav_allocates_the_clip_and_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert clip.samples.size == n
-    # one block's rows as float64 covers the int16 block and the file buffer;
-    # an int16 copy of the whole file would add 2 * n
-    assert peak <= 8 * n + 8 * audio._BLOCK_FRAMES
+    # the float32 clip and one int16 block, twice over for the file buffer;
+    # float64 samples would add 4 * n, an int16 copy of the whole file 2 * n
+    assert peak <= 4 * n + 4 * audio._BLOCK_FRAMES
+
+
+def test_a_float32_clip_gives_every_stage_the_results_of_its_float64_widening(tmp_path):
+    path, _ = _written(tmp_path, 8000)
+    narrow = read_wav(path)
+    wide = AudioClip(narrow.samples.astype(np.float64), id=narrow.id)
+    rng = np.random.default_rng(5)
+    rir = RirFilter(rng.standard_normal(600) * np.exp(-np.arange(600) / 100))
+    noise, music = AudioClip(rng.standard_normal(3000)), AudioClip(rng.standard_normal(12000))
+    spec = CorruptionSpec(10.0, 3.0, 0.5)
+
+    def results(clip):
+        corrupted, snr = corrupt(clip, noise, music, spec, np.random.default_rng(9))
+        written = []
+        for gain in (1, 2):  # peaks of about 0.9 and 1.8, so 2 is peak-normalized
+            out = tmp_path / f"{clip.samples.dtype}-{gain}.wav"
+            write_wav(AudioClip(clip.samples * gain), out)
+            written.append(out.read_bytes())
+        return (
+            compute_lfbe(clip).tobytes(),
+            reverberate(clip, rir).samples.tobytes(),
+            corrupted.samples.tobytes(),
+            snr,
+            written,
+            rms_power(clip.samples),
+        )
+
+    assert results(narrow) == results(wide)
 
 
 @pytest.mark.parametrize(

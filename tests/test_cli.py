@@ -857,6 +857,8 @@ _BAD_SETTINGS = {
     "rir.beta_min=-0.1": "rir.beta_min: -0.1 is below the minimum 0.0",
     "rir.beta_max=0.5": "rir.beta_max: 0.5 is below the minimum 0.55",
     "rir.count=0": "rir.count: 0 is below the minimum 1",
+    # rir-gen draws every room before it writes one
+    "rir.count=10001": "rir.count: 10001 is above the maximum 10000",
     "demo.n_train=9": "demo.n_train: 9 is below the minimum 10",
     "demo.n_test=9": "demo.n_test: 9 is below the minimum 10",
     "demo.epochs=-1": "demo.epochs: -1 is below the minimum 0",
