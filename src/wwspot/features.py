@@ -100,7 +100,8 @@ def compute_lfbe(clip: AudioClip, out: np.ndarray | None = None) -> np.ndarray:
     fbank = mel_filterbank().T
     for lo in range(0, shape[0], CHUNK_FRAMES):
         block = slice(lo, lo + CHUNK_FRAMES)
-        spectrum = np.abs(np.fft.rfft(frames[block] * hann, FFT_SIZE, axis=1)) ** 2
+        spectrum = np.abs(np.fft.rfft(frames[block] * hann, FFT_SIZE, axis=1))
+        np.square(spectrum, out=spectrum)
         np.log(spectrum @ fbank + LOG_FLOOR, out=out[block])
     return out
 

@@ -185,9 +185,10 @@ def test_lexicon_filter(tmp_path):
     for d_max in (1, 2):
         cs = build_confusable_set(lex, "wakeword", d_max, 10000)
         expected = {}
-        for word, prons in lex.entries.items():
+        for word in lex.index:
             if word == "wakeword":
                 continue
+            prons = lex.pronunciations(word)
             d = min(recursive_distance(p, w) for p in prons for w in wake_prons)
             if 1 <= d <= d_max:
                 expected[word] = d

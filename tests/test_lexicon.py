@@ -1,3 +1,7 @@
+import gc
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import recursive_distance
@@ -90,18 +94,83 @@ def test_frequency_ranks(tmp_path):
     freq_path.write_text("bb\t10\naa\t10\ncc\t3\n")
     lex = load_lexicon(lex_path, freq_path)
     # ties broken lexicographically
-    assert lex.frequency_rank == {"aa": 1, "bb": 2, "cc": 3}
+    assert {w: lex.rank[row] for w, row in lex.index.items()} == {"aa": 1, "bb": 2, "cc": 3}
 
 
-def test_a_rank_key_is_its_entry_key(tmp_path):
-    lex_path = _write_lexicon(tmp_path, ["Alexa\tA L", "bb\tB"])
+def test_a_frequency_word_absent_from_the_lexicon_keeps_its_rank_place(tmp_path):
+    lex_path = _write_lexicon(tmp_path, ["Alexa\tA L", "bb\tB L", "cc\tC"])
     freq_path = tmp_path / "freq.txt"
-    freq_path.write_text("ALEXA\t5\nzz\t9\n")
+    freq_path.write_text("ALEXA\t5\nzz\t9\nbb\t1\n")
     lex = load_lexicon(lex_path, freq_path)
-    assert lex.frequency_rank == {"zz": 1, "alexa": 2}
-    entry_key = next(k for k in lex.entries if k == "alexa")
-    rank_key = next(k for k in lex.frequency_rank if k == "alexa")
-    assert rank_key is entry_key
+    # zz ranks first but is no lexicon word; cc has no count
+    assert {w: lex.rank[row] for w, row in lex.index.items()} == {"alexa": 2, "bb": 3, "cc": 0}
+    # bb is third, behind zz, and cc (2 edits from alexa) is never scanned
+    assert build_confusable_set(lex, "alexa", 2, top_n_frequent=2).members == {}
+    assert build_confusable_set(lex, "alexa", 2, top_n_frequent=3).members == {"bb": 1}
+
+
+def test_a_repeated_pronunciation_is_dropped_and_file_order_kept(tmp_path):
+    path = _write_lexicon(
+        tmp_path,
+        ["Read\tR IY D", "lead\tL IY D", "read\tR EH D", "LEAD\tL EH D",
+         "rEAD\tR IY D", "read\tR IY", "Lead\tL IY D"],
+    )
+    lex = load_lexicon(path)
+    assert len(lex) == 2 and "LEAD" in lex
+    assert lex.pronunciations("READ") == [("R", "IY", "D"), ("R", "EH", "D"), ("R", "IY")]
+    assert lex.pronunciations("lead") == [("L", "IY", "D"), ("L", "EH", "D")]
+
+
+def test_the_lexicon_keeps_its_columns_and_words_only(tmp_path):
+    rng = np.random.default_rng(5)
+    lines = [f"w{i:05d}\t{' '.join(random_seq(rng))}" for i in range(3000)]
+    lines += [f"w{i:05d}\t{' '.join(random_seq(rng))}" for i in range(0, 3000, 7)]
+    path = _write_lexicon(tmp_path, lines)
+    freq_path = tmp_path / "freq.txt"
+    freq_path.write_text("".join(f"w{i:05d}\t{i}\n" for i in range(0, 4000, 2)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lex = load_lexicon(path, freq_path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    columns = sum(a.nbytes for a in (lex.codes, lex.pron_first, lex.word_first, lex.rank))
+    words = sys.getsizeof(lex.index) + sum(
+        # a row above 256 is an int of its own; smaller ones are shared
+        sys.getsizeof(w) + (sys.getsizeof(row) if row > 256 else 0)
+        for w, row in lex.index.items()
+    )
+    # slack for the object headers, the symbols and the dataclass itself
+    assert kept <= columns + words + 4096
+    assert lex.codes.dtype == np.uint8
+
+
+def test_more_symbols_than_uint8_holds_match_the_oracle(tmp_path):
+    rng = np.random.default_rng(9)
+    symbols = [f"P{i:03d}" for i in range(300)]
+    lines = ["ww\tP000 P001 P298 P299"]
+    for i in range(120):
+        n = int(rng.integers(1, 7))
+        lines.append(f"w{i:03d}\t{' '.join(symbols[j] for j in rng.integers(0, 300, n))}")
+        if i % 4 == 0:  # near the wake word, above the uint8 range
+            lines.append(f"w{i:03d}\tP000 P{int(rng.integers(256, 300))} P298 P299")
+    lines += [f"x{j:03d}\t{symbols[j]}" for j in range(300)]  # every symbol occurs
+    lex = load_lexicon(_write_lexicon(tmp_path, lines))
+    assert len(lex.symbols) == 300 and lex.codes.dtype == np.uint16
+    wake_prons = lex.pronunciations("ww")
+    for d_max in (1, 2, 3):
+        expected = {}
+        for word in lex.index:
+            if word == "ww":
+                continue
+            d = min(recursive_distance(p, w) for p in lex.pronunciations(word) for w in wake_prons)
+            if 1 <= d <= d_max:
+                expected[word] = d
+        assert build_confusable_set(lex, "ww", d_max, 10000).members == expected
+        assert any(d == 1 for d in expected.values())
 
 
 def test_confusables_toy_case(tmp_path):
@@ -159,9 +228,10 @@ def test_confusables_match_exhaustive_enumeration(tmp_path, d_max):
     for top_n in (len(lex), 20):  # every word, then a frequency cut
         cs = build_confusable_set(lex, "wakeword", d_max, top_n_frequent=top_n)
         expected = {}
-        for word, prons in lex.entries.items():
-            if word == "wakeword" or lex.frequency_rank[word] > top_n:
+        for word, row in lex.index.items():
+            if word == "wakeword" or lex.rank[row] > top_n:
                 continue
+            prons = lex.pronunciations(word)
             d = min(recursive_distance(p, w) for p in prons for w in wake_prons)
             if 1 <= d <= d_max:
                 expected[word] = d
