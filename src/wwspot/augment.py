@@ -336,8 +336,10 @@ def _or_na(parse: Callable[[str], Any]) -> Callable[[str], Any]:
 
 
 def read_manifest(path: str | os.PathLike) -> list[ManifestRow]:
+    rows: list[ManifestRow] = []
     fields = (str, str, str, str, _or_na(float), _or_na(str))
-    return read_tsv(path, fields, ManifestRow)
+    read_tsv(path, fields, lambda *row: rows.append(ManifestRow(*row)))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -78,17 +78,13 @@ def detect_peaks(
     above = np.flatnonzero(trace >= cfg.threshold)
     if above.size == 0:
         return []
-    breaks = np.flatnonzero(np.diff(above) > 1)
+    # a gap of b - a - 1 frames between neighbours a < b of `above`
+    # splits two regions unless it is shorter than min_gap_frames
+    breaks = np.flatnonzero(np.diff(above) > max(cfg.min_gap_frames, 1))
     starts = above[np.concatenate(([0], breaks + 1))]
     ends = above[np.concatenate((breaks, [above.size - 1]))]
-    merged: list[list[int]] = [[int(starts[0]), int(ends[0])]]
-    for s, e in zip(starts[1:], ends[1:]):
-        if s - merged[-1][1] - 1 < cfg.min_gap_frames:
-            merged[-1][1] = int(e)
-        else:
-            merged.append([int(s), int(e)])
     detections = []
-    for s, e in merged:
+    for s, e in zip(starts.tolist(), ends.tolist()):
         peak = s + int(np.argmax(trace[s : e + 1]))
         detections.append(Detection(utt_id, s, e, peak, float(trace[peak])))
     return detections
@@ -139,4 +135,6 @@ def _detection(utt_id: str, start: int, end: int, peak: int, score: float) -> De
 
 
 def read_detections(path: str | os.PathLike) -> list[Detection]:
-    return read_tsv(path, (str, int, int, int, float), _detection)
+    detections: list[Detection] = []
+    read_tsv(path, (str, int, int, int, float), lambda *row: detections.append(_detection(*row)))
+    return detections

@@ -105,16 +105,3 @@ def compute_lfbe(clip: AudioClip, out: np.ndarray | None = None) -> np.ndarray:
         np.log(spectrum @ fbank + LOG_FLOOR, out=out[block])
     return out
 
-
-def context_offsets(n_frames: int) -> np.ndarray:
-    """Context offsets with edge replication, an int8 matrix of shape
-    (n_frames, CONTEXT_WIDTH): frame t's context is the frames
-    t + offsets[t], that is t - LEFT_CONTEXT .. t + RIGHT_CONTEXT with
-    each one past the utterance's edge replaced by its edge frame.
-    """
-    if n_frames < 1:
-        raise DataError("empty feature matrix")
-    t = np.arange(n_frames)
-    lo = np.maximum(-t, -LEFT_CONTEXT).astype(np.int8)[:, None]
-    hi = np.minimum(n_frames - 1 - t, RIGHT_CONTEXT).astype(np.int8)[:, None]
-    return np.clip(np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1, dtype=np.int8), lo, hi)

@@ -235,13 +235,13 @@ def _mined_example(
 def read_mined(path: str | os.PathLike) -> list[MinedExample]:
     """One example per utterance: a repeated utt_id is an error, since
     its two rows would give the same audio two sets of targets."""
-    seen: set[str] = set()
+    examples: dict[str, MinedExample] = {}
 
-    def row(*fields) -> MinedExample:
+    def row(*fields) -> None:
         example = _mined_example(*fields)
-        if example.utt_id in seen:
+        if example.utt_id in examples:
             raise ValueError(f"duplicate utt_id {example.utt_id!r}")
-        seen.add(example.utt_id)
-        return example
+        examples[example.utt_id] = example
 
-    return read_tsv(path, (str, str, str, float, float, float), row)
+    read_tsv(path, (str, str, str, float, float, float), row)
+    return list(examples.values())

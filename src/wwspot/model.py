@@ -9,11 +9,12 @@ the polarity of the source utterance, so frames from negative utterances
 can only ever contribute background evidence. Training is shuffled
 minibatch descent on the analytic gradient, whose one forward pass per
 step also gives the loss; it is deterministic under a fixed seed. The
-frame dataset keeps each frame once and each record's context as
-CONTEXT_WIDTH int8 offsets from its own frame, and stacks a record's
-input only when a batch asks for it. Parameters and checkpoints are
-float64, and so is `posteriors`; a checkpoint is one text file of %.17g
-decimals whose header records the fixed shape, which the loader holds.
+frame dataset keeps each frame once and each record's context as the
+two int8 bounds that clip its window at its utterance's edges, and
+stacks a record's input only when a batch asks for it. Parameters and
+checkpoints are float64, and so is `posteriors`; a checkpoint is one
+text file of %.17g decimals whose header records the fixed shape, which
+the loader holds.
 Training steps and the decoder's posterior trace compute in float32
 over the float64 parameters. A training step gathers its batch from one
 float32 copy of the frames, standardizes it into one float32 buffer,
@@ -39,13 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import CONTEXT_WIDTH, NUM_MEL_BINS, context_offsets
+from .features import CONTEXT_WIDTH, LEFT_CONTEXT, NUM_MEL_BINS, RIGHT_CONTEXT
 from .tsv import DataError, open_input
 
 Q_CLAMP = 1e-7
 NUM_BLOCKS = 3
 NUM_CLASSES = 2
 INPUT_DIM = CONTEXT_WIDTH * NUM_MEL_BINS
+# a record's context window, relative to its own frame
+_WINDOW = np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1, dtype=np.int8)
 CHECKPOINT_MAGIC = "wwspot-checkpoint"
 CHECKPOINT_VERSION = "v1"
 CHECKPOINT_MODE = "text"
@@ -289,11 +292,12 @@ class FrameDataset:
     """Frame-level training records with lazy context stacking.
 
     Rows of `base` are single feature frames. Record i's input vector
-    concatenates the frames i + offsets[i], where `offsets` is an int8
-    (records, width) matrix, so 620-dimensional vectors never need to be
-    materialized for the whole dataset at once. `build` makes one record
-    per frame, so a record costs one float64 frame, CONTEXT_WIDTH int8
-    offsets and a target and a polarity byte: 193 B per 20-bin frame.
+    concatenates the frames i + clip(rel, lo, hi) for rel in
+    -LEFT_CONTEXT..RIGHT_CONTEXT, where (lo, hi) = bounds[i], an int8
+    pair, clips the window at its utterance's edges; so 620-dimensional
+    vectors are never materialized for the whole dataset at once. `build`
+    makes one record per frame, so a record costs one float64 frame, two
+    int8 bounds and a target and a polarity byte: 164 B per 20-bin frame.
     """
 
     def __init__(
@@ -304,57 +308,65 @@ class FrameDataset:
         is_positive_utt: np.ndarray,
     ):
         """Records from absolute frame indices: record i stacks the frames
-        gather[i], each of which must lie within int8 reach of i."""
+        gather[i], which must be its clipped context window, that is
+        i + clip(rel, gather[i, 0] - i, gather[i, -1] - i) for each rel."""
         base = np.asarray(base, dtype=np.float64)
         gather = np.asarray(gather)
         if base.ndim != 2:
             raise DataError(f"base must be a (frames, bins) matrix, got shape {base.shape}")
-        if gather.ndim != 2 or gather.shape[1] < 1 or not np.issubdtype(gather.dtype, np.integer):
+        if gather.shape[1:] != (CONTEXT_WIDTH,) or not np.issubdtype(gather.dtype, np.integer):
             raise DataError(
-                "gather must be a 2-D integer matrix with at least one column, "
+                f"gather must be a 2-D integer matrix of {CONTEXT_WIDTH} columns, "
                 f"got {gather.dtype} of shape {gather.shape}"
             )
-        (n, width), frames = gather.shape, base.shape[0]
+        n, frames = gather.shape[0], base.shape[0]
         if n == 0:
             raise DataError("dataset is empty")
         # checked before the subtraction, which would wrap an index of 2**63 or more
         if gather.min() < 0 or gather.max() >= frames:
             raise DataError(f"gather indices must lie in [0, {frames})")
         # column by column, so no (records, width) int64 matrix is made
-        offsets = np.empty((n, width), dtype=np.int8)
-        records, reach = np.arange(n), np.iinfo(np.int8)
-        for k in range(width):
-            step = np.subtract(gather[:, k], records, dtype=np.intp)
-            if step.min() < reach.min or step.max() > reach.max:
-                raise DataError(
-                    f"gather indices must lie within [{reach.min}, {reach.max}] "
-                    "frames of their record"
-                )
-            offsets[:, k] = step
-        self._hold(base, offsets, targets, is_positive_utt)
+        records = np.arange(n)
+        lo = np.subtract(gather[:, 0], records, dtype=np.intp)
+        hi = np.subtract(gather[:, -1], records, dtype=np.intp)
+        fits = (lo >= -LEFT_CONTEXT) & (lo <= 0) & (hi >= 0) & (hi <= RIGHT_CONTEXT)
+        for k, rel in enumerate(_WINDOW):
+            fits &= np.subtract(gather[:, k], records, dtype=np.intp) == np.clip(rel, lo, hi)
+        if not fits.all():
+            raise DataError(
+                f"gather row {np.argmin(fits)} is not a clipped context window: row i must "
+                f"be i + clip(-{LEFT_CONTEXT}..{RIGHT_CONTEXT}, lo, hi) with "
+                f"-{LEFT_CONTEXT} <= lo <= 0 <= hi <= {RIGHT_CONTEXT}"
+            )
+        self._hold(base, np.stack([lo, hi], axis=1).astype(np.int8), targets, is_positive_utt)
 
-    def _hold(self, base, offsets, targets, is_positive) -> None:
+    def _hold(self, base, bounds, targets, is_positive) -> None:
         # the one place a dataset's arrays are checked together and kept
         self.base = base
-        self.offsets = offsets
+        self.bounds = bounds
         self.targets = np.asarray(targets, dtype=np.uint8)
         self.is_positive = np.asarray(is_positive, dtype=bool)
-        n = offsets.shape[0]
+        n = bounds.shape[0]
         if not (self.targets.shape == self.is_positive.shape == (n,)):
             raise DataError("dataset arrays disagree on the record count")
         if n == 0:
             raise DataError("dataset is empty")
         if not _all_finite(base):
             raise DataError("dataset contains non-finite feature values")
-        self.dim = offsets.shape[1] * base.shape[1]
+        self.dim = CONTEXT_WIDTH * base.shape[1]
 
     def __len__(self) -> int:
-        return self.offsets.shape[0]
+        return self.bounds.shape[0]
+
+    def _window(self, rel, records=slice(None)) -> np.ndarray:
+        # int8 offsets rel clipped to the records' bounds, as np.clip without its overhead
+        bounds = self.bounds[records]
+        return np.minimum(np.maximum(rel, bounds[:, :1]), bounds[:, 1:])
 
     @property
     def gather(self) -> np.ndarray:
         """The absolute int64 frame indices of every record's context."""
-        return np.arange(len(self))[:, None] + self.offsets
+        return np.arange(len(self))[:, None] + self._window(_WINDOW)
 
     @classmethod
     def from_utterances(cls, utterances) -> "FrameDataset":
@@ -388,22 +400,23 @@ class FrameDataset:
         """The one build: utterance i has lengths[i] frames of `bins` bins,
         and `fill(i, rows)` writes its frames into `rows`, its slice of
         `base`, and returns its frame targets and polarity. The arrays are
-        allocated once at their final size (193 B per 20-bin frame) and
+        allocated once at their final size (164 B per 20-bin frame) and
         filled one utterance at a time, so no second copy of the dataset
         is ever held; context windows never cross utterance boundaries."""
         frames = sum(lengths)
         base = np.empty((frames, bins))
-        offsets = np.empty((frames, CONTEXT_WIDTH), dtype=np.int8)
+        bounds = np.empty((frames, 2), dtype=np.int8)
         targets = np.empty(frames, dtype=np.uint8)
         is_positive = np.empty(frames, dtype=bool)
         lo = 0
         for i, n in enumerate(lengths):
             rows = slice(lo, lo + n)
             targets[rows], is_positive[rows] = fill(i, base[rows])
-            offsets[rows] = context_offsets(n)
+            # each frame's distances to its utterance's first and last frame
+            bounds[rows] = np.clip([0, n - 1] - np.arange(n)[:, None], -LEFT_CONTEXT, RIGHT_CONTEXT)
             lo += n
         dataset = cls.__new__(cls)
-        dataset._hold(base, offsets, targets, is_positive)
+        dataset._hold(base, bounds, targets, is_positive)
         return dataset
 
     def batch(
@@ -414,7 +427,7 @@ class FrameDataset:
         self.base in another dtype, when one is given."""
         base = self.base if base is None else base
         idx = np.asarray(idx, dtype=np.intp)
-        rows = idx[:, None] + self.offsets[idx]
+        rows = idx[:, None] + self._window(_WINDOW, idx)
         x = np.take(base, rows, axis=0).reshape(len(idx), self.dim)
         return x, self.targets[idx], self.is_positive[idx]
 
@@ -428,15 +441,14 @@ class FrameDataset:
         Beside the float64 squares of the frames, it holds two
         frame-length vectors at a time. Constant dimensions get std 1 so
         standardization stays defined."""
-        n, width = self.offsets.shape
-        frames = self.base.shape[0]
+        n, frames = len(self), self.base.shape[0]
         squares = np.square(self.base)
         mean, sq = [], []
-        for k in range(width):
+        for rel in _WINDOW:
             # one name for the frame indices, their counts and the weights,
             # so each is freed as soon as the next is made
             w = np.arange(n)
-            w += self.offsets[:, k]
+            w += self._window(rel)[:, 0]
             w = np.bincount(w, minlength=frames)
             w = w / n
             mean.append(w @ self.base)

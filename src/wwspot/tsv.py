@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import operator
 import os
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
-
-R = TypeVar("R")
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 # applies a field's parser to its text; operator.call is new in Python 3.11
 _parse = getattr(operator, "call", lambda parse, text: parse(text))
@@ -42,13 +40,14 @@ def byte_lines(path: str | os.PathLike) -> Iterator[bytes]:
 def read_tsv(
     path: str | os.PathLike,
     fields: Sequence[Callable[[str], Any]],
-    row: Callable[..., R],
-) -> list[R]:
-    """`row(*typed)` for each line, `typed` being its fields passed through
-    `fields`, one parser each. A line that is not UTF-8, a wrong field
-    count, or a ValueError from a parser or from `row` (which checks the
-    values), raises `DataError("<path>:<line>: <reason>")`."""
-    out, n = [], len(fields)
+    row: Callable[..., object],
+) -> None:
+    """Calls `row(*typed)` for each line, `typed` being its fields passed
+    through `fields`, one parser each; `row` keeps what it needs. A line
+    that is not UTF-8, a wrong field count, or a ValueError from a parser
+    or from `row` (which checks the values), raises
+    `DataError("<path>:<line>: <reason>")`."""
+    n = len(fields)
     for lineno, raw in enumerate(byte_lines(path), 1):
         try:
             line = raw.decode("utf-8")
@@ -57,10 +56,9 @@ def read_tsv(
             parts = line.split("\t")
             if len(parts) != n:
                 raise ValueError(f"expected {n} tab-separated fields, got {len(parts)}")
-            out.append(row(*map(_parse, fields, parts)))
+            row(*map(_parse, fields, parts))
         except ValueError as exc:  # UnicodeDecodeError is one too
             raise DataError(f"{path}:{lineno}: {exc}") from None
-    return out
 
 
 def write_tsv(path: str | os.PathLike, rows: Iterable[Sequence[str]]) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import SPEED_OF_SOUND, RoomSpec
+from wwspot.decode import Detection
 from wwspot.features import (
     CONTEXT_WIDTH,
     FFT_SIZE,
@@ -182,6 +183,14 @@ def standardize(scaler, x):
     return (x - scaler.mean) / scaler.std
 
 
+def clipped_window(n_frames):
+    """Frame t of an n-frame utterance gathers t-LEFT_CONTEXT ..
+    t+RIGHT_CONTEXT, each frame past an edge replaced by that edge frame:
+    an (n_frames, CONTEXT_WIDTH) matrix of frame indices."""
+    t = np.arange(n_frames)[:, None]
+    return np.clip(t + np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1), 0, n_frames - 1)
+
+
 def stack_context(feat: np.ndarray) -> np.ndarray:
     """Concatenate frames t-LEFT_CONTEXT .. t+RIGHT_CONTEXT per row;
     edges replicate.
@@ -192,22 +201,20 @@ def stack_context(feat: np.ndarray) -> np.ndarray:
     feat = np.asarray(feat, dtype=np.float64)
     if feat.ndim != 2 or feat.shape[0] < 1:
         raise DataError("expected a non-empty (frames, bins) matrix")
-    n = feat.shape[0]
-    idx = np.clip(np.arange(n)[:, None] + np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1), 0, n - 1)
-    return feat[idx].reshape(feat.shape[0], CONTEXT_WIDTH * feat.shape[1])
+    return feat[clipped_window(feat.shape[0])].reshape(feat.shape[0], CONTEXT_WIDTH * feat.shape[1])
 
 
 def dataset_from_vectors(x, targets, is_positive_utt):
-    """A FrameDataset whose records are the rows of x, each gathering
-    only itself."""
-    x = np.asarray(x, dtype=np.float64)
-    gather = np.arange(x.shape[0], dtype=np.int64)[:, None]
-    return FrameDataset(x, gather, targets, is_positive_utt)
+    """A FrameDataset whose records are the rows of x, each a one-frame
+    utterance, so a record's input is its row repeated CONTEXT_WIDTH
+    times."""
+    utts = [(row[None, :], [y], pos) for row, y, pos in zip(np.asarray(x), targets, is_positive_utt)]
+    return FrameDataset.from_utterances(utts)
 
 
 class AbsoluteIndexDataset(FrameDataset):
     """A FrameDataset that batches and fits its scaler from the absolute
-    int64 frame indices it was given, not from its offsets: a batch is
+    int64 frame indices it was given, not from its bounds: a batch is
     the fancy-index take of its records' index rows, and scaler column k
     weights each frame by how often index column k names it."""
 
@@ -260,6 +267,30 @@ def straight_line_train(dataset, cfg, model_cfg):
     return model, log
 
 
+def merging_detect_peaks(trace, cfg, utt_id=""):
+    """Detections by walking the maximal above-threshold runs in order and
+    merging each into the region before it when fewer than
+    min_gap_frames frames lie between them; the peak is the earliest
+    argmax of the merged region."""
+    above = np.flatnonzero(trace >= cfg.threshold)
+    if above.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(above) > 1)
+    starts = above[np.concatenate(([0], breaks + 1))]
+    ends = above[np.concatenate((breaks, [above.size - 1]))]
+    merged = [[int(starts[0]), int(ends[0])]]
+    for s, e in zip(starts[1:], ends[1:]):
+        if s - merged[-1][1] - 1 < cfg.min_gap_frames:
+            merged[-1][1] = int(e)
+        else:
+            merged.append([int(s), int(e)])
+    detections = []
+    for s, e in merged:
+        peak = s + int(np.argmax(trace[s : e + 1]))
+        detections.append(Detection(utt_id, s, e, peak, float(trace[peak])))
+    return detections
+
+
 def whole_utterance_trace(model, lfbe):
     """Wake-word posteriors of the whole utterance's stacked inputs,
     scaled and run through the network as one batch."""
@@ -278,8 +309,7 @@ def concatenated_dataset(utterances):
         lfbe = np.asarray(lfbe, dtype=np.float64)
         n = lfbe.shape[0]
         bases.append(lfbe)
-        window = np.arange(n)[:, None] + np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1)
-        gathers.append(np.clip(window, 0, n - 1) + offset)
+        gathers.append(clipped_window(n) + offset)
         targets.append(np.asarray(utt_targets, dtype=np.uint8))
         polarity.append(np.full(n, bool(is_pos)))
         offset += n

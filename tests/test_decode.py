@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import whole_utterance_trace
+from oracles import merging_detect_peaks, whole_utterance_trace
 
 import wwspot.decode
 from wwspot.audio import SAMPLE_RATE, AudioClip
@@ -114,6 +114,17 @@ def test_detections_disjoint_ordered_and_above_threshold():
         assert d.start_frame <= d.peak_frame <= d.end_frame
         assert d.peak_score >= 0.6
         prev_end = d.end_frame
+
+
+@pytest.mark.parametrize("min_gap", [0, 1, 2, 3, 7, 30, 39])
+def test_detect_peaks_matches_the_merging_loop(min_gap):
+    # scores on a coarse grid, so plateaus tie and runs and gaps of every
+    # short length occur
+    rng = np.random.default_rng(min_gap)
+    for n in range(1, 200):
+        trace = rng.integers(0, 5, n) / 4.0
+        cfg = DecodeConfig(5, 0.5, min_gap)
+        assert detect_peaks(trace, cfg, "u") == merging_detect_peaks(trace, cfg, "u")
 
 
 def test_average_duration_frames():

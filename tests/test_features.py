@@ -19,7 +19,6 @@ from wwspot.features import (
     RIGHT_CONTEXT,
     WINDOW_SAMPLES,
     compute_lfbe,
-    context_offsets,
     hz_to_mel,
     mel_filterbank,
 )
@@ -126,15 +125,6 @@ def test_stack_matches_bruteforce_gather():
         span = range(t - LEFT_CONTEXT, t + RIGHT_CONTEXT + 1)
         rows = [feat[min(max(i, 0), 39)] for i in span]
         assert np.array_equal(stacked[t], np.concatenate(rows))
-
-
-@pytest.mark.parametrize("frames", [1, 2, 10, 31, 77])
-def test_context_offsets_reach_the_clipped_window(frames):
-    offsets = context_offsets(frames)
-    assert offsets.dtype == np.int8 and offsets.shape == (frames, CONTEXT_WIDTH)
-    t = np.arange(frames)[:, None]
-    window = np.clip(t + np.arange(-LEFT_CONTEXT, RIGHT_CONTEXT + 1), 0, frames - 1)
-    assert np.array_equal(t + offsets, window)
 
 
 def test_stack_dimension_is_always_620():

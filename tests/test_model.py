@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import (
     AbsoluteIndexDataset,
+    clipped_window,
     concatenated_dataset,
     dataset_from_vectors,
     handwritten_checkpoint,
@@ -292,10 +293,11 @@ def test_float32_gradient_agrees_with_float64_under_an_lfbe_like_scaler(seed):
 # --- training ---------------------------------------------------------------------
 
 
-def separable_toy_dataset(seed=0, n=200, dim=INPUT_DIM):
+def separable_toy_dataset(seed=0, n=200, dim=NUM_MEL_BINS):
     # points on both sides of a known hyperplane with a hard margin; the
     # generating plane itself is the witness that a perfect linear
-    # classifier exists
+    # classifier exists, and tiled CONTEXT_WIDTH times it separates the
+    # records, each of which repeats its row
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(dim)
     w /= np.linalg.norm(w)
@@ -407,7 +409,7 @@ def test_train_zero_epochs_returns_initialized_model():
 
 
 def test_train_rejects_single_class():
-    x = np.random.default_rng(0).standard_normal((50, INPUT_DIM))
+    x = np.random.default_rng(0).standard_normal((50, NUM_MEL_BINS))
     dataset = dataset_from_vectors(x, np.zeros(50, np.uint8), np.zeros(50, bool))
     with pytest.raises(DataError, match="single target class"):
         train(dataset, TrainConfig(learning_rate=0.5, minibatch_size=256, epochs=1, rng_seed=0), TOY_CFG)
@@ -519,7 +521,7 @@ def test_from_utterances_matches_the_concatenating_build(lengths):
     assert dataset.base.tobytes() == base.tobytes()
     assert dataset.targets.tobytes() == targets.tobytes()
     assert dataset.is_positive.tobytes() == polarity.tobytes()
-    assert dataset.offsets.dtype == np.int8
+    assert dataset.bounds.dtype == np.int8
     assert np.array_equal(dataset.gather, gather)
 
 
@@ -551,11 +553,11 @@ def test_from_utterances_rejects_malformed_input(utts, message):
 
 def test_from_utterances_holds_one_copy_of_the_dataset():
     # the build may hold the final arrays (per frame: a float64 frame,
-    # CONTEXT_WIDTH int8 offsets, a target byte and a polarity byte), at
-    # most one utterance's temporaries (no more than its int64
-    # context-index matrix) and a fixed slack; a
-    # build that concatenates per-utterance int64 indices holds them for
-    # every frame, twice over
+    # two int8 bounds, a target byte and a polarity byte), at most one
+    # utterance's temporaries (no more than four int64 frame-length
+    # vectors) and a fixed slack; CONTEXT_WIDTH int8 offsets per frame
+    # hold 29 B per frame more, and a build that concatenates
+    # per-utterance int64 indices holds them for every frame, twice over
     rng = np.random.default_rng(18)
     lengths = rng.integers(100, 300, 100)
     utts = lfbe_like_utterances(rng, lengths, bins=NUM_MEL_BINS)
@@ -565,51 +567,82 @@ def test_from_utterances_holds_one_copy_of_the_dataset():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_frame = NUM_MEL_BINS * 8 + CONTEXT_WIDTH + 2
-    temporaries = int(lengths.max()) * CONTEXT_WIDTH * 8
+    per_frame = NUM_MEL_BINS * 8 + 2 + 2
+    temporaries = int(lengths.max()) * 4 * 8
     assert peak < per_frame * int(lengths.sum()) + temporaries + 2**16
 
 
 @pytest.mark.parametrize("index", [-1, 5, 2**31], ids=["negative", "len-base", "beyond-int32"])
 def test_dataset_rejects_a_gather_outside_the_frames(index):
     base = np.arange(10.0).reshape(5, 2)
-    gather = np.array([[index], [0]], dtype=np.int64)
+    gather = np.zeros((2, CONTEXT_WIDTH), dtype=np.int64)
+    gather[0] = index
     with pytest.raises(DataError, match=r"gather indices must lie in \[0, 5\)"):
         FrameDataset(base, gather, np.zeros(2, np.uint8), np.zeros(2, bool))
 
 
 @pytest.mark.parametrize(
     "gather",
-    [np.zeros(2, np.int64), np.zeros((2, 0), np.int64), np.zeros((2, 1))],
-    ids=["one-dimensional", "no-columns", "float"],
+    [
+        np.zeros(2, np.int64),
+        np.zeros((2, 0), np.int64),
+        np.zeros((2, CONTEXT_WIDTH)),
+        np.zeros((2, CONTEXT_WIDTH - 1), np.int64),
+    ],
+    ids=["one-dimensional", "no-columns", "float", "one-column-short"],
 )
 def test_dataset_rejects_a_gather_that_is_not_an_index_matrix(gather):
-    with pytest.raises(DataError, match="gather must be a 2-D integer matrix"):
+    with pytest.raises(DataError, match=f"gather must be a 2-D integer matrix of {CONTEXT_WIDTH} columns"):
         FrameDataset(np.zeros((5, 2)), gather, np.zeros(2, np.uint8), np.zeros(2, bool))
 
 
+@pytest.mark.parametrize("frames", [1, 2, 10, 31, 77])
+def test_build_bounds_reach_the_clipped_window(frames):
+    dataset = FrameDataset.from_utterances(lfbe_like_utterances(np.random.default_rng(frames), [frames]))
+    assert dataset.bounds.dtype == np.int8 and dataset.bounds.shape == (frames, 2)
+    assert np.array_equal(dataset.gather, clipped_window(frames))
+
+
+def _swap_two_columns(w):
+    w[30, [20, 21]] = w[30, [21, 20]]
+    return 30
+
+
+def _run_11_frames_right(w):
+    w[40] = w[41]  # record 41's window, from 19 frames left to 11 right of record 40
+    return 40
+
+
+def _start_right_of_the_record(w):
+    w[5] = 6
+    return 5
+
+
+def _leave_a_frame_unclipped(w):
+    w[5, 10] = 1  # rel -10 clipped to lo = -5 names frame 0
+    return 5
+
+
 @pytest.mark.parametrize(
-    "record, index, offset", [(0, 128, 128), (129, 0, -129)], ids=["128", "-129"]
+    "edit",
+    [_swap_two_columns, _run_11_frames_right, _start_right_of_the_record, _leave_a_frame_unclipped],
+    ids=["columns-swapped", "11-frames-right", "left-bound-right-of-record", "not-clipped"],
 )
-def test_dataset_rejects_a_context_beyond_int8_offsets(record, index, offset):
-    base = np.zeros((200, 2))
-    gather = np.arange(130)[:, None]
-    gather[record] = index
-    with pytest.raises(DataError, match=r"within \[-128, 127\] frames of their record"):
-        FrameDataset(base, gather, np.zeros(130, np.uint8), np.zeros(130, bool))
-    # one frame nearer, the offset fits
-    gather[record] -= np.sign(offset)
-    dataset = FrameDataset(base, gather, np.zeros(130, np.uint8), np.zeros(130, bool))
-    assert dataset.offsets[record, 0] == offset - np.sign(offset)
-    assert np.array_equal(dataset.gather, gather)
+def test_dataset_rejects_a_gather_row_that_is_not_a_clipped_window(edit):
+    gather = clipped_window(60)
+    FrameDataset(np.zeros((60, 2)), gather, np.zeros(60, np.uint8), np.zeros(60, bool))
+    record = edit(gather)
+    rule = r"row i must be i \+ clip\(-20\.\.10, lo, hi\) with -20 <= lo <= 0 <= hi <= 10"
+    with pytest.raises(DataError, match=f"gather row {record} is not a clipped context window: {rule}"):
+        FrameDataset(np.zeros((60, 2)), gather, np.zeros(60, np.uint8), np.zeros(60, bool))
 
 
 @pytest.mark.parametrize("n_records", [None, 70])
-def test_constructor_from_gather_holds_the_offsets_of_the_build(n_records):
+def test_constructor_from_a_prefix_keeps_the_bounds_of_the_build(n_records):
     built = FrameDataset.from_utterances(lfbe_like_utterances(np.random.default_rng(19), (60, 45)))
     again = subsampled(built, n_records or len(built))
-    assert again.offsets.dtype == np.int8
-    assert again.offsets.tobytes() == built.offsets[:n_records].tobytes()
+    assert again.bounds.dtype == np.int8
+    assert again.bounds.tobytes() == built.bounds[:n_records].tobytes()
     assert again.base is built.base
 
 

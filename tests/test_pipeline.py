@@ -42,7 +42,7 @@ def test_ctm_manifest_builds_the_same_dataset_as_the_examples(mined_clips):
     by_source = {e.utt_id: e for e in examples}
     direct = dataset_from_examples(examples, wav_dir)
     via_manifest = dataset_from_manifest(rows, by_source, wav_dir)
-    for name in ("base", "offsets", "targets", "is_positive"):
+    for name in ("base", "bounds", "targets", "is_positive"):
         np.testing.assert_array_equal(getattr(via_manifest, name), getattr(direct, name))
     assert direct.targets.any()
 
@@ -67,7 +67,7 @@ def _oracle(pairs):
 
 
 def _assert_same_bytes(got, want):
-    for name in ("base", "offsets", "targets", "is_positive"):
+    for name in ("base", "bounds", "targets", "is_positive"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
