@@ -2,9 +2,10 @@
 
 The wake-word posterior trace is computed CHUNK_FRAMES frames at a
 time in float32: the feature scaler is folded into the network's first
-layer once per recording, and each block refills one float32 buffer of
-stacked raw inputs, so decoding holds one block of inputs and
-activations whatever the recording's length. The trace, one float per
+layer once per recording, and each block's runs, spread over the
+features module's worker threads, stack their own raw inputs, so
+decoding holds one block of inputs and activations whatever the
+recording's length and the core count. The trace, one float per
 frame, is then smoothed by a moving average whose width should match
 the typical wake-word duration, and maximal supra-threshold regions
 (merged across short gaps) become detections carrying their peak frame
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import CHUNK_FRAMES, CONTEXT_WIDTH, LEFT_CONTEXT, RIGHT_CONTEXT
+from .features import CONTEXT_WIDTH, LEFT_CONTEXT, RIGHT_CONTEXT, over_blocks
 from .model import SpotterModel, _fold_scaler, _forward
 from .tsv import DataError, read_tsv, write_tsv
 
@@ -95,25 +96,25 @@ def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
 
     Equals the tests' float64 oracle `whole_utterance_trace` within 1e-6,
     computed in float32: the scaler is folded into a float32 copy of the
-    parameters once, and each block of CHUNK_FRAMES frames refills one
-    reusable float32 buffer of stacked inputs and goes through the
-    cache-free forward. A block gathers only its own LFBE rows plus
-    context, ends replicated, and its stacked rows are copied as windows
-    of that span through a strided view. The trace is float64.
+    parameters once, and `over_blocks` hands each run of frames to the
+    cache-free forward. A run gathers only its own LFBE rows plus
+    context, ends replicated, and copies its float32 stacked rows as
+    windows of that span through a strided view; each run has its own
+    rows, as runs go at once on several threads. The trace is float64.
     """
     n, bins = lfbe.shape
     params = _fold_scaler(model, np.float32)
     trace = np.empty(n)
-    buf = np.empty((min(n, CHUNK_FRAMES), CONTEXT_WIDTH * bins), dtype=np.float32)
-    for lo in range(0, n, CHUNK_FRAMES):
-        hi = min(lo + CHUNK_FRAMES, n)
-        rows = buf[: hi - lo]
+
+    def run(lo, hi):
         # frame t's row is span rows t-lo .. t-lo+CONTEXT_WIDTH-1, contiguous in
         # memory; the span is cast once, so the window copy casts nothing
         span = lfbe[np.clip(np.arange(lo - LEFT_CONTEXT, hi + RIGHT_CONTEXT), 0, n - 1)]
         span = span.astype(np.float32).reshape(-1)
-        rows[:] = sliding_window_view(span, CONTEXT_WIDTH * bins)[::bins]
+        rows = sliding_window_view(span, CONTEXT_WIDTH * bins)[::bins].copy()
         trace[lo:hi] = _forward(params, rows)[:, 1]
+
+    over_blocks(run, n)
     return trace
 
 

@@ -13,10 +13,18 @@ ever held at once. Memory is O(block) plus the output, one row per
 frame, however long the audio. The output may be rows the caller
 owns: a training set's build featurizes each utterance straight into
 its rows of the dataset.
+
+`over_blocks` splits each whole block into WORKERS runs, one thread per
+usable core (at most 8), so a long recording's blocks use every core
+while at most one block of frames is in flight. numpy releases the GIL
+in pocketfft and BLAS. A forked child (a `--jobs` worker) runs its
+blocks serially, since its siblings hold the other cores.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
 
 import numpy as np
@@ -40,6 +48,58 @@ CONTEXT_WIDTH = LEFT_CONTEXT + 1 + RIGHT_CONTEXT
 HOP_S = HOP_SAMPLES / SAMPLE_RATE
 FRAMES_PER_S = SAMPLE_RATE // HOP_SAMPLES
 CHUNK_FRAMES = 512  # frames per decode block (5.12 s of audio)
+# a block's runs are whole multiples of RUN_FRAMES: BLAS may round the rows
+# of a partial tile differently, and shorter runs cost it more per frame
+RUN_FRAMES = 64
+MAX_WORKERS = CHUNK_FRAMES // RUN_FRAMES
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+WORKERS = min(_CORES or 1, MAX_WORKERS)  # threads per block
+_pool: ThreadPoolExecutor | None = None
+
+
+def _serial_after_fork() -> None:
+    # a forked child has a copy of the pool but none of its threads
+    global WORKERS, _pool
+    WORKERS, _pool = 1, None
+
+
+os.register_at_fork(after_in_child=_serial_after_fork)
+
+
+def over_blocks(fn, n: int) -> None:
+    """Call fn(lo, hi) on consecutive runs of frames covering [0, n).
+
+    Each whole block of CHUNK_FRAMES is split into WORKERS near-equal
+    runs, and worker k takes run k of every block, the caller's thread
+    being worker 0: one run in flight per worker is at most one block of
+    frames in all, and a worker wakes once per call, not per block. The
+    remainder of under one block then runs whole on the caller's thread,
+    as does everything when WORKERS is 1, so a row's run is the serial
+    loop's block or whole tiles of it. fn must write only rows lo..hi
+    of its outputs.
+    """
+    global _pool
+    whole = n - n % CHUNK_FRAMES if WORKERS > 1 else 0
+    if whole:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="wwspot-block")
+        # run edges: i / WORKERS of a block, rounded to whole RUN_FRAMES
+        tiles = [(MAX_WORKERS * i + WORKERS // 2) // WORKERS for i in range(WORKERS + 1)]
+        cuts = [RUN_FRAMES * t for t in tiles]
+
+        def share(a, b):  # one worker's run of every whole block
+            for lo in range(0, whole, CHUNK_FRAMES):
+                fn(lo + a, lo + b)
+
+        shares = [_pool.submit(share, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+        try:
+            share(0, cuts[1])
+        finally:
+            wait(shares)
+        for done in shares:
+            done.result()
+    for lo in range(whole, n, CHUNK_FRAMES):
+        fn(lo, min(lo + CHUNK_FRAMES, n))
 
 
 def hz_to_mel(hz):
@@ -85,9 +145,9 @@ def compute_lfbe(clip: AudioClip, out: np.ndarray | None = None) -> np.ndarray:
 
     Per frame: Hann window, magnitude-squared rfft, mel filterbank,
     natural log of (energy + LOG_FLOOR). The frames are strided views
-    of the samples, transformed CHUNK_FRAMES at a time into the output:
-    `out` when given (a dataset's rows, say), which must have that
-    shape, else a new matrix.
+    of the samples, transformed a run of `over_blocks` at a time into
+    the output: `out` when given (a dataset's rows, say), which must
+    have that shape, else a new matrix.
     """
     x = clip.samples
     shape = (num_frames(x.size), NUM_MEL_BINS)
@@ -98,10 +158,11 @@ def compute_lfbe(clip: AudioClip, out: np.ndarray | None = None) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
     hann = _hann_window()
     fbank = mel_filterbank().T
-    for lo in range(0, shape[0], CHUNK_FRAMES):
-        block = slice(lo, lo + CHUNK_FRAMES)
-        spectrum = np.abs(np.fft.rfft(frames[block] * hann, FFT_SIZE, axis=1))
-        np.square(spectrum, out=spectrum)
-        np.log(spectrum @ fbank + LOG_FLOOR, out=out[block])
-    return out
 
+    def run(lo, hi):
+        spectrum = np.abs(np.fft.rfft(frames[lo:hi] * hann, FFT_SIZE, axis=1))
+        np.square(spectrum, out=spectrum)
+        np.log(spectrum @ fbank + LOG_FLOOR, out=out[lo:hi])
+
+    over_blocks(run, shape[0])
+    return out

@@ -13,19 +13,23 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wwspot.audio import SAMPLE_RATE
 from wwspot.augment import SPEED_OF_SOUND, RoomSpec
 from wwspot.decode import Detection
 from wwspot.features import (
+    CHUNK_FRAMES,
     CONTEXT_WIDTH,
     FFT_SIZE,
     HOP_SAMPLES,
     LEFT_CONTEXT,
     LOG_FLOOR,
+    NUM_MEL_BINS,
     RIGHT_CONTEXT,
     WINDOW_SAMPLES,
     mel_filterbank,
+    num_frames,
 )
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.model import (
@@ -33,6 +37,8 @@ from wwspot.model import (
     NUM_BLOCKS,
     FeatureScaler,
     FrameDataset,
+    _fold_scaler,
+    _forward,
     gradient,
     init_model,
     posteriors,
@@ -144,6 +150,43 @@ def whole_matrix_lfbe(clip):
     frames = clip.samples[np.arange(n)[:, None] * hop + np.arange(window)[None, :]]
     spectrum = np.abs(np.fft.rfft(frames * np.hanning(window), FFT_SIZE, axis=1)) ** 2
     return np.log(spectrum @ mel_filterbank().T + LOG_FLOOR)
+
+
+def serial_lfbe(clip):
+    """The single-threaded block loop: each CHUNK_FRAMES block of windows
+    goes through window, |rfft|^2, mel matmul and log on its own. The
+    threaded `compute_lfbe` must match it bit for bit."""
+    x = clip.samples
+    out = np.empty((num_frames(x.size), NUM_MEL_BINS))
+    frames = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    hann = np.hanning(WINDOW_SAMPLES)
+    fbank = mel_filterbank().T
+    for lo in range(0, out.shape[0], CHUNK_FRAMES):
+        block = slice(lo, lo + CHUNK_FRAMES)
+        spectrum = np.abs(np.fft.rfft(frames[block] * hann, FFT_SIZE, axis=1))
+        np.square(spectrum, out=spectrum)
+        np.log(spectrum @ fbank + LOG_FLOOR, out=out[block])
+    return out
+
+
+def serial_trace(model, lfbe):
+    """The single-threaded block loop of the float32 trace: one reusable
+    buffer of stacked inputs per CHUNK_FRAMES block, each block through
+    the cache-free forward. The threaded `posterior_trace` must match it
+    bit for bit wherever BLAS rounds a row alike in blocks of 64 frames
+    and more."""
+    n, bins = lfbe.shape
+    params = _fold_scaler(model, np.float32)
+    trace = np.empty(n)
+    buf = np.empty((min(n, CHUNK_FRAMES), CONTEXT_WIDTH * bins), dtype=np.float32)
+    for lo in range(0, n, CHUNK_FRAMES):
+        hi = min(lo + CHUNK_FRAMES, n)
+        rows = buf[: hi - lo]
+        span = lfbe[np.clip(np.arange(lo - LEFT_CONTEXT, hi + RIGHT_CONTEXT), 0, n - 1)]
+        span = span.astype(np.float32).reshape(-1)
+        rows[:] = sliding_window_view(span, CONTEXT_WIDTH * bins)[::bins]
+        trace[lo:hi] = _forward(params, rows)[:, 1]
+    return trace
 
 
 def unscaled_model(config, seed=0):

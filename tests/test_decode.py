@@ -1,10 +1,15 @@
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import merging_detect_peaks, whole_utterance_trace
+from oracles import merging_detect_peaks, serial_trace, whole_utterance_trace
 
 import wwspot.decode
+import wwspot.features
 from wwspot.audio import SAMPLE_RATE, AudioClip
 from wwspot.decode import (
     DecodeConfig,
@@ -23,10 +28,14 @@ from wwspot.model import FeatureScaler, SpotterConfig, init_model
 SMALL_SPOTTER = SpotterConfig(bottleneck=6, hidden=12)
 
 
-def small_spotter(seed=0):
+def _spotter(config, seed):
     rng = np.random.default_rng(seed)
     scaler = FeatureScaler(rng.standard_normal(620), rng.uniform(0.5, 2.0, 620))
-    return init_model(SMALL_SPOTTER, rng, scaler)
+    return init_model(config, rng, scaler)
+
+
+def small_spotter(seed=0):
+    return _spotter(SMALL_SPOTTER, seed)
 
 
 def test_smooth_constant_is_identity():
@@ -192,15 +201,49 @@ def test_trace_folds_the_scaler_once_and_runs_float32_blocks(monkeypatch):
     monkeypatch.setattr(wwspot.decode, "_forward", recording)
     frames = 2 * CHUNK_FRAMES + 40
     lfbe = np.random.default_rng(5).standard_normal((frames, 20))
-    trace = posterior_trace(small_spotter(5), lfbe)
-    assert folds == [np.float32]
-    assert [shape for _, shape, _, _ in blocks] == [
-        (CHUNK_FRAMES, 620), (CHUNK_FRAMES, 620), (40, 620)
-    ]
-    for dtype, _, param_dtypes, cache in blocks:
-        assert dtype == np.float32 and param_dtypes == {np.dtype(np.float32)}
-        assert cache is None
-    assert trace.dtype == np.float64 and np.isfinite(trace).all()
+    half = (CHUNK_FRAMES // 2, 620)
+    for workers, shapes in (
+        (1, [(CHUNK_FRAMES, 620), (CHUNK_FRAMES, 620), (40, 620)]),
+        (2, [half, half, half, half, (40, 620)]),
+    ):
+        monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+        folds.clear()
+        blocks.clear()
+        trace = posterior_trace(small_spotter(5), lfbe)
+        assert folds == [np.float32]
+        # a block's runs go at once, so they may record in either order
+        assert sorted(shape for _, shape, _, _ in blocks) == sorted(shapes)
+        for dtype, _, param_dtypes, cache in blocks:
+            assert dtype == np.float32 and param_dtypes == {np.dtype(np.float32)}
+            assert cache is None
+        assert trace.dtype == np.float64 and np.isfinite(trace).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_trace_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # the paper-size spotter and the serial block loop agree bit for bit:
+    # runs are whole 64-frame tiles of a block, and a block's remainder
+    # runs whole
+    monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+    rng = np.random.default_rng(workers)
+    spotter, narrow = _spotter(SpotterConfig(), workers), small_spotter(workers)
+    for frames in [
+        1,
+        CHUNK_FRAMES // 2 - 1,
+        CHUNK_FRAMES // 2 + 1,
+        CHUNK_FRAMES - 1,
+        CHUNK_FRAMES + 1,
+        2 * CHUNK_FRAMES + 7,
+        3000,
+    ]:
+        lfbe = rng.standard_normal((frames, 20)) * 3.0 - 5.0
+        assert np.array_equal(posterior_trace(spotter, lfbe), serial_trace(spotter, lfbe))
+        # a first layer this narrow takes OpenBLAS's small-matrix kernel in a
+        # run of 256 frames or fewer, which sums a row in another order than
+        # the whole block's: equal to float32 rounding, not bit for bit
+        np.testing.assert_allclose(
+            posterior_trace(narrow, lfbe), serial_trace(narrow, lfbe), rtol=0, atol=1e-6
+        )
 
 
 def _traced_peak(fn, *args):
@@ -230,3 +273,65 @@ def test_decode_memory_is_flat_against_length():
     slack = 2**20
     assert long[0] - short[0] <= long[1] - short[1] + slack
     assert long[2] - short[2] <= long[3] - short[3] + slack
+
+
+def test_decode_memory_does_not_grow_with_the_worker_count(monkeypatch):
+    # a block's runs share one block of frames in flight; a full block per
+    # worker would add one block of windows, spectra or stacked inputs each
+    rng = np.random.default_rng(1)
+    model = _spotter(SpotterConfig(), 1)
+    clip = AudioClip(rng.standard_normal(SAMPLE_RATE * 60).astype(np.float32) * 0.1)
+    compute_lfbe(AudioClip(np.zeros(SAMPLE_RATE)))  # fill the filterbank cache
+    peaks = {}
+    for workers in (1, 4):
+        monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+        lfbe, lfbe_peak = _traced_peak(compute_lfbe, clip)
+        _, trace_peak = _traced_peak(posterior_trace, model, lfbe)
+        peaks[workers] = (lfbe_peak, trace_peak)
+    slack = 2**18
+    assert peaks[4][0] <= peaks[1][0] + slack
+    assert peaks[4][1] <= peaks[1][1] + slack
+
+
+FORK_SCRIPT = """
+import numpy as np
+from wwspot import features
+from wwspot.audio import SAMPLE_RATE, AudioClip, parallel_map
+from wwspot.decode import posterior_trace
+from wwspot.model import FeatureScaler, SpotterConfig, init_model
+
+
+def decode(model, clip):
+    return posterior_trace(model, features.compute_lfbe(clip))
+
+
+rng = np.random.default_rng(0)
+scaler = FeatureScaler(rng.standard_normal(620), rng.uniform(0.5, 2.0, 620))
+model = init_model(SpotterConfig(bottleneck=8, hidden=16), rng, scaler)
+clips = [AudioClip(rng.standard_normal(SAMPLE_RATE * s).astype(np.float32) * 0.1, str(s)) for s in (12, 14)]
+features.WORKERS = 1
+serial = [decode(model, clip) for clip in clips]
+features.WORKERS = 2  # the pool runs even on one core
+decode(model, AudioClip(rng.standard_normal(SAMPLE_RATE * 20).astype(np.float32) * 0.1))
+forked = parallel_map(decode, clips, 2, model)
+assert all(np.array_equal(a, b) for a, b in zip(serial, forked))
+"""
+
+
+def test_forked_jobs_decode_after_the_block_pool_has_run():
+    # a forked worker inherits the pool object but not its threads; it must
+    # run its blocks serially rather than wait on threads that do not exist
+    proc = subprocess.Popen(
+        [sys.executable, "-c", FORK_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("parallel_map hung in workers forked after the block pool ran")
+    assert proc.returncode == 0, err

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from oracles import stack_context, whole_matrix_lfbe
+from oracles import serial_lfbe, stack_context, whole_matrix_lfbe
 
+import wwspot.features
 from wwspot.audio import SAMPLE_RATE, AudioClip
 from wwspot.evaluate import FRAMES_PER_HOUR
 from wwspot.features import (
@@ -52,6 +53,26 @@ def test_blocked_lfbe_matches_whole_matrix_oracle(frames):
     feat = compute_lfbe(clip)
     assert feat.shape == (frames, NUM_MEL_BINS)
     np.testing.assert_allclose(feat, whole_matrix_lfbe(clip), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_lfbe_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # runs are whole 64-frame tiles of a block, and a block's remainder
+    # runs whole, so each run's filterbank product rounds as the block's
+    monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+    rng = np.random.default_rng(workers)
+    for frames in [
+        1,
+        CHUNK_FRAMES // 2 - 1,
+        CHUNK_FRAMES // 2 + 1,
+        CHUNK_FRAMES - 1,
+        CHUNK_FRAMES + 1,
+        2 * CHUNK_FRAMES + 7,
+        3000,
+    ]:
+        n = WINDOW_SAMPLES + (frames - 1) * HOP_SAMPLES + int(rng.integers(HOP_SAMPLES))
+        clip = AudioClip(rng.standard_normal(n).astype(np.float32) * 0.1)
+        assert np.array_equal(compute_lfbe(clip), serial_lfbe(clip))
 
 
 def test_all_zero_clip_hits_log_floor():
