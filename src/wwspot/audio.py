@@ -258,4 +258,5 @@ def parallel_map(fn, items, jobs, context):
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(fn, context)
     ) as pool:
-        return list(pool.map(_call, items, chunksize=8))
+        chunk = max(1, len(items) // (4 * workers))  # so few items reach every worker
+        return list(pool.map(_call, items, chunksize=chunk))

@@ -2,14 +2,14 @@
 
 The wake-word posterior trace is computed CHUNK_FRAMES frames at a
 time in float32: the feature scaler is folded into the network's first
-layer once per recording, and each block's runs, spread over the
+layer once per recording, and each block's fixed tiles, dealt to the
 features module's worker threads, stack their own raw inputs, so
 decoding holds one block of inputs and activations whatever the
-recording's length and the core count. The trace, one float per
-frame, is then smoothed by a moving average whose width should match
-the typical wake-word duration, and maximal supra-threshold regions
-(merged across short gaps) become detections carrying their peak frame
-and score.
+recording's length, and gives the same bytes whatever the core count.
+The trace, one float per frame, is then smoothed by a moving average
+whose width should match the typical wake-word duration, and maximal
+supra-threshold regions (merged across short gaps) become detections
+carrying their peak frame and score.
 Smoothing and peak picking run on the whole trace: it is small, and a
 streaming smoother would add state and save nothing.
 """
@@ -96,11 +96,11 @@ def posterior_trace(model: SpotterModel, lfbe: np.ndarray) -> np.ndarray:
 
     Equals the tests' float64 oracle `whole_utterance_trace` within 1e-6,
     computed in float32: the scaler is folded into a float32 copy of the
-    parameters once, and `over_blocks` hands each run of frames to the
-    cache-free forward. A run gathers only its own LFBE rows plus
+    parameters once, and `over_blocks` hands each span of frames to the
+    cache-free forward. A span gathers only its own LFBE rows plus
     context, ends replicated, and copies its float32 stacked rows as
-    windows of that span through a strided view; each run has its own
-    rows, as runs go at once on several threads. The trace is float64.
+    windows of that span through a strided view; each span has its own
+    rows, as tiles go at once on two threads. The trace is float64.
     """
     n, bins = lfbe.shape
     params = _fold_scaler(model, np.float32)

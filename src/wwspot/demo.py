@@ -4,9 +4,10 @@ Generates the synthetic corpus, mines balanced examples from its
 hypotheses, trains one model on clean audio and one on the
 four-condition augmented mix built from the same clips, then scores both
 on a held-out test set that is reverberated and corrupted. Everything is
-driven by one integer seed: the same seed gives the same bytes at a fixed
-BLAS thread count (training's matrix products round differently with 1
-and 2 OpenBLAS threads).
+driven by one integer seed: the same seed gives the same bytes for one
+BLAS build, kernel and thread count (training's matrix products round
+differently under OpenBLAS's AVX-512 and AVX2 kernels, and with 1 and 2
+OpenBLAS threads).
 """
 
 from __future__ import annotations

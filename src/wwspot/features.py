@@ -14,11 +14,13 @@ frame, however long the audio. The output may be rows the caller
 owns: a training set's build featurizes each utterance straight into
 its rows of the dataset.
 
-`over_blocks` splits each whole block into WORKERS runs, one thread per
-usable core (at most 8), so a long recording's blocks use every core
-while at most one block of frames is in flight. numpy releases the GIL
-in pocketfft and BLAS. A forked child (a `--jobs` worker) runs its
-blocks serially, since its siblings hold the other cores.
+`over_blocks` cuts each whole block into fixed tiles of RUN_FRAMES and
+deals them to up to MAX_WORKERS threads, one per usable core, so a long
+recording's blocks use two cores while at most one block of frames is
+in flight. numpy releases the GIL in pocketfft and BLAS. A tile is the
+same rows at every worker count, so no output depends on the cores. A
+forked child (a `--jobs` worker) runs its tiles serially, since its
+siblings hold the other cores.
 """
 
 from __future__ import annotations
@@ -48,13 +50,14 @@ CONTEXT_WIDTH = LEFT_CONTEXT + 1 + RIGHT_CONTEXT
 HOP_S = HOP_SAMPLES / SAMPLE_RATE
 FRAMES_PER_S = SAMPLE_RATE // HOP_SAMPLES
 CHUNK_FRAMES = 512  # frames per decode block (5.12 s of audio)
-# a block's runs are whole multiples of RUN_FRAMES: BLAS may round the rows
-# of a partial tile differently, and shorter runs cost it more per frame
-RUN_FRAMES = 64
+# every whole block runs as tiles of RUN_FRAMES at any worker count: BLAS
+# may round a row by how many rows share its product, and shorter tiles
+# cost it more per frame
+RUN_FRAMES = 256
 MAX_WORKERS = CHUNK_FRAMES // RUN_FRAMES
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-WORKERS = min(_CORES or 1, MAX_WORKERS)  # threads per block
-_pool: ThreadPoolExecutor | None = None
+# over_blocks uses at most MAX_WORKERS of the usable cores; the pool's thread starts on use
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="wwspot-block")
 
 
 def _serial_after_fork() -> None:
@@ -67,39 +70,34 @@ os.register_at_fork(after_in_child=_serial_after_fork)
 
 
 def over_blocks(fn, n: int) -> None:
-    """Call fn(lo, hi) on consecutive runs of frames covering [0, n).
+    """Call fn(lo, hi) on spans of frames that cover [0, n) once each.
 
-    Each whole block of CHUNK_FRAMES is split into WORKERS near-equal
-    runs, and worker k takes run k of every block, the caller's thread
-    being worker 0: one run in flight per worker is at most one block of
-    frames in all, and a worker wakes once per call, not per block. The
-    remainder of under one block then runs whole on the caller's thread,
-    as does everything when WORKERS is 1, so a row's run is the serial
-    loop's block or whole tiles of it. fn must write only rows lo..hi
-    of its outputs.
+    Each whole block of CHUNK_FRAMES is cut into tiles of RUN_FRAMES, and
+    with W = min(WORKERS, MAX_WORKERS, tiles) worker k takes tiles k,
+    k + W, and so on, the caller's thread being worker 0 (the only one
+    when W is 1): one tile in flight per worker is at most one block of
+    frames in all, and a worker wakes once per call, not per tile. The
+    part-block at the end then runs whole on the caller's thread. So fn
+    gets the same spans at every W. fn must write only rows lo..hi of
+    its outputs.
     """
-    global _pool
-    whole = n - n % CHUNK_FRAMES if WORKERS > 1 else 0
-    if whole:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="wwspot-block")
-        # run edges: i / WORKERS of a block, rounded to whole RUN_FRAMES
-        tiles = [(MAX_WORKERS * i + WORKERS // 2) // WORKERS for i in range(WORKERS + 1)]
-        cuts = [RUN_FRAMES * t for t in tiles]
+    whole = n - n % CHUNK_FRAMES
+    tiles = range(0, whole, RUN_FRAMES)
+    workers = max(1, min(WORKERS, MAX_WORKERS, len(tiles)))
 
-        def share(a, b):  # one worker's run of every whole block
-            for lo in range(0, whole, CHUNK_FRAMES):
-                fn(lo + a, lo + b)
+    def share(k):
+        for lo in tiles[k::workers]:
+            fn(lo, lo + RUN_FRAMES)
 
-        shares = [_pool.submit(share, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
-        try:
-            share(0, cuts[1])
-        finally:
-            wait(shares)
-        for done in shares:
-            done.result()
-    for lo in range(whole, n, CHUNK_FRAMES):
-        fn(lo, min(lo + CHUNK_FRAMES, n))
+    shares = [_pool.submit(share, k) for k in range(1, workers)]
+    try:
+        share(0)
+    finally:
+        wait(shares)
+    for done in shares:
+        done.result()
+    if whole < n:
+        fn(whole, n)
 
 
 def hz_to_mel(hz):
@@ -145,7 +143,7 @@ def compute_lfbe(clip: AudioClip, out: np.ndarray | None = None) -> np.ndarray:
 
     Per frame: Hann window, magnitude-squared rfft, mel filterbank,
     natural log of (energy + LOG_FLOOR). The frames are strided views
-    of the samples, transformed a run of `over_blocks` at a time into
+    of the samples, transformed a span of `over_blocks` at a time into
     the output: `out` when given (a dataset's rows, say), which must
     have that shape, else a new matrix.
     """

@@ -356,3 +356,36 @@ def test_parallel_map_pool_never_outnumbers_the_items(monkeypatch):
     assert parallel_map(_add, [1, 2], 1, 10) == [11, 12]
     assert parallel_map(_add, [], 64, 10) == []
     assert sizes == [3, 2]
+
+
+def test_parallel_map_reaches_every_worker_with_few_items(monkeypatch):
+    ran_on, chunks = {}, []
+
+    class DealingPool:
+        """Deals map's chunks to its workers in turn, as idle workers take
+        them, and records which worker ran each item; starts no worker."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            self.workers = max_workers
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
+            for i, item in enumerate(items):
+                ran_on[item] = i // chunksize % self.workers
+            return map(fn, items)
+
+    monkeypatch.setattr(audio, "ProcessPoolExecutor", DealingPool)
+    monkeypatch.setattr(audio, "_WORKER", None)
+    # two long recordings under --jobs 2 decode in two processes
+    assert parallel_map(_add, [1, 2], 2, 10) == [11, 12]
+    assert ran_on == {1: 0, 2: 1}
+    # hundreds of short items still go out several at a time
+    assert parallel_map(_add, list(range(400)), 2, 0) == list(range(400))
+    assert chunks[-1] > 1

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import merging_detect_peaks, serial_trace, whole_utterance_trace
+from oracles import merging_detect_peaks, serial_lfbe, serial_trace, whole_utterance_trace
 
 import wwspot.decode
 import wwspot.features
@@ -20,7 +20,7 @@ from wwspot.decode import (
     write_detections,
 )
 from wwspot.demo import average_duration_frames
-from wwspot.features import CHUNK_FRAMES, RIGHT_CONTEXT, compute_lfbe
+from wwspot.features import CHUNK_FRAMES, RIGHT_CONTEXT, RUN_FRAMES, compute_lfbe
 from wwspot.mining import NEGATIVE, POSITIVE, MinedExample
 from wwspot.model import FeatureScaler, SpotterConfig, init_model
 
@@ -201,17 +201,15 @@ def test_trace_folds_the_scaler_once_and_runs_float32_blocks(monkeypatch):
     monkeypatch.setattr(wwspot.decode, "_forward", recording)
     frames = 2 * CHUNK_FRAMES + 40
     lfbe = np.random.default_rng(5).standard_normal((frames, 20))
-    half = (CHUNK_FRAMES // 2, 620)
-    for workers, shapes in (
-        (1, [(CHUNK_FRAMES, 620), (CHUNK_FRAMES, 620), (40, 620)]),
-        (2, [half, half, half, half, (40, 620)]),
-    ):
+    # every whole block runs as two 256-frame tiles at any worker count
+    shapes = [(RUN_FRAMES, 620)] * 4 + [(40, 620)]
+    for workers in (1, 2):
         monkeypatch.setattr(wwspot.features, "WORKERS", workers)
         folds.clear()
         blocks.clear()
         trace = posterior_trace(small_spotter(5), lfbe)
         assert folds == [np.float32]
-        # a block's runs go at once, so they may record in either order
+        # a block's tiles go at once, so they may record in either order
         assert sorted(shape for _, shape, _, _ in blocks) == sorted(shapes)
         for dtype, _, param_dtypes, cache in blocks:
             assert dtype == np.float32 and param_dtypes == {np.dtype(np.float32)}
@@ -221,10 +219,9 @@ def test_trace_folds_the_scaler_once_and_runs_float32_blocks(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_trace_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    # the paper-size spotter and the serial block loop agree bit for bit:
-    # runs are whole 64-frame tiles of a block, and a block's remainder
-    # runs whole
-    monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+    # every worker count computes the same tiles, so the trace is the
+    # serial one bit for bit on any BLAS kernel, even where a kernel
+    # rounds a row by how many rows share its product
     rng = np.random.default_rng(workers)
     spotter, narrow = _spotter(SpotterConfig(), workers), small_spotter(workers)
     for frames in [
@@ -237,13 +234,11 @@ def test_trace_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
         3000,
     ]:
         lfbe = rng.standard_normal((frames, 20)) * 3.0 - 5.0
-        assert np.array_equal(posterior_trace(spotter, lfbe), serial_trace(spotter, lfbe))
-        # a first layer this narrow takes OpenBLAS's small-matrix kernel in a
-        # run of 256 frames or fewer, which sums a row in another order than
-        # the whole block's: equal to float32 rounding, not bit for bit
-        np.testing.assert_allclose(
-            posterior_trace(narrow, lfbe), serial_trace(narrow, lfbe), rtol=0, atol=1e-6
-        )
+        for model in (spotter, narrow):
+            monkeypatch.setattr(wwspot.features, "WORKERS", 1)
+            serial = posterior_trace(model, lfbe)
+            monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+            assert np.array_equal(posterior_trace(model, lfbe), serial)
 
 
 def _traced_peak(fn, *args):
@@ -276,21 +271,22 @@ def test_decode_memory_is_flat_against_length():
 
 
 def test_decode_memory_does_not_grow_with_the_worker_count(monkeypatch):
-    # a block's runs share one block of frames in flight; a full block per
-    # worker would add one block of windows, spectra or stacked inputs each
+    # at every worker count the tiles in flight make at most one block of
+    # frames, as the one-block loops hold; a full block per worker would
+    # add one block of windows, spectra or stacked inputs each
     rng = np.random.default_rng(1)
     model = _spotter(SpotterConfig(), 1)
     clip = AudioClip(rng.standard_normal(SAMPLE_RATE * 60).astype(np.float32) * 0.1)
     compute_lfbe(AudioClip(np.zeros(SAMPLE_RATE)))  # fill the filterbank cache
-    peaks = {}
-    for workers in (1, 4):
-        monkeypatch.setattr(wwspot.features, "WORKERS", workers)
-        lfbe, lfbe_peak = _traced_peak(compute_lfbe, clip)
-        _, trace_peak = _traced_peak(posterior_trace, model, lfbe)
-        peaks[workers] = (lfbe_peak, trace_peak)
+    lfbe, lfbe_bound = _traced_peak(serial_lfbe, clip)
+    _, trace_bound = _traced_peak(serial_trace, model, lfbe)
     slack = 2**18
-    assert peaks[4][0] <= peaks[1][0] + slack
-    assert peaks[4][1] <= peaks[1][1] + slack
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+        _, lfbe_peak = _traced_peak(compute_lfbe, clip)
+        _, trace_peak = _traced_peak(posterior_trace, model, lfbe)
+        assert lfbe_peak <= lfbe_bound + slack
+        assert trace_peak <= trace_bound + slack
 
 
 FORK_SCRIPT = """

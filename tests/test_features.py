@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from oracles import serial_lfbe, stack_context, whole_matrix_lfbe
@@ -22,6 +24,7 @@ from wwspot.features import (
     compute_lfbe,
     hz_to_mel,
     mel_filterbank,
+    over_blocks,
 )
 from wwspot.model import INPUT_DIM
 from wwspot.tsv import DataError
@@ -56,9 +59,29 @@ def test_blocked_lfbe_matches_whole_matrix_oracle(frames):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_over_blocks_gives_every_worker_count_the_same_tiles(monkeypatch, workers):
+    # whole blocks go as 256-frame tiles and the part-block whole at every
+    # worker count, so each BLAS product has the same rows; the caller's
+    # thread takes every other tile when a second worker takes the rest
+    monkeypatch.setattr(wwspot.features, "WORKERS", workers)
+    tiles, part = [(0, 256), (256, 512), (512, 768), (768, 1024)], [(1024, 1064)]
+    for n, spans, callers in [
+        (1, [(0, 1)], [(0, 1)]),
+        (511, [(0, 511)], [(0, 511)]),
+        (512, tiles[:2], tiles[:1]),
+        (1064, tiles + part, tiles[::2] + part),
+    ]:
+        calls = []
+        over_blocks(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), n)
+        assert sorted((lo, hi) for lo, hi, _ in calls) == spans
+        own = [(lo, hi) for lo, hi, thread in calls if thread == threading.get_ident()]
+        assert own == (spans if workers == 1 else callers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_lfbe_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    # runs are whole 64-frame tiles of a block, and a block's remainder
-    # runs whole, so each run's filterbank product rounds as the block's
+    # whole blocks go as 256-frame tiles at every worker count, and the
+    # filterbank product rounds a tile's rows as the 512-block loop's
     monkeypatch.setattr(wwspot.features, "WORKERS", workers)
     rng = np.random.default_rng(workers)
     for frames in [
