@@ -258,5 +258,5 @@ def parallel_map(fn, items, jobs, context):
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(fn, context)
     ) as pool:
-        chunk = max(1, len(items) // (4 * workers))  # so few items reach every worker
+        chunk = min(8, max(1, len(items) // (4 * workers)))  # few items reach every worker
         return list(pool.map(_call, items, chunksize=chunk))

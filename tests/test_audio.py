@@ -388,4 +388,4 @@ def test_parallel_map_reaches_every_worker_with_few_items(monkeypatch):
     assert ran_on == {1: 0, 2: 1}
     # hundreds of short items still go out several at a time
     assert parallel_map(_add, list(range(400)), 2, 0) == list(range(400))
-    assert chunks[-1] > 1
+    assert chunks[-1] == 8
