@@ -342,38 +342,29 @@ def read_manifest(path: str | os.PathLike) -> list[ManifestRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class _AugmentContext:
-    clean: tuple[AudioClip, ...]
-    rirs: tuple[RirFilter, ...]
-    noises: tuple[AudioClip, ...]
-    musics: tuple[AudioClip, ...]
-    spec: CorruptionSpec
-    out_dir: str
-
-
-def _run_job(ctx: _AugmentContext, job: tuple[int, str, int]) -> ManifestRow:
+def _run_job(context, job: tuple[int, str, int]) -> ManifestRow:
+    clean, rirs, noises, musics, spec, out_dir = context
     index, condition, k = job
-    rng = np.random.default_rng([ctx.spec.rng_seed, index])
+    rng = np.random.default_rng([spec.rng_seed, index])
     utt_id = f"{_CONDITION_SLUGS[condition]}-{k:06d}"
     snr = None
     rir_id = None
     if condition == "CTM":
-        source = ctx.clean[k % len(ctx.clean)]
+        source = clean[k % len(clean)]
     else:
-        source = ctx.clean[int(rng.integers(len(ctx.clean)))]
+        source = clean[int(rng.integers(len(clean)))]
     # shares the source's samples: reverberate and corrupt return new clips
     out = AudioClip(source.samples, id=utt_id)
     if condition in ("CTM+R", "CTM+RN"):
-        rir = ctx.rirs[int(rng.integers(len(ctx.rirs)))]
+        rir = rirs[int(rng.integers(len(rirs)))]
         out = reverberate(out, rir)
         rir_id = rir.id
     if condition in ("CTM+N", "CTM+RN"):
-        noise = ctx.noises[int(rng.integers(len(ctx.noises)))]
-        music = ctx.musics[int(rng.integers(len(ctx.musics)))] if ctx.musics else None
-        out, snr = corrupt(out, noise, music, ctx.spec, rng)
+        noise = noises[int(rng.integers(len(noises)))]
+        music = musics[int(rng.integers(len(musics)))] if musics else None
+        out, snr = corrupt(out, noise, music, spec, rng)
     wav_path = os.path.join("wav", f"{utt_id}.wav")
-    write_wav(out, os.path.join(ctx.out_dir, wav_path))
+    write_wav(out, os.path.join(out_dir, wav_path))
     return ManifestRow(utt_id, condition, source.id, wav_path, snr, rir_id)
 
 
@@ -409,7 +400,5 @@ def build_mixed_dataset(
         for k in range(count):
             jobs_list.append((len(jobs_list), condition, k))
 
-    ctx = _AugmentContext(
-        tuple(clean), tuple(rirs), tuple(noises), tuple(musics), spec, out_dir
-    )
-    return parallel_map(_run_job, jobs_list, jobs, ctx)
+    context = (clean, rirs, noises, musics, spec, out_dir)
+    return parallel_map(_run_job, jobs_list, jobs, context)

@@ -299,15 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECTION.KEY=VALUE",
         help="override one config value (repeatable)",
     )
-    common.add_argument("--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
     common.add_argument("--out", default="runs")
+    # only the subcommands that fan work out over a process pool
+    fans_out = argparse.ArgumentParser(add_help=False)
+    fans_out.add_argument("--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rir-gen", parents=[common], help="synthesize an RIR pool")
     p.set_defaults(func=cmd_rir_gen)
 
-    p = sub.add_parser("augment", parents=[common], help="build the mixed-condition set")
+    p = sub.add_parser("augment", parents=[common, fans_out], help="build the mixed-condition set")
     p.add_argument("--clean-dir", required=True)
     p.add_argument("--rir-dir")
     p.add_argument("--noise-dir")
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--augment-manifest")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("decode", parents=[common], help="detect wake words")
+    p = sub.add_parser("decode", parents=[common, fans_out], help="detect wake words")
     p.add_argument("--model", required=True)
     p.add_argument("--wav-dir", required=True)
     p.set_defaults(func=cmd_decode)
@@ -344,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("det", parents=[common], help="sweep thresholds into a DET curve")
+    p = sub.add_parser("det", parents=[common, fans_out], help="sweep thresholds into a DET curve")
     p.add_argument("--model", required=True)
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--references", required=True)
     p.set_defaults(func=cmd_det)
 
-    p = sub.add_parser("e2e-demo", parents=[common], help="full synthetic-corpus comparison")
+    p = sub.add_parser("e2e-demo", parents=[common, fans_out], help="full synthetic-corpus comparison")
     p.set_defaults(func=cmd_e2e_demo)
     return parser
 

@@ -380,13 +380,14 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
     ]
     assert main(base + ["--jobs", "1", "--out", str(tmp_path / "j1")]) == 0
     assert main(base + ["--jobs", "2", "--out", str(tmp_path / "j2")]) == 0
-    m1 = os.path.join(_single_run_dir(str(tmp_path / "j1"), "augment"), "manifest.tsv")
-    m2 = os.path.join(_single_run_dir(str(tmp_path / "j2"), "augment"), "manifest.tsv")
+    # --jobs stays out of the run key
+    aug_dirs = [_single_run_dir(str(tmp_path / out), "augment") for out in ("j1", "j2")]
+    assert os.path.basename(aug_dirs[0]) == os.path.basename(aug_dirs[1])
+    m1, m2 = (os.path.join(d, "manifest.tsv") for d in aug_dirs)
     assert open(m1, "rb").read() == open(m2, "rb").read()
     for row_line in open(m1).read().splitlines():
         rel = row_line.split("\t")[3]
-        a = open(os.path.join(_single_run_dir(str(tmp_path / "j1"), "augment"), rel), "rb").read()
-        b = open(os.path.join(_single_run_dir(str(tmp_path / "j2"), "augment"), rel), "rb").read()
+        a, b = (open(os.path.join(d, rel), "rb").read() for d in aug_dirs)
         assert a == b
 
     from wwspot.model import SpotterConfig, save_model
@@ -396,13 +397,68 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
     decode = ["decode", "--model", str(ckpt), "--wav-dir", corpus["wav"],
               "--set", "decoding.threshold=0.000001"]
     outs = []
+    dec_dirs = []
     for jobs, out in (("1", "j1"), ("2", "j2")):
         assert main(decode + ["--jobs", jobs, "--out", str(tmp_path / out)]) == 0
-        dec_dir = _single_run_dir(str(tmp_path / out), "decode")
-        outs.append([open(os.path.join(dec_dir, f), "rb").read()
+        dec_dirs.append(_single_run_dir(str(tmp_path / out), "decode"))
+        outs.append([open(os.path.join(dec_dirs[-1], f), "rb").read()
                      for f in ("detections.tsv", "utt_frames.tsv")])
+    assert os.path.basename(dec_dirs[0]) == os.path.basename(dec_dirs[1])
     assert outs[0] == outs[1]
     assert outs[0][0]
+
+
+FORKSERVER_SCRIPT = """
+import json, multiprocessing, sys
+from wwspot.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    for argv in json.loads(sys.argv[1]):
+        assert main(argv) == 0, argv
+"""
+
+
+def _tree_bytes(root):
+    files = {}
+    for path in glob.glob(os.path.join(root, "**", "*"), recursive=True):
+        if os.path.isfile(path):
+            files[os.path.relpath(path, root)] = open(path, "rb").read()
+    return files
+
+
+def test_jobs_bytes_hold_under_the_forkserver_start_method(tmp_path, corpus):
+    # Python 3.14 starts pools on Linux with forkserver, not fork: workers
+    # then get the context by pickle and never hold the parent's block pool
+    from wwspot.audio import AudioClip, write_wav
+    from wwspot.model import SpotterConfig, save_model
+
+    ckpt = tmp_path / "model.ckpt"
+    save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    long_dir = tmp_path / "long"
+    long_dir.mkdir()
+    rng = np.random.default_rng(8)
+    for i, seconds in enumerate((11, 12)):  # at least two 512-frame blocks each
+        samples = rng.standard_normal(SAMPLE_RATE * seconds).astype(np.float32) * 0.1
+        write_wav(AudioClip(samples, id=f"long{i}"), long_dir / f"long{i}.wav")
+    augment = ["augment", "--clean-dir", corpus["wav"], "--rir-dir", corpus["rirs"],
+               "--noise-dir", corpus["noise"], "--set", "augment.table_row=50K",
+               "--set", "augment.recipe_scale=0.0005",
+               "--set", "augment.noise_music_split=1.0"]
+    decode = ["decode", "--model", str(ckpt), "--wav-dir", str(long_dir),
+              "--set", "decoding.threshold=0.000001"]
+    runs = [cmd + ["--jobs", jobs, "--out", str(tmp_path / f"j{jobs}")]
+            for cmd in (augment, decode) for jobs in ("1", "2")]
+    script = tmp_path / "forkserver_cli.py"
+    script.write_text(FORKSERVER_SCRIPT)
+    proc = subprocess.run([sys.executable, str(script), json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    one, two = _tree_bytes(str(tmp_path / "j1")), _tree_bytes(str(tmp_path / "j2"))
+    assert one == two
+    assert sum(k.endswith("manifest.tsv") for k in one) == 1
+    detections = [v for k, v in one.items() if k.endswith("detections.tsv")]
+    assert len(detections) == 1 and detections[0]
 
 
 def test_rir_gen(tmp_path):
@@ -1016,8 +1072,8 @@ def test_det_names_a_wav_shorter_than_one_window(tmp_path, capsys):
 
 def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
     runs = str(tmp_path / "runs")
-    for seed, jobs in (("1", "1"), ("2", "1"), ("1", "2")):
-        argv = ["rir-gen", "--set", "rir.count=1", "--set", f"run.seed={seed}", "--jobs", jobs]
+    for seed in ("1", "2", "1"):
+        argv = ["rir-gen", "--set", "rir.count=1", "--set", f"run.seed={seed}"]
         assert main(argv + ["--out", runs]) == 0
     assert len(glob.glob(os.path.join(runs, "rir-gen-*"))) == 2
 
@@ -1037,11 +1093,32 @@ def test_different_seeds_and_inputs_get_different_run_dirs(tmp_path):
 @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
 def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:
-        main(["rir-gen", "--jobs", jobs, "--out", str(tmp_path / "runs")])
+        main(["e2e-demo", "--jobs", jobs, "--out", str(tmp_path / "runs")])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert f"--jobs: expected an integer >= 1, got '{jobs}'" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rir-gen"],
+        ["confusables", "--lexicon", "l"],
+        ["mine", "--hypotheses", "h", "--confusables", "c"],
+        ["train", "--mined", "m", "--audio-dir", "a"],
+        ["eval", "--detections", "d", "--utt-frames", "u", "--references", "r"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_is_refused_where_nothing_fans_out(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2", "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --jobs 2" in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -1061,7 +1138,10 @@ def test_flags_name_only_inputs_outputs_and_workers():
     keys = {key for section in SCHEMA.values() for key in section}
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
-    assert set.intersection(*dests.values()) == {"config", "set", "jobs", "out"}
+    assert set.intersection(*dests.values()) == {"config", "set", "out"}
+    assert {name for name, options in dests.items() if "jobs" in options} == {
+        "augment", "decode", "det", "e2e-demo"
+    }
     for name, options in dests.items():
         assert not options & keys, name
 
