@@ -19,12 +19,13 @@ deals them to up to MAX_WORKERS threads, one per usable core, so a long
 recording's blocks use two cores while at most one block of frames is
 in flight. numpy releases the GIL in pocketfft and BLAS. A tile is the
 same rows at every worker count, so no output depends on the cores. A
-forked child (a `--jobs` worker) runs its tiles serially, since its
-siblings hold the other cores.
+pool worker (a `--jobs` worker, under any start method) runs its tiles
+itself, since its siblings hold the other cores.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
@@ -55,18 +56,10 @@ CHUNK_FRAMES = 512  # frames per decode block (5.12 s of audio)
 # cost it more per frame
 RUN_FRAMES = 256
 MAX_WORKERS = CHUNK_FRAMES // RUN_FRAMES
-# over_blocks uses at most MAX_WORKERS of the usable cores; the pool's thread starts on use
+# over_blocks uses at most MAX_WORKERS of the usable cores; the pool's thread
+# starts on use, so a pool worker, which never uses it, starts none
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="wwspot-block")
-
-
-def _serial_after_fork() -> None:
-    # a forked child has a copy of the pool but none of its threads
-    global WORKERS, _pool
-    WORKERS, _pool = 1, None
-
-
-os.register_at_fork(after_in_child=_serial_after_fork)
 
 
 def over_blocks(fn, n: int) -> None:
@@ -76,14 +69,16 @@ def over_blocks(fn, n: int) -> None:
     with W = min(WORKERS, MAX_WORKERS, tiles) worker k takes tiles k,
     k + W, and so on, the caller's thread being worker 0 (the only one
     when W is 1): one tile in flight per worker is at most one block of
-    frames in all, and a worker wakes once per call, not per tile. The
-    part-block at the end then runs whole on the caller's thread. So fn
-    gets the same spans at every W. fn must write only rows lo..hi of
-    its outputs.
+    frames in all, and a worker wakes once per call, not per tile. In a
+    process pool's worker, however it was started, W is 1, since its
+    siblings hold the other cores. The part-block at the end then runs
+    whole on the caller's thread. So fn gets the same spans at every W.
+    fn must write only rows lo..hi of its outputs.
     """
     whole = n - n % CHUNK_FRAMES
     tiles = range(0, whole, RUN_FRAMES)
-    workers = max(1, min(WORKERS, MAX_WORKERS, len(tiles)))
+    cores = 1 if multiprocessing.parent_process() else WORKERS
+    workers = max(1, min(cores, MAX_WORKERS, len(tiles)))
 
     def share(k):
         for lo in tiles[k::workers]:

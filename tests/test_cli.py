@@ -408,13 +408,13 @@ def test_jobs_flag_is_bit_reproducible(tmp_path, corpus):
     assert outs[0][0]
 
 
-FORKSERVER_SCRIPT = """
+START_METHOD_SCRIPT = """
 import json, multiprocessing, sys
 from wwspot.cli import main
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("forkserver")
-    for argv in json.loads(sys.argv[1]):
+    multiprocessing.set_start_method(sys.argv[1])
+    for argv in json.loads(sys.argv[2]):
         assert main(argv) == 0, argv
 """
 
@@ -427,9 +427,11 @@ def _tree_bytes(root):
     return files
 
 
-def test_jobs_bytes_hold_under_the_forkserver_start_method(tmp_path, corpus):
-    # Python 3.14 starts pools on Linux with forkserver, not fork: workers
-    # then get the context by pickle and never hold the parent's block pool
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_jobs_bytes_hold_under_the_forkserver_and_spawn_start_methods(tmp_path, corpus, method):
+    # Python 3.14 starts pools on Linux with forkserver and macOS with spawn,
+    # not fork: workers then get the context by pickle and import the block
+    # pool afresh, which they leave unused
     from wwspot.audio import AudioClip, write_wav
     from wwspot.model import SpotterConfig, save_model
 
@@ -449,9 +451,9 @@ def test_jobs_bytes_hold_under_the_forkserver_start_method(tmp_path, corpus):
               "--set", "decoding.threshold=0.000001"]
     runs = [cmd + ["--jobs", jobs, "--out", str(tmp_path / f"j{jobs}")]
             for cmd in (augment, decode) for jobs in ("1", "2")]
-    script = tmp_path / "forkserver_cli.py"
-    script.write_text(FORKSERVER_SCRIPT)
-    proc = subprocess.run([sys.executable, str(script), json.dumps(runs)],
+    script = tmp_path / "start_method_cli.py"
+    script.write_text(START_METHOD_SCRIPT)
+    proc = subprocess.run([sys.executable, str(script), method, json.dumps(runs)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     one, two = _tree_bytes(str(tmp_path / "j1")), _tree_bytes(str(tmp_path / "j2"))
