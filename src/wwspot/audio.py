@@ -235,6 +235,8 @@ def rms_power(samples: np.ndarray) -> float:
     return float(np.mean(np.square(samples, dtype=np.float64)))
 
 
+# the cores this process may run on, which bound every pool's size
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WORKER = None  # parallel_map's (fn, context), set once in each pool worker
 
 
@@ -249,10 +251,11 @@ def _call(item):
 
 
 def parallel_map(fn, items, jobs, context):
-    """`fn(context, item)` for each item of a list; one job or one item stays
-    in-process, and a pool of at most one worker per item sends `context` to
-    each worker once. Results keep input order, so any N gives the same bytes."""
-    workers = min(jobs, len(items))
+    """`fn(context, item)` for each item of a list; one job, one item or one
+    core stays in-process, and a pool of at most one worker per item and per
+    core sends `context` to each worker once. Results keep input order, so
+    any N gives the same bytes."""
+    workers = min(jobs, len(items), CORES)
     if workers <= 1:
         return [fn(context, item) for item in items]
     with ProcessPoolExecutor(

@@ -29,7 +29,7 @@ from . import demo as demo_mod
 from . import evaluate as ev
 from . import lexicon as lex
 from . import mining, pipeline
-from .audio import parallel_map, read_wav
+from .audio import read_wav
 from .config import ConfigError, PipelineConfig, load_config
 from .features import compute_lfbe
 from .model import TrainingDiverged, load_model, save_model, train
@@ -200,21 +200,21 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _decode_one(model, path):
-    clip = read_wav(path)
-    try:
-        lfbe = compute_lfbe(clip)
-    except DataError as exc:  # a clip shorter than one window
-        raise DataError(f"{path}: {exc}") from None
-    return clip.id, dec.posterior_trace(model, lfbe)
-
-
 def _decode_traces(args):
+    """Each WAV's trace by clip id, one after another, each on over_blocks' threads."""
     paths = _list_wavs(args.wav_dir)
     if not paths:
         raise DataError("no evaluation inputs")
     model = load_model(args.model)
-    return dict(parallel_map(_decode_one, paths, args.jobs, model))
+    traces = {}
+    for path in paths:
+        clip = read_wav(path)
+        try:
+            lfbe = compute_lfbe(clip)
+        except DataError as exc:  # a clip shorter than one window
+            raise DataError(f"{path}: {exc}") from None
+        traces[clip.id] = dec.posterior_trace(model, lfbe)
+    return traces
 
 
 def cmd_decode(args, cfg: PipelineConfig) -> int:
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="runs")
     # only the subcommands that fan work out over a process pool
     fans_out = argparse.ArgumentParser(add_help=False)
-    fans_out.add_argument("--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
+    fans_out.add_argument("--jobs", type=_jobs, default=1, help="worker processes (>= 1, one per core at most)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--augment-manifest")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("decode", parents=[common, fans_out], help="detect wake words")
+    p = sub.add_parser("decode", parents=[common], help="detect wake words")
     p.add_argument("--model", required=True)
     p.add_argument("--wav-dir", required=True)
     p.set_defaults(func=cmd_decode)
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("det", parents=[common, fans_out], help="sweep thresholds into a DET curve")
+    p = sub.add_parser("det", parents=[common], help="sweep thresholds into a DET curve")
     p.add_argument("--model", required=True)
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--references", required=True)

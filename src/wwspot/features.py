@@ -18,21 +18,19 @@ its rows of the dataset.
 deals them to up to MAX_WORKERS threads, one per usable core, so a long
 recording's blocks use two cores while at most one block of frames is
 in flight. numpy releases the GIL in pocketfft and BLAS. A tile is the
-same rows at every worker count, so no output depends on the cores. A
-pool worker (a `--jobs` worker, under any start method) runs its tiles
-itself, since its siblings hold the other cores.
+same rows at every worker count, so no output depends on the cores.
+These threads are decode's only parallelism: the CLI decodes its
+recordings one after another.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, AudioClip
+from .audio import CORES, SAMPLE_RATE, AudioClip
 from .tsv import DataError
 
 # The front end is fixed: every checkpoint is trained on these inputs,
@@ -57,8 +55,8 @@ CHUNK_FRAMES = 512  # frames per decode block (5.12 s of audio)
 RUN_FRAMES = 256
 MAX_WORKERS = CHUNK_FRAMES // RUN_FRAMES
 # over_blocks uses at most MAX_WORKERS of the usable cores; the pool's thread
-# starts on use, so a pool worker, which never uses it, starts none
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# starts on first use, so one core starts none
+WORKERS = CORES
 _pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="wwspot-block")
 
 
@@ -69,16 +67,14 @@ def over_blocks(fn, n: int) -> None:
     with W = min(WORKERS, MAX_WORKERS, tiles) worker k takes tiles k,
     k + W, and so on, the caller's thread being worker 0 (the only one
     when W is 1): one tile in flight per worker is at most one block of
-    frames in all, and a worker wakes once per call, not per tile. In a
-    process pool's worker, however it was started, W is 1, since its
-    siblings hold the other cores. The part-block at the end then runs
-    whole on the caller's thread. So fn gets the same spans at every W.
-    fn must write only rows lo..hi of its outputs.
+    frames in all, and a worker wakes once per call, not per tile. The
+    part-block at the end then runs whole on the caller's thread. So fn
+    gets the same spans at every W. fn must write only rows lo..hi of
+    its outputs.
     """
     whole = n - n % CHUNK_FRAMES
     tiles = range(0, whole, RUN_FRAMES)
-    cores = 1 if multiprocessing.parent_process() else WORKERS
-    workers = max(1, min(cores, MAX_WORKERS, len(tiles)))
+    workers = max(1, min(WORKERS, MAX_WORKERS, len(tiles)))
 
     def share(k):
         for lo in tiles[k::workers]:

@@ -328,14 +328,17 @@ def _add(context, item):
     return context + item
 
 
-def test_parallel_map_pool_never_outnumbers_the_items(monkeypatch):
-    sizes = []
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Puts a stand-in for the process pool in place, which starts no worker:
+    it deals map's chunks to its workers in turn, as idle workers take them,
+    and logs each pool's size and chunk size and which worker ran each item."""
+    log = {"sizes": [], "chunks": [], "ran_on": {}}
 
-    class InProcessPool:
-        """Records the pool size and maps in this process; starts no worker."""
-
+    class DealingPool:
         def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
+            self.workers = max_workers
+            log["sizes"].append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -345,47 +348,45 @@ def test_parallel_map_pool_never_outnumbers_the_items(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            log["chunks"].append(chunksize)
+            for i, item in enumerate(items):
+                log["ran_on"][item] = i // chunksize % self.workers
             return map(fn, items)
 
-    monkeypatch.setattr(audio, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(audio, "ProcessPoolExecutor", DealingPool)
     monkeypatch.setattr(audio, "_WORKER", None)
+    return log
+
+
+def test_parallel_map_pool_never_outnumbers_the_items(monkeypatch, pool_log):
+    monkeypatch.setattr(audio, "CORES", 64)
     assert parallel_map(_add, [1, 2, 3], 64, 10) == [11, 12, 13]
     assert parallel_map(_add, [1, 2, 3], 2, 10) == [11, 12, 13]
     # one item or one job stays in-process
     assert parallel_map(_add, [1], 64, 10) == [11]
     assert parallel_map(_add, [1, 2], 1, 10) == [11, 12]
     assert parallel_map(_add, [], 64, 10) == []
-    assert sizes == [3, 2]
+    assert pool_log["sizes"] == [3, 2]
 
 
-def test_parallel_map_reaches_every_worker_with_few_items(monkeypatch):
-    ran_on, chunks = {}, []
+def test_parallel_map_pool_never_outnumbers_the_cores(monkeypatch, pool_log):
+    # a pool starts all its workers at once, so a huge --jobs over a large
+    # recipe would ask for one process per job
+    monkeypatch.setattr(audio, "CORES", 2)
+    assert parallel_map(_add, list(range(400)), 10**6, 0) == list(range(400))
+    assert pool_log["sizes"] == [2]
+    # one core stays in-process
+    monkeypatch.setattr(audio, "CORES", 1)
+    assert parallel_map(_add, [1, 2, 3], 64, 10) == [11, 12, 13]
+    assert pool_log["sizes"] == [2]
 
-    class DealingPool:
-        """Deals map's chunks to its workers in turn, as idle workers take
-        them, and records which worker ran each item; starts no worker."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            self.workers = max_workers
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            chunks.append(chunksize)
-            for i, item in enumerate(items):
-                ran_on[item] = i // chunksize % self.workers
-            return map(fn, items)
-
-    monkeypatch.setattr(audio, "ProcessPoolExecutor", DealingPool)
-    monkeypatch.setattr(audio, "_WORKER", None)
-    # two long recordings under --jobs 2 decode in two processes
+def test_parallel_map_reaches_every_worker_with_few_items(monkeypatch, pool_log):
+    monkeypatch.setattr(audio, "CORES", 2)
+    # few items, down to two, reach both workers of --jobs 2: a small augment
+    # recipe is few jobs (CI's 50K row at recipe_scale=0.0005 is 26)
     assert parallel_map(_add, [1, 2], 2, 10) == [11, 12]
-    assert ran_on == {1: 0, 2: 1}
+    assert pool_log["ran_on"] == {1: 0, 2: 1}
     # hundreds of short items still go out several at a time
     assert parallel_map(_add, list(range(400)), 2, 0) == list(range(400))
-    assert chunks[-1] == 8
+    assert pool_log["chunks"][-1] == 8

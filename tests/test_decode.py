@@ -1,7 +1,3 @@
-import os
-import signal
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -287,67 +283,3 @@ def test_decode_memory_does_not_grow_with_the_worker_count(monkeypatch):
         _, trace_peak = _traced_peak(posterior_trace, model, lfbe)
         assert lfbe_peak <= lfbe_bound + slack
         assert trace_peak <= trace_bound + slack
-
-
-JOBS_SCRIPT = """
-import multiprocessing, sys, threading
-import numpy as np
-from wwspot import features
-from wwspot.audio import SAMPLE_RATE, AudioClip, parallel_map
-from wwspot.decode import posterior_trace
-from wwspot.model import FeatureScaler, SpotterConfig, init_model
-
-# spawn and forkserver workers run this line too (fork ones inherit it),
-# so every process would use the block pool, even on one core
-features.WORKERS = 2
-
-
-def block_threads():
-    idents = set()
-    features.over_blocks(lambda lo, hi: idents.add(threading.get_ident()), 4 * features.CHUNK_FRAMES)
-    return len(idents)
-
-
-def decode(model, clip):
-    return posterior_trace(model, features.compute_lfbe(clip)), block_threads()
-
-
-if __name__ == "__main__":
-    multiprocessing.set_start_method(sys.argv[1])
-    rng = np.random.default_rng(0)
-    scaler = FeatureScaler(rng.standard_normal(620), rng.uniform(0.5, 2.0, 620))
-    model = init_model(SpotterConfig(bottleneck=8, hidden=16), rng, scaler)
-    clips = [AudioClip(rng.standard_normal(SAMPLE_RATE * s).astype(np.float32) * 0.1, str(s)) for s in (12, 14)]
-    features.WORKERS = 1
-    serial = [decode(model, clip)[0] for clip in clips]
-    features.WORKERS = 2
-    assert block_threads() == 2
-    decode(model, AudioClip(rng.standard_normal(SAMPLE_RATE * 20).astype(np.float32) * 0.1))
-    pooled = parallel_map(decode, clips, 2, model)
-    assert all(np.array_equal(a, b) for a, (b, _) in zip(serial, pooled))
-    threads = [n for _, n in pooled]
-    assert threads == [1, 1], f"block threads per worker: {threads}"
-"""
-
-
-@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-def test_forked_jobs_decode_after_the_block_pool_has_run(tmp_path, method):
-    # a `--jobs` worker runs its tiles on its own thread, however it was
-    # started: its siblings hold the other cores, and a forked worker holds
-    # a copy of the block pool but none of its threads
-    script = tmp_path / "jobs_decode.py"
-    script.write_text(JOBS_SCRIPT)
-    proc = subprocess.Popen(
-        [sys.executable, str(script), method],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    )
-    try:
-        _, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail(f"parallel_map hung in {method} workers started after the block pool ran")
-    assert proc.returncode == 0, err
