@@ -1,12 +1,12 @@
 """Command-line entry point wiring the pipeline stages.
 
 Every setting, the seed and wake word too, is a key of the shared config
-(overridable with repeated --set section.key=value flags); flags name only
-inputs, outputs and worker count. The config is parsed and checked whole
-before any subcommand starts, so a bad value fails every subcommand alike
-and the subcommands only look their values up. Each run writes into a
-directory named after the config hash and its input flags, so identical
-runs land on identical bytes.
+(overridable with repeated --set section.key=value flags) but for mine's
+--no-balance; other flags name only inputs, outputs and worker count. The
+config is parsed and checked whole before any subcommand starts, so a bad
+value fails every subcommand alike; subcommands only look values up. Each
+run writes into a directory named after the config hash and its stage
+flags (inputs, --no-balance), so identical runs land on identical bytes.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
 failure.

@@ -25,7 +25,7 @@ recordings one after another.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import numpy as np
@@ -54,10 +54,9 @@ CHUNK_FRAMES = 512  # frames per decode block (5.12 s of audio)
 # cost it more per frame
 RUN_FRAMES = 256
 MAX_WORKERS = CHUNK_FRAMES // RUN_FRAMES
-# over_blocks uses at most MAX_WORKERS of the usable cores; the pool's thread
-# starts on first use, so one core starts none
+# over_blocks uses at most MAX_WORKERS of the usable cores, starting its
+# threads per call, so one core starts none and none outlives a call
 WORKERS = CORES
-_pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="wwspot-block")
 
 
 def over_blocks(fn, n: int) -> None:
@@ -67,7 +66,7 @@ def over_blocks(fn, n: int) -> None:
     with W = min(WORKERS, MAX_WORKERS, tiles) worker k takes tiles k,
     k + W, and so on, the caller's thread being worker 0 (the only one
     when W is 1): one tile in flight per worker is at most one block of
-    frames in all, and a worker wakes once per call, not per tile. The
+    frames in all, and a worker starts once per call, not per tile. The
     part-block at the end then runs whole on the caller's thread. So fn
     gets the same spans at every W. fn must write only rows lo..hi of
     its outputs.
@@ -80,13 +79,14 @@ def over_blocks(fn, n: int) -> None:
         for lo in tiles[k::workers]:
             fn(lo, lo + RUN_FRAMES)
 
-    shares = [_pool.submit(share, k) for k in range(1, workers)]
-    try:
+    if workers == 1:
         share(0)
-    finally:
-        wait(shares)
-    for done in shares:
-        done.result()
+    else:
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="wwspot-block") as pool:
+            shares = [pool.submit(share, k) for k in range(1, workers)]
+            share(0)
+        for done in shares:
+            done.result()
     if whole < n:
         fn(whole, n)
 

@@ -9,6 +9,7 @@ is meaningful.
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from functools import cache
 
@@ -439,3 +440,24 @@ def per_object_mine(hyps, wake_word, confusables, pos_threshold, neg_threshold):
             out.append(MinedExample(hyp.utt_id, polarity, hit.token.lower(), span, hit.confidence))
     out.sort(key=lambda e: e.utt_id)
     return out
+
+
+def wav_fmt(tag, channels, bits, extensible=False):
+    """A `fmt ` body at 16 kHz; extensible names `tag` in its subformat GUID."""
+    align = channels * bits // 8
+    body = struct.pack(
+        "<HHIIHH", 0xFFFE if extensible else tag, channels, 16000, 16000 * align, align, bits
+    )
+    if extensible:
+        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        body += struct.pack("<HHI", 22, bits, 0) + guid
+    return body
+
+
+def riff(*chunks):
+    """A WAV file's bytes from (name, body) chunks, each padded to an even length."""
+    body = b"WAVE" + b"".join(
+        struct.pack("<4sI", name, len(data)) + data + b"\0" * (len(data) % 2)
+        for name, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import riff, wav_fmt
 from scipy.io import wavfile
 
 from wwspot import audio
@@ -62,27 +63,6 @@ def test_rejects_non_finite_float_samples(tmp_path, dtype):
         read_wav(path)
 
 
-def _fmt(tag, channels, bits, extensible=False):
-    """A `fmt ` body at 16 kHz; extensible names `tag` in its subformat GUID."""
-    align = channels * bits // 8
-    body = struct.pack(
-        "<HHIIHH", 0xFFFE if extensible else tag, channels, 16000, 16000 * align, align, bits
-    )
-    if extensible:
-        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-        body += struct.pack("<HHI", 22, bits, 0) + guid
-    return body
-
-
-def _riff(*chunks):
-    """A WAV file's bytes from (name, body) chunks, each padded to an even length."""
-    body = b"WAVE" + b"".join(
-        struct.pack("<4sI", name, len(data)) + data + b"\0" * (len(data) % 2)
-        for name, data in chunks
-    )
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
 def _scipy_samples(path):
     """The oracle: scipy's samples, scaled and averaged to mono as read_wav promises."""
     _, data = wavfile.read(path)
@@ -102,21 +82,21 @@ _FLOAT = _rng.standard_normal((2 * audio._BLOCK_FRAMES + 5, 2))
     ("wav", "dtype"),
     [
         pytest.param(
-            _riff((b"fmt ", _fmt(1, 1, 16)), (b"data", _INT16[:, 0].tobytes())), np.float32, id="int16-mono"
+            riff((b"fmt ", wav_fmt(1, 1, 16)), (b"data", _INT16[:, 0].tobytes())), np.float32, id="int16-mono"
         ),
-        pytest.param(_riff((b"fmt ", _fmt(1, 2, 16)), (b"data", _INT16.tobytes())), np.float64, id="int16-stereo"),
+        pytest.param(riff((b"fmt ", wav_fmt(1, 2, 16)), (b"data", _INT16.tobytes())), np.float64, id="int16-stereo"),
         pytest.param(
-            _riff((b"fmt ", _fmt(3, 1, 32)), (b"data", _FLOAT[:, 0].astype("<f4").tobytes())),
+            riff((b"fmt ", wav_fmt(3, 1, 32)), (b"data", _FLOAT[:, 0].astype("<f4").tobytes())),
             np.float32,
             id="float32",
         ),
         pytest.param(
-            _riff((b"fmt ", _fmt(3, 2, 64)), (b"data", _FLOAT.tobytes())), np.float64, id="float64-stereo"
+            riff((b"fmt ", wav_fmt(3, 2, 64)), (b"data", _FLOAT.tobytes())), np.float64, id="float64-stereo"
         ),
-        pytest.param(_riff((b"fmt ", _fmt(1, 1, 16)), (b"data", b"\x01\x80")), np.float32, id="one-frame"),
+        pytest.param(riff((b"fmt ", wav_fmt(1, 1, 16)), (b"data", b"\x01\x80")), np.float32, id="one-frame"),
         pytest.param(
-            _riff(
-                (b"fmt ", _fmt(1, 1, 16)),
+            riff(
+                (b"fmt ", wav_fmt(1, 1, 16)),
                 (b"LIST", b"INFOISFT\x03\x00\x00\x00ab\x00"),
                 (b"LIST", b"odd"),
                 (b"fact", struct.pack("<I", len(_INT16))),
@@ -126,12 +106,12 @@ _FLOAT = _rng.standard_normal((2 * audio._BLOCK_FRAMES + 5, 2))
             id="odd-LIST-chunks",
         ),
         pytest.param(
-            _riff((b"fmt ", _fmt(3, 2, 32, extensible=True)), (b"data", _FLOAT.astype("<f4").tobytes())),
+            riff((b"fmt ", wav_fmt(3, 2, 32, extensible=True)), (b"data", _FLOAT.astype("<f4").tobytes())),
             np.float64,
             id="extensible-float32",
         ),
         pytest.param(
-            _riff((b"fmt ", _fmt(1, 1, 16, extensible=True)), (b"data", _INT16[:, 0].tobytes())),
+            riff((b"fmt ", wav_fmt(1, 1, 16, extensible=True)), (b"data", _INT16[:, 0].tobytes())),
             np.float32,
             id="extensible-int16",
         ),

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import handwritten_checkpoint, unscaled_model
+from oracles import handwritten_checkpoint, riff, unscaled_model, wav_fmt
 
 from wwspot import tsv
 from wwspot.audio import SAMPLE_RATE
@@ -163,96 +163,78 @@ def test_det_without_inputs_exits_3(tmp_path, corpus, capsys):
     assert "no evaluation inputs" in capsys.readouterr().err
 
 
+CHAIN_SCRIPT = """
+import contextlib, io, json, os, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name}: the runtime must need numpy alone")
+
+
+sys.meta_path.insert(0, NoScipy())
+from wwspot.cli import main
+
+dirs = []
+for argv in json.loads(sys.argv[1]):
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main([arg.format(*dirs) for arg in argv]) == 0, argv
+    lines = printed.getvalue().splitlines()
+    assert len(lines) == 1, (argv, lines)
+    dirs.append(os.path.dirname(lines[0].split("\\t")[0]))
+print(json.dumps(dirs))
+"""
+
+
 def test_full_cli_pipeline(tmp_path, corpus):
-    # confusables -> mine -> augment --mined -> train --augment-manifest ->
-    # decode -> eval -> det; past the corpus, each stage reads only what
-    # the stages before it wrote
-    runs = str(tmp_path / "runs")
-    assert main(
-        [
-            "confusables",
-            "--lexicon", corpus["lexicon"],
-            "--frequencies", corpus["freqs"],
-            "--set", f"lexicon.wake_word={WAKE_WORD}",
-            "--out", runs,
-        ]
-    ) == 0
-    conf = os.path.join(_single_run_dir(runs, "confusables"), "confusables.tsv")
-    assert os.path.getsize(conf) > 0
-
-    assert main(
-        [
-            "mine",
-            "--hypotheses", corpus["hyp"],
-            "--confusables", conf,
-            "--set", f"lexicon.wake_word={WAKE_WORD}",
-            "--set", "run.seed=1",
-            "--out", runs,
-        ]
-    ) == 0
-    mined = os.path.join(_single_run_dir(runs, "mine"), "mined.tsv")
-
-    assert main(
-        [
-            "augment",
-            "--clean-dir", corpus["wav"],
-            "--mined", mined,
-            "--rir-dir", corpus["rirs"],
-            "--noise-dir", corpus["noise"],
-            "--set", "augment.table_row=50K",
-            "--set", "augment.recipe_scale=0.0005",
-            "--set", "augment.noise_music_split=1.0",
-            "--out", runs,
-        ]
-    ) == 0
-    manifest = os.path.join(_single_run_dir(runs, "augment"), "manifest.tsv")
-    mined_ids = {e.utt_id for e in read_mined(mined)}
-    assert {r.source_id for r in read_manifest(manifest)} <= mined_ids
-
-    assert main(
-        [
-            "train",
-            "--mined", mined,
-            "--augment-manifest", manifest,
-            "--set", "training.epochs=2",
-            "--set", "training.bottleneck=8",
-            "--set", "training.hidden=16",
-            "--out", runs,
-        ]
-    ) == 0
-    ckpt = os.path.join(_single_run_dir(runs, "train"), "model.ckpt")
-
-    assert main(["decode", "--model", ckpt, "--wav-dir", corpus["wav"], "--out", runs]) == 0
-    decode_dir = _single_run_dir(runs, "decode")
-    assert os.path.isfile(os.path.join(decode_dir, "detections.tsv"))
-
+    # confusables -> mine -> augment --mined -> train (from the manifest
+    # and from the WAVs) -> decode -> eval -> det; past the corpus, each
+    # stage reads only what the stages before it wrote. The chain runs
+    # where importing scipy fails, as on a numpy-only install, and each
+    # stage prints one line; "{i}" is the directory of the path stage i printed
+    runs, again = str(tmp_path / "runs"), str(tmp_path / "again")
+    hyp = tmp_path / "hypotheses.jsonl"
+    hyp.write_text(open(corpus["hyp"]).read() + '{"utt_id": "u-bad", "audio_path": "x.wav", "words": [\n')
     refs = tmp_path / "refs.tsv"
     rows = []
     for utt in corpus["utts"]:
         for s, e in utt.wake_spans():
             rows.append(f"{utt.utt_id}\t{round(s * FRAMES_PER_S)}\t{round(e * FRAMES_PER_S)}")
     refs.write_text("\n".join(rows) + "\n")
-    assert main(
-        [
-            "eval",
-            "--detections", os.path.join(decode_dir, "detections.tsv"),
-            "--utt-frames", os.path.join(decode_dir, "utt_frames.tsv"),
-            "--references", str(refs),
-            "--out", runs,
-        ]
-    ) == 0
-
-    assert main(
-        [
-            "det",
-            "--model", ckpt,
-            "--wav-dir", corpus["wav"],
-            "--references", str(refs),
-            "--set", "decoding.thresholds=lin:0.9:0.1:9",
-            "--out", runs,
-        ]
-    ) == 0
-    det_dir = _single_run_dir(runs, "det")
+    wake = ["--set", f"lexicon.wake_word={WAKE_WORD}"]
+    small = ["--set", "training.epochs=2", "--set", "training.bottleneck=8", "--set", "training.hidden=16"]
+    from_manifest = ["train", "--mined", "{1}/mined.tsv", "--augment-manifest", "{2}/manifest.tsv", *small]
+    stages = [
+        ["confusables", "--lexicon", corpus["lexicon"], "--frequencies", corpus["freqs"], *wake, "--out", runs],
+        ["mine", "--hypotheses", str(hyp), "--confusables", "{0}/confusables.tsv", *wake,
+         "--set", "run.seed=1", "--out", runs],
+        ["augment", "--clean-dir", corpus["wav"], "--mined", "{1}/mined.tsv", "--rir-dir", corpus["rirs"],
+         "--noise-dir", corpus["noise"], "--set", "augment.table_row=50K",
+         "--set", "augment.recipe_scale=0.0005", "--set", "augment.noise_music_split=1.0", "--out", runs],
+        from_manifest + ["--out", runs],
+        # the manifest names its WAVs relative to itself, so any --out root trains the same bytes
+        from_manifest + ["--out", again],
+        ["train", "--mined", "{1}/mined.tsv", "--audio-dir", corpus["wav"], *small, "--out", runs],
+        ["decode", "--model", "{3}/model.ckpt", "--wav-dir", corpus["wav"], "--out", runs],
+        ["eval", "--detections", "{6}/detections.tsv", "--utt-frames", "{6}/utt_frames.tsv",
+         "--references", str(refs), "--out", runs],
+        ["det", "--model", "{5}/model.ckpt", "--wav-dir", corpus["wav"], "--references", str(refs),
+         "--set", "decoding.thresholds=lin:0.9:0.1:9", "--out", runs],
+    ]
+    proc = subprocess.run([sys.executable, "-c", CHAIN_SCRIPT, json.dumps(stages)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert f"{hyp}: skipped 1 malformed hypothesis records" in proc.stderr
+    conf, mined, augmented, trained, retrained, _, decoded, _, det_dir = json.loads(proc.stdout)
+    assert os.path.getsize(os.path.join(conf, "confusables.tsv")) > 0
+    mined_ids = {e.utt_id for e in read_mined(os.path.join(mined, "mined.tsv"))}
+    assert {r.source_id for r in read_manifest(os.path.join(augmented, "manifest.tsv"))} <= mined_ids
+    assert retrained.startswith(again)
+    ckpts = [open(os.path.join(d, "model.ckpt"), "rb").read() for d in (trained, retrained)]
+    assert ckpts[0] == ckpts[1]
+    assert os.path.isfile(os.path.join(decoded, "detections.tsv"))
     csv = open(os.path.join(det_dir, "det.csv")).read().splitlines()
     assert csv[0] == "threshold,far_per_hour,frr"
     assert len(csv) == 10
@@ -499,16 +481,14 @@ def test_decode_refuses_a_tab_in_a_wav_name_with_exit_3(tmp_path, capsys, name, 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_decode_rejects_a_float_wav_with_a_non_finite_sample(tmp_path, capsys, bad):
-    from scipy.io import wavfile
-
     from wwspot.model import SpotterConfig, save_model
 
     wav_dir = tmp_path / "wav"
     wav_dir.mkdir()
-    samples = (np.random.default_rng(0).standard_normal(32000) * 0.1).astype(np.float32)
+    samples = (np.random.default_rng(0).standard_normal(32000) * 0.1).astype("<f4")
     samples[16000] = bad
     wav = wav_dir / "u0.wav"
-    wavfile.write(wav, 16000, samples)
+    wav.write_bytes(riff((b"fmt ", wav_fmt(3, 1, 32)), (b"data", samples.tobytes())))
     ckpt = tmp_path / "model.ckpt"
     save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
     rc = main(
@@ -521,54 +501,27 @@ def test_decode_rejects_a_float_wav_with_a_non_finite_sample(tmp_path, capsys, b
     assert f"{wav}: non-finite samples" in capsys.readouterr().err
 
 
-def test_train_on_augment_manifest(tmp_path, corpus):
-    runs = str(tmp_path / "runs")
-    assert main(
-        [
-            "confusables",
-            "--lexicon", corpus["lexicon"],
-            "--frequencies", corpus["freqs"],
-            "--set", f"lexicon.wake_word={WAKE_WORD}",
-            "--out", runs,
-        ]
-    ) == 0
-    conf = os.path.join(_single_run_dir(runs, "confusables"), "confusables.tsv")
-    assert main(
-        [
-            "mine",
-            "--hypotheses", corpus["hyp"],
-            "--confusables", conf,
-            "--set", f"lexicon.wake_word={WAKE_WORD}",
-            "--out", runs,
-        ]
-    ) == 0
-    mined = os.path.join(_single_run_dir(runs, "mine"), "mined.tsv")
-    assert main(
-        [
-            "augment",
-            "--clean-dir", corpus["wav"],
-            "--mined", mined,
-            "--rir-dir", corpus["rirs"],
-            "--noise-dir", corpus["noise"],
-            "--set", "augment.table_row=50K",
-            "--set", "augment.recipe_scale=0.0005",
-            "--set", "augment.noise_music_split=1.0",
-            "--out", runs,
-        ]
-    ) == 0
-    manifest = os.path.join(_single_run_dir(runs, "augment"), "manifest.tsv")
-    assert main(
-        [
-            "train",
-            "--mined", mined,
-            "--augment-manifest", manifest,
-            "--set", "training.epochs=1",
-            "--set", "training.bottleneck=8",
-            "--set", "training.hidden=16",
-            "--out", runs,
-        ]
-    ) == 0
-    assert os.path.isfile(os.path.join(_single_run_dir(runs, "train"), "model.ckpt"))
+def test_a_pcm16_wav_and_its_float32_twin_decode_to_the_same_detections(tmp_path, capsys):
+    from wwspot.audio import AudioClip, read_wav, write_wav
+    from wwspot.model import SpotterConfig, save_model
+
+    pcm16, float32 = tmp_path / "pcm16", tmp_path / "float32"
+    pcm16.mkdir()
+    float32.mkdir()
+    write_wav(AudioClip(np.random.default_rng(0).standard_normal(SAMPLE_RATE) * 0.1), pcm16 / "u0.wav")
+    samples = read_wav(pcm16 / "u0.wav").samples.astype("<f4")
+    (float32 / "u0.wav").write_bytes(riff((b"fmt ", wav_fmt(3, 1, 32)), (b"data", samples.tobytes())))
+    ckpt = tmp_path / "model.ckpt"
+    save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
+    printed = []
+    for wav_dir in (pcm16, float32):
+        argv = ["decode", "--model", str(ckpt), "--wav-dir", str(wav_dir),
+                "--set", "decoding.threshold=0.000001", "--out", str(tmp_path / "runs")]
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out.strip())
+    assert printed[0] != printed[1]
+    detections = [open(path, "rb").read() for path in printed]
+    assert detections[0] and detections[0] == detections[1]
 
 
 def test_decode_rejects_a_float_layer_size_in_the_checkpoint_with_exit_3(tmp_path, capsys):
@@ -738,6 +691,37 @@ def test_mine_refuses_a_ratio_that_balances_one_polarity_away(tmp_path, capsys):
     assert "target_ratio 0.1 keeps no positive example of 3 positive and 5 negative" in err
     assert out == ""
     assert not runs.exists()
+
+
+def test_mine_without_a_usable_hypothesis_exits_3(tmp_path, capsys):
+    conf = tmp_path / "conf.tsv"
+    conf.write_text("caly\t1\n")
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text('{"utt_id": "u1", "words": []}\n')  # no audio_path: malformed
+    runs = tmp_path / "runs"
+    rc = main(["mine", "--hypotheses", str(hyp), "--confusables", str(conf),
+               "--set", f"lexicon.wake_word={WAKE_WORD}", "--out", str(runs)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {hyp}: no usable hypotheses" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not runs.exists()
+
+
+def test_confusables_on_a_mixed_case_lexicon_ranks_a_frequency_word_missing_from_it(tmp_path, capsys):
+    # Calypso and COLLAPSE fold to the wake word and to collapse; zzz takes
+    # the first of the two ranks scanned, so calypsos (rank 3) is not scanned
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("Calypso\tK AH L IH P S OW\ncollapse\tK AH L AE P S\n"
+                       "calypsos\tK AH L IH P S OW Z\nCOLLAPSE\tK AH L AE P S\n")
+    freqs = tmp_path / "freq.tsv"
+    freqs.write_text("zzz\t100\ncollapse\t50\ncalypsos\t10\ncalypso\t5\n")
+    assert main(["confusables", "--lexicon", str(lexicon), "--frequencies", str(freqs),
+                 "--set", "lexicon.wake_word=calypso", "--set", "lexicon.top_n_frequent=2",
+                 "--out", str(tmp_path / "runs")]) == 0
+    [path] = capsys.readouterr().out.splitlines()
+    assert open(path, "rb").read() == b"collapse\t2\n"
 
 
 def test_augment_without_a_clean_wav_exits_3(tmp_path, capsys):
@@ -999,11 +983,9 @@ _SHORT = "clip of 300 samples is shorter than one 400-sample window"
 
 def _short_wav_dir(tmp_path):
     """A directory whose u1.wav holds 300 samples, less than one 400-sample window."""
-    from scipy.io import wavfile
-
     wav_dir = tmp_path / "a"
     wav_dir.mkdir()
-    wavfile.write(wav_dir / "u1.wav", SAMPLE_RATE, np.zeros(300, np.int16))
+    (wav_dir / "u1.wav").write_bytes(riff((b"fmt ", wav_fmt(1, 1, 16)), (b"data", bytes(600))))
     return wav_dir
 
 
@@ -1105,7 +1087,8 @@ def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
 
 
 def test_flags_name_only_inputs_outputs_and_workers():
-    # every value that changes output bytes is a config key, so it is set one way
+    # every value that changes output bytes but mine's --no-balance is a
+    # config key, so it is set one way
     keys = {key for section in SCHEMA.values() for key in section}
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
@@ -1184,6 +1167,8 @@ def _patched_wav_dir(tmp_path, patch):
 def _wav_argv(command, tmp_path, wav_dir):
     from wwspot.model import SpotterConfig, save_model
 
+    if command == "augment":
+        return ["augment", "--clean-dir", str(wav_dir)]
     if command == "decode":
         ckpt = tmp_path / "model.ckpt"
         save_model(unscaled_model(SpotterConfig(bottleneck=4, hidden=8)), ckpt)
@@ -1193,7 +1178,7 @@ def _wav_argv(command, tmp_path, wav_dir):
     return ["train", "--mined", str(mined), "--audio-dir", str(wav_dir)]
 
 
-@pytest.mark.parametrize("command", ["decode", "train"])
+@pytest.mark.parametrize("command", ["augment", "decode", "train"])
 @pytest.mark.parametrize(
     "patch, reason",
     [

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -76,6 +78,35 @@ def test_over_blocks_gives_every_worker_count_the_same_tiles(monkeypatch, worker
         assert sorted((lo, hi) for lo, hi, _ in calls) == spans
         own = [(lo, hi) for lo, hi, thread in calls if thread == threading.get_ident()]
         assert own == (spans if workers == 1 else callers)
+        assert not [t for t in threading.enumerate() if t.name.startswith("wwspot-block")]
+
+
+FORK_SCRIPT = """
+import os, sys, time
+from wwspot import features
+
+features.WORKERS = 2
+features.over_blocks(lambda lo, hi: None, 2 * features.CHUNK_FRAMES)
+pid = os.fork()
+if pid == 0:
+    features.over_blocks(lambda lo, hi: None, 2 * features.CHUNK_FRAMES)
+    os._exit(0)
+for _ in range(1000):
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit("the forked child's over_blocks did not return in 10 s")
+"""
+
+
+def test_a_child_forked_after_a_two_worker_call_runs_over_blocks():
+    # a pool kept across calls would be copied into the child without its
+    # thread, and the child's tiles would wait for that thread forever
+    proc = subprocess.run([sys.executable, "-c", FORK_SCRIPT], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
