@@ -220,12 +220,10 @@ def write_wav(clip: AudioClip, path: str | os.PathLike) -> None:
         b"fmt ", _FMT.size, _PCM, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16,
         b"data", nbytes,
     )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            quantized.tofile(fh)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write ({exc})") from exc
+    # through the file object, not ndarray.tofile's C stdio, so a short write raises
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(quantized))
 
 
 def rms_power(samples: np.ndarray) -> float:

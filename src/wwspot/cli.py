@@ -5,19 +5,24 @@ Every setting, the seed and wake word too, is a key of the shared config
 --no-balance; other flags name only inputs, outputs and worker count. The
 config is parsed and checked whole before any subcommand starts, so a bad
 value fails every subcommand alike; subcommands only look values up. Each
-run writes into a directory named after the config hash and its stage
-flags (inputs, --no-balance), so identical runs land on identical bytes.
+run's directory is named after the config hash and its stage flags
+(inputs, --no-balance), so identical runs land on identical bytes. A
+subcommand writes into a staging directory and returns its main file;
+`main` alone renames that directory into place, replacing any earlier run
+of the key whole, and prints the file's path. A failed stage leaves none.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
-failure.
+failure (an output that cannot be written included).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import glob
 import hashlib
 import os
+import shutil
 import sys
 import traceback
 
@@ -46,17 +51,45 @@ EXIT_RUNTIME = 4
 _NOT_IN_RUN_KEY = {"func", "command", "config", "set", "jobs", "out"}
 
 
-def _run_dir(args, cfg: PipelineConfig, name: str) -> str:
-    """`<out>/<name>-<key>`, where the key hashes the config and the
-    stage's own flags (input paths, --no-balance)."""
+def _run_paths(args, cfg: PipelineConfig) -> tuple[str, str]:
+    """`<out>/<command>-<key>`, where the key hashes the config and the stage's
+    own flags (input paths, --no-balance), and the staging directory beside it."""
     stage = sorted((k, v) for k, v in vars(args).items() if k not in _NOT_IN_RUN_KEY)
     key = f"{cfg.hash8()}\n{stage!r}"
-    path = os.path.join(args.out, f"{name}-{hashlib.sha256(key.encode()).hexdigest()[:8]}")
+    name = f"{args.command}-{hashlib.sha256(key.encode()).hexdigest()[:8]}"
+    # the dot keeps a staging directory out of `<command>-*`
+    return os.path.join(args.out, name), os.path.join(args.out, f".{name}.{os.getpid()}")
+
+
+def _run_dir(args, cfg: PipelineConfig) -> str:
+    """Create and return the staging directory that `main` commits."""
+    path, staging = _run_paths(args, cfg)
+    # named with our own pid, it belongs to no live run: a killed run of the key left it
+    shutil.rmtree(staging, ignore_errors=True)
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(staging)
     except OSError as exc:
         raise ConfigError(f"--out: cannot create {path}: {exc.strerror}") from None
-    return path
+    return staging
+
+
+def _commit(staging: str, path: str) -> None:
+    """Rename `staging` to `path`, setting aside and removing what is there:
+    an earlier run of the key, or, once, one that finished meanwhile."""
+    old = f"{staging}.old"
+    for retry in (False, True):
+        shutil.rmtree(old, ignore_errors=True)
+        try:
+            os.rename(path, old)
+        except FileNotFoundError:
+            pass
+        try:
+            os.rename(staging, path)
+            break
+        except OSError as exc:
+            if retry or exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _list_wavs(wav_dir: str) -> list[str]:
@@ -116,23 +149,23 @@ def _read_utt_frames(path: str) -> dict[str, int]:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_rir_gen(args, cfg: PipelineConfig) -> int:
+def cmd_rir_gen(args, cfg: PipelineConfig) -> str:
     # the rooms the demo's training mix draws from the same `rir` settings
     rooms = pipeline.rooms(cfg, cfg.get("rir", "count"), np.random.default_rng(cfg.get("run", "seed")))
     # every room is valid before the run directory exists
-    out = _run_dir(args, cfg, "rir-gen")
+    out = _run_dir(args, cfg)
     rows = []
     for i, room in enumerate(rooms):
         rir = aug.synthesize_rir(room, id=f"rir-{i:04d}")
         aug.rir_to_wav(rir, os.path.join(out, f"{rir.id}.wav"))
         # relative to rirs.tsv, so the file moves with its directory
         rows.append((rir.id, f"{rir.id}.wav"))
-    write_tsv(os.path.join(out, "rirs.tsv"), rows)
-    print(out)
-    return EXIT_OK
+    path = os.path.join(out, "rirs.tsv")
+    write_tsv(path, rows)
+    return path
 
 
-def cmd_augment(args, cfg: PipelineConfig) -> int:
+def cmd_augment(args, cfg: PipelineConfig) -> str:
     # load_config built this recipe once to check it, so it cannot fail here
     row, scale = cfg.get("augment", "table_row"), cfg.get("augment", "recipe_scale")
     recipe = aug.MixRecipe.from_table_row(row, scale)
@@ -145,39 +178,35 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
     )
     noises = _load_clips(args.noise_dir) if args.noise_dir else []
     musics = _load_clips(args.music_dir) if args.music_dir else []
-    out = _run_dir(args, cfg, "augment")
+    out = _run_dir(args, cfg)
     pipeline.augment(cfg, clean, rirs, noises, musics, recipe, cfg.get("run", "seed"), out, args.jobs)
-    print(os.path.join(out, "manifest.tsv"))
-    return EXIT_OK
+    return os.path.join(out, "manifest.tsv")
 
 
-def cmd_confusables(args, cfg: PipelineConfig) -> int:
+def cmd_confusables(args, cfg: PipelineConfig) -> str:
     wake = pipeline.wake_word(cfg)
     lexicon = lex.load_lexicon(args.lexicon, args.frequencies)
     confusables = pipeline.confusables(cfg, lexicon, wake)
-    out = _run_dir(args, cfg, "confusables")
+    out = _run_dir(args, cfg)
     path = os.path.join(out, "confusables.tsv")
     lex.write_confusables(confusables, path)
-    print(path)
-    return EXIT_OK
+    return path
 
 
-def cmd_mine(args, cfg: PipelineConfig) -> int:
+def cmd_mine(args, cfg: PipelineConfig) -> str:
     wake = pipeline.wake_word(cfg)
     confusables = lex.read_confusables(args.confusables, wake)
-    hyps, skipped = mining.load_hypotheses(args.hypotheses)
+    hyps, _ = mining.load_hypotheses(args.hypotheses)
     if not hyps:
         raise DataError(f"{args.hypotheses}: no usable hypotheses")
     examples = pipeline.mine(cfg, hyps, wake, confusables, cfg.get("run", "seed"), args.balance)
-    out = _run_dir(args, cfg, "mine")
+    out = _run_dir(args, cfg)
     path = os.path.join(out, "mined.tsv")
     mining.write_mined(examples, path)
-    n_pos = sum(1 for e in examples if e.polarity == mining.POSITIVE)
-    print(f"{path}\t{n_pos} positive\t{len(examples) - n_pos} negative\t{skipped} skipped")
-    return EXIT_OK
+    return path
 
 
-def cmd_train(args, cfg: PipelineConfig) -> int:
+def cmd_train(args, cfg: PipelineConfig) -> str:
     train_cfg, model_cfg = pipeline.model_configs(cfg, "training", cfg.get("run", "seed"))
     examples = mining.read_mined(args.mined)
     if not examples:
@@ -189,15 +218,14 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     else:
         dataset = pipeline.dataset_from_examples(examples, args.audio_dir)
     model, log = train(dataset, train_cfg, model_cfg)
-    out = _run_dir(args, cfg, "train")
+    out = _run_dir(args, cfg)
     ckpt = os.path.join(out, "model.ckpt")
     save_model(model, ckpt)
     write_tsv(
         os.path.join(out, "train_log.txt"),
         [(str(epoch), f"{loss:.6f}") for epoch, loss in enumerate(log, 1)],
     )
-    print(ckpt)
-    return EXIT_OK
+    return ckpt
 
 
 def _decode_traces(args):
@@ -217,14 +245,14 @@ def _decode_traces(args):
     return traces
 
 
-def cmd_decode(args, cfg: PipelineConfig) -> int:
+def cmd_decode(args, cfg: PipelineConfig) -> str:
     decode_cfg = dec.DecodeConfig(
         cfg.get("decoding", "smooth_window_frames"),
         cfg.get("decoding", "threshold"),
         cfg.get("decoding", "min_gap_frames"),
     )
     traces = _decode_traces(args)
-    out = _run_dir(args, cfg, "decode")
+    out = _run_dir(args, cfg)
     detections = []
     frames_rows = []
     for utt_id in sorted(traces):
@@ -233,11 +261,10 @@ def cmd_decode(args, cfg: PipelineConfig) -> int:
         frames_rows.append((utt_id, str(len(traces[utt_id]))))
     dec.write_detections(detections, os.path.join(out, "detections.tsv"))
     write_tsv(os.path.join(out, "utt_frames.tsv"), frames_rows)
-    print(os.path.join(out, "detections.tsv"))
-    return EXIT_OK
+    return os.path.join(out, "detections.tsv")
 
 
-def cmd_eval(args, cfg: PipelineConfig) -> int:
+def cmd_eval(args, cfg: PipelineConfig) -> str:
     detections = dec.read_detections(args.detections)
     utt_frames = _read_utt_frames(args.utt_frames)
     # the evaluated set is what was decoded; ignore references outside it
@@ -247,39 +274,33 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     for d in detections:
         by_utt.setdefault(d.utt_id, []).append(d)
     result = ev.score(by_utt, references, utt_frames, cfg.get("decoding", "tolerance_frames"))
-    out = _run_dir(args, cfg, "eval")
+    out = _run_dir(args, cfg)
     line = (
         f"frr={result.frr:.6f} far_per_hour={result.far_per_hour:.6f} "
         f"tp={result.true_positives} fr={result.false_rejects} "
         f"fa={result.false_accepts} hours={result.total_audio_hours:.6f}"
     )
-    with open(os.path.join(out, "eval.txt"), "w", encoding="ascii") as fh:
+    path = os.path.join(out, "eval.txt")
+    with open(path, "w", encoding="ascii") as fh:
         fh.write(line + "\n")
-    print(line)
-    return EXIT_OK
+    return path
 
 
-def cmd_det(args, cfg: PipelineConfig) -> int:
+def cmd_det(args, cfg: PipelineConfig) -> str:
     all_refs = _read_references(args.references)
     traces = _decode_traces(args)
     references = {u: all_refs.get(u, []) for u in traces}
     results = pipeline.det(cfg, traces, references, cfg.get("decoding", "smooth_window_frames"))
-    out = _run_dir(args, cfg, "det")
+    out = _run_dir(args, cfg)
     ev.write_det_csv(results, os.path.join(out, "det.csv"))
     ev.det_svg([("model", results)], os.path.join(out, "det.svg"))
-    print(os.path.join(out, "det.csv"))
-    return EXIT_OK
+    return os.path.join(out, "det.csv")
 
 
-def cmd_e2e_demo(args, cfg: PipelineConfig) -> int:
-    out = _run_dir(args, cfg, "e2e-demo")
-    suite = demo_mod.run_demo_suite(out, cfg.get("demo", "seeds"), cfg, args.jobs)
-    print(
-        f"{out}\tfrr_clean={suite['mean_frr_clean']:.4f}"
-        f"\tfrr_mct={suite['mean_frr_mct']:.4f}"
-        f"\trelative_reduction={suite['relative_frr_reduction']:.4f}"
-    )
-    return EXIT_OK
+def cmd_e2e_demo(args, cfg: PipelineConfig) -> str:
+    out = _run_dir(args, cfg)
+    demo_mod.run_demo_suite(out, cfg.get("demo", "seeds"), cfg, args.jobs)
+    return os.path.join(out, "suite_summary.json")
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -358,23 +379,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    path = staging = None
     try:
         cfg = load_config(args.config, args.set)
-        return args.func(args, cfg)
+        path, staging = _run_paths(args, cfg)
+        main_file = args.func(args, cfg)
+        _commit(staging, path)
+        # stdout is written after the commit, so a failed write is the one exit 4 that keeps a run
+        print(os.path.join(path, os.path.relpath(main_file, staging)))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # an output that cannot be written; inputs raise DataError
+        print(f"runtime failure: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception:
         traceback.print_exc()
         return EXIT_RUNTIME
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -85,11 +85,11 @@ def _cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 def _made(argv: list[str]) -> str:
-    """The first field of a successful command's stdout line."""
+    """The path a successful command prints."""
     code, out, err = _cli(argv + _SETTINGS)
     if code != 0:
         raise RuntimeError(f"{argv[0]} exited {code}: {err}")
-    return out.split("\t")[0].strip()
+    return out.strip()
 
 
 def build_inputs(root: str) -> dict[str, str]:
@@ -114,7 +114,7 @@ def build_inputs(root: str) -> dict[str, str]:
         fh.write(_CONFIG)
     p["u.wav"] = os.path.join(p["wav"], f"{utts[0].utt_id}.wav")
     out = ["--out", p["runs"]]
-    rirs = _made(["rir-gen", "--set", "rir.count=2", "--set", "rir.max_order=2", *out])
+    rirs = os.path.dirname(_made(["rir-gen", "--set", "rir.count=2", "--set", "rir.max_order=2", *out]))
     p["confusables.tsv"] = _made(
         ["confusables", "--lexicon", p["lexicon.txt"], "--frequencies", p["frequencies.txt"], *out]
     )

@@ -9,6 +9,8 @@ is meaningful.
 
 import json
 import math
+import resource
+import signal
 import struct
 from dataclasses import dataclass
 from functools import cache
@@ -461,3 +463,14 @@ def riff(*chunks):
         for name, data in chunks
     )
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def limit_file_size(nbytes):
+    """A subprocess `preexec_fn` capping the child's files at `nbytes`, with
+    SIGXFSZ ignored, so a write past the cap fails with EFBIG as on a full disk."""
+
+    def limit():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, nbytes))
+
+    return limit

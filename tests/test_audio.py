@@ -1,10 +1,12 @@
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import riff, wav_fmt
+from oracles import limit_file_size, riff, wav_fmt
 from scipy.io import wavfile
 
 from wwspot import audio
@@ -370,3 +372,16 @@ def test_parallel_map_reaches_every_worker_with_few_items(monkeypatch, pool_log)
     # hundreds of short items still go out several at a time
     assert parallel_map(_add, list(range(400)), 2, 0) == list(range(400))
     assert pool_log["chunks"][-1] == 8
+
+
+def test_write_wav_raises_on_a_short_write(tmp_path):
+    # 2000 samples are 4044 bytes; a write through C stdio lost this failure
+    script = (
+        "import sys, numpy as np; from wwspot.audio import AudioClip, write_wav; "
+        "write_wav(AudioClip(np.full(2000, 0.5)), sys.argv[1])"
+    )
+    path = tmp_path / "cut.wav"
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], preexec_fn=limit_file_size(2500),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "OSError: [Errno 27] File too large" in proc.stderr

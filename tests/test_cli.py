@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import handwritten_checkpoint, riff, unscaled_model, wav_fmt
+from oracles import handwritten_checkpoint, limit_file_size, riff, unscaled_model, wav_fmt
 
 from wwspot import tsv
 from wwspot.audio import SAMPLE_RATE
@@ -182,8 +182,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(printed):
         assert main([arg.format(*dirs) for arg in argv]) == 0, argv
     lines = printed.getvalue().splitlines()
-    assert len(lines) == 1, (argv, lines)
-    dirs.append(os.path.dirname(lines[0].split("\\t")[0]))
+    assert len(lines) == 1 and os.path.isfile(lines[0]), (argv, lines)
+    dirs.append(os.path.dirname(lines[0]))
 print(json.dumps(dirs))
 """
 
@@ -193,7 +193,7 @@ def test_full_cli_pipeline(tmp_path, corpus):
     # and from the WAVs) -> decode -> eval -> det; past the corpus, each
     # stage reads only what the stages before it wrote. The chain runs
     # where importing scipy fails, as on a numpy-only install, and each
-    # stage prints one line; "{i}" is the directory of the path stage i printed
+    # stage prints one line, the path of its main file; "{i}" is that file's directory
     runs, again = str(tmp_path / "runs"), str(tmp_path / "again")
     hyp = tmp_path / "hypotheses.jsonl"
     hyp.write_text(open(corpus["hyp"]).read() + '{"utt_id": "u-bad", "audio_path": "x.wav", "words": [\n')
@@ -794,8 +794,8 @@ def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
     assert main(demo + ["--set", "decoding.thresholds=0.9,0.5,0.1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    run_dir = lines[0].split("\t")[0]
-    assert os.path.isfile(os.path.join(run_dir, "suite_summary.json"))
+    assert os.path.basename(lines[0]) == "suite_summary.json" and os.path.isfile(lines[0])
+    run_dir = os.path.dirname(lines[0])
     with open(os.path.join(run_dir, "seed-0", "det_mct.csv")) as fh:
         assert len(fh.read().splitlines()) == 1 + 3
     # no word is a confusable at distance 0, so no negative is mined
@@ -803,7 +803,7 @@ def test_e2e_demo_reads_the_stage_sections(tmp_path, capsys):
     capsys.readouterr()
     # demo.epochs has training.epochs' bound: 0 trains nothing and logs no loss
     assert main(demo + ["--set", "demo.epochs=0"]) == 0
-    run_dir = capsys.readouterr().out.split("\t")[0]
+    run_dir = os.path.dirname(capsys.readouterr().out.strip())
     with open(os.path.join(run_dir, "seed-0", "summary.json")) as fh:
         summary = json.load(fh)
     assert summary["final_train_loss_clean"] is None
@@ -1084,6 +1084,116 @@ def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
     assert out == ""
     assert err.startswith(f"config error: --out: cannot create {out_dir}{os.sep}rir-gen-")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        # rir-0000.wav is about 3130 bytes
+        pytest.param(["rir-gen", "--set", "rir.count=3"], 2500, id="rir-gen"),
+        pytest.param(["confusables", "--lexicon", "{lexicon}", "--frequencies", "{freqs}",
+                      "--set", f"lexicon.wake_word={WAKE_WORD}"], 10, id="confusables"),
+        pytest.param(["augment", "--clean-dir", "{wav}", "--rir-dir", "{rirs}", "--noise-dir", "{noise}",
+                      "--set", "augment.table_row=50K", "--set", "augment.recipe_scale=0.0005",
+                      "--set", "augment.noise_music_split=1.0"], 2500, id="augment"),
+        pytest.param(["train", "--mined", "{mined}", "--audio-dir", "{wav}", "--set", "training.epochs=1",
+                      "--set", "training.bottleneck=8", "--set", "training.hidden=16"], 100, id="train"),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_4_and_leaves_no_run_directory(tmp_path, corpus, argv, limit):
+    inputs = str(tmp_path / "inputs")
+    wake = ["--set", f"lexicon.wake_word={WAKE_WORD}", "--out", inputs]
+    assert main(["confusables", "--lexicon", corpus["lexicon"], *wake]) == 0
+    conf = os.path.join(_single_run_dir(inputs, "confusables"), "confusables.tsv")
+    assert main(["mine", "--hypotheses", corpus["hyp"], "--confusables", conf, *wake]) == 0
+    paths = {**corpus, "mined": os.path.join(_single_run_dir(inputs, "mine"), "mined.tsv")}
+    runs = tmp_path / "runs"
+    # the child alone runs under the cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "wwspot.cli", *(arg.format(**paths) for arg in argv), "--out", str(runs)],
+        preexec_fn=limit_file_size(limit), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(rf"runtime failure: {re.escape(os.path.join(runs, argv[0]))}-[0-9a-f]{{8}}: File too large\n",
+                        proc.stderr), proc.stderr
+    assert os.listdir(runs) == []
+
+
+def test_a_stage_that_fails_after_creating_its_run_directory_leaves_none(tmp_path, capsys, monkeypatch):
+    def fail(path, rows):
+        raise RuntimeError("writer failed")
+
+    # rir-gen writes its WAVs, then rirs.tsv
+    monkeypatch.setattr("wwspot.cli.write_tsv", fail)
+    runs = tmp_path / "runs"
+    assert main(["rir-gen", "--set", "rir.count=2", "--out", str(runs)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "RuntimeError: writer failed" in err
+    assert os.listdir(runs) == []
+
+
+def test_a_rerun_replaces_its_run_directory_whole(tmp_path, capsys):
+    runs = str(tmp_path / "runs")
+    argv = ["rir-gen", "--set", "rir.count=2", "--out", runs]
+    assert main(argv) == 0
+    run_dir = _single_run_dir(runs, "rir-gen")
+    assert capsys.readouterr().out == os.path.join(run_dir, "rirs.tsv") + "\n"
+    files = _tree_bytes(run_dir)
+    with open(os.path.join(run_dir, "stray.wav"), "wb") as fh:
+        fh.write(b"left by another run")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == os.path.join(run_dir, "rirs.tsv") + "\n"
+    assert os.listdir(runs) == [os.path.basename(run_dir)]
+    assert _tree_bytes(run_dir) == files
+
+
+def test_a_run_clears_what_a_killed_run_of_its_key_and_pid_left(tmp_path, capsys):
+    runs = str(tmp_path / "runs")
+    argv = ["rir-gen", "--set", "rir.count=2", "--out", runs]
+    assert main(argv) == 0
+    run_dir = _single_run_dir(runs, "rir-gen")
+    files = _tree_bytes(run_dir)
+    # a run killed mid-stage or mid-commit leaves both; no live run owns our pid
+    staging = os.path.join(runs, f".{os.path.basename(run_dir)}.{os.getpid()}")
+    for leftover in (staging, f"{staging}.old"):
+        os.makedirs(leftover)
+        with open(os.path.join(leftover, "rir-0000.wav"), "wb") as fh:
+            fh.write(b"cut short")
+    capsys.readouterr()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (os.path.join(run_dir, "rirs.tsv") + "\n", "")
+    assert os.listdir(runs) == [os.path.basename(run_dir)]
+    assert _tree_bytes(run_dir) == files
+
+
+def test_a_run_of_the_key_committed_meanwhile_is_replaced(tmp_path, capsys, monkeypatch):
+    runs = str(tmp_path / "runs")
+    argv = ["rir-gen", "--set", "rir.count=2", "--out", runs]
+    assert main(argv) == 0
+    run_dir = _single_run_dir(runs, "rir-gen")
+    files = _tree_bytes(run_dir)
+    shutil.rmtree(run_dir)
+    rename, raced = os.rename, []
+
+    def another_run_commits_first(src, dst):
+        # another process of the key renames its run into place just before ours
+        if dst == run_dir and not raced:
+            raced.append(dst)
+            os.makedirs(run_dir)
+            with open(os.path.join(run_dir, "stray.wav"), "wb") as fh:
+                fh.write(b"left by another run")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", another_run_commits_first)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert raced
+    assert capsys.readouterr().out == os.path.join(run_dir, "rirs.tsv") + "\n"
+    assert os.listdir(runs) == [os.path.basename(run_dir)]
+    assert _tree_bytes(run_dir) == files
 
 
 def test_flags_name_only_inputs_outputs_and_workers():

@@ -138,7 +138,7 @@ def test_the_cli_mines_what_the_demo_mines(tmp_path, capsys):
     confusables = capsys.readouterr().out.strip()
     assert main(["mine", "--hypotheses", str(run / "hypotheses.jsonl"),
                  "--confusables", confusables, *common]) == 0
-    mined = read_mined(capsys.readouterr().out.split("\t")[0])
+    mined = read_mined(capsys.readouterr().out.strip())
     assert len(mined) == summary["mined_examples"]
     assert average_duration_frames(mined) == summary["smooth_window_frames"]
 
